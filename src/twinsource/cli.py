@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -39,6 +40,9 @@ from .errors import (
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+# longest `stack` sweep, which is held in memory whole
+MAX_SWEEP_POINTS = 10**6
 
 
 @dataclass
@@ -158,6 +162,8 @@ def cmd_stack(args) -> int:
     device = cfgmod.build_stack(cfg)
     if not device.layers:
         raise ConfigError("stack has no layers")
+    if (args.lambda_min is None) != (args.lambda_max is None):
+        raise ConfigError("--lambda-min and --lambda-max must be given together")
     lam_lo, lam_hi = (
         (args.lambda_min, args.lambda_max)
         if args.lambda_min is not None
@@ -166,8 +172,19 @@ def cmd_stack(args) -> int:
     step = args.step
     theta = args.theta if args.theta is not None else 0.0
     pol = args.pol
+    if not (math.isfinite(lam_lo) and math.isfinite(lam_hi) and lam_hi > lam_lo):
+        raise ConfigError(f"wavelength window [{lam_lo}, {lam_hi}] nm is empty or not finite")
+    if not step > 0:
+        raise ConfigError(f"--step must be > 0, got {step}")
+    if not abs(theta) < 90.0:
+        raise ConfigError(f"--theta must lie strictly between -90 and 90 degrees, got {theta}")
+    if not (lam_hi - lam_lo) / step + 1 <= MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"sweep of [{lam_lo}, {lam_hi}] nm at step {step} nm exceeds "
+            f"{MAX_SWEEP_POINTS} points"
+        )
     lams = lam_lo + step * np.arange(int(round((lam_hi - lam_lo) / step)) + 1)
-    resp = [stack.stack_response(device, float(l), theta, pol, model) for l in lams]
+    resp = stack.stack_response(device, lams, theta, pol, model)
 
     resonance_nm = None
     try:
@@ -183,8 +200,8 @@ def cmd_stack(args) -> int:
         "reflectance",
         {
             "lambda_nm": lams,
-            "reflectance": [r.reflectance for r in resp],
-            "transmittance": [r.transmittance for r in resp],
+            "reflectance": resp.reflectance,
+            "transmittance": resp.transmittance,
             "is_resonance": flag,
         },
         {

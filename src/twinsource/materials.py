@@ -81,8 +81,9 @@ class DispersionModel:
         lo, hi = self.wavelength_window_nm
         lam = np.asarray(wavelength_nm, dtype=float)
         if np.any(lam < lo) or np.any(lam > hi):
+            shown = f"{lam.min()}..{lam.max()}" if lam.ndim else f"{wavelength_nm}"
             raise OutOfValidityWindow(
-                f"wavelength {wavelength_nm} nm outside model '{self.name}' "
+                f"wavelength {shown} nm outside model '{self.name}' "
                 f"window [{lo}, {hi}] nm"
             )
         xlo, xhi = self.x_window

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import find_peaks
 
 from . import materials
 from .errors import (
@@ -112,10 +111,7 @@ class LayerStack:
         return None
 
     def region_layers(self, name: str) -> tuple:
-        reg = self.region(name)
-        if reg is None:
-            raise KeyError(f"stack has no region named '{name}'")
-        return self.layers[reg.start : reg.stop]
+        return self.layers[_region_slice(self, name)]
 
     def total_thickness(self) -> float:
         return sum(ly.thickness_nm for ly in self.layers)
@@ -123,7 +119,9 @@ class LayerStack:
 
 @dataclass(frozen=True)
 class StackResponse:
-    """Plane-wave response at one (wavelength, angle, polarization) point."""
+    """Plane-wave response at one (wavelength, angle, polarization) point; over
+    a wavelength array ``r``, ``t``, ``reflectance`` and ``transmittance`` are
+    arrays of the same length."""
 
     r: complex
     t: complex
@@ -160,6 +158,10 @@ class ResonanceResult:
 # low-level engine on raw index arrays
 # ---------------------------------------------------------------------------
 
+# wavelengths per kernel call in stack_response: the kernel's temporaries take
+# about 30 kB per wavelength for the 127-layer device, so a block holds ~8 MB
+_BLOCK = 256
+
 
 def _cos_theta(n, n0_sin):
     """Cosine of the propagation angle inside a medium of index n."""
@@ -171,39 +173,60 @@ def _admittance(n, cos_t, pol):
 
 
 def _char_matrix(n_list, t_list, n0_sin, wavelength, pol):
-    """Product of per-layer characteristic matrices, top to bottom."""
-    k0 = 2.0 * math.pi / wavelength
-    m00, m01, m10, m11 = 1.0 + 0j, 0j, 0j, 1.0 + 0j
-    for n, t in zip(n_list, t_list):
-        ct = _cos_theta(n, n0_sin)
-        eta = _admittance(n, ct, pol)
-        d = k0 * n * ct * t
-        c, s = np.cos(d), np.sin(d)
-        a00, a01 = c, -1j * s / eta
-        a10, a11 = -1j * eta * s, c
-        m00, m01, m10, m11 = (
-            m00 * a00 + m01 * a10,
-            m00 * a01 + m01 * a11,
-            m10 * a00 + m11 * a10,
-            m10 * a01 + m11 * a11,
-        )
-    return np.array([[m00, m01], [m10, m11]])
+    """Characteristic matrices of a layer sequence (top to bottom), one per wavelength.
+
+    ``wavelength`` is a 1-D array of W values, ``n_list`` the layer indices
+    with shape (L,) or (W, L), ``t_list`` the L thicknesses and ``n0_sin``
+    a scalar or a (W,) array. Returns the entries m00, m01, m10, m11 as a
+    (4, W) array. Neighbouring matrices are multiplied pairwise, level by
+    level, so the number of array operations grows with log2 L only, not
+    with L or W.
+    """
+    k0 = (2.0 * math.pi / wavelength)[:, None]
+    n0_sin = np.reshape(n0_sin, (-1, 1))
+    ct = _cos_theta(n_list, n0_sin)
+    eta = _admittance(n_list, ct, pol)
+    d = k0 * n_list * ct * np.asarray(t_list, dtype=float)
+    c, s = np.cos(d), np.sin(d)
+    n_layers = d.shape[1]
+    # m[i, j] holds entry (i, j) of every layer matrix, shape (W, P); identity
+    # matrices pad the sequence to P = a power of two, so every level pairs
+    # all of its matrices (multiplying by an identity is exact)
+    m = np.zeros((2, 2, len(d), 1 << (n_layers - 1).bit_length()), dtype=complex)
+    m[0, 0, :, n_layers:] = m[1, 1, :, n_layers:] = 1.0
+    m[0, 0, :, :n_layers] = m[1, 1, :, :n_layers] = c
+    m[0, 1, :, :n_layers] = -1j * s / eta
+    m[1, 0, :, :n_layers] = -1j * eta * s
+    while m.shape[-1] > 1:
+        a, b = m[..., 0::2], m[..., 1::2]
+        # row i of a times b: a[i, 0] b[0, :] + a[i, 1] b[1, :]
+        m = a[:, :1] * b[0] + a[:, 1:] * b[1]
+    return m[..., 0].reshape(4, -1)
 
 
 def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol):
-    """Fresnel response of an arbitrary index profile (low-level entry point)."""
-    n0_sin = n0 * math.sin(math.radians(theta_deg))
+    """Fresnel response (r, t, R, T) of an arbitrary index profile (low-level entry point).
+
+    ``wavelength`` is a scalar or a 1-D array of W values. ``n_list`` holds
+    one index per layer, shape (L,) or (W, L); ``n0``, ``n_sub`` and
+    ``theta_deg`` are scalars or (W,) arrays. A scalar wavelength gives
+    scalars out, an array gives (W,) arrays.
+    """
+    lam = np.asarray(wavelength, dtype=float)
+    n0_sin = n0 * np.sin(np.radians(theta_deg))
     eta0 = _admittance(n0, _cos_theta(n0, n0_sin), pol)
     eta_sub = _admittance(n_sub, _cos_theta(n_sub, n0_sin), pol)
-    m = _char_matrix(n_list, t_list, n0_sin, wavelength, pol)
-    b = m[0, 0] + m[0, 1] * eta_sub
-    c = m[1, 0] + m[1, 1] * eta_sub
+    m00, m01, m10, m11 = _char_matrix(np.asarray(n_list), t_list, n0_sin, lam.reshape(-1), pol)
+    b = m00 + m01 * eta_sub
+    c = m10 + m11 * eta_sub
     denom = eta0 * b + c
     r = (eta0 * b - c) / denom
     t = 2.0 * eta0 / denom
-    reflectance = float(abs(r) ** 2)
-    transmittance = float(4.0 * eta0.real * eta_sub.real / abs(denom) ** 2)
-    return complex(r), complex(t), reflectance, transmittance
+    reflectance = np.abs(r) ** 2
+    transmittance = 4.0 * np.real(eta0) * np.real(eta_sub) / np.abs(denom) ** 2
+    if lam.ndim == 0:
+        return complex(r[0]), complex(t[0]), float(reflectance[0]), float(transmittance[0])
+    return r, t, reflectance, transmittance
 
 
 # ---------------------------------------------------------------------------
@@ -211,59 +234,108 @@ def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol):
 # ---------------------------------------------------------------------------
 
 
+def _region_slice(s: LayerStack, name: str) -> slice:
+    reg = s.region(name)
+    if reg is None:
+        raise KeyError(f"stack has no region named '{name}'")
+    return slice(reg.start, reg.stop)
+
+
+def _thicknesses(s: LayerStack) -> np.ndarray:
+    return np.array([ly.thickness_nm for ly in s.layers])
+
+
 def layer_indices(s: LayerStack, wavelength, model: DispersionModel | None = None):
-    """Per-layer refractive indices (below-gap real) at one wavelength."""
+    """Per-layer refractive indices (below-gap real): shape (L,) at one
+    wavelength, (W, L) over a 1-D array of W wavelengths. Each distinct
+    composition is evaluated once."""
     cache = {}
-    out = []
     for ly in s.layers:
         key = ly.composition.x
         if key not in cache:
             cache[key] = materials.refractive_index(ly.composition, wavelength, model)
-        out.append(cache[key])
-    return np.array(out)
+    return np.array([cache[ly.composition.x] for ly in s.layers]).T
 
 
 def substrate_index(s: LayerStack, wavelength, model: DispersionModel | None = None):
-    """Substrate index; complex above the gap (the substrate may absorb)."""
+    """Complex substrate index (absorbing above the gap), a scalar or an array
+    like ``wavelength``; a scalar whenever the substrate is the ambient."""
     if s.substrate is None:
         return complex(s.ambient_index)
-    m = model or materials.DEFAULT_MODEL
-    try:
-        return complex(m.evaluate(s.substrate.x, wavelength))
-    except materials.AboveBandgap:
-        return m.evaluate_complex(s.substrate.x, wavelength)
+    return materials.complex_refractive_index(s.substrate, wavelength, model)
 
 
 def stack_response(
     s: LayerStack,
-    wavelength: float,
+    wavelength,
     theta_deg: float = 0.0,
     pol: str = TE,
     model: DispersionModel | None = None,
 ) -> StackResponse:
-    n_list = layer_indices(s, wavelength, model)
-    t_list = [ly.thickness_nm for ly in s.layers]
-    n_sub = substrate_index(s, wavelength, model)
-    r, t, R, T = raw_response(s.ambient_index, n_list, t_list, n_sub, wavelength, theta_deg, pol)
+    """Plane-wave response at one wavelength (scalar fields) or over a 1-D
+    wavelength array (array fields)."""
+    lam = np.asarray(wavelength, dtype=float)
+    if lam.size > _BLOCK:
+        parts = [
+            stack_response(s, lam[i : i + _BLOCK], theta_deg, pol, model)
+            for i in range(0, lam.size, _BLOCK)
+        ]
+        r, t, R, T = (
+            np.concatenate([getattr(p, name) for p in parts])
+            for name in ("r", "t", "reflectance", "transmittance")
+        )
+    else:
+        n_list = layer_indices(s, wavelength, model)
+        n_sub = substrate_index(s, wavelength, model)
+        r, t, R, T = raw_response(
+            s.ambient_index, n_list, _thicknesses(s), n_sub, wavelength, theta_deg, pol
+        )
     return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
 
 
 def characteristic_matrix(
     s: LayerStack,
-    wavelength: float,
+    wavelength,
     theta_deg: float = 0.0,
     pol: str = TE,
     layer_slice: slice | None = None,
     model: DispersionModel | None = None,
 ):
-    """2x2 characteristic matrix of the stack (or a slice of its layers)."""
+    """2x2 characteristic matrix of the stack (or a slice of its layers);
+    shape (W, 2, 2) over a 1-D array of W wavelengths."""
     n_list = layer_indices(s, wavelength, model)
-    t_list = np.array([ly.thickness_nm for ly in s.layers])
+    t_list = _thicknesses(s)
     if layer_slice is not None:
-        n_list = n_list[layer_slice]
+        n_list = n_list[..., layer_slice]
         t_list = t_list[layer_slice]
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    return _char_matrix(n_list, t_list, n0_sin, wavelength, pol)
+    m = _char_matrix(n_list, t_list, n0_sin, np.reshape(wavelength, -1), pol)
+    m = m.T.reshape(-1, 2, 2)
+    return m if np.ndim(wavelength) else m[0]
+
+
+def _walk(f, g, n_list, t_list, n0_sin, k0, pol):
+    """Wave amplitudes (A, B, kz, eta) at the top of each layer, given the
+    tangential field (F, G) at the top of the first; also (F, G) below the last."""
+    out = []
+    for n, t_nm in zip(n_list, t_list):
+        ct = _cos_theta(n, n0_sin)
+        eta = _admittance(n, ct, pol)
+        # tangential (F, G) continuity across the interface
+        a = 0.5 * (f + g / eta)
+        b = 0.5 * (f - g / eta)
+        kz = k0 * n * ct
+        out.append((a, b, kz, eta))
+        a_bot = a * np.exp(1j * kz * t_nm)
+        b_bot = b * np.exp(-1j * kz * t_nm)
+        f = a_bot + b_bot
+        g = eta * (a_bot - b_bot)
+    return out, f, g
+
+
+def _layer_field(a, b, kz, x):
+    """Tangential field at depths x below the top of a layer."""
+    return a * np.exp(1j * kz * x) + b * np.exp(-1j * kz * x)
 
 
 def layer_amplitudes(
@@ -281,7 +353,7 @@ def layer_amplitudes(
     """
     k0 = 2.0 * math.pi / wavelength
     n_list = layer_indices(s, wavelength, model)
-    t_list = [ly.thickness_nm for ly in s.layers]
+    t_list = _thicknesses(s)
     n_sub = substrate_index(s, wavelength, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
     r, _, _, _ = raw_response(s.ambient_index, n_list, t_list, n_sub, wavelength, theta_deg, pol)
@@ -289,24 +361,10 @@ def layer_amplitudes(
     ct0 = _cos_theta(s.ambient_index, n0_sin)
     eta0 = _admittance(s.ambient_index + 0j, ct0, pol)
     out = [(1.0 + 0j, complex(r), k0 * s.ambient_index * ct0, eta0)]
-    a_prev, b_prev, eta_prev = 1.0 + 0j, complex(r), eta0
-    for n, t_nm in zip(n_list, t_list):
-        ct = _cos_theta(n, n0_sin)
-        eta = _admittance(n, ct, pol)
-        # tangential (F, G) continuity across the interface
-        f = a_prev + b_prev
-        g = eta_prev * (a_prev - b_prev)
-        a = 0.5 * (f + g / eta)
-        b = 0.5 * (f - g / eta)
-        kz = k0 * n * ct
-        out.append((a, b, kz, eta))
-        a_prev = a * np.exp(1j * kz * t_nm)
-        b_prev = b * np.exp(-1j * kz * t_nm)
-        eta_prev = eta
+    layers, f, g = _walk(1.0 + r, eta0 * (1.0 - r), n_list, t_list, n0_sin, k0, pol)
     ct_sub = _cos_theta(n_sub, n0_sin)
     eta_sub = _admittance(n_sub, ct_sub, pol)
-    f = a_prev + b_prev
-    g = eta_prev * (a_prev - b_prev)
+    out += layers
     out.append((0.5 * (f + g / eta_sub), 0j, k0 * n_sub * ct_sub, eta_sub))
     return out
 
@@ -335,13 +393,13 @@ def field_profile(
     if pad_nm > 0:
         x = np.linspace(-pad_nm, 0.0, max(2, points_per_layer))
         depths.append(x)
-        amps.append(a0 * np.exp(1j * kz0 * x) + b0 * np.exp(-1j * kz0 * x))
+        amps.append(_layer_field(a0, b0, kz0, x))
 
     z = 0.0
     for (a, b, kz, _), t_nm in zip(amps_per_medium[1:-1], t_list):
         x_local = np.linspace(0.0, t_nm, max(points_per_layer, 2))
         depths.append(z + x_local)
-        amps.append(a * np.exp(1j * kz * x_local) + b * np.exp(-1j * kz * x_local))
+        amps.append(_layer_field(a, b, kz, x_local))
         z += t_nm
 
     a_sub, _, kz_sub, _ = amps_per_medium[-1]
@@ -366,20 +424,63 @@ def core_intensity(
     pol: str = TE,
     model: DispersionModel | None = None,
 ) -> float:
-    """Peak |field|^2 inside the core region for unit incident intensity."""
-    reg = s.region("core")
-    if reg is None:
-        raise KeyError("stack has no region named 'core'")
-    start = sum(ly.thickness_nm for ly in s.layers[: reg.start])
-    stop = start + sum(ly.thickness_nm for ly in s.layers[reg.start : reg.stop])
-    prof = field_profile(s, wavelength, theta_deg, pol, model, pad_nm=0.0)
-    mask = (prof.depth_nm >= start) & (prof.depth_nm <= stop)
-    return float(np.max(np.abs(prof.amplitude[mask]) ** 2))
+    """Peak |field|^2 inside the core region for unit incident intensity.
+
+    Only the core is sampled, at the 12 points per layer of ``field_profile``.
+    The field at the top of the core is the transmitted substrate field
+    carried up through the core and the layers below it.
+    """
+    core = _region_slice(s, "core")
+    k0 = 2.0 * math.pi / wavelength
+    n_list = layer_indices(s, wavelength, model)
+    t_list = _thicknesses(s)
+    n_sub = substrate_index(s, wavelength, model)
+    n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
+    _, t, _, _ = raw_response(s.ambient_index, n_list, t_list, n_sub, wavelength, theta_deg, pol)
+    below = slice(core.start, None)
+    m00, m01, m10, m11 = _char_matrix(
+        n_list[below], t_list[below], n0_sin, np.reshape(wavelength, -1), pol
+    )[:, 0]
+    eta_sub = _admittance(n_sub, _cos_theta(n_sub, n0_sin), pol)
+    f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
+    layers, _, _ = _walk(f, g, n_list[core], t_list[core], n0_sin, k0, pol)
+    a, b, kz, _ = (np.array(col)[:, None] for col in zip(*layers))
+    x = np.linspace(0.0, t_list[core], 12, axis=1)
+    return float(np.max(np.abs(_layer_field(a, b, kz, x)) ** 2))
 
 
 # ---------------------------------------------------------------------------
 # resonance search
 # ---------------------------------------------------------------------------
+
+
+def _prominent_minima(y, prominence):
+    """Indices of the local minima of ``y`` with at least the given prominence.
+
+    Same result as ``scipy.signal.find_peaks(-y, prominence=prominence)[0]``:
+    a flat minimum (a run of equal samples) counts once, at its middle sample
+    (the left one of the two middles), and a run touching either end of the
+    series is no minimum. The prominence is measured from the lower of the two
+    highest points reached on walking away from the minimum, either side,
+    until the series first drops below it (or ends).
+    """
+    y = np.asarray(y, dtype=float)
+    if len(y) < 3:
+        return np.array([], dtype=np.intp)
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    stops = np.r_[starts[1:], len(y)]
+    v = y[starts]
+    runs = np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])) + 1
+    keep = []
+    for k in runs:
+        i = (starts[k] + stops[k] - 1) // 2
+        lower = np.flatnonzero(y[:i] < y[i])
+        left = y[lower[-1] if len(lower) else 0 : i + 1].max()
+        lower = np.flatnonzero(y[i:] < y[i])
+        right = y[i : i + lower[0] if len(lower) else len(y)].max()
+        if min(left, right) - y[i] >= prominence:
+            keep.append(i)
+    return np.array(keep, dtype=np.intp)
 
 
 def _golden_minimize(fun, a, b, xtol):
@@ -400,58 +501,36 @@ def _golden_minimize(fun, a, b, xtol):
     return (a + b) / 2.0
 
 
-def _core_mean_index(s: LayerStack, wavelength, model):
-    core = s.region_layers("core")
-    num = sum(
-        materials.refractive_index(ly.composition, wavelength, model) * ly.thickness_nm
-        for ly in core
-    )
-    return num / sum(ly.thickness_nm for ly in core)
+def _cavity(s, wavelength, theta_deg, pol, model):
+    """Round-trip propagation phase through the core, and the (r, t, R, T) of
+    the top and of the bottom DBR, each seen from the core.
 
-
-def _mirror_reflection(s, reg_name, wavelength, theta_deg, pol, model, from_core):
-    """Complex r of one DBR sub-stack as seen from the cavity core or from outside."""
-    reg = s.region(reg_name)
-    layers = s.layers[reg.start : reg.stop]
-    n_list = [materials.refractive_index(ly.composition, wavelength, model) for ly in layers]
-    t_list = [ly.thickness_nm for ly in layers]
-    n_core = _core_mean_index(s, wavelength, model)
-    n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    # incidence angle is defined in air; convert to the local medium via
-    # conserved transverse momentum (n0 sin(theta) fixed)
-    if reg_name == "top_dbr":
-        if from_core:
-            n_in, n_out = n_core, complex(s.ambient_index)
-            n_list, t_list = n_list[::-1], t_list[::-1]
-        else:
-            n_in, n_out = s.ambient_index, n_core
-    else:
-        n_in = n_core if from_core else substrate_index(s, wavelength, model)
-        n_out = substrate_index(s, wavelength, model) if from_core else n_core
-        if not from_core:
-            n_list, t_list = n_list[::-1], t_list[::-1]
-    theta_local = math.degrees(math.asin(n0_sin / abs(n_in))) if abs(n_in) else 0.0
-    r, t, R, T = raw_response(n_in, n_list, t_list, n_out, wavelength, theta_local, pol)
-    return r, T
-
-
-def _round_trip_phase(s, wavelength, theta_deg, pol, model):
-    core = s.region_layers("core")
+    For the mirrors the core is a uniform medium of its thickness-weighted
+    mean index; the incidence angle, defined in air, is carried into it by
+    the conserved transverse momentum n0 sin(theta).
+    """
+    top, core, bottom = (_region_slice(s, name) for name in ("top_dbr", "core", "bottom_dbr"))
     k0 = 2.0 * math.pi / wavelength
+    n_list = layer_indices(s, wavelength, model)
+    t_list = _thicknesses(s)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    opl = sum(
-        (
-            materials.refractive_index(ly.composition, wavelength, model)
-            * ly.thickness_nm
-            * _cos_theta(
-                materials.refractive_index(ly.composition, wavelength, model), n0_sin
-            ).real
-        )
-        for ly in core
+    n_core, t_core = n_list[core], t_list[core]
+    opl = sum(n_core * t_core * _cos_theta(n_core, n0_sin).real)
+    n_mean = sum(n_core * t_core) / sum(t_core)
+    theta_core = math.degrees(math.asin(n0_sin / abs(n_mean)))
+    up = raw_response(
+        n_mean, n_list[top][::-1], t_list[top][::-1], s.ambient_index, wavelength, theta_core, pol
     )
-    r_up, _ = _mirror_reflection(s, "top_dbr", wavelength, theta_deg, pol, model, from_core=True)
-    r_dn, _ = _mirror_reflection(s, "bottom_dbr", wavelength, theta_deg, pol, model, from_core=True)
-    return 2.0 * k0 * opl, r_up, r_dn
+    down = raw_response(
+        n_mean,
+        n_list[bottom],
+        t_list[bottom],
+        substrate_index(s, wavelength, model),
+        wavelength,
+        theta_core,
+        pol,
+    )
+    return 2.0 * k0 * opl, up, down
 
 
 def find_resonance(
@@ -465,20 +544,29 @@ def find_resonance(
 ) -> ResonanceResult:
     """Locate the cavity resonance in a window holding exactly one R dip.
 
-    The resonance wavelength is the reflectance minimum (golden-section
-    refined to 1e-3 nm). The finesse is FSR / FWHM where the FWHM is read off
-    the core field-intensity resonance curve and the free spectral range comes
-    from the slope of the cavity round-trip phase at resonance (the window
-    holds a single dip, so peak-to-peak spacing is not available). T_up and
-    T_down are the transmittances of the two DBR sub-stacks evaluated alone at
-    the resonance wavelength.
+    Numerics, fixed apart from the scan step and the prominence:
+
+    * the window is scanned at ``scan_step_nm`` (0.05 nm) and must hold
+      exactly one reflectance minimum of at least ``prominence``;
+    * the resonance wavelength is the reflectance minimum, golden-section
+      refined from the neighbouring scan points to xtol = 1e-3 nm;
+    * the FWHM is read off the core field-intensity resonance curve: each
+      half-maximum crossing is bracketed by walking out in 0.1 nm steps, then
+      bisected 40 times;
+    * the free spectral range comes from the slope of the cavity round-trip
+      phase, a central difference with h = 0.05 nm (the window holds a single
+      dip, so peak-to-peak spacing is not available);
+    * the finesse is FSR / FWHM.
+
+    T_up and T_down are the transmittances of the two DBR sub-stacks seen
+    from the core at the resonance wavelength.
     """
     lo, hi = lambda_window
     if not (hi > lo):
         raise ValueError("empty wavelength window")
     lams = np.arange(lo, hi + scan_step_nm / 2, scan_step_nm)
-    refl = np.array([stack_response(s, lam, theta_deg, pol, model).reflectance for lam in lams])
-    idx, _ = find_peaks(-refl, prominence=prominence)
+    refl = stack_response(s, lams, theta_deg, pol, model).reflectance
+    idx = _prominent_minima(refl, prominence)
     if len(idx) == 0:
         raise NoResonanceInWindow(f"no reflectance dip in [{lo}, {hi}] nm")
     if len(idx) > 1:
@@ -518,13 +606,12 @@ def find_resonance(
 
     # FSR from the round-trip phase slope (central difference, wrap-safe)
     h = 0.05
-    prop_p, up_p, dn_p = _round_trip_phase(s, lam_res + h, theta_deg, pol, model)
-    prop_m, up_m, dn_m = _round_trip_phase(s, lam_res - h, theta_deg, pol, model)
+    prop_p, (up_p, *_), (dn_p, *_) = _cavity(s, lam_res + h, theta_deg, pol, model)
+    prop_m, (up_m, *_), (dn_m, *_) = _cavity(s, lam_res - h, theta_deg, pol, model)
     dphi = (prop_p - prop_m) + np.angle(up_p / up_m) + np.angle(dn_p / dn_m)
     fsr = 2.0 * math.pi / abs(dphi / (2.0 * h))
 
-    _, t_up = _mirror_reflection(s, "top_dbr", lam_res, theta_deg, pol, model, from_core=True)
-    _, t_down = _mirror_reflection(s, "bottom_dbr", lam_res, theta_deg, pol, model, from_core=True)
+    _, (*_, t_up), (*_, t_down) = _cavity(s, lam_res, theta_deg, pol, model)
 
     return ResonanceResult(
         wavelength_nm=float(lam_res),

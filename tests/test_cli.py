@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twinsource.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+import twinsource
+from twinsource.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, MAX_SWEEP_POINTS, main
 
 
 def run(*argv):
@@ -55,6 +59,41 @@ def test_stack_rejects_empty_layer_list(tmp_path):
     assert run(
         "stack", "--set", "stack.regions=[]", "--out", tmp_path, "--quiet"
     ) == EXIT_INPUT
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--step", 0),
+        ("--step", -0.05),
+        ("--lambda-min", 740),
+        ("--lambda-max", 780),
+        ("--lambda-min", 780, "--lambda-max", 740),
+        ("--theta", 95),
+    ],
+    ids=["zero_step", "negative_step", "min_only", "max_only", "reversed_window", "theta_past_90"],
+)
+def test_stack_bad_sweep_is_input_error(tmp_path, capsys, argv):
+    assert run("stack", *argv, "--out", tmp_path, "--quiet") == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "reflectance.csv").exists()
+
+
+def test_stack_sweep_is_capped(tmp_path, capsys):
+    assert run(
+        "stack", "--lambda-min", 740, "--lambda-max", 780, "--step", 1e-6,
+        "--out", tmp_path, "--quiet",
+    ) == EXIT_INPUT
+    assert str(MAX_SWEEP_POINTS) in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    # importing scipy.signal adds about a second to the start of every command
+    # (measured on a 2-vCPU x86-64 host)
+    src = str(Path(twinsource.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = "import sys, twinsource.cli; sys.exit('scipy.signal' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 def test_unknown_dispersion_model_is_input_error(tmp_path):

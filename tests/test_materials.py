@@ -79,6 +79,9 @@ def test_out_of_validity_window():
         refractive_index(Composition(0.2), 100.0)
     with pytest.raises(OutOfValidityWindow):
         refractive_index(Composition(0.2), 9000.0)
+    # a wavelength sweep is named by its span, not sample by sample
+    with pytest.raises(OutOfValidityWindow, match=r"wavelength 500\.0\.\.560\.0 nm outside"):
+        refractive_index(Composition(0.2), np.linspace(500.0, 560.0, 801))
 
 
 def test_above_bandgap_refused_for_real_index():

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.signal import find_peaks
 
+from _oracles import response_loop
+from twinsource import materials
 from twinsource.errors import (
+    AboveBandgap,
     InvalidDesignParams,
     MultipleResonances,
     NoResonanceInWindow,
@@ -12,9 +16,11 @@ from twinsource.materials import Composition, refractive_index
 from twinsource.stack import (
     TE,
     TM,
+    _BLOCK,
     DesignParams,
     Layer,
     LayerStack,
+    _prominent_minima,
     build_paper_stack,
     characteristic_matrix,
     core_intensity,
@@ -78,11 +84,93 @@ def test_reciprocity_of_transmittance(pol):
     assert t_fwd == pytest.approx(t_back, abs=1e-12)
 
 
+def _oracle_sweep(s, lams, theta, pol):
+    """(R, T) per wavelength from per-layer index calls and the layer-by-layer
+    matrix oracle; the substrate is real below the gap, complex above it."""
+    out = []
+    for lam in lams:
+        n_list = [refractive_index(ly.composition, lam) for ly in s.layers]
+        if s.substrate is None:
+            n_sub = s.ambient_index
+        else:
+            try:
+                n_sub = refractive_index(s.substrate, lam)
+            except AboveBandgap:
+                n_sub = materials.complex_refractive_index(s.substrate, lam)
+        t_list = [ly.thickness_nm for ly in s.layers]
+        out.append(response_loop(s.ambient_index, n_list, t_list, n_sub, lam, theta, pol))
+    return np.array(out).T
+
+
+_GAAS_GAP_NM = materials.HC_EV_NM / materials.DEFAULT_MODEL.gap_energy_ev(0.0)
+
+# wavelength windows: the pump resonance; across the substrate gap, so real
+# and complex substrate indices meet in one batch; and inside the near-gap
+# margin, where the substrate index comes from the complex evaluation
+_WINDOWS = {
+    "pump": np.linspace(740.0, 780.0, 41),
+    "across_gap": np.linspace(850.0, 880.0, 31),
+    "near_gap_margin": np.linspace(
+        _GAAS_GAP_NM + 0.1, _GAAS_GAP_NM / materials.DEFAULT_MODEL.near_gap_margin - 0.1, 9
+    ),
+}
+
+
+@pytest.mark.parametrize("window", sorted(_WINDOWS))
+@pytest.mark.parametrize("pol", [TE, TM])
+@pytest.mark.parametrize("theta", [0.0, 17.0, 60.0])
+def test_batched_response_matches_oracle_and_scalar_calls(paper_stack, window, pol, theta):
+    lams = _WINDOWS[window]
+    batch = stack_response(paper_stack, lams, theta, pol)
+    assert batch.reflectance.shape == batch.transmittance.shape == lams.shape
+    scalar = np.array(
+        [
+            (resp.reflectance, resp.transmittance)
+            for resp in (stack_response(paper_stack, float(lam), theta, pol) for lam in lams)
+        ]
+    ).T
+    oracle = _oracle_sweep(paper_stack, lams, theta, pol)
+    for other in (scalar, oracle):
+        assert np.max(np.abs(batch.reflectance - other[0])) <= 1e-12
+        assert np.max(np.abs(batch.transmittance - other[1])) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        LayerStack(layers=(Layer(Composition(0.3), 120.0), Layer(Composition(0.7), 95.0)), substrate=None),
+        LayerStack(layers=(), substrate=Composition(0.0)),
+        LayerStack(layers=(), substrate=None),
+    ],
+    ids=["free_standing", "bare_substrate", "empty"],
+)
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_batched_response_edge_stacks(s, pol):
+    lams = np.linspace(740.0, 1600.0, 23)
+    batch = stack_response(s, lams, 17.0, pol)
+    oracle = _oracle_sweep(s, lams, 17.0, pol)
+    assert np.max(np.abs(batch.reflectance - oracle[0])) <= 1e-12
+    assert np.max(np.abs(batch.transmittance - oracle[1])) <= 1e-12
+    for lam, r in zip(lams, batch.reflectance):
+        assert abs(stack_response(s, float(lam), 17.0, pol).reflectance - r) <= 1e-12
+
+
+def test_batched_response_past_one_kernel_block(paper_stack):
+    lams = np.linspace(1500.0, 1540.0, 2 * _BLOCK + 100)
+    batch = stack_response(paper_stack, lams, 5.0, TM)
+    for i in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK, len(lams) - 1):
+        resp = stack_response(paper_stack, float(lams[i]), 5.0, TM)
+        assert batch.r[i] == pytest.approx(resp.r, abs=1e-12)
+        assert batch.transmittance[i] == pytest.approx(resp.transmittance, abs=1e-12)
+
+
 def test_characteristic_matrix_cascades(paper_stack):
-    whole = characteristic_matrix(paper_stack, 1520.0, 7.0, TM)
-    top = characteristic_matrix(paper_stack, 1520.0, 7.0, TM, layer_slice=slice(0, 50))
-    rest = characteristic_matrix(paper_stack, 1520.0, 7.0, TM, layer_slice=slice(50, None))
-    assert np.allclose(whole, top @ rest, rtol=1e-12, atol=1e-12)
+    for lam in (1520.0, np.array([1480.0, 1520.0, 1560.0])):
+        whole = characteristic_matrix(paper_stack, lam, 7.0, TM)
+        top = characteristic_matrix(paper_stack, lam, 7.0, TM, layer_slice=slice(0, 50))
+        rest = characteristic_matrix(paper_stack, lam, 7.0, TM, layer_slice=slice(50, None))
+        assert whole.shape == np.shape(lam) + (2, 2)
+        assert np.allclose(whole, top @ rest, rtol=1e-12, atol=1e-12)
 
 
 # --- nominal structure ------------------------------------------------------
@@ -190,6 +278,39 @@ def test_no_resonance_in_flat_window():
     mirror = build_paper_stack(DesignParams(top_periods=1, core_periods=0.5, bottom_periods=20))
     with pytest.raises((NoResonanceInWindow, MultipleResonances)):
         find_resonance(mirror, (755.0, 765.0))
+
+
+def _series(rng, n):
+    kind = rng.integers(3)
+    if kind == 0:  # small alphabet: long plateaus, flat minima at the ends
+        return rng.integers(0, 5, n).astype(float)
+    if kind == 1:  # smooth random walk rounded to a coarse grid: plateaus on slopes
+        return np.round(np.cumsum(rng.normal(size=n)), 1)
+    return rng.normal(size=n)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_prominent_minima_match_find_peaks(seed):
+    rng = np.random.default_rng(seed)
+    y = _series(rng, int(rng.integers(0, 80)))
+    for prominence in (0.0, 0.1, 0.5, 1.0, 2.0, 4.0):
+        expected = find_peaks(-y, prominence=prominence)[0]
+        assert _prominent_minima(y, prominence).tolist() == expected.tolist()
+
+
+@pytest.mark.parametrize(
+    "y, minima",
+    [
+        ([0.0, 1.0, 0.0], []),  # the ends are never minima
+        ([1.0, 0.0, 0.0, 0.0, 1.0], [2]),  # odd plateau: its middle sample
+        ([1.0, 0.0, 0.0, 1.0], [1]),  # even plateau: the left middle sample
+        ([2.0, 0.0, 0.0, 0.0], []),  # plateau running into the end
+        ([3.0, 1.0, 2.0, 0.5, 3.0], [1, 3]),
+    ],
+)
+def test_prominent_minima_hand_cases(y, minima):
+    assert _prominent_minima(np.array(y), 0.0).tolist() == minima
+    assert find_peaks(-np.array(y), prominence=0.0)[0].tolist() == minima
 
 
 def test_multiple_resonances_detected(paper_stack):
