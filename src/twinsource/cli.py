@@ -29,19 +29,13 @@ import numpy as np
 
 from . import config as cfgmod
 from . import efficiency, hom, modes, phasematch, spectra, stack
-from .errors import (
-    ConfigError,
-    DegenerateScan,
-    NoConvergence,
-    NoResonanceInWindow,
-    TwinSourceError,
-)
+from .errors import ConfigError, NoResonanceInWindow, OutOfValidityWindow, TwinSourceError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-# longest `stack` sweep, which is held in memory whole
+# longest sweep (`stack` wavelengths, `tuning` angles), held in memory whole
 MAX_SWEEP_POINTS = 10**6
 
 
@@ -115,7 +109,7 @@ class _Run:
         self.report = RunReport(command=command, config_hash=self.hash)
         self.t0 = time.monotonic()
         self.fmt = args.format
-        model = cfgmod.dispersion_model(cfg)
+        self.model = model = cfgmod.dispersion_model(cfg)
         self.provenance = {
             "dispersion_model": model.name,
             "dispersion_coefficients": {k: list(v) for k, v in model.coefficients.items()},
@@ -151,6 +145,47 @@ class _Run:
 
 
 # ---------------------------------------------------------------------------
+# input checks
+# ---------------------------------------------------------------------------
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)
+
+
+def _window(value, name: str) -> tuple:
+    """Wavelength window ``[lo, hi]`` in nm: two finite numbers, lo < hi."""
+    if not (
+        isinstance(value, (list, tuple))
+        and len(value) == 2
+        and all(_is_finite_number(v) for v in value)
+        and value[0] < value[1]
+    ):
+        raise ConfigError(f"{name} must be two finite wavelengths lo < hi in nm, got {value!r}")
+    return float(value[0]), float(value[1])
+
+
+def _grid(lo, hi, step, name: str) -> np.ndarray:
+    """Sweep lo, lo + step, ... up to hi (inclusive, to rounding)."""
+    if not (_is_finite_number(lo) and _is_finite_number(hi) and lo <= hi):
+        raise ConfigError(f"{name} range [{lo}, {hi}] is empty or not finite")
+    if not (_is_finite_number(step) and step > 0):
+        raise ConfigError(f"{name} step must be > 0, got {step}")
+    if not (hi - lo) / step + 1 <= MAX_SWEEP_POINTS:
+        raise ConfigError(
+            f"{name} sweep of [{lo}, {hi}] at step {step} exceeds {MAX_SWEEP_POINTS} points"
+        )
+    return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+
+
+def _angle(theta, name: str):
+    """Pump incidence angle in degrees, strictly between -90 and 90."""
+    if not (_is_finite_number(theta) and abs(theta) < 90.0):
+        raise ConfigError(f"{name} must lie strictly between -90 and 90 degrees, got {theta!r}")
+    return theta
+
+
+# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -158,32 +193,19 @@ class _Run:
 def cmd_stack(args) -> int:
     run = _Run(args, "stack")
     cfg = run.cfg
-    model = cfgmod.dispersion_model(cfg)
+    model = run.model
     device = cfgmod.build_stack(cfg)
     if not device.layers:
         raise ConfigError("stack has no layers")
     if (args.lambda_min is None) != (args.lambda_max is None):
         raise ConfigError("--lambda-min and --lambda-max must be given together")
-    lam_lo, lam_hi = (
-        (args.lambda_min, args.lambda_max)
-        if args.lambda_min is not None
-        else tuple(cfg["resonance"]["window_nm"])
-    )
-    step = args.step
-    theta = args.theta if args.theta is not None else 0.0
+    if args.lambda_min is None:
+        lam_lo, lam_hi = _window(cfg["resonance"]["window_nm"], "resonance.window_nm")
+    else:
+        lam_lo, lam_hi = _window((args.lambda_min, args.lambda_max), "--lambda-min/--lambda-max")
+    theta = _angle(args.theta if args.theta is not None else 0.0, "--theta")
     pol = args.pol
-    if not (math.isfinite(lam_lo) and math.isfinite(lam_hi) and lam_hi > lam_lo):
-        raise ConfigError(f"wavelength window [{lam_lo}, {lam_hi}] nm is empty or not finite")
-    if not step > 0:
-        raise ConfigError(f"--step must be > 0, got {step}")
-    if not abs(theta) < 90.0:
-        raise ConfigError(f"--theta must lie strictly between -90 and 90 degrees, got {theta}")
-    if not (lam_hi - lam_lo) / step + 1 <= MAX_SWEEP_POINTS:
-        raise ConfigError(
-            f"sweep of [{lam_lo}, {lam_hi}] nm at step {step} nm exceeds "
-            f"{MAX_SWEEP_POINTS} points"
-        )
-    lams = lam_lo + step * np.arange(int(round((lam_hi - lam_lo) / step)) + 1)
+    lams = _grid(lam_lo, lam_hi, args.step, "wavelength (nm)")
     resp = stack.stack_response(device, lams, theta, pol, model)
 
     resonance_nm = None
@@ -243,10 +265,9 @@ def cmd_tuning(args) -> int:
     lo = args.theta_min if args.theta_min is not None else tcfg["theta_min_deg"]
     hi = args.theta_max if args.theta_max is not None else tcfg["theta_max_deg"]
     step = args.theta_step if args.theta_step is not None else tcfg["theta_step_deg"]
-    thetas = lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    thetas = _grid(lo, hi, step, "pump angle (deg)")
     lam_p = cfg["pump"]["wavelength_nm"]
-    matcher = phasematch.matcher_for(device, cfgmod.dispersion_model(cfg))
-    points, failures = matcher.tuning_curve(thetas, lam_p)
+    points, failures = phasematch.PhaseMatcher(device, run.model).tuning_curve(thetas, lam_p)
     for theta, inter_id, msg in failures:
         run.report.warnings.append(f"theta={theta} interaction={inter_id}: {msg}")
     if not points:
@@ -284,7 +305,7 @@ def cmd_spectrum(args) -> int:
     run = _Run(args, "spectrum")
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
-    theta = args.theta if args.theta is not None else cfg["pump"]["angle_deg"]
+    theta = _angle(args.theta if args.theta is not None else cfg["pump"]["angle_deg"], "pump angle")
     scfg = cfg["spectrum"]
     sp = spectra.fluorescence_spectrum(
         theta_deg=theta,
@@ -297,7 +318,7 @@ def cmd_spectrum(args) -> int:
         long_peak_attenuation=cfg["sample"]["facet_reflectance"],
         half_span_nm=scfg["half_span_nm"],
         step_nm=scfg["step_nm"],
-        matcher=phasematch.matcher_for(device, cfgmod.dispersion_model(cfg)),
+        matcher=phasematch.PhaseMatcher(device, run.model),
     )
     run.emit_table(
         "spectrum",
@@ -382,11 +403,7 @@ def cmd_hom_fit(args) -> int:
     cfg = run.cfg
     scan = _read_scan_csv(Path(args.scan), cfg["hom"]["dwell_s"])
     lam = cfg["hom"]["degeneracy_wavelength_nm"]
-    try:
-        fit = hom.fit_dip(scan, lam)
-    except (NoConvergence, DegenerateScan) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    fit = hom.fit_dip(scan, lam)
     model = hom.DipModel(fit.visibility, lam, fit.delta_lambda_nm)
     residuals = (
         scan.net_counts / fit.baseline_counts - hom.dip_value(model, scan.delta_z_mm)
@@ -430,17 +447,13 @@ def cmd_enhancement(args) -> int:
     run = _Run(args, "enhancement")
     cfg = run.cfg
     overrides = cfg.get("enhancement_overrides", {})
-    model = cfgmod.dispersion_model(cfg)
+    model = run.model
     needed = {"n_mean", "finesse", "t_up", "t_down"}
     payload = {}
     if not needed.issubset(overrides):
         device = cfgmod.build_stack(cfg)
-        window = tuple(cfg["resonance"]["window_nm"])
-        try:
-            res = stack.find_resonance(device, window, pol=stack.TE, model=model)
-        except (NoResonanceInWindow, stack.MultipleResonances) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_NUMERIC
+        window = _window(cfg["resonance"]["window_nm"], "resonance.window_nm")
+        res = stack.find_resonance(device, window, pol=stack.TE, model=model)
         lam_deg = 2.0 * cfg["pump"]["wavelength_nm"]
         te = modes.guided_modes(device, lam_deg, stack.TE, model, max_modes=1)[0]
         tm = modes.guided_modes(device, lam_deg, stack.TM, model, max_modes=1)[0]
@@ -546,12 +559,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OutOfValidityWindow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (NoResonanceInWindow, NoConvergence, DegenerateScan) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except TwinSourceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -15,12 +15,16 @@ import json
 
 from . import materials
 from .efficiency import DetectionChain
-from .errors import ConfigError, NonPhysicalInput
+from .errors import AboveBandgap, ConfigError, NonPhysicalInput, OutOfValidityWindow
 from .hom import visibility_from_reflectivity
 from .materials import Composition
 from .stack import Layer, LayerStack, Region
 
 
+# The nominal device. DBR cells are listed top to bottom as (low, high) index,
+# so the layer next to the core is the high-index one in the top mirror and
+# the low-index one in the bottom mirror; with quarter-wave layers this
+# parity puts the cavity resonance at the design wavelength.
 DEFAULT_CONFIG = {
     "dispersion": {"model": "adachi1985"},
     "stack": {
@@ -156,7 +160,7 @@ def dispersion_model(cfg: dict):
     name = cfg.get("dispersion", {}).get("model", "adachi1985")
     try:
         return materials.get_model(name)
-    except materials.OutOfValidityWindow as exc:
+    except OutOfValidityWindow as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -166,6 +170,8 @@ def build_stack(cfg: dict) -> LayerStack:
     model = dispersion_model(cfg)
     lam = sc.get("design_wavelength_nm", 760.0)
     try:
+        if not lam > 0:
+            raise ConfigError(f"stack.design_wavelength_nm must be > 0, got {lam}")
         layers: list[Layer] = []
         regions: list[Region] = []
         for reg in sc.get("regions", []):
@@ -176,9 +182,13 @@ def build_stack(cfg: dict) -> LayerStack:
                     "is not a half-integer > 0"
                 )
             cell = reg["cell"]
-            n_layers = round(2 * periods) if len(cell) == 2 else None
             if len(cell) != 2:
                 raise ConfigError("each region cell must list exactly two layers")
+            if cell[0]["x"] == cell[1]["x"]:
+                raise ConfigError(
+                    f"region '{reg.get('name')}' cell repeats composition x={cell[0]['x']}"
+                )
+            n_layers = round(2 * periods)
             mean_n = sum(
                 materials.refractive_index(Composition(c["x"]), lam, model) for c in cell
             ) / len(cell)
@@ -208,7 +218,7 @@ def build_stack(cfg: dict) -> LayerStack:
         )
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OutOfValidityWindow, AboveBandgap) as exc:
         raise ConfigError(f"invalid stack description: {exc}") from exc
 
 
@@ -225,8 +235,8 @@ def hom_visibility(cfg: dict) -> float:
         r = cfg.get("sample", {}).get("facet_reflectance", 0.30)
         try:
             return visibility_from_reflectivity(r)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    if not (0.0 <= vis <= 1.0):
-        raise ConfigError(f"hom.visibility must lie in [0, 1], got {vis}")
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"sample.facet_reflectance: {exc}") from exc
+    if not (isinstance(vis, (int, float)) and 0.0 <= vis <= 1.0):
+        raise ConfigError(f"hom.visibility must be a number in [0, 1], got {vis!r}")
     return float(vis)

@@ -125,15 +125,18 @@ class DetectionChain:
             raise NonPhysicalInput("transmissions/efficiencies must lie in [0, 1]")
         rates = (
             self.pairs_per_pulse,
-            self.pulse_rate_hz,
             self.dark_rate_hz,
             self.luminescence_per_nm_pulse,
             self.filter_bandwidth_nm,
         )
         if any(r < 0 for r in rates):
             raise NonPhysicalInput("rates and counts must be non-negative")
-        if self.pulse_duration_s <= 0 or self.coincidence_window_s <= 0:
-            raise NonPhysicalInput("pulse duration and coincidence window must be positive")
+        if not (
+            self.pulse_rate_hz > 0 and self.pulse_duration_s > 0 and self.coincidence_window_s > 0
+        ):
+            raise NonPhysicalInput(
+                "pulse rate, pulse duration and coincidence window must be positive"
+            )
         if self.coincidence_window_s > self.pulse_duration_s:
             raise NonPhysicalInput("coincidence window wider than the pulse gate")
 

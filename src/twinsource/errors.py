@@ -15,10 +15,6 @@ class AboveBandgap(TwinSourceError):
 
 
 # stack
-class InvalidDesignParams(TwinSourceError):
-    """Stack design parameters are inconsistent or unphysical."""
-
-
 class NoResonanceInWindow(TwinSourceError):
     """No reflectance dip found in the requested wavelength window."""
 

@@ -226,12 +226,9 @@ def _planar_profile(s: LayerStack, wavelength, model, substrate_policy):
         n_bot = s.ambient_index
     else:
         n_bot = materials.refractive_index(s.substrate, wavelength, model)
-    if substrate_policy not in ("auto", "substrate", "cladding"):
+    if substrate_policy not in ("auto", "substrate"):
         raise ValueError(f"unknown substrate_policy {substrate_policy!r}")
-    use_cladding = substrate_policy == "cladding" or (
-        substrate_policy == "auto" and n_bot >= max(n for n, _ in n_layers)
-    )
-    if use_cladding:
+    if substrate_policy == "auto" and n_bot >= max(n for n, _ in n_layers):
         # continue the effective cladding of the deepest region to infinity:
         # its low-index component sets the decay of any Bloch-evanescent tail
         last = s.regions[-1] if s.regions else None

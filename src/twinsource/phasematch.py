@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from . import materials
 from .errors import NoSolutionInWindow
 from .modes import EffectiveIndexTable
 from .stack import TE, TM, LayerStack
@@ -100,17 +99,9 @@ def conjugate_wavelength(lambda_p: float, lambda_s):
 class PhaseMatcher:
     """Caches per-polarization effective-index tables for one stack."""
 
-    def __init__(
-        self,
-        s: LayerStack,
-        model=None,
-        substrate_policy: str = "auto",
-        table_step_nm: float = TABLE_STEP_NM,
-    ):
+    def __init__(self, s: LayerStack, model=None):
         self.stack = s
         self.model = model
-        self.substrate_policy = substrate_policy
-        self.table_step_nm = table_step_nm
         self._tables: dict[str, EffectiveIndexTable] = {}
 
     def _ensure(self, pol: str, lo: float, hi: float) -> EffectiveIndexTable:
@@ -119,13 +110,7 @@ class PhaseMatcher:
             new_lo = min(lo, tab.lambda_min if tab else lo) - TABLE_PAD_NM
             new_hi = max(hi, tab.lambda_max if tab else hi) + TABLE_PAD_NM
             tab = EffectiveIndexTable(
-                self.stack,
-                pol,
-                new_lo,
-                new_hi,
-                step_nm=self.table_step_nm,
-                model=self.model,
-                substrate_policy=self.substrate_policy,
+                self.stack, pol, new_lo, new_hi, step_nm=TABLE_STEP_NM, model=self.model
             )
             self._tables[pol] = tab
         return tab
@@ -254,36 +239,3 @@ class PhaseMatcher:
                 except Exception as exc:  # noqa: BLE001 - per-point error capture
                     failures.append((float(theta), inter.id, str(exc)))
         return points, failures
-
-
-# ---------------------------------------------------------------------------
-# module-level convenience wrappers (one cached matcher per stack)
-# ---------------------------------------------------------------------------
-
-_MATCHERS: dict = {}
-
-
-def matcher_for(s: LayerStack, model=None, substrate_policy: str = "auto") -> PhaseMatcher:
-    # models are registry singletons, so the name identifies one faithfully
-    key = (s, (model or materials.DEFAULT_MODEL).name, substrate_policy)
-    if key not in _MATCHERS:
-        if len(_MATCHERS) > 8:
-            _MATCHERS.clear()
-        _MATCHERS[key] = PhaseMatcher(s, model, substrate_policy)
-    return _MATCHERS[key]
-
-
-def solve_pair(theta_deg, lambda_p, inter: Interaction, s: LayerStack, **kw) -> PhaseMatchPoint:
-    return matcher_for(s, **kw).solve_pair(theta_deg, lambda_p, inter)
-
-
-def degeneracy_angle(inter: Interaction, lambda_p, s: LayerStack, **kw) -> float:
-    return matcher_for(s, **kw).degeneracy_angle(inter, lambda_p)
-
-
-def tuning_curve(theta_deg_values, lambda_p, s: LayerStack, **kw):
-    return matcher_for(s, **kw).tuning_curve(theta_deg_values, lambda_p)
-
-
-def delta_k(lambda_s, theta_deg, lambda_p, inter: Interaction, s: LayerStack, **kw):
-    return matcher_for(s, **kw).delta_k(lambda_s, theta_deg, lambda_p, inter)

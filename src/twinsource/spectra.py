@@ -20,12 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
-from .phasematch import (
-    PhaseMatcher,
-    conjugate_wavelength,
-    interaction,
-    matcher_for,
-)
+from .phasematch import PhaseMatcher, conjugate_wavelength, interaction
 from .stack import LayerStack
 
 # |x| where sinc^2(x) = 1/2; fixes the sinc^2 full width 2x at half maximum
@@ -93,7 +88,7 @@ def phase_matching_intensity(
     lambda_s, theta_deg, lambda_p, inter, length_mm, s: LayerStack, matcher=None
 ):
     """sinc^2(dk L/2) at arbitrary signal wavelengths (peak value exactly 1)."""
-    m: PhaseMatcher = matcher or matcher_for(s)
+    m: PhaseMatcher = matcher or PhaseMatcher(s)
     length_nm = length_mm * 1e6
     dk = m.delta_k(lambda_s, theta_deg, lambda_p, inter)
     return sinc2(np.asarray(dk) * length_nm / 2.0)
@@ -113,7 +108,7 @@ def phase_matching_spectrum(
     """Single-interaction sinc^2 spectrum around its phase-matched wavelength."""
     if length_mm <= 0:
         raise ValueError("sample length must be positive")
-    m: PhaseMatcher = matcher or matcher_for(s)
+    m: PhaseMatcher = matcher or PhaseMatcher(s)
     point = m.solve_pair(theta_deg, lambda_p, inter)
     if grid is None:
         grid = _make_grid(
@@ -187,7 +182,7 @@ def fluorescence_spectrum(
     after one reflection there, so those peaks are scaled by the facet
     intensity reflectance (``long_peak_attenuation``).
     """
-    m: PhaseMatcher = matcher or matcher_for(s)
+    m: PhaseMatcher = matcher or PhaseMatcher(s)
     if noise_floor < 0:
         raise ValueError("noise floor must be non-negative")
     inters = [interaction(i) for i in interactions]
@@ -276,7 +271,7 @@ def bandwidth_estimates(
     2 pi |n_gs - n_gi| / lambda^2 for two copropagating guided photons on the
     same stack. Returns (counterprop_fwhm_nm, coprop_fwhm_nm).
     """
-    m: PhaseMatcher = matcher or matcher_for(s)
+    m: PhaseMatcher = matcher or PhaseMatcher(s)
     p = m.solve_pair(theta_deg, lambda_p, inter)
     ngs = m.n_group(inter.copropagating_pol, p.lambda_s_nm)
     ngi = m.n_group(inter.counterpropagating_pol, p.lambda_i_nm)

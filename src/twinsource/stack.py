@@ -25,11 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import materials
-from .errors import (
-    InvalidDesignParams,
-    MultipleResonances,
-    NoResonanceInWindow,
-)
+from .errors import MultipleResonances, NoResonanceInWindow
 from .materials import Composition, DispersionModel
 
 TE = "TE"
@@ -112,9 +108,6 @@ class LayerStack:
 
     def region_layers(self, name: str) -> tuple:
         return self.layers[_region_slice(self, name)]
-
-    def total_thickness(self) -> float:
-        return sum(ly.thickness_nm for ly in self.layers)
 
 
 @dataclass(frozen=True)
@@ -622,88 +615,3 @@ def find_resonance(
         fwhm_nm=float(fwhm),
         fsr_nm=float(fsr),
     )
-
-
-# ---------------------------------------------------------------------------
-# nominal device
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DesignParams:
-    """Nominal device recipe: two quarter-wave DBRs around a QPM core.
-
-    DBR unit cells are listed top to bottom as (low, high) so that the layer
-    adjacent to the core is the high-index one for the top mirror and the
-    low-index one for the bottom mirror; with the default quarter-wave rule
-    this parity puts the cavity resonance at the design wavelength.
-    """
-
-    pump_wavelength_nm: float = 760.0
-    top_periods: float = 18
-    core_periods: float = 4.5
-    bottom_periods: float = 41
-    dbr_low: Composition = Composition(0.90)
-    dbr_high: Composition = Composition(0.35)
-    core_a: Composition = Composition(0.25)
-    core_b: Composition = Composition(0.80)
-    substrate: Composition = Composition(0.0)
-    core_thickness_nm: float | None = None  # None -> quarter-wave at mean core index
-
-
-def quarter_wave_thickness(c: Composition, design_wavelength: float, model=None) -> float:
-    return design_wavelength / (4.0 * materials.refractive_index(c, design_wavelength, model))
-
-
-def build_paper_stack(
-    params: DesignParams = DesignParams(), model: DispersionModel | None = None
-) -> LayerStack:
-    """Assemble the nominal structure: upper DBR, QPM core, lower DBR, substrate."""
-    p = params
-    for label, periods in (
-        ("top", p.top_periods),
-        ("core", p.core_periods),
-        ("bottom", p.bottom_periods),
-    ):
-        if periods <= 0 or round(2 * periods) != 2 * periods:
-            raise InvalidDesignParams(f"{label} period count {periods} is not a half-integer > 0")
-    if p.pump_wavelength_nm <= 0:
-        raise InvalidDesignParams("pump design wavelength must be positive")
-    if p.dbr_low == p.dbr_high or p.core_a == p.core_b:
-        raise InvalidDesignParams("paired compositions must differ")
-
-    lam = p.pump_wavelength_nm
-    try:
-        t_low = quarter_wave_thickness(p.dbr_low, lam, model)
-        t_high = quarter_wave_thickness(p.dbr_high, lam, model)
-        n_core = 0.5 * (
-            materials.refractive_index(p.core_a, lam, model)
-            + materials.refractive_index(p.core_b, lam, model)
-        )
-    except (materials.OutOfValidityWindow, materials.AboveBandgap) as exc:
-        raise InvalidDesignParams(f"dispersion model rejects the design point: {exc}") from exc
-    t_core = p.core_thickness_nm if p.core_thickness_nm is not None else lam / (4.0 * n_core)
-
-    def repeat(cell, periods):
-        full = int(periods)
-        out = list(cell) * full
-        if periods != full:  # trailing half period = first layer of the cell
-            out.append(cell[0])
-        return out
-
-    top = repeat([Layer(p.dbr_low, t_low), Layer(p.dbr_high, t_high)], p.top_periods)
-    core = repeat([Layer(p.core_a, t_core, +1), Layer(p.core_b, t_core, -1)], p.core_periods)
-    bottom = repeat([Layer(p.dbr_low, t_low), Layer(p.dbr_high, t_high)], p.bottom_periods)
-
-    layers = tuple(top + core + bottom)
-    regions = (
-        Region("top_dbr", 0, len(top), p.top_periods),
-        Region("core", len(top), len(top) + len(core), p.core_periods),
-        Region(
-            "bottom_dbr",
-            len(top) + len(core),
-            len(top) + len(core) + len(bottom),
-            p.bottom_periods,
-        ),
-    )
-    return LayerStack(layers=layers, substrate=p.substrate, regions=regions)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from twinsource import config
 from twinsource.phasematch import PhaseMatcher
-from twinsource.stack import build_paper_stack, find_resonance
+from twinsource.stack import find_resonance
 
 
 @pytest.fixture(scope="session")
 def paper_stack():
-    return build_paper_stack()
+    return config.build_stack(config.default_config())
 
 
 @pytest.fixture(scope="session")

@@ -70,8 +70,15 @@ def test_stack_rejects_empty_layer_list(tmp_path):
         ("--lambda-max", 780),
         ("--lambda-min", 780, "--lambda-max", 740),
         ("--theta", 95),
+        ("--set", 'resonance.window_nm=["a","b"]'),
+        ("--set", "resonance.window_nm=[740]"),
+        ("--lambda-min", 500, "--lambda-max", 560),
     ],
-    ids=["zero_step", "negative_step", "min_only", "max_only", "reversed_window", "theta_past_90"],
+    ids=[
+        "zero_step", "negative_step", "min_only", "max_only", "reversed_window",
+        "theta_past_90", "config_window_strings", "config_window_one_value",
+        "outside_model_window",
+    ],
 )
 def test_stack_bad_sweep_is_input_error(tmp_path, capsys, argv):
     assert run("stack", *argv, "--out", tmp_path, "--quiet") == EXIT_INPUT
@@ -85,6 +92,29 @@ def test_stack_sweep_is_capped(tmp_path, capsys):
         "--out", tmp_path, "--quiet",
     ) == EXIT_INPUT
     assert str(MAX_SWEEP_POINTS) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("stack", "--set", "stack.design_wavelength_nm=-5"),
+        ("enhancement", "--set", 'resonance.window_nm=["a","b"]'),
+        ("tuning", "--theta-step", 0),
+        ("tuning", "--theta-min", 4, "--theta-max", -1),
+        ("spectrum", "--theta", 95),
+        ("counts", "--set", "detection.pulse_rate_hz=0"),
+        ("hom", "simulate", "--set", 'hom.visibility="x"'),
+    ],
+    ids=[
+        "negative_design_wavelength", "enhancement_window_strings", "tuning_zero_step",
+        "tuning_reversed_range", "spectrum_theta_past_90", "zero_pulse_rate",
+        "visibility_not_a_number",
+    ],
+)
+def test_bad_input_is_input_error(tmp_path, capsys, argv):
+    assert run(*argv, "--out", tmp_path, "--quiet") == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
 
 
 def test_cli_import_leaves_scipy_signal_out():
@@ -122,6 +152,16 @@ def test_tuning_rerun_is_byte_identical(tmp_path):
     assert run(*argv, "--out", a) == EXIT_OK
     assert run(*argv, "--out", b) == EXIT_OK
     assert (a / "tuning.csv").read_bytes() == (b / "tuning.csv").read_bytes()
+
+
+def test_tuning_output_is_independent_of_earlier_runs(tmp_path):
+    # a run that needs wider mode tables must not change what a later run writes
+    argv = ("tuning", "--theta-min", 3.1, "--theta-max", 3.1, "--theta-step", 1, "--quiet")
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert run(*argv, "--out", a) == EXIT_OK
+    assert run(*argv, "--set", "pump.wavelength_nm=770", "--out", b) == EXIT_OK
+    assert run(*argv, "--out", c) == EXIT_OK
+    assert (a / "tuning.csv").read_bytes() == (c / "tuning.csv").read_bytes()
 
 
 def test_spectrum_four_peaks(tmp_path):

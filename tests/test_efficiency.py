@@ -160,4 +160,6 @@ def test_chain_validation():
     with pytest.raises(NonPhysicalInput):
         DetectionChain(dark_rate_hz=-5.0)
     with pytest.raises(NonPhysicalInput):
+        DetectionChain(pulse_rate_hz=0.0)  # dark clicks per pulse divide by it
+    with pytest.raises(NonPhysicalInput):
         DetectionChain(coincidence_window_s=1e-6)  # wider than the pulse

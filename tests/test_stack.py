@@ -5,10 +5,10 @@ import pytest
 from scipy.signal import find_peaks
 
 from _oracles import response_loop
-from twinsource import materials
+from twinsource import config, materials
 from twinsource.errors import (
     AboveBandgap,
-    InvalidDesignParams,
+    ConfigError,
     MultipleResonances,
     NoResonanceInWindow,
 )
@@ -17,17 +17,14 @@ from twinsource.stack import (
     TE,
     TM,
     _BLOCK,
-    DesignParams,
     Layer,
     LayerStack,
     _prominent_minima,
-    build_paper_stack,
     characteristic_matrix,
     core_intensity,
     field_profile,
     find_resonance,
     layer_amplitudes,
-    quarter_wave_thickness,
     raw_response,
     stack_response,
 )
@@ -194,24 +191,38 @@ def test_quarter_wave_rule_thickness_ordering(paper_stack):
     assert low.pop() > high.pop()  # lower index -> thicker quarter wave
 
 
-def test_quarter_wave_thickness_value():
-    t = quarter_wave_thickness(Composition(0.35), 760.0)
+def test_quarter_wave_layer_thickness_value(paper_stack):
+    (t,) = {ly.thickness_nm for ly in paper_stack.layers if ly.composition.x == 0.35}
     assert t == pytest.approx(760.0 / (4 * 3.4751169612138712), abs=1e-9)
 
 
+def _nominal_config(periods=()):
+    cfg = config.default_config()
+    for reg, n in zip(cfg["stack"]["regions"], periods):
+        reg["periods"] = n
+    return cfg
+
+
 def test_invalid_design_params():
-    with pytest.raises(InvalidDesignParams):
-        build_paper_stack(DesignParams(top_periods=0))
-    with pytest.raises(InvalidDesignParams):
-        build_paper_stack(DesignParams(core_periods=1.3))
-    with pytest.raises(InvalidDesignParams):
-        build_paper_stack(DesignParams(pump_wavelength_nm=-5.0))
-    with pytest.raises(InvalidDesignParams):
-        build_paper_stack(DesignParams(dbr_low=Composition(0.35)))
+    cases = {
+        "zero_periods": _nominal_config(periods=(0, 4.5, 41)),
+        "non_half_integer_periods": _nominal_config(periods=(18, 1.3, 41)),
+        "negative_wavelength": _nominal_config(),
+        "equal_cell_compositions": _nominal_config(),
+        "above_gap": _nominal_config(),
+        "outside_model_window": _nominal_config(),
+    }
+    cases["negative_wavelength"]["stack"]["design_wavelength_nm"] = -5.0
+    cases["equal_cell_compositions"]["stack"]["regions"][0]["cell"][0]["x"] = 0.35
+    cases["above_gap"]["stack"]["design_wavelength_nm"] = 650.0
+    cases["outside_model_window"]["stack"]["design_wavelength_nm"] = 5000.0
+    for cfg in cases.values():
+        with pytest.raises(ConfigError):
+            config.build_stack(cfg)
 
 
-def test_region_invariants_enforced():
-    good = build_paper_stack()
+def test_region_invariants_enforced(paper_stack):
+    good = paper_stack
     with pytest.raises(ValueError):
         LayerStack(layers=good.layers[:-1], regions=good.regions)  # uncovered tail
     bad_core = tuple(
@@ -275,7 +286,7 @@ def test_resonance_stable_under_window_widening(paper_stack, resonance):
 
 def test_no_resonance_in_flat_window():
     # a single DBR has no cavity dip
-    mirror = build_paper_stack(DesignParams(top_periods=1, core_periods=0.5, bottom_periods=20))
+    mirror = config.build_stack(_nominal_config(periods=(1, 0.5, 20)))
     with pytest.raises((NoResonanceInWindow, MultipleResonances)):
         find_resonance(mirror, (755.0, 765.0))
 
