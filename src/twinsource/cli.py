@@ -178,6 +178,22 @@ def _grid(lo, hi, step, name: str) -> np.ndarray:
     return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
 
 
+def _positive(value, name: str) -> float:
+    """A finite number > 0."""
+    if not (_is_finite_number(value) and value > 0):
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
+    return float(value)
+
+
+def _points(value, name: str) -> int:
+    """A whole number of sample points, 2 to MAX_SWEEP_POINTS."""
+    if not (_is_finite_number(value) and value == int(value) and 2 <= value <= MAX_SWEEP_POINTS):
+        raise ConfigError(
+            f"{name} must be a whole number from 2 to {MAX_SWEEP_POINTS}, got {value!r}"
+        )
+    return int(value)
+
+
 def _angle(theta, name: str):
     """Pump incidence angle in degrees, strictly between -90 and 90."""
     if not (_is_finite_number(theta) and abs(theta) < 90.0):
@@ -266,7 +282,7 @@ def cmd_tuning(args) -> int:
     hi = args.theta_max if args.theta_max is not None else tcfg["theta_max_deg"]
     step = args.theta_step if args.theta_step is not None else tcfg["theta_step_deg"]
     thetas = _grid(lo, hi, step, "pump angle (deg)")
-    lam_p = cfg["pump"]["wavelength_nm"]
+    lam_p = _positive(cfg["pump"]["wavelength_nm"], "pump.wavelength_nm")
     points, failures = phasematch.PhaseMatcher(device, run.model).tuning_curve(thetas, lam_p)
     for theta, inter_id, msg in failures:
         run.report.warnings.append(f"theta={theta} interaction={inter_id}: {msg}")
@@ -309,8 +325,8 @@ def cmd_spectrum(args) -> int:
     scfg = cfg["spectrum"]
     sp = spectra.fluorescence_spectrum(
         theta_deg=theta,
-        lambda_p=cfg["pump"]["wavelength_nm"],
-        length_mm=cfg["sample"]["length_mm"],
+        lambda_p=_positive(cfg["pump"]["wavelength_nm"], "pump.wavelength_nm"),
+        length_mm=_positive(cfg["sample"]["length_mm"], "sample.length_mm"),
         s=device,
         noise_floor=scfg["noise_floor"],
         pump_fwhm_nm=cfg["pump"]["linewidth_fwhm_nm"],
@@ -344,10 +360,10 @@ def cmd_hom_simulate(args) -> int:
     hcfg = cfg["hom"]
     model = _hom_model(cfg)
     chain = cfgmod.build_detection_chain(cfg)
-    positions = np.linspace(
-        -hcfg["scan_half_span_mm"], hcfg["scan_half_span_mm"], int(hcfg["scan_points"])
-    )
-    scan = hom.simulate_scan(model, chain, positions, hcfg["dwell_s"], cfg["seed"])
+    half_span = _positive(hcfg["scan_half_span_mm"], "hom.scan_half_span_mm")
+    positions = np.linspace(-half_span, half_span, _points(hcfg["scan_points"], "hom.scan_points"))
+    dwell_s = _positive(hcfg["dwell_s"], "hom.dwell_s")
+    scan = hom.simulate_scan(model, chain, positions, dwell_s, cfg["seed"])
     run.emit_table(
         "hom_scan",
         {

@@ -79,9 +79,13 @@ class DispersionModel:
 
     def _check_window(self, x: float, wavelength_nm):
         lo, hi = self.wavelength_window_nm
-        lam = np.asarray(wavelength_nm, dtype=float)
-        if np.any(lam < lo) or np.any(lam > hi):
-            shown = f"{lam.min()}..{lam.max()}" if lam.ndim else f"{wavelength_nm}"
+        if np.ndim(wavelength_nm):
+            lam = np.asarray(wavelength_nm, dtype=float)
+            outside = np.any(lam < lo) or np.any(lam > hi)
+        else:
+            outside = wavelength_nm < lo or wavelength_nm > hi
+        if outside:
+            shown = f"{lam.min()}..{lam.max()}" if np.ndim(wavelength_nm) else f"{wavelength_nm}"
             raise OutOfValidityWindow(
                 f"wavelength {shown} nm outside model '{self.name}' "
                 f"window [{lo}, {hi}] nm"
@@ -99,8 +103,8 @@ class DispersionModel:
         e0_so = s0 + s1 * x + s2 * x * x
         return energy / e0, energy / e0_so, e0 / e0_so
 
-    def _n_squared(self, x: float, wavelength_nm, complex_sqrt: bool):
-        chi, chi_so, ratio = self._chi_terms(x, wavelength_nm)
+    def _n_squared(self, x: float, chi_terms, complex_sqrt: bool):
+        chi, chi_so, ratio = chi_terms
         a0, a1 = self.coefficients["a"]
         b0, b1 = self.coefficients["b"]
         a = a0 + a1 * x
@@ -112,20 +116,25 @@ class DispersionModel:
     def evaluate(self, x: float, wavelength_nm):
         """Real below-gap refractive index. Raises above the gap."""
         self._check_window(x, wavelength_nm)
-        chi, chi_so, _ = self._chi_terms(x, wavelength_nm)
-        if np.any(chi > self.near_gap_margin) or np.any(chi_so > self.near_gap_margin):
+        terms = self._chi_terms(x, wavelength_nm)
+        chi, chi_so, _ = terms
+        margin = self.near_gap_margin
+        if np.ndim(chi):
+            above = np.any(chi > margin) or np.any(chi_so > margin)
+        else:
+            above = chi > margin or chi_so > margin
+        if above:
             raise AboveBandgap(
-                f"photon energy within {100 * (1 - self.near_gap_margin):.1f}% of the "
+                f"photon energy within {100 * (1 - margin):.1f}% of the "
                 f"Al(x={x}) gap: model '{self.name}' index is complex there"
             )
-        n2 = self._n_squared(x, wavelength_nm, complex_sqrt=False)
-        n = np.sqrt(n2)
+        n = np.sqrt(self._n_squared(x, terms, complex_sqrt=False))
         return float(n) if np.isscalar(wavelength_nm) else n
 
     def evaluate_complex(self, x: float, wavelength_nm):
         """Complex index n + i*kappa, valid above the gap (kappa >= 0)."""
         self._check_window(x, wavelength_nm)
-        n2 = self._n_squared(x, wavelength_nm, complex_sqrt=True)
+        n2 = self._n_squared(x, self._chi_terms(x, wavelength_nm), complex_sqrt=True)
         n = np.sqrt(n2.astype(complex) if not np.isscalar(wavelength_nm) else complex(n2))
         n = np.where(np.imag(n) < 0, np.conj(n), n)
         return complex(n) if np.isscalar(wavelength_nm) else n

@@ -2,17 +2,45 @@
 
 The guided-mode condition is expressed through the (F, G) transfer across the
 layer sequence, where F is the tangential field (E_y for TE, H_y for TM) and
-G = F'/m with m = 1 for TE and m = n^2 for TM. Starting from a decaying
-solution in the top outer medium and requiring a decaying solution in the
-bottom one gives a real dispersion residual
+G = F'/m with m = 1 for TE and m = n^2 for TM. A layer of index n and
+thickness t carries (F, G) down by the unimodular matrix
 
-    D(n_eff) = G_N + (gamma_bot / m_bot) F_N
+    [[cos(kappa t), m sin(kappa t)/kappa], [-(kappa^2/m) sin(kappa t)/kappa, cos(kappa t)]]
 
-whose simple roots are the guided modes. D is analytic in n_eff^2 (the layer
-transfer uses cos(kappa t) and sin(kappa t)/kappa, both entire), so every sign
-change on a scan grid brackets a true root. Roots are located by sign-change
-bracketing on an effective-index grid of step <= 1e-4 and polished by
-bisection, and are reported sorted by descending n_eff (order 0 = fundamental).
+(cosh and sinh where the layer is evanescent); the same matrix with -t
+carries it back up.
+
+Matched residual. The solution that decays into the top outer medium is
+carried down to the top face of the highest-index layer, and the one that
+decays into the bottom outer medium is carried up to the same plane, each in
+the direction in which a guided field grows. Their Wronskian
+
+    W(n_eff) = F_top G_bot - G_top F_bot
+
+vanishes exactly where the two are one guided mode: it has the roots of the
+single-sweep residual G_N + (gamma_bot / m_bot) F_N, but no half is carried
+against its own decay, so W is smooth and close to linear across a scan step.
+Each half is renormalized by a positive factor after every run, which leaves
+the signs of W alone; the transfer is analytic in n_eff^2, so every sign
+change on a scan grid brackets a true root.
+
+Periodic runs. Each half is compressed into runs of a repeated cell of up to
+``_MAX_CELL`` layers, found from the (index, thickness) list itself. A run of
+N cells costs one cell matrix C and the Chebyshev identity for a unimodular
+matrix, C^N = U_{N-1}(a) C - U_{N-2}(a) I with a = tr(C)/2 (Born & Wolf,
+Principles of Optics, sec. 1.6.5; Yeh, Optical Waves in Layered Media,
+ch. 6), so a 41-period mirror is two layer matrices and a closed-form power.
+
+Roots. The scan grid holds the multiples of its step (<= 1e-4) inside the
+search window plus the two window ends, so a root's bracket does not depend
+on the window it was searched in. Each bracket is polished by Brent's method
+(``scipy.optimize.brentq``, xtol 1e-12); roots are reported sorted by
+descending n_eff (order 0 = fundamental).
+
+Tables. ``EffectiveIndexTable`` puts its knots on the multiples of its step,
+evaluates every distinct composition once over the whole knot array, and
+grows by solving only the knots it lacks, so a grown table holds exactly the
+knots of a fresh table over the same range.
 
 The nominal device sits on a GaAs substrate whose index at telecom
 wavelengths exceeds every layer index, so the strict 1D structure has no
@@ -30,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 from . import materials
 from .errors import ModeTrackingLost, NoGuidedMode, NonGuidingStack
@@ -37,7 +66,9 @@ from .materials import DispersionModel
 from .stack import TE, TM, LayerStack
 
 _GRID_STEP = 1e-4
-_BISECT_TOL = 1e-12
+_XTOL = 1e-12
+_MAX_CELL = 8  # longest repeated cell, in layers, that a periodic run may have
+_BLOCK = 512  # scan points per residual call, so a full-window scan stays small
 
 
 @dataclass(frozen=True)
@@ -56,97 +87,122 @@ class GuidedMode:
 
 
 def _layer_factors(n, t, m, u, k0):
-    """Per-layer transfer ingredients on an n_eff^2 grid ``u``.
+    """Transfer-matrix entries of layers (n, t, m) at squared effective
+    indices ``u``, broadcast against each other.
 
-    Returns (c, m_sk, k2sk_m) with c = cos(kappa t) (cosh when evanescent),
-    m_sk = m sin(kappa t)/kappa and k2sk_m = (kappa^2/m) sin(kappa t)/kappa,
-    all real arrays.
+    Returns (c, m_sk, k2sk_m) with c = cos(kappa t), m_sk = m sin(kappa t)/kappa
+    and k2sk_m = (kappa^2/m) sin(kappa t)/kappa, all real: kappa = k0
+    sqrt(n^2 - u) is imaginary in an evanescent layer, where cos and sin/kappa
+    become cosh and sinh/|kappa|. A negative t gives the matrix that carries
+    (F, G) upward.
     """
     s2 = n * n - u  # kappa^2 / k0^2, signed
-    x = k0 * np.sqrt(np.abs(s2)) * t
-    prop = s2 > 0
-    c = np.where(prop, np.cos(np.where(prop, x, 0.0)), np.cosh(np.where(prop, 0.0, x)))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sk = np.where(
-            prop,
-            np.sin(np.where(prop, x, 0.0)) / np.where(x == 0, 1.0, k0 * np.sqrt(np.abs(s2))),
-            np.sinh(np.where(prop, 0.0, x)) / np.where(x == 0, 1.0, k0 * np.sqrt(np.abs(s2))),
-        )
-    sk = np.where(x == 0, t, sk)
-    k2 = k0 * k0 * s2
-    return c, m * sk, (k2 / m) * sk
+    kappa = k0 * np.sqrt(s2 + 0j)
+    x = kappa * t
+    sk = np.where(kappa == 0, t, (np.sin(x) / np.where(kappa == 0, 1.0, kappa)).real)
+    return np.cos(x).real, m * sk, (k0 * k0 * s2 / m) * sk
 
 
-def _residual_grid(n_top, n_bot, layers, wavelength, pol, neff):
-    """Dispersion residual D on an array of effective indices."""
-    k0 = 2.0 * math.pi / wavelength
-    u = neff * neff
-    gamma_top = k0 * np.sqrt(u - n_top * n_top)
-    gamma_bot = k0 * np.sqrt(u - n_bot * n_bot)
-    m_top = 1.0 if pol == TE else n_top * n_top
-    m_bot = 1.0 if pol == TE else n_bot * n_bot
+def _chebyshev_u(a, n):
+    """(U_{n-1}(a), U_{n-2}(a)) for n >= 2: C^n = U_{n-1} C - U_{n-2} I for a
+    unimodular 2x2 matrix C of half-trace a.
 
-    factors = {}
-    for n, t in layers:
-        m = 1.0 if pol == TE else n * n
-        key = (n, t)
-        if key not in factors:
-            factors[key] = _layer_factors(n, t, m, u, k0)
-
-    f = np.ones_like(neff)
-    g = gamma_top / m_top
-    for i, (n, t) in enumerate(layers):
-        c, m_sk, k2sk_m = factors[(n, t)]
-        f, g = c * f + m_sk * g, -k2sk_m * f + c * g
-        if i % 8 == 7:
-            scale = np.maximum(np.maximum(np.abs(f), np.abs(g)), 1e-280)
-            f /= scale
-            g /= scale
-    return g + (gamma_bot / m_bot) * f
+    U_{k-1}(cos z) = sin(k z)/sin(z), with z = arccos(a) complex outside the
+    pass band (|a| > 1), where the ratio is sinh(k ph)/sinh(ph) up to sign;
+    at |a| = 1 the limit a^(k-1) k is used. Finite while n arccosh|a| < 709,
+    that is for cells across which the field grows by less than e^17.
+    """
+    z = np.arccos(a + 0j)
+    sin_z = np.sin(z)
+    edge = sin_z == 0
+    sin_z = np.where(edge, 1.0, sin_z)
+    u1 = np.where(edge, a ** (n - 1) * n, (np.sin(n * z) / sin_z).real)
+    u2 = np.where(edge, a ** (n - 2) * (n - 1), (np.sin((n - 1) * z) / sin_z).real)
+    return u1, u2
 
 
-def _residual_scalar(n_top, n_bot, layers, wavelength, pol, neff):
-    """Same residual for one effective index (fast python scalars)."""
-    k0 = 2.0 * math.pi / wavelength
-    u = neff * neff
-    gamma_top = k0 * math.sqrt(u - n_top * n_top)
-    gamma_bot = k0 * math.sqrt(u - n_bot * n_bot)
-    m_top = 1.0 if pol == TE else n_top * n_top
-    m_bot = 1.0 if pol == TE else n_bot * n_bot
+def _runs(path):
+    """Compress a list of (n, t) steps into (cell, count) runs.
 
-    f = 1.0
-    g = gamma_top / m_top
-    for i, (n, t) in enumerate(layers):
-        m = 1.0 if pol == TE else n * n
-        s2 = n * n - u
-        q = k0 * math.sqrt(abs(s2))
-        x = q * t
-        if x < 1e-9:
-            c, sk = 1.0, t
-        elif s2 > 0:
-            c, sk = math.cos(x), math.sin(x) / q
+    Greedy from the top: at each position take the cell of at most
+    ``_MAX_CELL`` steps whose back-to-back repeats cover the most steps
+    (the shortest such cell on a tie); a step that starts no repeat is a
+    run of one.
+    """
+    runs, i = [], 0
+    while i < len(path):
+        best_p, best_count = 1, 1
+        for p in range(1, min(_MAX_CELL, (len(path) - i) // 2) + 1):
+            cell, count = path[i : i + p], 1
+            while path[i + count * p : i + (count + 1) * p] == cell:
+                count += 1
+            if count > 1 and p * count > best_p * best_count:
+                best_p, best_count = p, count
+        runs.append((path[i : i + best_p], best_count))
+        i += best_p * best_count
+    return runs
+
+
+class _MatchedResidual:
+    """Wronskian residual W(n_eff) of one planar profile at one wavelength.
+
+    Callable on a scalar or an array of effective indices (same shape out):
+    the grid scan and the root polish share this one kernel.
+    """
+
+    def __init__(self, n_top, layers, n_bot, wavelength, pol):
+        self.k0 = 2.0 * math.pi / wavelength
+        self.pol = pol
+        self.n_top, self.n_bot = n_top, n_bot
+        meet = int(np.argmax([n for n, _ in layers]))  # first highest-index layer
+        down = list(layers[:meet])
+        up = [(n, -t) for n, t in reversed(layers[meet:])]
+        steps = list(dict.fromkeys(down + up))  # distinct (n, signed t)
+        row = {step: i for i, step in enumerate(steps)}
+        self.n = np.array([n for n, _ in steps])
+        self.t = np.array([t for _, t in steps])
+        self.down = [([row[s] for s in cell], count) for cell, count in _runs(down)]
+        self.up = [([row[s] for s in cell], count) for cell, count in _runs(up)]
+
+    def _m(self, n):
+        return 1.0 if self.pol == TE else n * n
+
+    def __call__(self, neff):
+        neff = np.asarray(neff, dtype=float)
+        u = neff * neff
+        k0 = self.k0
+        col = (-1,) + (1,) * u.ndim
+        n = self.n.reshape(col)
+        c, msk, k2sk = _layer_factors(n, self.t.reshape(col), self._m(n), u, k0)
+        one = np.ones_like(u)
+        g_top = k0 * np.sqrt(u - self.n_top**2) / self._m(self.n_top)
+        g_bot = -k0 * np.sqrt(u - self.n_bot**2) / self._m(self.n_bot)
+        f_t, g_t = _carry(self.down, c, msk, k2sk, one, g_top)
+        f_b, g_b = _carry(self.up, c, msk, k2sk, one, g_bot)
+        return f_t * g_b - g_t * f_b
+
+
+def _carry(runs, c, msk, k2sk, f, g):
+    """Carry (f, g) through compressed runs of layer rows, renormalizing by a
+    positive factor after each run."""
+    for cell, count in runs:
+        if count == 1:
+            for r in cell:
+                f, g = c[r] * f + msk[r] * g, -k2sk[r] * f + c[r] * g
         else:
-            c, sk = math.cosh(x), math.sinh(x) / q
-        k2 = k0 * k0 * s2
-        f, g = c * f + m * sk * g, -(k2 / m) * sk * f + c * g
-        if i % 8 == 7:
-            scale = max(abs(f), abs(g), 1e-280)
-            f /= scale
-            g /= scale
-    return g + (gamma_bot / m_bot) * f
-
-
-def _bisect_root(fun, a, b, fa, fb, tol):
-    while (b - a) > tol:
-        mid = 0.5 * (a + b)
-        fm = fun(mid)
-        if fm == 0.0:
-            return mid
-        if (fa < 0) != (fm < 0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    return 0.5 * (a + b)
+            a, b, cc, d = c[cell[0]], msk[cell[0]], -k2sk[cell[0]], c[cell[0]]
+            for r in cell[1:]:
+                a, b, cc, d = (
+                    c[r] * a + msk[r] * cc,
+                    c[r] * b + msk[r] * d,
+                    -k2sk[r] * a + c[r] * cc,
+                    -k2sk[r] * b + c[r] * d,
+                )
+            u1, u2 = _chebyshev_u(0.5 * (a + d), count)
+            f, g = u1 * (a * f + b * g) - u2 * f, u1 * (cc * f + d * g) - u2 * g
+        scale = np.hypot(f, g)
+        f, g = f / scale, g / scale
+    return f, g
 
 
 def solve_planar(
@@ -156,7 +212,7 @@ def solve_planar(
     wavelength: float,
     pol: str = TE,
     grid_step: float = _GRID_STEP,
-    tol: float = _BISECT_TOL,
+    tol: float = _XTOL,
     max_modes: int | None = None,
     window: tuple | None = None,
 ):
@@ -166,7 +222,9 @@ def solve_planar(
     semi-infinite outer media. Returns effective indices sorted descending;
     with ``max_modes`` the search stops after that many roots counted from the
     top of the window. ``window`` overrides the default guided-index search
-    window (max outer index + 1e-6, max layer index - 1e-6).
+    window (max outer index + 1e-6, max layer index - 1e-6). Roots are
+    bracketed on the multiples of ``grid_step`` and polished by Brent's
+    method to ``tol``.
     """
     layers = [(float(n), float(t)) for n, t in layers]
     n_max_layer = max((n for n, _ in layers), default=0.0)
@@ -179,20 +237,17 @@ def solve_planar(
             f"no guided window: outer indices ({n_top:.4f}, {n_bottom:.4f}) "
             f"vs max layer index {n_max_layer:.4f}"
         )
+    residual = _MatchedResidual(n_top, layers, n_bottom, wavelength, pol)
 
     def roots_on_grid(step):
-        npts = int(math.ceil((hi - lo) / step)) + 1
-        grid = np.linspace(lo, hi, npts)
-        d = _residual_grid(n_top, n_bottom, layers, wavelength, pol, grid)
-        sign = np.sign(d)
-        idx = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-        fun = lambda x: _residual_scalar(n_top, n_bottom, layers, wavelength, pol, x)
+        inner = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
+        grid = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
+        sign = np.sign(
+            np.concatenate([residual(grid[i : i + _BLOCK]) for i in range(0, grid.size, _BLOCK)])
+        )
         found = []
-        for j in idx[::-1]:  # highest n_eff first
-            root = _bisect_root(
-                fun, float(grid[j]), float(grid[j + 1]), float(d[j]), float(d[j + 1]), tol
-            )
-            found.append(float(root))
+        for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0][::-1]:  # highest n_eff first
+            found.append(brentq(residual, grid[j], grid[j + 1], xtol=tol))
             if max_modes is not None and len(found) >= max_modes:
                 break
         return found
@@ -214,29 +269,37 @@ def solve_planar(
 # ---------------------------------------------------------------------------
 
 
-def _planar_profile(s: LayerStack, wavelength, model, substrate_policy):
-    n_layers = [
-        (materials.refractive_index(ly.composition, wavelength, model), ly.thickness_nm)
-        for ly in s.layers
-    ]
-    if not n_layers:
+def _planar_profiles(s: LayerStack, wavelengths, model, substrate_policy):
+    """Yield (n_top, [(n, t), ...], n_bot) of the stack at each wavelength.
+
+    Every distinct composition, and the substrate, is evaluated once over the
+    whole wavelength array; the substrate policy is then applied per
+    wavelength.
+    """
+    if not s.layers:
         raise NonGuidingStack("stack has no layers")
-    n_top = s.ambient_index
-    if s.substrate is None:
-        n_bot = s.ambient_index
-    else:
-        n_bot = materials.refractive_index(s.substrate, wavelength, model)
     if substrate_policy not in ("auto", "substrate"):
         raise ValueError(f"unknown substrate_policy {substrate_policy!r}")
-    if substrate_policy == "auto" and n_bot >= max(n for n, _ in n_layers):
+    lams = np.atleast_1d(np.asarray(wavelengths, dtype=float))
+    index = {
+        comp: materials.refractive_index(comp, lams, model)
+        for comp in dict.fromkeys(ly.composition for ly in s.layers)
+    }
+    n_layers = np.array([index[ly.composition] for ly in s.layers])  # (L, K)
+    n_top = s.ambient_index
+    if s.substrate is None:
+        n_bot = np.full(lams.shape, n_top)
+    else:
+        n_bot = materials.refractive_index(s.substrate, lams, model)
+    if substrate_policy == "auto":
         # continue the effective cladding of the deepest region to infinity:
         # its low-index component sets the decay of any Bloch-evanescent tail
         last = s.regions[-1] if s.regions else None
-        if last is not None:
-            n_bot = min(n for n, _ in n_layers[last.start : last.stop])
-        else:
-            n_bot = n_layers[-1][0]
-    return n_top, n_layers, n_bot
+        clad = n_layers[last.start : last.stop].min(axis=0) if last else n_layers[-1]
+        n_bot = np.where(n_bot >= n_layers.max(axis=0), clad, n_bot)
+    thickness = [ly.thickness_nm for ly in s.layers]
+    for col, nb in zip(n_layers.T, n_bot.tolist()):
+        yield n_top, list(zip(col.tolist(), thickness)), nb
 
 
 def guided_modes(
@@ -250,7 +313,7 @@ def guided_modes(
     include_profiles: bool = False,
 ):
     """Guided modes of the stack at one wavelength, fundamental first."""
-    n_top, n_layers, n_bot = _planar_profile(s, wavelength, model, substrate_policy)
+    n_top, n_layers, n_bot = next(_planar_profiles(s, wavelength, model, substrate_policy))
     roots = solve_planar(
         n_top, n_layers, n_bot, wavelength, pol, grid_step=grid_step, max_modes=max_modes
     )
@@ -315,9 +378,10 @@ def mode_residual(
     model: DispersionModel | None = None,
     substrate_policy: str = "auto",
 ):
-    """Dispersion residual at one candidate n_eff (diagnostic/validation)."""
-    n_top, n_layers, n_bot = _planar_profile(s, wavelength, model, substrate_policy)
-    return _residual_scalar(n_top, n_bot, n_layers, wavelength, pol, n_eff)
+    """Matched (Wronskian) dispersion residual at one candidate n_eff; it
+    changes sign at every guided mode (diagnostic/validation)."""
+    n_top, n_layers, n_bot = next(_planar_profiles(s, wavelength, model, substrate_policy))
+    return float(_MatchedResidual(n_top, n_layers, n_bot, wavelength, pol)(n_eff))
 
 
 def birefringence(
@@ -374,12 +438,15 @@ def mode_group_index(
 class EffectiveIndexTable:
     """Cubic-spline table of the fundamental n_eff over a wavelength range.
 
-    Dispersion solves are exact at the knots (direct root finding at every
-    grid wavelength); between knots the spline reproduces direct solves to
-    well below 1e-9 for any smooth guided branch, which keeps momentum
-    residuals negligible while making sweeps cheap. The solve at each knot
-    reuses the previous knot's root to narrow the scan window, falling back
-    to the full window when that fails.
+    Knots sit on the multiples of ``step_nm`` that cover the range (at least
+    four). Dispersion solves are exact at the knots (direct root finding at
+    every knot); between knots the spline reproduces direct solves to well
+    below 1e-9 for any smooth guided branch, which keeps momentum residuals
+    negligible while making sweeps cheap. The solve at each knot reuses the
+    previous knot's root to narrow the scan window, falling back to the full
+    window when that fails; the scan grid is anchored to absolute n_eff
+    values, so the narrowed and the full window give the same root.
+    ``extend`` grows the table by solving only the knots it lacks.
     """
 
     def __init__(
@@ -392,28 +459,56 @@ class EffectiveIndexTable:
         model: DispersionModel | None = None,
         substrate_policy: str = "auto",
     ):
+        self.stack = s
+        self.polarization = pol
+        self.step_nm = float(step_nm)
+        self.model = model
+        self.substrate_policy = substrate_policy
+        self.knots_nm = np.empty(0)
+        self.knot_n_eff = np.empty(0)
+        self.extend(lambda_min, lambda_max)
+
+    def extend(self, lambda_min: float, lambda_max: float):
+        """Cover [lambda_min, lambda_max] as well, solving only the new knots.
+
+        Knots already held are kept as they are: the grown table holds exactly
+        the knots, and so the spline, of a fresh table over its new range.
+        """
         if lambda_max <= lambda_min:
             raise ValueError("empty wavelength range")
-        npts = int(math.ceil((lambda_max - lambda_min) / step_nm)) + 1
-        lams = np.linspace(lambda_min, lambda_max, max(npts, 4))
-        neffs = np.empty_like(lams)
-        prev = None
-        for i, lam in enumerate(lams):
-            n_top, n_layers, n_bot = _planar_profile(s, lam, model, substrate_policy)
+        step = self.step_nm
+        j_lo = math.floor(lambda_min / step + 1e-9)
+        j_hi = max(math.ceil(lambda_max / step - 1e-9), j_lo + 3)
+        # knots held: step * (have_lo .. have_hi), an empty range at first
+        have_lo, have_hi = (self._j_lo, self._j_hi) if self.knots_nm.size else (j_lo, j_lo - 1)
+        prev = self.knot_n_eff[-1] if self.knot_n_eff.size else None
+        below = self._solve(np.arange(j_lo, have_lo) * step, None)
+        above = self._solve(np.arange(have_hi + 1, j_hi + 1) * step, prev)
+        self._j_lo, self._j_hi = min(j_lo, have_lo), max(j_hi, have_hi)
+        self.knots_nm = np.arange(self._j_lo, self._j_hi + 1) * step
+        self.knot_n_eff = np.concatenate((below, self.knot_n_eff, above))
+        self.lambda_min = float(self.knots_nm[0])
+        self.lambda_max = float(self.knots_nm[-1])
+        self._spline = CubicSpline(self.knots_nm, self.knot_n_eff)
+        self._dspline = self._spline.derivative()
+
+    def _solve(self, lams, prev):
+        """Fundamental n_eff at each of ``lams`` (ascending), chained from the
+        root ``prev`` of the knot below, or from the full window if None."""
+        neffs = np.empty(len(lams))
+        if not len(lams):
+            return neffs
+        profiles = _planar_profiles(self.stack, lams, self.model, self.substrate_policy)
+        for i, (lam, (n_top, n_layers, n_bot)) in enumerate(zip(lams.tolist(), profiles)):
             window = (prev - 0.02, prev + 0.02) if prev is not None else None
             try:
                 roots = solve_planar(
-                    n_top, n_layers, n_bot, lam, pol, max_modes=1, window=window
+                    n_top, n_layers, n_bot, lam, self.polarization, max_modes=1, window=window
                 )
             except (NoGuidedMode, NonGuidingStack):
-                roots = solve_planar(n_top, n_layers, n_bot, lam, pol, max_modes=1)
-            prev = roots[0]
-            neffs[i] = prev
-        self.polarization = pol
-        self.lambda_min = float(lams[0])
-        self.lambda_max = float(lams[-1])
-        self._spline = CubicSpline(lams, neffs)
-        self._dspline = self._spline.derivative()
+                roots = solve_planar(n_top, n_layers, n_bot, lam, self.polarization, max_modes=1)
+            prev = neffs[i] = roots[0]
+        return neffs
 
     def _check(self, lam):
         lam = np.asarray(lam, dtype=float)

@@ -14,9 +14,11 @@ interaction 1 has a TE copropagating photon (TM counterpropagating),
 interaction 2 the reverse. theta > 0 tilts the pump momentum toward +z.
 
 Effective indices are evaluated per candidate wavelength inside the root
-loop through a dense spline table of direct mode solves (exact at 2 nm
-knots, interpolation error orders of magnitude below the momentum residual
-tolerance).
+loop through a dense spline table of direct mode solves (exact at knots on
+the multiples of 2 nm, interpolation error orders of magnitude below the
+momentum residual tolerance). A query outside a table grows it knot by knot:
+only the missing knots are solved and the spline is refitted, so a grown
+table equals a fresh one over the same range.
 """
 
 from __future__ import annotations
@@ -97,7 +99,14 @@ def conjugate_wavelength(lambda_p: float, lambda_s):
 
 
 class PhaseMatcher:
-    """Caches per-polarization effective-index tables for one stack."""
+    """Caches per-polarization effective-index tables for one stack.
+
+    A table is built on first use over the queried range plus
+    ``TABLE_PAD_NM`` on each side; a later query outside it extends it by the
+    missing knots only (plus the same pad), so two matchers whose tables
+    cover the same range give the same answers, whatever they were asked
+    before.
+    """
 
     def __init__(self, s: LayerStack, model=None):
         self.stack = s
@@ -106,13 +115,13 @@ class PhaseMatcher:
 
     def _ensure(self, pol: str, lo: float, hi: float) -> EffectiveIndexTable:
         tab = self._tables.get(pol)
-        if tab is None or lo < tab.lambda_min or hi > tab.lambda_max:
-            new_lo = min(lo, tab.lambda_min if tab else lo) - TABLE_PAD_NM
-            new_hi = max(hi, tab.lambda_max if tab else hi) + TABLE_PAD_NM
-            tab = EffectiveIndexTable(
-                self.stack, pol, new_lo, new_hi, step_nm=TABLE_STEP_NM, model=self.model
+        if tab is None:
+            tab = self._tables[pol] = EffectiveIndexTable(
+                self.stack, pol, lo - TABLE_PAD_NM, hi + TABLE_PAD_NM,
+                step_nm=TABLE_STEP_NM, model=self.model,
             )
-            self._tables[pol] = tab
+        elif lo < tab.lambda_min or hi > tab.lambda_max:
+            tab.extend(lo - TABLE_PAD_NM, hi + TABLE_PAD_NM)
         return tab
 
     def n_eff(self, pol: str, wavelength):

@@ -4,11 +4,19 @@ These deliberately avoid the package's transfer-matrix machinery: the slab
 solver below works from the textbook three-layer transcendental equation in
 its phase form and locates roots by bisection on each mode branch, and the
 transfer-matrix oracle multiplies the layer matrices one at a time in plain
-complex arithmetic.
+complex arithmetic. The planar-mode oracle sweeps (F, G) once from the top
+medium to the bottom one, layer by layer, and bisects its sign changes; the
+dispersion oracle spells out the index formula in the order the package
+evaluates it.
 """
 
 import cmath
 import math
+
+import numpy as np
+from scipy.constants import c as _C, e as _E, h as _H
+
+HC_EV_NM = _H * _C / _E * 1e9
 
 
 def slab_modes(n_clad_top, n_core, n_clad_bot, thickness_nm, wavelength_nm, pol):
@@ -84,3 +92,123 @@ def response_loop(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol):
     denom = eta0 * b + c
     r = (eta0 * b - c) / denom
     return abs(r) ** 2, 4.0 * eta0.real * eta_sub.real / abs(denom) ** 2
+
+
+def adachi_index(model, x, wavelength_nm, complex_index=False):
+    """Index of ``model`` at Al fraction x, written out step by step in the
+    order ``DispersionModel.evaluate`` (or ``evaluate_complex``) takes them,
+    window and gap checks left out, so the tests can hold the package to
+    bit-identical results."""
+    lam = np.asarray(wavelength_nm, dtype=float)
+    energy = HC_EV_NM / lam
+    c0, c1, c2 = model.coefficients["e0"]
+    e0 = c0 + c1 * x + c2 * x * x
+    s0, s1, s2 = model.coefficients["e0_so"]
+    e0_so = s0 + s1 * x + s2 * x * x
+    chi, chi_so, ratio = energy / e0, energy / e0_so, e0 / e0_so
+    a0, a1 = model.coefficients["a"]
+    b0, b1 = model.coefficients["b"]
+
+    def f(c):
+        c = np.asarray(c, dtype=float)
+        one_minus = np.sqrt((1.0 - c).astype(complex)) if complex_index else np.sqrt(1.0 - c)
+        return (2.0 - np.sqrt(1.0 + c) - one_minus) / c**2
+
+    n2 = (a0 + a1 * x) * (f(chi) + 0.5 * f(chi_so) * ratio**1.5) + (b0 + b1 * x)
+    if not complex_index:
+        return np.sqrt(n2)
+    n = np.sqrt(n2.astype(complex))
+    return np.where(np.imag(n) < 0, np.conj(n), n)
+
+
+def _topdown_residual(n_top, n_bot, layers, wavelength, pol, neff):
+    """Top-down dispersion residual D = G_N + (gamma_bot/m_bot) F_N of a planar
+    profile, with (F, G) carried layer by layer from the top outer medium to
+    the bottom one and rescaled every 8 layers. ``neff`` is a float (plain
+    ``math``) or an array (the same steps in numpy)."""
+    xp = np if isinstance(neff, np.ndarray) else math
+    k0 = 2.0 * math.pi / wavelength
+    u = neff * neff
+    m_top = 1.0 if pol == "TE" else n_top * n_top
+    m_bot = 1.0 if pol == "TE" else n_bot * n_bot
+    f = 1.0
+    g = k0 * xp.sqrt(u - n_top * n_top) / m_top
+    for i, (n, t) in enumerate(layers):
+        m = 1.0 if pol == "TE" else n * n
+        s2 = n * n - u
+        if xp is math:
+            q = k0 * math.sqrt(abs(s2))
+            if q * t < 1e-9:
+                c, sk = 1.0, t
+            elif s2 > 0:
+                c, sk = math.cos(q * t), math.sin(q * t) / q
+            else:
+                c, sk = math.cosh(q * t), math.sinh(q * t) / q
+        else:
+            q = k0 * np.sqrt(np.abs(s2))
+            x = q * t
+            with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+                c = np.where(s2 > 0, np.cos(x), np.cosh(x))
+                sk = np.where(s2 > 0, np.sin(x), np.sinh(x)) / q
+            sk = np.where(x < 1e-9, t, sk)
+        f, g = c * f + m * sk * g, -(k0 * k0 * s2 / m) * sk * f + c * g
+        if i % 8 == 7:
+            scale = np.maximum(np.maximum(np.abs(f), np.abs(g)), 1e-280)
+            f, g = f / scale, g / scale
+    return g + (k0 * xp.sqrt(u - n_bot * n_bot) / m_bot) * f
+
+
+def planar_modes_topdown(n_top, layers, n_bot, wavelength, pol, max_modes=None, window=None):
+    """Guided n_eff of a planar profile, descending: sign changes of the
+    top-down residual on a 1e-4 grid spanning the guided window, each
+    bisected to a bracket below 1e-12 (a 1e-5 grid when the coarse one finds
+    nothing)."""
+    lo = max(n_top, n_bot) + 1e-6
+    hi = max(n for n, _ in layers) - 1e-6
+    if window is not None:
+        lo, hi = max(lo, window[0]), min(hi, window[1])
+
+    def residual(x):
+        return _topdown_residual(n_top, n_bot, layers, wavelength, pol, x)
+
+    for step in (1e-4, 1e-5):
+        grid = np.linspace(lo, hi, int(math.ceil((hi - lo) / step)) + 1)
+        d = residual(grid)
+        roots = []
+        for j in np.nonzero(np.sign(d[:-1]) * np.sign(d[1:]) < 0)[0][::-1]:
+            a, b, fa = float(grid[j]), float(grid[j + 1]), float(d[j])
+            while b - a > 1e-12:
+                mid = 0.5 * (a + b)
+                fm = residual(mid)
+                if fm == 0.0:
+                    a = b = mid
+                elif (fa < 0) != (fm < 0):
+                    b = mid
+                else:
+                    a, fa = mid, fm
+            roots.append(float(0.5 * (a + b)))
+            if max_modes is not None and len(roots) >= max_modes:
+                break
+        if roots:
+            return roots
+    return []
+
+
+def carry_loop(layers, wavelength, pol, neff, f, g):
+    """(F, G) carried through ``layers`` one layer at a time in plain ``math``
+    at one effective index, with no rescaling; a negative thickness carries
+    upward."""
+    k0 = 2.0 * math.pi / wavelength
+    u = neff * neff
+    for n, t in layers:
+        m = 1.0 if pol == "TE" else n * n
+        s2 = n * n - u
+        q = k0 * math.sqrt(abs(s2))
+        if q == 0.0:
+            c, sk = 1.0, t
+        elif s2 > 0:
+            c, sk = math.cos(q * t), math.sin(q * t) / q
+        else:
+            c, sk = math.cosh(q * t), math.sinh(q * t) / q
+        f, g = c * f + m * sk * g, -(k0 * k0 * s2 / m) * sk * f + c * g
+    return f, g

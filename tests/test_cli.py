@@ -104,11 +104,16 @@ def test_stack_sweep_is_capped(tmp_path, capsys):
         ("spectrum", "--theta", 95),
         ("counts", "--set", "detection.pulse_rate_hz=0"),
         ("hom", "simulate", "--set", 'hom.visibility="x"'),
+        ("hom", "simulate", "--set", "hom.scan_points=-3"),
+        ("spectrum", "--set", "sample.length_mm=nan"),
+        ("tuning", "--set", 'pump.wavelength_nm="abc"'),
+        ("hom", "simulate", "--set", "hom.dwell_s=0"),
     ],
     ids=[
         "negative_design_wavelength", "enhancement_window_strings", "tuning_zero_step",
         "tuning_reversed_range", "spectrum_theta_past_90", "zero_pulse_rate",
-        "visibility_not_a_number",
+        "visibility_not_a_number", "negative_scan_points", "sample_length_nan",
+        "pump_wavelength_string", "zero_dwell",
     ],
 )
 def test_bad_input_is_input_error(tmp_path, capsys, argv):

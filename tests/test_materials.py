@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from _oracles import adachi_index
 from twinsource.errors import AboveBandgap, OutOfValidityWindow
 from twinsource.materials import (
     Composition,
@@ -22,6 +23,24 @@ ORACLE_N = {
     (0.25, 760.0): 3.5721654206691638,
 }
 ORACLE_NG_X0_1520 = 3.5177889233015421  # symbolic n - lam dn/dlam
+
+
+@pytest.mark.parametrize("window", [(1330.0, 1710.0), (740.0, 780.0)])
+@pytest.mark.parametrize("x", [0.0, 0.35, 0.9])
+def test_evaluate_is_bit_identical_to_the_formula(window, x):
+    model = get_model()
+    lam = np.linspace(*window, 381)
+    try:
+        got = model.evaluate(x, lam)
+    except AboveBandgap:  # GaAs at the pump wavelength: only the complex index exists
+        assert x == 0.0 and window[1] < 800.0
+    else:
+        expected = adachi_index(model, x, lam)
+        assert np.array_equal(got, expected)
+        assert np.array_equal([model.evaluate(x, float(v)) for v in lam], expected)
+    expected = adachi_index(model, x, lam, complex_index=True)
+    assert np.array_equal(model.evaluate_complex(x, lam), expected)
+    assert np.array_equal([model.evaluate_complex(x, float(v)) for v in lam], expected)
 
 
 @pytest.mark.parametrize("key", sorted(ORACLE_N))

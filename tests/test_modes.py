@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
-from _oracles import slab_modes
+from _oracles import carry_loop, planar_modes_topdown, slab_modes
+from twinsource import modes
 from twinsource.errors import ModeTrackingLost, NoGuidedMode
-from twinsource.materials import Composition
+from twinsource.materials import Composition, refractive_index
 from twinsource.modes import (
     EffectiveIndexTable,
     birefringence,
@@ -174,3 +177,82 @@ def test_export_mode_table(paper_stack, tmp_path):
     pol, order, lam, neff, ng = lines[2].split(",")
     assert pol == TE and order == "0"
     assert float(ng) > float(neff) > 3.0
+
+
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_table_knots_match_topdown_oracle(paper_stack, pol):
+    # every fifth knot over 1330-1710 nm, each solved by the single top-down
+    # sweep and bisection from the previous root's window, as tables were
+    table = EffectiveIndexTable(paper_stack, pol, 1330.0, 1710.0, step_nm=2.0)
+    lams = table.knots_nm[::5]
+    index = {
+        ly.composition: refractive_index(ly.composition, lams) for ly in paper_stack.layers
+    }
+    prev, worst = None, 0.0
+    for i, lam in enumerate(lams):
+        layers = [(index[ly.composition][i], ly.thickness_nm) for ly in paper_stack.layers]
+        # the GaAs substrate outruns every layer index: the auto policy puts
+        # the bottom mirror's low index below the stack instead
+        clad = min(index[ly.composition][i] for ly in paper_stack.region_layers("bottom_dbr"))
+        window = (prev - 0.02, prev + 0.02) if prev is not None else None
+        prev = planar_modes_topdown(1.0, layers, clad, lam, pol, max_modes=1, window=window)[0]
+        worst = max(worst, abs(table(lam) - prev))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_top, layers, n_bot, lam",
+    [
+        (3.16, [(3.30, 900.0)], 3.16, 1520.0),
+        (1.0, [(2.2, 1400.0)], 1.444, 1310.0),
+        (3.16, [(3.30, 2400.0)], 3.16, 1520.0),
+        (3.0, [(3.45, 2500.0)], 3.0, 1300.0),
+        (1.0, [(3.2, 300.0), (3.45, 500.0), (3.1, 700.0)], 3.0, 1450.0),
+    ],
+    ids=["symmetric", "asymmetric", "thick", "multimode", "three_layer"],
+)
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_slab_roots_match_topdown_oracle(n_top, layers, n_bot, lam, pol):
+    mine = solve_planar(n_top, layers, n_bot, lam, pol)
+    oracle = planar_modes_topdown(n_top, layers, n_bot, lam, pol)
+    assert len(mine) == len(oracle)
+    assert max(abs(a - b) for a, b in zip(mine, oracle)) <= 1e-12
+
+
+@pytest.mark.parametrize("periods", [18, 41])
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_periodic_run_matches_layer_by_layer(periods, pol):
+    # a 760 nm quarter-wave mirror carried at 1520 nm, downward and upward,
+    # from n_eff where both layers propagate to where both are evanescent
+    lam, k0 = 1520.0, 2.0 * math.pi / 1520.0
+    neff = np.linspace(2.5, 3.4, 181)
+    for sign in (1.0, -1.0):
+        cell = [(3.0, sign * 63.0), (3.2, sign * 59.0)]
+        runs = modes._runs(cell * periods)
+        assert runs == [(cell, periods)]
+        n = np.array([[3.0], [3.2]])
+        m = 1.0 if pol == TE else n * n
+        factors = modes._layer_factors(n, np.array([[cell[0][1]], [cell[1][1]]]), m, neff**2, k0)
+        f, g = modes._carry([([0, 1], periods)], *factors, np.ones_like(neff), 0.01 * neff)
+        for i, x in enumerate(neff):
+            f0, g0 = carry_loop(cell * periods, lam, pol, x, 1.0, 0.01 * x)
+            scale = math.hypot(f0, g0)
+            assert f[i] == pytest.approx(f0 / scale, abs=1e-11)
+            assert g[i] == pytest.approx(g0 / scale, abs=1e-11)
+
+
+def test_roots_do_not_depend_on_the_search_window(paper_stack):
+    n_top, layers, n_bot = next(modes._planar_profiles(paper_stack, 1520.0, None, "auto"))
+    full = solve_planar(n_top, layers, n_bot, 1520.0, TE, max_modes=1)[0]
+    for lo, hi in ((full - 0.02, full + 0.02), (full - 0.0123, full + 0.0071)):
+        assert solve_planar(n_top, layers, n_bot, 1520.0, TE, max_modes=1, window=(lo, hi)) == [full]
+
+
+def test_table_knots_sit_on_step_multiples(paper_stack):
+    table = EffectiveIndexTable(paper_stack, TE, 1501.3, 1519.1, step_nm=2.0)
+    assert table.knots_nm[0] == 1500.0 and table.knots_nm[-1] == 1520.0
+    assert np.array_equal(table.knots_nm, 2.0 * np.arange(750, 761))
+    grown = EffectiveIndexTable(paper_stack, TE, 1505.0, 1511.0, step_nm=2.0)
+    grown.extend(1501.3, 1519.1)
+    assert np.array_equal(grown.knots_nm, table.knots_nm)
+    assert np.array_equal(grown.knot_n_eff, table.knot_n_eff)

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from twinsource.errors import NoSolutionInWindow
+from twinsource.modes import EffectiveIndexTable
 from twinsource.phasematch import (
     INTERACTION_1,
     INTERACTION_2,
+    TABLE_STEP_NM,
     Interaction,
     PhaseMatcher,
     conjugate_wavelength,
@@ -46,6 +48,22 @@ def test_zero_birefringence_degenerates_at_normal_incidence(matcher, paper_stack
     p = forced.solve_pair(0.0, 760.0, INTERACTION_1)
     assert p.lambda_s_nm == pytest.approx(2.0 * 760.0, abs=1e-6)
     assert p.lambda_i_nm == pytest.approx(2.0 * 760.0, abs=1e-6)
+
+
+def test_grown_tables_equal_fresh_tables(paper_stack):
+    m = PhaseMatcher(paper_stack)
+    m.tuning_curve([3.1], 760.0)
+    before = {pol: (tab.lambda_min, tab.lambda_max) for pol, tab in m._tables.items()}
+    m.tuning_curve([3.1], 770.0)
+    assert any(
+        (tab.lambda_min, tab.lambda_max) != before[pol] for pol, tab in m._tables.items()
+    )  # the 770 nm query grew at least one table
+    for pol, tab in m._tables.items():
+        fresh = EffectiveIndexTable(
+            paper_stack, pol, tab.lambda_min, tab.lambda_max, step_nm=TABLE_STEP_NM
+        )
+        assert np.array_equal(tab.knots_nm, fresh.knots_nm)
+        assert np.array_equal(tab.knot_n_eff, fresh.knot_n_eff)
 
 
 @pytest.mark.parametrize("theta", [-1.0, 0.0, 0.37, 2.0, 3.1])
