@@ -35,7 +35,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-# longest sweep (`stack` wavelengths, `tuning` angles), held in memory whole
+# longest sweep or grid (`stack`, `tuning`, `spectrum`), held in memory whole
 MAX_SWEEP_POINTS = 10**6
 
 
@@ -185,6 +185,13 @@ def _positive(value, name: str) -> float:
     return float(value)
 
 
+def _non_negative(value, name: str) -> float:
+    """A finite number >= 0."""
+    if not (_is_finite_number(value) and value >= 0):
+        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
+
+
 def _points(value, name: str) -> int:
     """A whole number of sample points, 2 to MAX_SWEEP_POINTS."""
     if not (_is_finite_number(value) and value == int(value) and 2 <= value <= MAX_SWEEP_POINTS):
@@ -322,19 +329,27 @@ def cmd_spectrum(args) -> int:
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
     theta = _angle(args.theta if args.theta is not None else cfg["pump"]["angle_deg"], "pump angle")
+    lam_p = _positive(cfg["pump"]["wavelength_nm"], "pump.wavelength_nm")
+    length_mm = _positive(cfg["sample"]["length_mm"], "sample.length_mm")
     scfg = cfg["spectrum"]
+    half_span = _positive(scfg["half_span_nm"], "spectrum.half_span_nm")
+    step = _positive(scfg["step_nm"], "spectrum.step_nm")
+    instrument = {  # what the measured spectrum adds to the sinc^2 lines
+        "noise_floor": _non_negative(scfg["noise_floor"], "spectrum.noise_floor"),
+        "pump_fwhm_nm": _non_negative(cfg["pump"]["linewidth_fwhm_nm"], "pump.linewidth_fwhm_nm"),
+        "mono_fwhm_nm": _non_negative(
+            scfg["monochromator_fwhm_nm"], "spectrum.monochromator_fwhm_nm"
+        ),
+        "long_peak_attenuation": cfgmod.facet_reflectance(cfg),
+    }
+    matcher = phasematch.PhaseMatcher(device, run.model)
+    # size the grid (every emission peak, +/- the half span) before it is allocated
+    pairs = [matcher.solve_pair(theta, lam_p, phasematch.interaction(i)) for i in (1, 2)]
+    peaks = [w for p in pairs for w in (p.lambda_s_nm, p.lambda_i_nm)]
+    _grid(min(peaks) - half_span, max(peaks) + half_span, step, "spectrum wavelength (nm)")
     sp = spectra.fluorescence_spectrum(
-        theta_deg=theta,
-        lambda_p=_positive(cfg["pump"]["wavelength_nm"], "pump.wavelength_nm"),
-        length_mm=_positive(cfg["sample"]["length_mm"], "sample.length_mm"),
-        s=device,
-        noise_floor=scfg["noise_floor"],
-        pump_fwhm_nm=cfg["pump"]["linewidth_fwhm_nm"],
-        mono_fwhm_nm=scfg["monochromator_fwhm_nm"],
-        long_peak_attenuation=cfg["sample"]["facet_reflectance"],
-        half_span_nm=scfg["half_span_nm"],
-        step_nm=scfg["step_nm"],
-        matcher=phasematch.PhaseMatcher(device, run.model),
+        theta, lam_p, length_mm, device, half_span_nm=half_span, step_nm=step, matcher=matcher,
+        **instrument,
     )
     run.emit_table(
         "spectrum",
@@ -349,8 +364,8 @@ def _hom_model(cfg) -> hom.DipModel:
     hcfg = cfg["hom"]
     return hom.DipModel(
         visibility=cfgmod.hom_visibility(cfg),
-        wavelength_nm=hcfg["degeneracy_wavelength_nm"],
-        delta_lambda_nm=hcfg["delta_lambda_nm"],
+        wavelength_nm=_positive(hcfg["degeneracy_wavelength_nm"], "hom.degeneracy_wavelength_nm"),
+        delta_lambda_nm=_positive(hcfg["delta_lambda_nm"], "hom.delta_lambda_nm"),
     )
 
 
@@ -363,7 +378,10 @@ def cmd_hom_simulate(args) -> int:
     half_span = _positive(hcfg["scan_half_span_mm"], "hom.scan_half_span_mm")
     positions = np.linspace(-half_span, half_span, _points(hcfg["scan_points"], "hom.scan_points"))
     dwell_s = _positive(hcfg["dwell_s"], "hom.dwell_s")
-    scan = hom.simulate_scan(model, chain, positions, dwell_s, cfg["seed"])
+    try:
+        scan = hom.simulate_scan(model, chain, positions, dwell_s, cfg["seed"])
+    except ValueError as exc:  # positions or expected counts the sampler cannot take
+        raise ConfigError(f"hom scan cannot be simulated: {exc}") from exc
     run.emit_table(
         "hom_scan",
         {
@@ -417,9 +435,11 @@ def _read_scan_csv(path: Path, dwell_s: float) -> hom.HomScan:
 def cmd_hom_fit(args) -> int:
     run = _Run(args, "hom-fit")
     cfg = run.cfg
-    scan = _read_scan_csv(Path(args.scan), cfg["hom"]["dwell_s"])
-    lam = cfg["hom"]["degeneracy_wavelength_nm"]
+    lam = _positive(cfg["hom"]["degeneracy_wavelength_nm"], "hom.degeneracy_wavelength_nm")
+    scan = _read_scan_csv(Path(args.scan), _positive(cfg["hom"]["dwell_s"], "hom.dwell_s"))
     fit = hom.fit_dip(scan, lam)
+    if not fit.converged:
+        run.report.warnings.append("dip fit not converged: its baseline reached no fixed point")
     model = hom.DipModel(fit.visibility, lam, fit.delta_lambda_nm)
     residuals = (
         scan.net_counts / fit.baseline_counts - hom.dip_value(model, scan.delta_z_mm)
@@ -462,15 +482,17 @@ def cmd_counts(args) -> int:
 def cmd_enhancement(args) -> int:
     run = _Run(args, "enhancement")
     cfg = run.cfg
-    overrides = cfg.get("enhancement_overrides", {})
+    overrides = cfg["enhancement_overrides"]
+    for key, value in overrides.items():
+        if not _is_finite_number(value):
+            raise ConfigError(f"enhancement_overrides.{key} must be a finite number, got {value!r}")
     model = run.model
-    needed = {"n_mean", "finesse", "t_up", "t_down"}
     payload = {}
-    if not needed.issubset(overrides):
+    if not set(cfgmod.OVERRIDE_KEYS).issubset(overrides):
         device = cfgmod.build_stack(cfg)
         window = _window(cfg["resonance"]["window_nm"], "resonance.window_nm")
         res = stack.find_resonance(device, window, pol=stack.TE, model=model)
-        lam_deg = 2.0 * cfg["pump"]["wavelength_nm"]
+        lam_deg = 2.0 * _positive(cfg["pump"]["wavelength_nm"], "pump.wavelength_nm")
         te = modes.guided_modes(device, lam_deg, stack.TE, model, max_modes=1)[0]
         tm = modes.guided_modes(device, lam_deg, stack.TM, model, max_modes=1)[0]
         payload = {
@@ -482,21 +504,9 @@ def cmd_enhancement(args) -> int:
             "t_up": res.t_up,
             "t_down": res.t_down,
         }
-    params = efficiency.CavityParams(
-        n_mean=overrides.get("n_mean", payload.get("n_mean")),
-        finesse=overrides.get("finesse", payload.get("finesse")),
-        t_up=overrides.get("t_up", payload.get("t_up")),
-        t_down=overrides.get("t_down", payload.get("t_down")),
-    )
-    payload.update(
-        {
-            "n_mean": params.n_mean,
-            "finesse": params.finesse,
-            "t_up": params.t_up,
-            "t_down": params.t_down,
-            "enhancement_factor": efficiency.enhancement_factor(params),
-        }
-    )
+    payload.update(overrides)
+    params = efficiency.CavityParams(*(payload[key] for key in cfgmod.OVERRIDE_KEYS))
+    payload["enhancement_factor"] = efficiency.enhancement_factor(params)
     run.emit_json("enhancement", payload, {"overrides": sorted(overrides)})
     run.finish()
     return EXIT_OK
@@ -578,7 +588,7 @@ def main(argv=None) -> int:
     except (ConfigError, OutOfValidityWindow) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except TwinSourceError as exc:
+    except (TwinSourceError, OverflowError) as exc:  # OverflowError: beyond the double range
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

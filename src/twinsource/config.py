@@ -1,7 +1,8 @@
 """Device configuration: one JSON document drives every command.
 
 A config file is deep-merged over the built-in defaults (which mirror the
-nominal device and bench), so files only need the keys they change.
+nominal device and bench), so files only need the keys they change; a key
+outside the defaults, or a section set to a non-object, is a ConfigError.
 Thickness rules inside stack regions are either a number (nm),
 "quarter-wave" (quarter wave at the design wavelength in that layer) or
 "qpm" (quarter wave at the mean index of the region's cell compositions).
@@ -96,6 +97,22 @@ DEFAULT_CONFIG = {
     "seed": 20090401,
 }
 
+OVERRIDE_KEYS = ("n_mean", "finesse", "t_up", "t_down")  # CavityParams fields, in order
+_SHAPE = {**DEFAULT_CONFIG, "enhancement_overrides": dict.fromkeys(OVERRIDE_KEYS)}
+
+
+def _check_shape(doc: dict, shape: dict = _SHAPE, prefix: str = ""):
+    """ConfigError unless the keys of ``doc`` are in ``shape``, objects where it has them."""
+    for key, val in doc.items():
+        path = prefix + key
+        if key not in shape:
+            raise ConfigError(f"unknown config key '{path}'")
+        if isinstance(shape[key], dict) != isinstance(val, dict):
+            kind = "an object" if isinstance(shape[key], dict) else "a value"
+            raise ConfigError(f"config key '{path}' takes {kind}, got {val!r}")
+        if isinstance(val, dict):
+            _check_shape(val, shape[key], f"{path}.")
+
 
 def _deep_merge(base: dict, update: dict) -> dict:
     out = copy.deepcopy(base)
@@ -124,30 +141,26 @@ def load_config(path=None) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config document must be a JSON object")
+        _check_shape(user)
         cfg = _deep_merge(cfg, user)
     return cfg
 
 
 def apply_overrides(cfg: dict, assignments) -> dict:
-    """Apply ``key.path=value`` overrides (values parsed as JSON, else string)."""
+    """Apply ``key.path=value`` overrides (JSON, else string) as config files are applied."""
     out = copy.deepcopy(cfg)
     for item in assignments or ():
         if "=" not in item:
             raise ConfigError(f"override '{item}' is not KEY=VALUE")
         key, raw = item.split("=", 1)
         try:
-            value = json.loads(raw)
+            doc = json.loads(raw)
         except json.JSONDecodeError:
-            value = raw
-        node = out
-        parts = key.split(".")
-        for part in parts[:-1]:
-            nxt = node.get(part)
-            if not isinstance(nxt, dict):
-                nxt = {}
-                node[part] = nxt
-            node = nxt
-        node[parts[-1]] = value
+            doc = raw
+        for part in reversed(key.split(".")):
+            doc = {part: doc}
+        _check_shape(doc)
+        out = _deep_merge(out, doc)
     return out
 
 
@@ -229,14 +242,18 @@ def build_detection_chain(cfg: dict) -> DetectionChain:
         raise ConfigError(f"invalid detection section: {exc}") from exc
 
 
+def facet_reflectance(cfg: dict) -> float:
+    """The sample's facet intensity reflectance, a number in [0, 1)."""
+    r = cfg.get("sample", {}).get("facet_reflectance", 0.30)
+    if not (isinstance(r, (int, float)) and 0.0 <= r < 1.0):
+        raise ConfigError(f"sample.facet_reflectance must be a number in [0, 1), got {r!r}")
+    return float(r)
+
+
 def hom_visibility(cfg: dict) -> float:
     vis = cfg.get("hom", {}).get("visibility")
     if vis is None:
-        r = cfg.get("sample", {}).get("facet_reflectance", 0.30)
-        try:
-            return visibility_from_reflectivity(r)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"sample.facet_reflectance: {exc}") from exc
+        return visibility_from_reflectivity(facet_reflectance(cfg))
     if not (isinstance(vis, (int, float)) and 0.0 <= vis <= 1.0):
         raise ConfigError(f"hom.visibility must be a number in [0, 1], got {vis!r}")
     return float(vis)

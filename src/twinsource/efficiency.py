@@ -19,7 +19,7 @@ clicks are spread over the pulse, so accidentals pick up the extra factor
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 
 from scipy.constants import c, h
 
@@ -113,6 +113,8 @@ class DetectionChain:
     filter_center_nm: float = 1520.0
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise NonPhysicalInput("bench parameters must be finite numbers")
         probs = (
             self.selected_fraction,
             self.facet_transmission,

@@ -32,6 +32,11 @@ _SHAPE = math.pi**2 / _LN2  # exponent prefactor of the dip model
 
 NM_PER_MM = 1e6
 
+_INIT_DELTA_LAMBDA_NM = np.geomspace(0.1, 2.0, 25)  # fit_dip start values
+_MAX_ITERATIONS = 200  # Gauss-Newton iterations per refinement
+_BASELINE_PASSES = 10  # 8000 hom-calibration-like scans: each fixed point by pass 8
+_BASELINE_RTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class DipModel:
@@ -165,20 +170,27 @@ def _dip_shape(dz_nm, delta_lambda, wavelength):
     return np.exp(-_SHAPE * u * u)
 
 
-def fit_dip(
-    scan: HomScan,
-    wavelength_nm: float,
-    delta_lambda_grid=None,
-    max_iterations: int = 200,
-) -> FitResult:
+def _jacobian(v, dl, g, dz_nm, wavelength, sy):
+    """d/d(v, dl) of the weighted residuals (y - 1 + v g) / sy, g the shape at dl."""
+    jac = np.empty((len(g), 2))
+    jac[:, 0] = g / sy
+    jac[:, 1] = -2.0 * _SHAPE * v * g * (dz_nm / wavelength**2) ** 2 * dl / sy
+    return jac
+
+
+def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
     """Weighted least-squares fit of (V, delta_lambda) to a scan.
 
     Accidentals are subtracted, the net counts are normalized by the mean of
     the points farther than three dip half-widths from zero (at least three
-    such points required), and the two parameters are refined by damped
-    Gauss-Newton from a coarse-grid initialization. Convergence requires the
-    relative parameter change to stay below 1e-8 for three consecutive
-    iterations. Poisson weights: sigma^2(net) = total + accidental.
+    required), and the two parameters are refined by damped Gauss-Newton from
+    the best width of ``_INIT_DELTA_LAMBDA_NM`` until the relative parameter
+    change stays below 1e-8 for three of at most ``_MAX_ITERATIONS``
+    iterations. Poisson weights: sigma^2(net) = total + accidental. Up to
+    ``_BASELINE_PASSES`` passes correct the baseline with the fitted model;
+    ``converged`` means one started from a baseline that moved by at most
+    ``_BASELINE_RTOL`` relative. A width leaving < 3 baseline points ends the
+    passes with the previous pass's fit.
     """
     if len(scan.delta_z_mm) < 8:
         raise DegenerateScan("need at least 8 scan points")
@@ -187,10 +199,8 @@ def fit_dip(
     sigma = np.sqrt(np.maximum(scan.total_counts + scan.accidental_counts, 1.0))
 
     # coarse initialization over a spectral-width grid
-    if delta_lambda_grid is None:
-        delta_lambda_grid = np.geomspace(0.1, 2.0, 25)
     best = None
-    for dl in delta_lambda_grid:
+    for dl in _INIT_DELTA_LAMBDA_NM:
         outside = np.abs(scan.delta_z_mm) > 3.0 * dip_half_width_mm(wavelength_nm, dl)
         if outside.sum() < 3:
             continue
@@ -228,11 +238,8 @@ def fit_dip(
         r, g = residuals(*p)
         chi2 = float(r @ r)
         streak = 0
-        for iterations in range(1, max_iterations + 1):
-            v, dl = p
-            jac = np.empty((len(y), 2))
-            jac[:, 0] = g / sy
-            jac[:, 1] = -2.0 * _SHAPE * v * g * (dz_nm / wavelength_nm**2) ** 2 * dl / sy
+        for iterations in range(1, _MAX_ITERATIONS + 1):
+            jac = _jacobian(*p, g, dz_nm, wavelength_nm, sy)
             jtj = jac.T @ jac
             jtr = jac.T @ r
             try:
@@ -255,40 +262,40 @@ def fit_dip(
             streak = streak + 1 if rel < 1e-8 else 0
             if streak >= 3:
                 return p, chi2, iterations
-        raise NoConvergence(f"no convergence after {max_iterations} iterations")
+        raise NoConvergence(f"no convergence after {_MAX_ITERATIONS} iterations")
 
     # the baseline points still sit ~0.1% inside the dip, so correct the
-    # normalization with the fitted model and re-run until it is a fixed point
+    # normalization with the fitted model and re-run until it is a fixed point;
+    # the start value leaves >= 3 baseline points, so the first pass always runs
     p = np.array([v0, dl0])
     iterations = 0
-    for _ in range(6):
+    for _ in range(_BASELINE_PASSES):
         outside = np.abs(scan.delta_z_mm) > 3.0 * dip_half_width_mm(wavelength_nm, p[1])
         if outside.sum() < 3:
-            raise DegenerateScan("fitted width leaves < 3 baseline points outside the dip")
+            break  # keep the previous pass's fit, not converged
         model_out = 1.0 - p[0] * _dip_shape(dz_nm[outside], p[1], wavelength_nm)
         new_baseline = float(np.mean(net[outside] / model_out))
-        converged_baseline = abs(new_baseline - baseline) <= 1e-12 * abs(baseline)
+        converged = abs(new_baseline - baseline) <= _BASELINE_RTOL * abs(baseline)
         baseline = new_baseline
-        y = net / baseline
         sy = sigma / baseline
-        p, chi2, its = refine(p, y, sy)
+        p, chi2, its = refine(p, net / baseline, sy)
         iterations += its
-        if converged_baseline:
+        if converged:
             break
 
     v, dl = p
-    g = _dip_shape(dz_nm, dl, wavelength_nm)
-    jac = np.empty((len(y), 2))
-    jac[:, 0] = g / sy
-    jac[:, 1] = -2.0 * _SHAPE * v * g * (dz_nm / wavelength_nm**2) ** 2 * dl / sy
-    cov = np.linalg.inv(jac.T @ jac)
+    jac = _jacobian(v, dl, _dip_shape(dz_nm, dl, wavelength_nm), dz_nm, wavelength_nm, sy)
+    try:
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateScan(f"the scan does not constrain both parameters: {exc}") from exc
     return FitResult(
         visibility=float(v),
         delta_lambda_nm=float(dl),
         visibility_err=float(math.sqrt(max(cov[0, 0], 0.0))),
         delta_lambda_err=float(math.sqrt(max(cov[1, 1], 0.0))),
         residual_norm=float(math.sqrt(chi2)),
-        converged=True,
+        converged=converged,
         iterations=iterations,
         baseline_counts=baseline,
     )

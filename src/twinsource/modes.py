@@ -31,24 +31,26 @@ matrix, C^N = U_{N-1}(a) C - U_{N-2}(a) I with a = tr(C)/2 (Born & Wolf,
 Principles of Optics, sec. 1.6.5; Yeh, Optical Waves in Layered Media,
 ch. 6), so a 41-period mirror is two layer matrices and a closed-form power.
 
-Roots. The scan grid holds the multiples of its step (<= 1e-4) inside the
-search window plus the two window ends, so a root's bracket does not depend
-on the window it was searched in. Each bracket is polished by Brent's method
-(``scipy.optimize.brentq``, xtol 1e-12); roots are reported sorted by
-descending n_eff (order 0 = fundamental).
+Roots. The scan grid holds the multiples of ``_GRID_STEP`` (1e-4, refined
+once to 1e-5 when it finds no root) inside the search window plus the two
+window ends, so a root's bracket does not depend on the window it was
+searched in. Each bracket is polished by Brent's method
+(``scipy.optimize.brentq``, xtol ``_XTOL`` = 1e-12); roots are reported
+sorted by descending n_eff (order 0 = fundamental).
 
-Tables. ``EffectiveIndexTable`` puts its knots on the multiples of its step,
-evaluates every distinct composition once over the whole knot array, and
-grows by solving only the knots it lacks, so a grown table holds exactly the
-knots of a fresh table over the same range.
+Tables. ``EffectiveIndexTable`` puts its knots on the multiples of
+``TABLE_STEP_NM`` (2 nm), evaluates every distinct composition once over the
+whole knot array, and grows by solving only the knots it lacks, so a grown
+table holds exactly the knots of a fresh table over the same range.
 
 The nominal device sits on a GaAs substrate whose index at telecom
 wavelengths exceeds every layer index, so the strict 1D structure has no
 bound modes at all: the thick lower DBR is what isolates the guided light
-from the substrate. The default ``substrate_policy="auto"`` therefore
-replaces such a substrate by the low-index component of the deepest region
-continued to infinity (the medium that sets the Bloch-evanescent decay of
-the cladding tail); pass ``"substrate"`` to force the literal structure.
+from the substrate. Where the substrate index reaches the highest layer
+index, the stack-level functions therefore replace it by the low-index
+component of the deepest region continued to infinity (the medium that sets
+the Bloch-evanescent decay of the cladding tail); ``solve_planar`` on an
+explicit profile still solves the literal structure.
 """
 
 from __future__ import annotations
@@ -65,8 +67,9 @@ from .errors import ModeTrackingLost, NoGuidedMode, NonGuidingStack
 from .materials import DispersionModel
 from .stack import TE, TM, LayerStack
 
-_GRID_STEP = 1e-4
-_XTOL = 1e-12
+_GRID_STEP = 1e-4  # n_eff scan step of the root search
+_XTOL = 1e-12  # Brent tolerance on a root, in n_eff
+TABLE_STEP_NM = 2.0  # knot spacing of EffectiveIndexTable
 _MAX_CELL = 8  # longest repeated cell, in layers, that a periodic run may have
 _BLOCK = 512  # scan points per residual call, so a full-window scan stays small
 
@@ -77,7 +80,6 @@ class GuidedMode:
     wavelength_nm: float
     n_eff: float
     order: int
-    n_g: float | None = None
     profile: tuple | None = None  # (depth_nm array, field array) when requested
 
 
@@ -211,8 +213,6 @@ def solve_planar(
     n_bottom: float,
     wavelength: float,
     pol: str = TE,
-    grid_step: float = _GRID_STEP,
-    tol: float = _XTOL,
     max_modes: int | None = None,
     window: tuple | None = None,
 ):
@@ -223,8 +223,8 @@ def solve_planar(
     with ``max_modes`` the search stops after that many roots counted from the
     top of the window. ``window`` overrides the default guided-index search
     window (max outer index + 1e-6, max layer index - 1e-6). Roots are
-    bracketed on the multiples of ``grid_step`` and polished by Brent's
-    method to ``tol``.
+    bracketed on the multiples of ``_GRID_STEP`` (1e-4; 1e-5 when that finds
+    none) and polished by Brent's method to ``_XTOL`` (1e-12).
     """
     layers = [(float(n), float(t)) for n, t in layers]
     n_max_layer = max((n for n, _ in layers), default=0.0)
@@ -247,15 +247,15 @@ def solve_planar(
         )
         found = []
         for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0][::-1]:  # highest n_eff first
-            found.append(brentq(residual, grid[j], grid[j + 1], xtol=tol))
+            found.append(brentq(residual, grid[j], grid[j + 1], xtol=_XTOL))
             if max_modes is not None and len(found) >= max_modes:
                 break
         return found
 
-    roots = roots_on_grid(grid_step)
+    roots = roots_on_grid(_GRID_STEP)
     if not roots:
         # near-cutoff modes can hide between grid points; refine once
-        roots = roots_on_grid(grid_step / 10.0)
+        roots = roots_on_grid(_GRID_STEP / 10.0)
     if not roots:
         raise NoGuidedMode(
             f"no {pol} guided mode in n_eff window ({lo:.6f}, {hi:.6f}) at "
@@ -269,17 +269,16 @@ def solve_planar(
 # ---------------------------------------------------------------------------
 
 
-def _planar_profiles(s: LayerStack, wavelengths, model, substrate_policy):
+def _planar_profiles(s: LayerStack, wavelengths, model):
     """Yield (n_top, [(n, t), ...], n_bot) of the stack at each wavelength.
 
     Every distinct composition, and the substrate, is evaluated once over the
-    whole wavelength array; the substrate policy is then applied per
-    wavelength.
+    whole wavelength array. Where the substrate index reaches the highest
+    layer index, n_bot is the deepest region's lowest index (the last layer's
+    without regions).
     """
     if not s.layers:
         raise NonGuidingStack("stack has no layers")
-    if substrate_policy not in ("auto", "substrate"):
-        raise ValueError(f"unknown substrate_policy {substrate_policy!r}")
     lams = np.atleast_1d(np.asarray(wavelengths, dtype=float))
     index = {
         comp: materials.refractive_index(comp, lams, model)
@@ -291,12 +290,11 @@ def _planar_profiles(s: LayerStack, wavelengths, model, substrate_policy):
         n_bot = np.full(lams.shape, n_top)
     else:
         n_bot = materials.refractive_index(s.substrate, lams, model)
-    if substrate_policy == "auto":
-        # continue the effective cladding of the deepest region to infinity:
-        # its low-index component sets the decay of any Bloch-evanescent tail
-        last = s.regions[-1] if s.regions else None
-        clad = n_layers[last.start : last.stop].min(axis=0) if last else n_layers[-1]
-        n_bot = np.where(n_bot >= n_layers.max(axis=0), clad, n_bot)
+    # continue the effective cladding of the deepest region to infinity: its
+    # low-index component sets the decay of any Bloch-evanescent tail
+    last = s.regions[-1] if s.regions else None
+    clad = n_layers[last.start : last.stop].min(axis=0) if last else n_layers[-1]
+    n_bot = np.where(n_bot >= n_layers.max(axis=0), clad, n_bot)
     thickness = [ly.thickness_nm for ly in s.layers]
     for col, nb in zip(n_layers.T, n_bot.tolist()):
         yield n_top, list(zip(col.tolist(), thickness)), nb
@@ -307,16 +305,12 @@ def guided_modes(
     wavelength: float,
     pol: str = TE,
     model: DispersionModel | None = None,
-    grid_step: float = _GRID_STEP,
     max_modes: int | None = None,
-    substrate_policy: str = "auto",
     include_profiles: bool = False,
 ):
     """Guided modes of the stack at one wavelength, fundamental first."""
-    n_top, n_layers, n_bot = next(_planar_profiles(s, wavelength, model, substrate_policy))
-    roots = solve_planar(
-        n_top, n_layers, n_bot, wavelength, pol, grid_step=grid_step, max_modes=max_modes
-    )
+    n_top, n_layers, n_bot = next(_planar_profiles(s, wavelength, model))
+    roots = solve_planar(n_top, n_layers, n_bot, wavelength, pol, max_modes=max_modes)
     out = []
     for order, neff in enumerate(roots):
         profile = (
@@ -376,11 +370,10 @@ def mode_residual(
     wavelength: float,
     pol: str = TE,
     model: DispersionModel | None = None,
-    substrate_policy: str = "auto",
 ):
     """Matched (Wronskian) dispersion residual at one candidate n_eff; it
     changes sign at every guided mode (diagnostic/validation)."""
-    n_top, n_layers, n_bot = next(_planar_profiles(s, wavelength, model, substrate_policy))
+    n_top, n_layers, n_bot = next(_planar_profiles(s, wavelength, model))
     return float(_MatchedResidual(n_top, n_layers, n_bot, wavelength, pol)(n_eff))
 
 
@@ -388,11 +381,10 @@ def birefringence(
     s: LayerStack,
     wavelength: float,
     model: DispersionModel | None = None,
-    substrate_policy: str = "auto",
 ) -> float:
     """n_eff(TE, fundamental) - n_eff(TM, fundamental)."""
-    te = guided_modes(s, wavelength, TE, model, max_modes=1, substrate_policy=substrate_policy)
-    tm = guided_modes(s, wavelength, TM, model, max_modes=1, substrate_policy=substrate_policy)
+    te = guided_modes(s, wavelength, TE, model, max_modes=1)
+    tm = guided_modes(s, wavelength, TM, model, max_modes=1)
     return te[0].n_eff - tm[0].n_eff
 
 
@@ -403,7 +395,6 @@ def mode_group_index(
     order: int = 0,
     step_nm: float = 0.1,
     model: DispersionModel | None = None,
-    substrate_policy: str = "auto",
 ) -> float:
     """Group index n_g = n_eff - lambda dn_eff/dlambda of one tracked mode.
 
@@ -413,9 +404,7 @@ def mode_group_index(
     """
     vals = []
     for lam in (wavelength - step_nm, wavelength, wavelength + step_nm):
-        ms = guided_modes(
-            s, lam, pol, model, max_modes=order + 1, substrate_policy=substrate_policy
-        )
+        ms = guided_modes(s, lam, pol, model, max_modes=order + 1)
         if len(ms) <= order:
             raise ModeTrackingLost(
                 f"{pol} mode order {order} missing at {lam} nm while differentiating"
@@ -438,11 +427,11 @@ def mode_group_index(
 class EffectiveIndexTable:
     """Cubic-spline table of the fundamental n_eff over a wavelength range.
 
-    Knots sit on the multiples of ``step_nm`` that cover the range (at least
-    four). Dispersion solves are exact at the knots (direct root finding at
-    every knot); between knots the spline reproduces direct solves to well
-    below 1e-9 for any smooth guided branch, which keeps momentum residuals
-    negligible while making sweeps cheap. The solve at each knot reuses the
+    Knots sit on the multiples of ``TABLE_STEP_NM`` (2 nm) that cover the
+    range (at least four). Dispersion solves are exact at the knots (direct
+    root finding at every knot); between knots the spline reproduces direct
+    solves to well below 1e-9 for any smooth guided branch, which keeps
+    momentum residuals negligible while making sweeps cheap. The solve at each knot reuses the
     previous knot's root to narrow the scan window, falling back to the full
     window when that fails; the scan grid is anchored to absolute n_eff
     values, so the narrowed and the full window give the same root.
@@ -455,15 +444,11 @@ class EffectiveIndexTable:
         pol: str,
         lambda_min: float,
         lambda_max: float,
-        step_nm: float = 2.0,
         model: DispersionModel | None = None,
-        substrate_policy: str = "auto",
     ):
         self.stack = s
         self.polarization = pol
-        self.step_nm = float(step_nm)
         self.model = model
-        self.substrate_policy = substrate_policy
         self.knots_nm = np.empty(0)
         self.knot_n_eff = np.empty(0)
         self.extend(lambda_min, lambda_max)
@@ -476,7 +461,7 @@ class EffectiveIndexTable:
         """
         if lambda_max <= lambda_min:
             raise ValueError("empty wavelength range")
-        step = self.step_nm
+        step = TABLE_STEP_NM
         j_lo = math.floor(lambda_min / step + 1e-9)
         j_hi = max(math.ceil(lambda_max / step - 1e-9), j_lo + 3)
         # knots held: step * (have_lo .. have_hi), an empty range at first
@@ -498,7 +483,7 @@ class EffectiveIndexTable:
         neffs = np.empty(len(lams))
         if not len(lams):
             return neffs
-        profiles = _planar_profiles(self.stack, lams, self.model, self.substrate_policy)
+        profiles = _planar_profiles(self.stack, lams, self.model)
         for i, (lam, (n_top, n_layers, n_bot)) in enumerate(zip(lams.tolist(), profiles)):
             window = (prev - 0.02, prev + 0.02) if prev is not None else None
             try:
@@ -535,26 +520,15 @@ def export_mode_table(
     s: LayerStack,
     wavelengths,
     path,
-    pols=(TE, TM),
-    max_modes: int = 1,
     model: DispersionModel | None = None,
-    substrate_policy: str = "auto",
 ):
-    """Write a CSV mode table: (pol, order, lambda_nm, n_eff, n_g)."""
+    """Write a CSV mode table: (pol, order, lambda_nm, n_eff, n_g) of the
+    fundamental (order 0) TE and TM mode at each wavelength."""
     lines = ["pol,order,lambda_nm,n_eff,n_g"]
-    for pol in pols:
+    for pol in (TE, TM):
         for lam in wavelengths:
-            found = guided_modes(
-                s, float(lam), pol, model, max_modes=max_modes,
-                substrate_policy=substrate_policy,
-            )
-            for mode in found:
-                ng = mode_group_index(
-                    s, pol, float(lam), order=mode.order, model=model,
-                    substrate_policy=substrate_policy,
-                )
-                lines.append(
-                    f"{pol},{mode.order},{float(lam)!r},{mode.n_eff!r},{ng!r}"
-                )
+            mode = guided_modes(s, float(lam), pol, model, max_modes=1)[0]
+            ng = mode_group_index(s, pol, float(lam), model=model)
+            lines.append(f"{pol},{mode.order},{float(lam)!r},{mode.n_eff!r},{ng!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -15,10 +15,10 @@ interaction 2 the reverse. theta > 0 tilts the pump momentum toward +z.
 
 Effective indices are evaluated per candidate wavelength inside the root
 loop through a dense spline table of direct mode solves (exact at knots on
-the multiples of 2 nm, interpolation error orders of magnitude below the
-momentum residual tolerance). A query outside a table grows it knot by knot:
-only the missing knots are solved and the spline is refitted, so a grown
-table equals a fresh one over the same range.
+the multiples of ``modes.TABLE_STEP_NM`` = 2 nm, interpolation error far
+below the momentum residual tolerance ``MOMENTUM_RTOL``). A query outside a
+table grows it knot by knot: only the missing knots are solved and the
+spline is refitted, so a grown table equals a fresh one over the same range.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .stack import TE, TM, LayerStack
 
 MOMENTUM_RTOL = 1e-9  # residual bound, relative to k_p
 SEARCH_HALF_WINDOW_NM = 150.0
-TABLE_STEP_NM = 2.0
 TABLE_PAD_NM = 40.0
 
 
@@ -117,8 +116,7 @@ class PhaseMatcher:
         tab = self._tables.get(pol)
         if tab is None:
             tab = self._tables[pol] = EffectiveIndexTable(
-                self.stack, pol, lo - TABLE_PAD_NM, hi + TABLE_PAD_NM,
-                step_nm=TABLE_STEP_NM, model=self.model,
+                self.stack, pol, lo - TABLE_PAD_NM, hi + TABLE_PAD_NM, model=self.model
             )
         elif lo < tab.lambda_min or hi > tab.lambda_max:
             tab.extend(lo - TABLE_PAD_NM, hi + TABLE_PAD_NM)
@@ -160,18 +158,17 @@ class PhaseMatcher:
         theta_deg: float,
         lambda_p: float,
         inter: Interaction,
-        half_window_nm: float = SEARCH_HALF_WINDOW_NM,
     ) -> PhaseMatchPoint:
         """Solve momentum conservation for the signal wavelength at one angle.
 
-        Brackets the (monotone) mismatch over +/- half_window_nm around the
-        degeneracy wavelength 2 lambda_p, widening once on failure.
+        Brackets the (monotone) mismatch over +/- ``SEARCH_HALF_WINDOW_NM``
+        around the degeneracy wavelength 2 lambda_p, widening once on failure.
         """
         if not abs(theta_deg) < 90.0:
             raise ValueError("pump incidence angle must satisfy |theta| < 90 deg")
         k_p = 2.0 * math.pi / lambda_p
         center = 2.0 * lambda_p
-        half = half_window_nm
+        half = SEARCH_HALF_WINDOW_NM
         for attempt in range(2):
             lo = max(center - half, 1.05 * lambda_p)
             hi = center + half

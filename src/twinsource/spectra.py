@@ -100,7 +100,6 @@ def phase_matching_spectrum(
     inter,
     length_mm: float,
     s: LayerStack,
-    grid: np.ndarray | None = None,
     half_span_nm: float = 5.0,
     step_nm: float = 0.005,
     matcher=None,
@@ -110,14 +109,8 @@ def phase_matching_spectrum(
         raise ValueError("sample length must be positive")
     m: PhaseMatcher = matcher or PhaseMatcher(s)
     point = m.solve_pair(theta_deg, lambda_p, inter)
-    if grid is None:
-        grid = _make_grid(
-            point.lambda_s_nm - half_span_nm, point.lambda_s_nm + half_span_nm, step_nm
-        )
-    else:
-        grid = np.asarray(grid, dtype=float)
-        if grid[0] > point.lambda_s_nm or grid[-1] < point.lambda_s_nm:
-            raise ValueError("grid does not cover the phase-matched wavelength")
+    lam_s = point.lambda_s_nm
+    grid = _make_grid(lam_s - half_span_nm, lam_s + half_span_nm, step_nm)
     inten = phase_matching_intensity(
         grid, theta_deg, lambda_p, inter, length_mm, s, matcher=m
     )

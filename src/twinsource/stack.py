@@ -155,6 +155,11 @@ class ResonanceResult:
 # about 30 kB per wavelength for the 127-layer device, so a block holds ~8 MB
 _BLOCK = 256
 
+_POINTS_PER_LAYER = 12  # field samples per layer, both boundaries included
+_PAD_NM = 200.0  # ambient and substrate tails of a field profile
+RESONANCE_SCAN_STEP_NM = 0.05
+RESONANCE_PROMINENCE = 5e-4  # least prominence of the resonance's R dip
+
 
 def _cos_theta(n, n0_sin):
     """Cosine of the propagation angle inside a medium of index n."""
@@ -368,38 +373,32 @@ def field_profile(
     theta_deg: float = 0.0,
     pol: str = TE,
     model: DispersionModel | None = None,
-    points_per_layer: int = 12,
-    pad_nm: float = 200.0,
 ) -> FieldProfile:
     """Tangential field amplitude through the stack for unit incident amplitude.
 
     Per-layer forward/backward amplitudes come from the same matrix cascade as
-    the reflectivity; each layer is sampled at >= ``points_per_layer`` points
-    including both of its boundaries, plus evanescent/propagating tails of
-    ``pad_nm`` in the ambient and substrate.
+    the reflectivity; each layer, and the evanescent/propagating tails of
+    ``_PAD_NM`` (200 nm) in the ambient and substrate, is sampled at
+    ``_POINTS_PER_LAYER`` (12) points including both of its boundaries.
     """
     amps_per_medium = layer_amplitudes(s, wavelength, theta_deg, pol, model)
     t_list = [ly.thickness_nm for ly in s.layers]
 
-    depths, amps = [], []
     a0, b0, kz0, _ = amps_per_medium[0]
-    if pad_nm > 0:
-        x = np.linspace(-pad_nm, 0.0, max(2, points_per_layer))
-        depths.append(x)
-        amps.append(_layer_field(a0, b0, kz0, x))
+    x = np.linspace(-_PAD_NM, 0.0, _POINTS_PER_LAYER)
+    depths, amps = [x], [_layer_field(a0, b0, kz0, x)]
 
     z = 0.0
     for (a, b, kz, _), t_nm in zip(amps_per_medium[1:-1], t_list):
-        x_local = np.linspace(0.0, t_nm, max(points_per_layer, 2))
+        x_local = np.linspace(0.0, t_nm, _POINTS_PER_LAYER)
         depths.append(z + x_local)
         amps.append(_layer_field(a, b, kz, x_local))
         z += t_nm
 
     a_sub, _, kz_sub, _ = amps_per_medium[-1]
-    if pad_nm > 0:
-        x = np.linspace(0.0, pad_nm, max(2, points_per_layer))
-        depths.append(z + x)
-        amps.append(a_sub * np.exp(1j * kz_sub * x))
+    x = np.linspace(0.0, _PAD_NM, _POINTS_PER_LAYER)
+    depths.append(z + x)
+    amps.append(a_sub * np.exp(1j * kz_sub * x))
 
     return FieldProfile(
         depth_nm=np.concatenate(depths),
@@ -419,7 +418,7 @@ def core_intensity(
 ) -> float:
     """Peak |field|^2 inside the core region for unit incident intensity.
 
-    Only the core is sampled, at the 12 points per layer of ``field_profile``.
+    Only the core is sampled, at ``_POINTS_PER_LAYER`` points per layer.
     The field at the top of the core is the transmitted substrate field
     carried up through the core and the layers below it.
     """
@@ -438,7 +437,7 @@ def core_intensity(
     f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
     layers, _, _ = _walk(f, g, n_list[core], t_list[core], n0_sin, k0, pol)
     a, b, kz, _ = (np.array(col)[:, None] for col in zip(*layers))
-    x = np.linspace(0.0, t_list[core], 12, axis=1)
+    x = np.linspace(0.0, t_list[core], _POINTS_PER_LAYER, axis=1)
     return float(np.max(np.abs(_layer_field(a, b, kz, x)) ** 2))
 
 
@@ -532,15 +531,13 @@ def find_resonance(
     theta_deg: float = 0.0,
     pol: str = TE,
     model: DispersionModel | None = None,
-    scan_step_nm: float = 0.05,
-    prominence: float = 5e-4,
 ) -> ResonanceResult:
     """Locate the cavity resonance in a window holding exactly one R dip.
 
-    Numerics, fixed apart from the scan step and the prominence:
+    Numerics, all fixed:
 
-    * the window is scanned at ``scan_step_nm`` (0.05 nm) and must hold
-      exactly one reflectance minimum of at least ``prominence``;
+    * the window is scanned at ``RESONANCE_SCAN_STEP_NM`` (0.05 nm) and must hold
+      exactly one reflectance minimum of prominence >= ``RESONANCE_PROMINENCE``;
     * the resonance wavelength is the reflectance minimum, golden-section
       refined from the neighbouring scan points to xtol = 1e-3 nm;
     * the FWHM is read off the core field-intensity resonance curve: each
@@ -557,9 +554,9 @@ def find_resonance(
     lo, hi = lambda_window
     if not (hi > lo):
         raise ValueError("empty wavelength window")
-    lams = np.arange(lo, hi + scan_step_nm / 2, scan_step_nm)
+    lams = np.arange(lo, hi + RESONANCE_SCAN_STEP_NM / 2, RESONANCE_SCAN_STEP_NM)
     refl = stack_response(s, lams, theta_deg, pol, model).reflectance
-    idx = _prominent_minima(refl, prominence)
+    idx = _prominent_minima(refl, RESONANCE_PROMINENCE)
     if len(idx) == 0:
         raise NoResonanceInWindow(f"no reflectance dip in [{lo}, {hi}] nm")
     if len(idx) > 1:

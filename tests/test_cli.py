@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,13 +8,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import twinsource
 from twinsource.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, MAX_SWEEP_POINTS, main
+from twinsource.config import DEFAULT_CONFIG
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def scan_dir(tmp_path_factory):
+    """A directory holding the default-config scan ``hom_scan.csv``."""
+    out = tmp_path_factory.mktemp("scan")
+    assert main(["hom", "simulate", "--out", str(out), "--quiet"]) == EXIT_OK
+    return out
 
 
 def read_csv(path: Path):
@@ -108,18 +120,70 @@ def test_stack_sweep_is_capped(tmp_path, capsys):
         ("spectrum", "--set", "sample.length_mm=nan"),
         ("tuning", "--set", 'pump.wavelength_nm="abc"'),
         ("hom", "simulate", "--set", "hom.dwell_s=0"),
+        ("spectrum", "--set", 'spectrum.monochromator_fwhm_nm="x"'),
+        ("spectrum", "--set", 'spectrum.noise_floor="x"'),
+        ("spectrum", "--set", 'spectrum.step_nm="x"'),
+        ("spectrum", "--set", 'pump.linewidth_fwhm_nm="x"'),
+        ("spectrum", "--set", 'sample.facet_reflectance="x"'),
+        ("spectrum", "--set", "spectrum.half_span_nm=-3"),
+        ("enhancement", "--set", 'pump.wavelength_nm="x"'),
+        ("enhancement", "--set", 'enhancement_overrides.n_mean="x"'),
+        ("hom", "simulate", "--set", 'hom.delta_lambda_nm="x"'),
+        ("counts", "--set", "pump.wavelenght_nm=700"),
+        ("counts", "--set", "enhancement_overrides.gain=3"),
+        ("stack", "--set", "resonance=3"),
+        ("tuning", "--set", "tuning=3"),
+        ("enhancement", "--set", "enhancement_overrides=3"),
     ],
     ids=[
         "negative_design_wavelength", "enhancement_window_strings", "tuning_zero_step",
         "tuning_reversed_range", "spectrum_theta_past_90", "zero_pulse_rate",
         "visibility_not_a_number", "negative_scan_points", "sample_length_nan",
-        "pump_wavelength_string", "zero_dwell",
+        "pump_wavelength_string", "zero_dwell", "monochromator_fwhm_string",
+        "noise_floor_string", "spectrum_step_string", "pump_linewidth_string",
+        "facet_reflectance_string", "negative_half_span", "enhancement_pump_string",
+        "n_mean_override_string", "delta_lambda_string", "misspelt_key",
+        "unknown_override", "resonance_section_number", "tuning_section_number",
+        "overrides_section_number",
     ],
 )
 def test_bad_input_is_input_error(tmp_path, capsys, argv):
     assert run(*argv, "--out", tmp_path, "--quiet") == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "setting",
+    ['hom.dwell_s="x"', 'hom.degeneracy_wavelength_nm="x"', "hom.degeneracy_wavelength_nm=-1"],
+    ids=["dwell_string", "wavelength_string", "negative_wavelength"],
+)
+def test_hom_fit_bad_config_is_input_error(scan_dir, tmp_path, capsys, setting):
+    scan = scan_dir / "hom_scan.csv"
+    argv = ("hom", "fit", "--scan", scan, "--set", setting, "--out", tmp_path, "--quiet")
+    assert run(*argv) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+def test_spectrum_grid_is_capped(tmp_path, capsys):
+    assert run(
+        "spectrum", "--set", "spectrum.step_nm=1e-9", "--out", tmp_path, "--quiet"
+    ) == EXIT_INPUT
+    assert str(MAX_SWEEP_POINTS) in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "document, named",
+    [({"pump": {"wavelenght_nm": 700}}, "pump.wavelenght_nm"), ({"resonance": 3}, "resonance")],
+    ids=["misspelt_key", "section_number"],
+)
+def test_config_file_shape_is_checked(tmp_path, capsys, document, named):
+    cfg = tmp_path / "device.json"
+    cfg.write_text(json.dumps(document), encoding="utf-8")
+    assert run("counts", "--config", cfg, "--out", tmp_path / "out", "--quiet") == EXIT_INPUT
+    assert f"'{named}'" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_signal_out():
@@ -199,6 +263,20 @@ def test_hom_simulate_then_fit_roundtrip(tmp_path):
     assert abs(fit["visibility"] - 0.847) < 0.1
     assert abs(fit["delta_lambda_nm"] - 0.53) < 0.1
     assert fit["converged"] is True
+
+
+def test_hom_fit_reports_an_unconverged_fit(tmp_path):
+    # a scan whose second baseline pass leaves fewer than 3 baseline points: the
+    # first pass's fit is written, flagged as not converged
+    assert run(
+        "hom", "simulate", "--seed", 1150664034,
+        "--set", "hom.delta_lambda_nm=0.4014396240156993", "--out", tmp_path, "--quiet",
+    ) == EXIT_OK
+    scan = tmp_path / "hom_scan.csv"
+    assert run("hom", "fit", "--scan", scan, "--out", tmp_path, "--quiet") == EXIT_OK
+    assert json.loads((tmp_path / "hom_fit.json").read_text())["converged"] is False
+    warnings = json.loads((tmp_path / "hom-fit.report.json").read_text())["warnings"]
+    assert any("not converged" in w for w in warnings)
 
 
 def test_hom_seed_changes_counts(tmp_path):
@@ -305,3 +383,60 @@ def test_bad_config_file(tmp_path):
     assert run(
         "spectrum", "--config", tmp_path / "absent.json", "--out", tmp_path, "--quiet"
     ) == EXIT_INPUT
+
+
+# --- arbitrary config values on the cheap commands ---------------------------------
+
+# the cheap commands that read each section
+_FUZZ_COMMANDS = {
+    "hom": ("hom simulate", "hom fit"),
+    "detection": ("counts", "hom simulate"),
+    "sample": ("hom simulate",),
+    "enhancement_overrides": ("enhancement",),
+}
+_FUZZ_KEYS = (
+    [f"hom.{k}" for k in DEFAULT_CONFIG["hom"]]
+    + [f"detection.{k}" for k in DEFAULT_CONFIG["detection"]]
+    + ["sample.facet_reflectance"]
+    + [f"enhancement_overrides.{k}" for k in ("n_mean", "finesse", "t_up", "t_down")]
+)
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.one_of(st.integers(), st.floats()), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+# enhancement runs on these four overrides alone, without the device
+_ALL_OVERRIDES = (
+    "enhancement_overrides.n_mean=3.1",
+    "enhancement_overrides.finesse=100",
+    "enhancement_overrides.t_up=0.2",
+    "enhancement_overrides.t_down=0.001",
+)
+
+
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(
+    assignments=st.lists(
+        st.tuples(st.sampled_from(_FUZZ_KEYS), _JSON_VALUES), min_size=1, max_size=2
+    )
+)
+def test_arbitrary_config_values_keep_the_exit_contract(scan_dir, assignments):
+    sets = [f"{key}={json.dumps(value)}" for key, value in assignments]
+    commands = {c for key, _ in assignments for c in _FUZZ_COMMANDS[key.split(".")[0]]}
+    for command in sorted(commands):
+        argv = command.split()
+        if command == "hom fit":
+            argv += ["--scan", str(scan_dir / "hom_scan.csv")]
+        for item in (_ALL_OVERRIDES if command == "enhancement" else ()) + tuple(sets):
+            argv += ["--set", item]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", str(scan_dir / "out"), "--quiet"])
+        assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()

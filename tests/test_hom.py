@@ -177,6 +177,29 @@ def test_fitted_parameters_imply_reported_dip_width():
     assert dip_fwhm_mm(1520.0, fit.delta_lambda_nm) == pytest.approx(1.92, abs=0.05)
 
 
+def _calibration_scan(delta_lambda_nm, seed):
+    # drawn as the hom-calibration benchmark draws them: V from R = 0.30, the
+    # default chain, 25 points over +/-5 mm, 60 s dwell
+    model = DipModel(visibility_from_reflectivity(0.30), 1520.0, delta_lambda_nm)
+    return simulate_scan(model, DetectionChain(), POSITIONS, 60.0, seed)
+
+
+def test_fit_flags_a_baseline_that_never_settles():
+    # its baseline points fall in and out of the fitted dip region from pass
+    # to pass, so the baseline changes by ~1% every pass
+    fit = fit_dip(_calibration_scan(0.5443425958180103, 331913304), 1520.0)
+    assert not fit.converged
+    assert fit.delta_lambda_nm == pytest.approx(0.544, abs=0.05)
+
+
+def test_fit_keeps_the_last_pass_that_leaves_baseline_points():
+    # the second pass's width leaves fewer than 3 baseline points
+    fit = fit_dip(_calibration_scan(0.4014396240156993, 1150664034), 1520.0)
+    assert not fit.converged
+    assert fit.visibility == pytest.approx(0.847, abs=0.05)
+    assert np.isfinite(fit.delta_lambda_err)
+
+
 def test_flat_scan_raises_degenerate():
     chain = DetectionChain()
     scan = simulate_scan(DipModel(0.0, 1520.0, 0.53), chain, POSITIONS, 60.0, seed=2)

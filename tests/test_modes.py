@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import carry_loop, planar_modes_topdown, slab_modes
 from twinsource import modes
-from twinsource.errors import ModeTrackingLost, NoGuidedMode
+from twinsource.errors import ModeTrackingLost, NoGuidedMode, NonGuidingStack
 from twinsource.materials import Composition, refractive_index
 from twinsource.modes import (
     EffectiveIndexTable,
@@ -145,14 +145,20 @@ def test_mode_count_non_increasing_with_wavelength():
 
 def test_substrate_policy_literal_vs_auto(paper_stack):
     # the literal GaAs substrate outruns every layer index at telecom, so the
-    # strict structure cannot guide; the auto policy swaps in the cladding
-    with pytest.raises(NoGuidedMode):
-        guided_modes(paper_stack, 1520.0, TE, substrate_policy="substrate")
-    assert guided_modes(paper_stack, 1520.0, TE, max_modes=1, substrate_policy="auto")
+    # strict structure cannot guide; the stack-level profile swaps in the
+    # bottom mirror's low index, and that profile guides
+    n_top, layers, n_bot = next(modes._planar_profiles(paper_stack, 1520.0, None))
+    substrate = refractive_index(paper_stack.substrate, 1520.0)
+    assert substrate > max(n for n, _ in layers)
+    with pytest.raises(NonGuidingStack):
+        solve_planar(n_top, layers, substrate, 1520.0, TE)
+    mirror = paper_stack.region_layers("bottom_dbr")
+    assert n_bot == min(refractive_index(ly.composition, 1520.0) for ly in mirror)
+    assert solve_planar(n_top, layers, n_bot, 1520.0, TE, max_modes=1)
 
 
 def test_effective_index_table_matches_direct_solves(paper_stack):
-    table = EffectiveIndexTable(paper_stack, TE, 1490.0, 1550.0, step_nm=2.0)
+    table = EffectiveIndexTable(paper_stack, TE, 1490.0, 1550.0)
     for lam in (1497.3, 1511.1, 1533.7):
         direct = guided_modes(paper_stack, lam, TE, max_modes=1)[0].n_eff
         assert abs(table(lam) - direct) < 1e-9
@@ -161,7 +167,7 @@ def test_effective_index_table_matches_direct_solves(paper_stack):
 
 
 def test_effective_index_table_group_index(paper_stack):
-    table = EffectiveIndexTable(paper_stack, TE, 1505.0, 1535.0, step_nm=2.0)
+    table = EffectiveIndexTable(paper_stack, TE, 1505.0, 1535.0)
     direct = mode_group_index(paper_stack, TE, 1520.0)
     assert table.n_group(1520.0) == pytest.approx(direct, abs=1e-6)
 
@@ -183,7 +189,7 @@ def test_export_mode_table(paper_stack, tmp_path):
 def test_table_knots_match_topdown_oracle(paper_stack, pol):
     # every fifth knot over 1330-1710 nm, each solved by the single top-down
     # sweep and bisection from the previous root's window, as tables were
-    table = EffectiveIndexTable(paper_stack, pol, 1330.0, 1710.0, step_nm=2.0)
+    table = EffectiveIndexTable(paper_stack, pol, 1330.0, 1710.0)
     lams = table.knots_nm[::5]
     index = {
         ly.composition: refractive_index(ly.composition, lams) for ly in paper_stack.layers
@@ -242,17 +248,17 @@ def test_periodic_run_matches_layer_by_layer(periods, pol):
 
 
 def test_roots_do_not_depend_on_the_search_window(paper_stack):
-    n_top, layers, n_bot = next(modes._planar_profiles(paper_stack, 1520.0, None, "auto"))
+    n_top, layers, n_bot = next(modes._planar_profiles(paper_stack, 1520.0, None))
     full = solve_planar(n_top, layers, n_bot, 1520.0, TE, max_modes=1)[0]
     for lo, hi in ((full - 0.02, full + 0.02), (full - 0.0123, full + 0.0071)):
         assert solve_planar(n_top, layers, n_bot, 1520.0, TE, max_modes=1, window=(lo, hi)) == [full]
 
 
 def test_table_knots_sit_on_step_multiples(paper_stack):
-    table = EffectiveIndexTable(paper_stack, TE, 1501.3, 1519.1, step_nm=2.0)
+    table = EffectiveIndexTable(paper_stack, TE, 1501.3, 1519.1)
     assert table.knots_nm[0] == 1500.0 and table.knots_nm[-1] == 1520.0
     assert np.array_equal(table.knots_nm, 2.0 * np.arange(750, 761))
-    grown = EffectiveIndexTable(paper_stack, TE, 1505.0, 1511.0, step_nm=2.0)
+    grown = EffectiveIndexTable(paper_stack, TE, 1505.0, 1511.0)
     grown.extend(1501.3, 1519.1)
     assert np.array_equal(grown.knots_nm, table.knots_nm)
     assert np.array_equal(grown.knot_n_eff, table.knot_n_eff)

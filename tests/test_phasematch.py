@@ -8,7 +8,6 @@ from twinsource.modes import EffectiveIndexTable
 from twinsource.phasematch import (
     INTERACTION_1,
     INTERACTION_2,
-    TABLE_STEP_NM,
     Interaction,
     PhaseMatcher,
     conjugate_wavelength,
@@ -59,9 +58,7 @@ def test_grown_tables_equal_fresh_tables(paper_stack):
         (tab.lambda_min, tab.lambda_max) != before[pol] for pol, tab in m._tables.items()
     )  # the 770 nm query grew at least one table
     for pol, tab in m._tables.items():
-        fresh = EffectiveIndexTable(
-            paper_stack, pol, tab.lambda_min, tab.lambda_max, step_nm=TABLE_STEP_NM
-        )
+        fresh = EffectiveIndexTable(paper_stack, pol, tab.lambda_min, tab.lambda_max)
         assert np.array_equal(tab.knots_nm, fresh.knots_nm)
         assert np.array_equal(tab.knot_n_eff, fresh.knot_n_eff)
 
