@@ -102,6 +102,9 @@ class _Run:
         cfg = cfgmod.apply_overrides(cfg, args.set or [])
         if args.seed is not None:
             cfg["seed"] = args.seed
+        seed = cfg["seed"]
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
         self.cfg = cfg
         self.hash = cfgmod.config_hash(cfg)
         self.out_dir = Path(args.out)

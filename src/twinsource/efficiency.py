@@ -21,9 +21,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, astuple, dataclass
 
-from scipy.constants import c, h
-
 from .errors import DivisionDomain, NonPhysicalInput
+from .materials import LIGHT_SPEED_M_S, PLANCK_J_S
 
 
 @dataclass(frozen=True)
@@ -77,7 +76,7 @@ class PumpPulse:
 
     @property
     def photons_per_pulse(self) -> float:
-        return self.energy_j / (h * c / (self.wavelength_nm * 1e-9))
+        return self.energy_j / (PLANCK_J_S * LIGHT_SPEED_M_S / (self.wavelength_nm * 1e-9))
 
 
 def brightness(pulse: PumpPulse, eta: float) -> float:
@@ -167,6 +166,10 @@ class CountBudget:
     dark_click_prob: float
     single_click_prob: float
     coincidence_duty: float
+
+    def __post_init__(self):
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise OverflowError("count budget leaves the double range")
 
     def as_dict(self) -> dict:
         return asdict(self)

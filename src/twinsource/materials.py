@@ -28,12 +28,16 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.constants import c, e, h
 
 from .errors import AboveBandgap, OutOfValidityWindow
 
+# exact in the 2019 SI
+PLANCK_J_S = 6.62607015e-34
+LIGHT_SPEED_M_S = 299792458.0
+ELEMENTARY_CHARGE_C = 1.602176634e-19
+
 # h*c in eV*nm, for lambda <-> photon energy conversion
-HC_EV_NM = h * c / e * 1e9
+HC_EV_NM = PLANCK_J_S * LIGHT_SPEED_M_S / ELEMENTARY_CHARGE_C * 1e9
 
 
 @dataclass(frozen=True)

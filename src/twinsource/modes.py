@@ -34,14 +34,18 @@ ch. 6), so a 41-period mirror is two layer matrices and a closed-form power.
 Roots. The scan grid holds the multiples of ``_GRID_STEP`` (1e-4, refined
 once to 1e-5 when it finds no root) inside the search window plus the two
 window ends, so a root's bracket does not depend on the window it was
-searched in. Each bracket is polished by Brent's method
-(``scipy.optimize.brentq``, xtol ``_XTOL`` = 1e-12); roots are reported
-sorted by descending n_eff (order 0 = fundamental).
+searched in. Each bracket is polished by Brent's method (``_brentq``, a port
+of scipy's C ``brentq`` that returns the same float; xtol ``_XTOL`` = 1e-12,
+rtol 4 eps); roots are reported sorted by descending n_eff (order 0 =
+fundamental).
 
 Tables. ``EffectiveIndexTable`` puts its knots on the multiples of
 ``TABLE_STEP_NM`` (2 nm), evaluates every distinct composition once over the
 whole knot array, and grows by solving only the knots it lacks, so a grown
-table holds exactly the knots of a fresh table over the same range.
+table holds exactly the knots of a fresh table over the same range. Between
+knots it is the not-a-knot cubic spline, built and evaluated here with the
+same floating-point operations as ``scipy.interpolate.CubicSpline``, so the
+package needs numpy only.
 
 The nominal device sits on a GaAs substrate whose index at telecom
 wavelengths exceeds every layer index, so the strict 1D structure has no
@@ -56,11 +60,10 @@ explicit profile still solves the literal structure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from . import materials
 from .errors import ModeTrackingLost, NoGuidedMode, NonGuidingStack
@@ -72,6 +75,8 @@ _XTOL = 1e-12  # Brent tolerance on a root, in n_eff
 TABLE_STEP_NM = 2.0  # knot spacing of EffectiveIndexTable
 _MAX_CELL = 8  # longest repeated cell, in layers, that a periodic run may have
 _BLOCK = 512  # scan points per residual call, so a full-window scan stays small
+_RTOL = 4.0 * np.finfo(float).eps  # Brent's relative tolerance, the least it accepts
+_MAXITER = 100  # Brent iterations before giving up
 
 
 @dataclass(frozen=True)
@@ -81,6 +86,70 @@ class GuidedMode:
     n_eff: float
     order: int
     profile: tuple | None = None  # (depth_nm array, field array) when requested
+
+
+# ---------------------------------------------------------------------------
+# Brent root finder
+# ---------------------------------------------------------------------------
+
+
+def _brentq(f, a, b, xtol, rtol=_RTOL, maxiter=_MAXITER):
+    """Root of ``f`` in the sign-changing bracket [a, b] by Brent's method.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4, in
+    the form of the C ``brentq`` that scipy ships: the same steps, the same
+    stopping rule |step| < (xtol + rtol |x|) / 2, and the same errors
+    (ValueError on an unbracketed root, a NaN value or a bad tolerance,
+    RuntimeError after ``maxiter`` iterations), so it returns the same float.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _RTOL:
+        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
+
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +316,7 @@ def solve_planar(
         )
         found = []
         for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0][::-1]:  # highest n_eff first
-            found.append(brentq(residual, grid[j], grid[j + 1], xtol=_XTOL))
+            found.append(_brentq(residual, grid[j], grid[j + 1], _XTOL))
             if max_modes is not None and len(found) >= max_modes:
                 break
         return found
@@ -424,6 +493,78 @@ def mode_group_index(
 # ---------------------------------------------------------------------------
 
 
+def _gtsv(dl, d, du, b):
+    """Solve the tridiagonal system (sub-diagonal ``dl``, diagonal ``d``,
+    super-diagonal ``du``) for right-hand side ``b``; all four lists are
+    overwritten and ``b`` holds the solution.
+
+    LAPACK ``dgtsv`` for one right-hand side, step for step: Gaussian
+    elimination with partial pivoting (a pivoted row gains a second
+    super-diagonal, kept in ``dl``), then back substitution. The spline
+    system on evenly spaced knots never interchanges rows; uneven knots can.
+    """
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:  # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _not_a_knot(x, y):
+    """Power-basis coefficients, shape (4, len(x) - 1), of the not-a-knot
+    cubic spline through (x, y), for at least four strictly increasing x.
+
+    Piece i is c[0] t^3 + c[1] t^2 + c[2] t + c[3] with t = x - x[i]. The
+    knot slopes solve the tridiagonal continuity system (de Boor, A Practical
+    Guide to Splines, ch. IV) whose first and last rows make the third
+    derivative continuous at x[1] and x[-2]. Rows, end formulas and solve
+    follow ``scipy.interpolate.CubicSpline`` operation for operation, so the
+    coefficients are the same floats.
+    """
+    dx = np.diff(x)
+    slope = np.diff(y) / dx
+    diag = np.empty(len(x))
+    upper = np.empty(len(x) - 1)
+    lower = np.empty(len(x) - 1)
+    rhs = np.empty(len(x))
+    diag[1:-1] = 2 * (dx[:-1] + dx[1:])
+    upper[1:] = dx[:-1]
+    lower[:-1] = dx[1:]
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    d = x[2] - x[0]
+    diag[0], upper[0] = dx[1], d
+    rhs[0] = ((dx[0] + 2 * d) * dx[1] * slope[0] + dx[0] ** 2 * slope[1]) / d
+    d = x[-1] - x[-3]
+    diag[-1], lower[-1] = dx[-2], d
+    rhs[-1] = (dx[-1] ** 2 * slope[-2] + (2 * d + dx[-1]) * dx[-2] * slope[-1]) / d
+    s = np.array(_gtsv(lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()))
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    return np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+
+
+def _shaped(val, query):
+    """Spline values for a query that is not a Python float: a float for a
+    scalar, an array (0-d included) otherwise."""
+    return float(val) if np.isscalar(query) else np.asarray(val)
+
+
 class EffectiveIndexTable:
     """Cubic-spline table of the fundamental n_eff over a wavelength range.
 
@@ -436,6 +577,14 @@ class EffectiveIndexTable:
     window when that fails; the scan grid is anchored to absolute n_eff
     values, so the narrowed and the full window give the same root.
     ``extend`` grows the table by solving only the knots it lacks.
+
+    The spline is the not-a-knot cubic through the knots (``_not_a_knot``).
+    A wavelength is evaluated on the piece of the last knot at or below it
+    (the end pieces beyond the ends), as c3 + c2 t + c1 t^2 + c0 t^3 and its
+    derivative as c2 + 2 c1 t + 3 c0 t^2, summed in ascending powers; these
+    are the values ``CubicSpline`` and its derivative give. A Python float
+    is looked up and evaluated in plain floats; anything else takes one
+    vectorized pass, which returns the same values.
     """
 
     def __init__(
@@ -474,8 +623,11 @@ class EffectiveIndexTable:
         self.knot_n_eff = np.concatenate((below, self.knot_n_eff, above))
         self.lambda_min = float(self.knots_nm[0])
         self.lambda_max = float(self.knots_nm[-1])
-        self._spline = CubicSpline(self.knots_nm, self.knot_n_eff)
-        self._dspline = self._spline.derivative()
+        self._lo, self._hi = self.lambda_min - 1e-9, self.lambda_max + 1e-9
+        self._c = _not_a_knot(self.knots_nm, self.knot_n_eff)
+        self._last = self._c.shape[1] - 1  # the last piece
+        self._knots = self.knots_nm.tolist()
+        self._pieces = list(zip(*self._c.tolist()))  # (c0, c1, c2, c3) of each piece
 
     def _solve(self, lams, prev):
         """Fundamental n_eff at each of ``lams`` (ascending), chained from the
@@ -495,25 +647,35 @@ class EffectiveIndexTable:
             prev = neffs[i] = roots[0]
         return neffs
 
-    def _check(self, lam):
-        lam = np.asarray(lam, dtype=float)
-        if np.any(lam < self.lambda_min - 1e-9) or np.any(lam > self.lambda_max + 1e-9):
-            raise ValueError(
-                f"wavelength {lam} outside table range "
-                f"[{self.lambda_min}, {self.lambda_max}] nm"
-            )
+    def _at(self, lam):
+        """(c0, c1, c2, c3, t): coefficients of the piece holding ``lam`` and
+        its offset t from the piece's knot, floats for a Python float and
+        arrays otherwise. Both forms accept and reject the same values."""
+        if type(lam) is float:
+            if not (lam < self._lo or lam > self._hi):
+                i = min(max(bisect_right(self._knots, lam) - 1, 0), self._last)
+                return (*self._pieces[i], lam - self._knots[i])
+        else:
+            lam = np.asarray(lam, dtype=float)
+            if not (np.any(lam < self._lo) or np.any(lam > self._hi)):
+                i = np.clip(np.searchsorted(self.knots_nm, lam, side="right") - 1, 0, self._last)
+                return (*self._c[:, i], lam - self.knots_nm[i])
+        raise ValueError(
+            f"wavelength {lam} outside table range [{self.lambda_min}, {self.lambda_max}] nm"
+        )
 
     def n_eff(self, wavelength):
-        self._check(wavelength)
-        val = self._spline(wavelength)
-        return float(val) if np.isscalar(wavelength) else val
+        c0, c1, c2, c3, t = self._at(wavelength)
+        val = c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t)
+        return val if type(wavelength) is float else _shaped(val, wavelength)
 
     __call__ = n_eff
 
     def n_group(self, wavelength):
-        self._check(wavelength)
-        val = self._spline(wavelength) - wavelength * self._dspline(wavelength)
-        return float(val) if np.isscalar(wavelength) else val
+        c0, c1, c2, c3, t = self._at(wavelength)
+        val = c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t)
+        val = val - wavelength * (c2 + 2 * c1 * t + 3 * c0 * (t * t))
+        return val if type(wavelength) is float else _shaped(val, wavelength)
 
 
 def export_mode_table(

@@ -19,6 +19,9 @@ the multiples of ``modes.TABLE_STEP_NM`` = 2 nm, interpolation error far
 below the momentum residual tolerance ``MOMENTUM_RTOL``). A query outside a
 table grows it knot by knot: only the missing knots are solved and the
 spline is refitted, so a grown table equals a fresh one over the same range.
+The signal wavelength is polished by ``modes._brentq`` (Brent's method, the
+floats of scipy's ``brentq``); it evaluates the mismatch at Python floats,
+which the tables look up without building arrays.
 """
 
 from __future__ import annotations
@@ -27,10 +30,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NoSolutionInWindow
-from .modes import EffectiveIndexTable
+from .modes import EffectiveIndexTable, _brentq
 from .stack import TE, TM, LayerStack
 
 MOMENTUM_RTOL = 1e-9  # residual bound, relative to k_p
@@ -91,8 +93,13 @@ class PhaseMatchPoint:
 
 def conjugate_wavelength(lambda_p: float, lambda_s):
     """Idler wavelength paired with lambda_s by energy conservation."""
-    inv = 1.0 / lambda_p - 1.0 / np.asarray(lambda_s, dtype=float)
-    if np.any(inv <= 0):
+    if type(lambda_s) is float and lambda_s > 0:  # in plain floats
+        inv = 1.0 / lambda_p - 1.0 / lambda_s
+        bad = inv <= 0
+    else:
+        inv = 1.0 / lambda_p - 1.0 / np.asarray(lambda_s, dtype=float)
+        bad = np.any(inv <= 0)
+    if bad:
         raise ValueError(f"signal {lambda_s} nm carries more energy than the pump")
     return float(1.0 / inv) if np.isscalar(lambda_s) else 1.0 / inv
 
@@ -122,15 +129,18 @@ class PhaseMatcher:
             tab.extend(lo - TABLE_PAD_NM, hi + TABLE_PAD_NM)
         return tab
 
-    def n_eff(self, pol: str, wavelength):
+    def _table(self, pol: str, wavelength) -> EffectiveIndexTable:
+        """The ``pol`` table, grown to cover ``wavelength`` (a float or an array)."""
+        if type(wavelength) is float:
+            return self._ensure(pol, wavelength, wavelength)
         lam = np.asarray(wavelength, dtype=float)
-        tab = self._ensure(pol, float(lam.min()), float(lam.max()))
-        return tab.n_eff(wavelength)
+        return self._ensure(pol, float(lam.min()), float(lam.max()))
+
+    def n_eff(self, pol: str, wavelength):
+        return self._table(pol, wavelength).n_eff(wavelength)
 
     def n_group(self, pol: str, wavelength):
-        lam = np.asarray(wavelength, dtype=float)
-        tab = self._ensure(pol, float(lam.min()), float(lam.max()))
-        return tab.n_group(wavelength)
+        return self._table(pol, wavelength).n_group(wavelength)
 
     # -- momentum mismatch ---------------------------------------------------
 
@@ -139,10 +149,8 @@ class PhaseMatcher:
 
         Vanishes at the phase-matched signal wavelength; accepts arrays.
         """
-        lam_s = np.asarray(lambda_s, dtype=float)
-        lam_i = 1.0 / (1.0 / lambda_p - 1.0 / lam_s)
-        if np.any(lam_i <= 0):
-            raise ValueError("signal wavelength(s) above the pump photon energy")
+        lam_s = lambda_s if type(lambda_s) is float else np.asarray(lambda_s, dtype=float)
+        lam_i = conjugate_wavelength(lambda_p, lam_s)
         n_s = self.n_eff(inter.copropagating_pol, lam_s)
         n_i = self.n_eff(inter.counterpropagating_pol, lam_i)
         k_p = 2.0 * math.pi / lambda_p
@@ -189,7 +197,7 @@ class PhaseMatcher:
                 lam_s = hi
                 break
             if (f_lo < 0) != (f_hi < 0):
-                lam_s = brentq(
+                lam_s = _brentq(
                     lambda x: self.delta_k(x, theta_deg, lambda_p, inter),
                     lo,
                     hi,

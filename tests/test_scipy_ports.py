@@ -1,0 +1,138 @@
+"""The Brent root finder and the not-a-knot spline against the scipy routines
+they port: the same floats, not merely close ones."""
+
+import math
+
+import numpy as np
+import pytest
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
+
+from twinsource import modes
+from twinsource.modes import EffectiveIndexTable, _brentq
+from twinsource.phasematch import INTERACTION_1, INTERACTION_2
+from twinsource.stack import TE, TM
+
+
+@pytest.fixture(scope="module")
+def tables(paper_stack):
+    return {pol: EffectiveIndexTable(paper_stack, pol, 1340.0, 1700.0) for pol in (TE, TM)}
+
+
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_brent_matches_scipy_on_the_mode_residual(paper_stack, pol):
+    lams = np.array([1340.0, 1520.0, 1700.0])
+    brackets = 0
+    for lam, (n_top, layers, n_bot) in zip(lams, modes._planar_profiles(paper_stack, lams, None)):
+        residual = modes._MatchedResidual(n_top, layers, n_bot, lam, pol)
+        grid = np.arange(3.0, max(n for n, _ in layers), modes._GRID_STEP)
+        sign = np.sign(residual(grid))
+        for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+            a, b = grid[j], grid[j + 1]
+            assert _brentq(residual, a, b, modes._XTOL) == brentq(residual, a, b, xtol=modes._XTOL)
+            brackets += 1
+    assert brackets >= 6
+
+
+@pytest.mark.parametrize("inter", [INTERACTION_1, INTERACTION_2], ids=["inter1", "inter2"])
+def test_brent_matches_scipy_on_the_momentum_mismatch(matcher, inter):
+    for theta in (-1.0, 0.0, 0.37, 1.7, 3.1, 4.0):
+        def mismatch(x):
+            return matcher.delta_k(x, theta, 760.0, inter)
+
+        for lo, hi in ((1370.0, 1670.0), (1400.0, 1650.0)):
+            mine = _brentq(mismatch, lo, hi, xtol=1e-10, rtol=8.9e-16)
+            assert mine == brentq(mismatch, lo, hi, xtol=1e-10, rtol=8.9e-16)
+
+
+def test_brent_steps_are_scipys(rng):
+    # the same points evaluated in the same order, on smooth, steep and flat
+    # roots with loose and tight tolerances
+    for _ in range(300):
+        a, b, p = rng.uniform(0.5, 8.0), rng.uniform(-0.9, 0.9), int(rng.integers(1, 6))
+        xtol = 10.0 ** rng.uniform(-14, -3)
+        lo, hi = sorted(rng.uniform(-3.0, 3.0, 2))
+        calls = {"scipy": [], "port": []}
+
+        def f(x, log):
+            log.append(x)
+            return math.sin(a * x) ** p + b * x - 0.1
+
+        if (f(lo, []) < 0) == (f(hi, []) < 0):
+            continue
+        want = brentq(f, lo, hi, args=(calls["scipy"],), xtol=xtol)
+        assert _brentq(lambda x: f(x, calls["port"]), lo, hi, xtol) == want
+        assert calls["port"] == calls["scipy"]
+
+
+def test_brent_raises_what_scipy_raises():
+    cases = [
+        ((lambda x: x * x + 1.0, -1.0, 1.0), {}, ValueError),  # no sign change
+        ((lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0), {}, ValueError),  # NaN
+        ((math.sin, 3.0, 4.0), {"rtol": 1e-16}, ValueError),  # below 4 eps
+        ((math.sin, 3.0, 4.0), {"xtol": 0.0}, ValueError),
+        ((math.sin, 3.0, 4.0), {"xtol": 1e-300, "maxiter": 2}, RuntimeError),
+    ]
+    for args, kwargs, error in cases:
+        with pytest.raises(error):
+            brentq(*args, **kwargs)
+        with pytest.raises(error):
+            _brentq(*args, **{"xtol": 2e-12, **kwargs})
+    assert _brentq(math.sin, 3.0, 4.0, 2e-12) == brentq(math.sin, 3.0, 4.0)
+
+
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_spline_coefficients_are_cubic_splines(tables, pol):
+    tab = tables[pol]
+    spline = CubicSpline(tab.knots_nm, tab.knot_n_eff)
+    assert np.array_equal(tab._c, spline.c)
+
+
+def test_spline_coefficients_on_uneven_knots(rng):
+    # uneven spacing makes the tridiagonal solve interchange rows, which the
+    # table's even 2 nm knots never do
+    for size in range(4, 40):
+        x = np.cumsum(rng.uniform(0.05, 3.0, size))
+        y = rng.normal(size=size)
+        assert np.array_equal(modes._not_a_knot(x, y), CubicSpline(x, y).c)
+
+
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_spline_values_are_cubic_splines(tables, pol, rng):
+    tab = tables[pol]
+    spline = CubicSpline(tab.knots_nm, tab.knot_n_eff)
+    slope = spline.derivative()
+    lo, hi = tab.lambda_min, tab.lambda_max
+    lams = np.concatenate(
+        (rng.uniform(lo, hi, 2000), tab.knots_nm, [lo, hi, lo - 0.9e-9, hi + 0.9e-9])
+    )
+    want = spline(lams)
+    want_group = spline(lams) - lams * slope(lams)
+    assert np.array_equal(tab.n_eff(lams), want)
+    assert np.array_equal(tab.n_group(lams), want_group)
+    assert np.array_equal([tab.n_eff(x) for x in lams.tolist()], want)
+    assert np.array_equal([tab.n_group(x) for x in lams.tolist()], want_group)
+    assert all(type(tab.n_eff(x)) is float for x in (lo, hi, float(lams[0])))
+
+
+def _outcome(lookup, query):
+    try:
+        value = lookup(query)
+    except ValueError:
+        return "raised"
+    return "nan" if np.isnan(value).all() else "value"
+
+
+@pytest.mark.parametrize("method", ["n_eff", "n_group"])
+def test_scalar_and_array_range_checks_agree(tables, method):
+    tab = tables[TE]
+    lookup = getattr(tab, method)
+    lo, hi = tab.lambda_min - 1e-9, tab.lambda_max + 1e-9
+    probes = [
+        lo, hi, np.nextafter(lo, -math.inf), np.nextafter(hi, math.inf), tab.lambda_min,
+        tab.lambda_max, 0.5 * (lo + hi), 0.0, -1.0, 1e300, math.inf, -math.inf, math.nan,
+    ]
+    for lam in map(float, probes):
+        want = "nan" if math.isnan(lam) else "value" if lo <= lam <= hi else "raised"
+        for query in (lam, np.float64(lam), np.array(lam), np.array([lam])):
+            assert _outcome(lookup, query) == want, (lam, type(query))
