@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,15 +27,13 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import efficiency, hom, modes, phasematch, spectra, stack
+from . import efficiency, errors, hom, modes, phasematch, spectra, stack
+from .config import ANGLE, MAX_SWEEP_POINTS, POSITIVE, WINDOW, require
 from .errors import ConfigError, NoResonanceInWindow, OutOfValidityWindow, TwinSourceError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
-
-# longest sweep or grid (`stack`, `tuning`, `spectrum`), held in memory whole
-MAX_SWEEP_POINTS = 10**6
 
 
 @dataclass
@@ -98,14 +95,10 @@ class _Run:
 
     def __init__(self, args, command):
         self.args = args
-        cfg = cfgmod.load_config(args.config)
-        cfg = cfgmod.apply_overrides(cfg, args.set or [])
+        cfg = cfgmod.apply_overrides(cfgmod.load_config(args.config), args.set or [])
         if args.seed is not None:
             cfg["seed"] = args.seed
-        seed = cfg["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
-        self.cfg = cfg
+        self.cfg = cfgmod.check_config(cfg)  # commands read the values it checked
         self.hash = cfgmod.config_hash(cfg)
         self.out_dir = Path(args.out)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,63 +145,13 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _is_finite_number(value) -> bool:
-    return isinstance(value, (int, float)) and math.isfinite(value)
-
-
-def _window(value, name: str) -> tuple:
-    """Wavelength window ``[lo, hi]`` in nm: two finite numbers, lo < hi."""
-    if not (
-        isinstance(value, (list, tuple))
-        and len(value) == 2
-        and all(_is_finite_number(v) for v in value)
-        and value[0] < value[1]
-    ):
-        raise ConfigError(f"{name} must be two finite wavelengths lo < hi in nm, got {value!r}")
-    return float(value[0]), float(value[1])
-
-
 def _grid(lo, hi, step, name: str) -> np.ndarray:
-    """Sweep lo, lo + step, ... up to hi (inclusive, to rounding)."""
-    if not (_is_finite_number(lo) and _is_finite_number(hi) and lo <= hi):
-        raise ConfigError(f"{name} range [{lo}, {hi}] is empty or not finite")
-    if not (_is_finite_number(step) and step > 0):
-        raise ConfigError(f"{name} step must be > 0, got {step}")
-    if not (hi - lo) / step + 1 <= MAX_SWEEP_POINTS:
+    """Sweep lo, lo + step, ... up to hi (inclusive, to rounding), for a step > 0."""
+    if not (lo <= hi and (hi - lo) / step + 1 <= MAX_SWEEP_POINTS):
         raise ConfigError(
-            f"{name} sweep of [{lo}, {hi}] at step {step} exceeds {MAX_SWEEP_POINTS} points"
+            f"{name} sweep [{lo}, {hi}] at step {step} is empty or over {MAX_SWEEP_POINTS} points"
         )
     return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
-
-
-def _positive(value, name: str) -> float:
-    """A finite number > 0."""
-    if not (_is_finite_number(value) and value > 0):
-        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")
-    return float(value)
-
-
-def _non_negative(value, name: str) -> float:
-    """A finite number >= 0."""
-    if not (_is_finite_number(value) and value >= 0):
-        raise ConfigError(f"{name} must be a finite number >= 0, got {value!r}")
-    return float(value)
-
-
-def _points(value, name: str) -> int:
-    """A whole number of sample points, 2 to MAX_SWEEP_POINTS."""
-    if not (_is_finite_number(value) and value == int(value) and 2 <= value <= MAX_SWEEP_POINTS):
-        raise ConfigError(
-            f"{name} must be a whole number from 2 to {MAX_SWEEP_POINTS}, got {value!r}"
-        )
-    return int(value)
-
-
-def _angle(theta, name: str):
-    """Pump incidence angle in degrees, strictly between -90 and 90."""
-    if not (_is_finite_number(theta) and abs(theta) < 90.0):
-        raise ConfigError(f"{name} must lie strictly between -90 and 90 degrees, got {theta!r}")
-    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +164,13 @@ def cmd_stack(args) -> int:
     cfg = run.cfg
     model = run.model
     device = cfgmod.build_stack(cfg)
-    if not device.layers:
-        raise ConfigError("stack has no layers")
-    if (args.lambda_min is None) != (args.lambda_max is None):
-        raise ConfigError("--lambda-min and --lambda-max must be given together")
-    if args.lambda_min is None:
-        lam_lo, lam_hi = _window(cfg["resonance"]["window_nm"], "resonance.window_nm")
-    else:
-        lam_lo, lam_hi = _window((args.lambda_min, args.lambda_max), "--lambda-min/--lambda-max")
-    theta = _angle(args.theta if args.theta is not None else 0.0, "--theta")
+    if args.lambda_min is None and args.lambda_max is None:
+        lam_lo, lam_hi = cfg["resonance"]["window_nm"]
+    else:  # both flags, or the one given fails the rule
+        lam_lo, lam_hi = require([args.lambda_min, args.lambda_max], WINDOW, "--lambda-min/max")
+    theta = require(0.0 if args.theta is None else args.theta, ANGLE, "--theta")
     pol = args.pol
-    lams = _grid(lam_lo, lam_hi, args.step, "wavelength (nm)")
+    lams = _grid(lam_lo, lam_hi, require(args.step, POSITIVE, "--step"), "wavelength (nm)")
     resp = stack.stack_response(device, lams, theta, pol, model)
 
     resonance_nm = None
@@ -288,11 +227,12 @@ def cmd_tuning(args) -> int:
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
     tcfg = cfg["tuning"]
-    lo = args.theta_min if args.theta_min is not None else tcfg["theta_min_deg"]
-    hi = args.theta_max if args.theta_max is not None else tcfg["theta_max_deg"]
-    step = args.theta_step if args.theta_step is not None else tcfg["theta_step_deg"]
+    lo, hi, step = tcfg["theta_min_deg"], tcfg["theta_max_deg"], tcfg["theta_step_deg"]
+    lo = lo if args.theta_min is None else require(args.theta_min, ANGLE, "--theta-min")
+    hi = hi if args.theta_max is None else require(args.theta_max, ANGLE, "--theta-max")
+    step = step if args.theta_step is None else require(args.theta_step, POSITIVE, "--theta-step")
     thetas = _grid(lo, hi, step, "pump angle (deg)")
-    lam_p = _positive(cfg["pump"]["wavelength_nm"], "pump.wavelength_nm")
+    lam_p = float(cfg["pump"]["wavelength_nm"])  # sidecars record floats
     points, failures = phasematch.PhaseMatcher(device, run.model).tuning_curve(thetas, lam_p)
     for theta, inter_id, msg in failures:
         run.report.warnings.append(f"theta={theta} interaction={inter_id}: {msg}")
@@ -331,19 +271,16 @@ def cmd_spectrum(args) -> int:
     run = _Run(args, "spectrum")
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
-    theta = _angle(args.theta if args.theta is not None else cfg["pump"]["angle_deg"], "pump angle")
-    lam_p = _positive(cfg["pump"]["wavelength_nm"], "pump.wavelength_nm")
-    length_mm = _positive(cfg["sample"]["length_mm"], "sample.length_mm")
+    theta = require(cfg["pump"]["angle_deg"] if args.theta is None else args.theta, ANGLE, "--theta")
+    lam_p = float(cfg["pump"]["wavelength_nm"])  # sidecars record floats, whole numbers too
+    length_mm = float(cfg["sample"]["length_mm"])
     scfg = cfg["spectrum"]
-    half_span = _positive(scfg["half_span_nm"], "spectrum.half_span_nm")
-    step = _positive(scfg["step_nm"], "spectrum.step_nm")
+    half_span, step = scfg["half_span_nm"], scfg["step_nm"]
     instrument = {  # what the measured spectrum adds to the sinc^2 lines
-        "noise_floor": _non_negative(scfg["noise_floor"], "spectrum.noise_floor"),
-        "pump_fwhm_nm": _non_negative(cfg["pump"]["linewidth_fwhm_nm"], "pump.linewidth_fwhm_nm"),
-        "mono_fwhm_nm": _non_negative(
-            scfg["monochromator_fwhm_nm"], "spectrum.monochromator_fwhm_nm"
-        ),
-        "long_peak_attenuation": cfgmod.facet_reflectance(cfg),
+        "noise_floor": float(scfg["noise_floor"]),
+        "pump_fwhm_nm": float(cfg["pump"]["linewidth_fwhm_nm"]),
+        "mono_fwhm_nm": float(scfg["monochromator_fwhm_nm"]),
+        "long_peak_attenuation": float(cfg["sample"]["facet_reflectance"]),
     }
     matcher = phasematch.PhaseMatcher(device, run.model)
     # size the grid (every emission peak, +/- the half span) before it is allocated
@@ -365,10 +302,10 @@ def cmd_spectrum(args) -> int:
 
 def _hom_model(cfg) -> hom.DipModel:
     hcfg = cfg["hom"]
-    return hom.DipModel(
+    return hom.DipModel(  # sidecars record floats
         visibility=cfgmod.hom_visibility(cfg),
-        wavelength_nm=_positive(hcfg["degeneracy_wavelength_nm"], "hom.degeneracy_wavelength_nm"),
-        delta_lambda_nm=_positive(hcfg["delta_lambda_nm"], "hom.delta_lambda_nm"),
+        wavelength_nm=float(hcfg["degeneracy_wavelength_nm"]),
+        delta_lambda_nm=float(hcfg["delta_lambda_nm"]),
     )
 
 
@@ -378,11 +315,10 @@ def cmd_hom_simulate(args) -> int:
     hcfg = cfg["hom"]
     model = _hom_model(cfg)
     chain = cfgmod.build_detection_chain(cfg)
-    half_span = _positive(hcfg["scan_half_span_mm"], "hom.scan_half_span_mm")
-    positions = np.linspace(-half_span, half_span, _points(hcfg["scan_points"], "hom.scan_points"))
-    dwell_s = _positive(hcfg["dwell_s"], "hom.dwell_s")
+    half_span = hcfg["scan_half_span_mm"]
+    positions = np.linspace(-half_span, half_span, int(hcfg["scan_points"]))
     try:
-        scan = hom.simulate_scan(model, chain, positions, dwell_s, cfg["seed"])
+        scan = hom.simulate_scan(model, chain, positions, float(hcfg["dwell_s"]), cfg["seed"])
     except ValueError as exc:  # positions or expected counts the sampler cannot take
         raise ConfigError(f"hom scan cannot be simulated: {exc}") from exc
     run.emit_table(
@@ -438,8 +374,8 @@ def _read_scan_csv(path: Path, dwell_s: float) -> hom.HomScan:
 def cmd_hom_fit(args) -> int:
     run = _Run(args, "hom-fit")
     cfg = run.cfg
-    lam = _positive(cfg["hom"]["degeneracy_wavelength_nm"], "hom.degeneracy_wavelength_nm")
-    scan = _read_scan_csv(Path(args.scan), _positive(cfg["hom"]["dwell_s"], "hom.dwell_s"))
+    lam = float(cfg["hom"]["degeneracy_wavelength_nm"])
+    scan = _read_scan_csv(Path(args.scan), float(cfg["hom"]["dwell_s"]))
     fit = hom.fit_dip(scan, lam)
     if not fit.converged:
         run.report.warnings.append("dip fit not converged: its baseline reached no fixed point")
@@ -486,16 +422,12 @@ def cmd_enhancement(args) -> int:
     run = _Run(args, "enhancement")
     cfg = run.cfg
     overrides = cfg["enhancement_overrides"]
-    for key, value in overrides.items():
-        if not _is_finite_number(value):
-            raise ConfigError(f"enhancement_overrides.{key} must be a finite number, got {value!r}")
     model = run.model
     payload = {}
     if not set(cfgmod.OVERRIDE_KEYS).issubset(overrides):
         device = cfgmod.build_stack(cfg)
-        window = _window(cfg["resonance"]["window_nm"], "resonance.window_nm")
-        res = stack.find_resonance(device, window, pol=stack.TE, model=model)
-        lam_deg = 2.0 * _positive(cfg["pump"]["wavelength_nm"], "pump.wavelength_nm")
+        res = stack.find_resonance(device, cfg["resonance"]["window_nm"], pol=stack.TE, model=model)
+        lam_deg = 2.0 * cfg["pump"]["wavelength_nm"]
         te = modes.guided_modes(device, lam_deg, stack.TE, model, max_modes=1)[0]
         tm = modes.guided_modes(device, lam_deg, stack.TM, model, max_modes=1)[0]
         payload = {
@@ -508,7 +440,10 @@ def cmd_enhancement(args) -> int:
             "t_down": res.t_down,
         }
     payload.update(overrides)
-    params = efficiency.CavityParams(*(payload[key] for key in cfgmod.OVERRIDE_KEYS))
+    try:
+        params = efficiency.CavityParams(*(payload[key] for key in cfgmod.OVERRIDE_KEYS))
+    except errors.NonPhysicalInput as exc:  # CavityParams holds the ranges an override must keep
+        raise ConfigError(f"enhancement_overrides: {exc}") if overrides else exc
     payload["enhancement_factor"] = efficiency.enhancement_factor(params)
     run.emit_json("enhancement", payload, {"overrides": sorted(overrides)})
     run.finish()

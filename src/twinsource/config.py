@@ -1,8 +1,9 @@
 """Device configuration: one JSON document drives every command.
 
 A config file is deep-merged over the built-in defaults (which mirror the
-nominal device and bench), so files only need the keys they change; a key
-outside the defaults, or a section set to a non-object, is a ConfigError.
+nominal device and bench), so files only need the keys they change;
+``check_config`` checks the result whole (keys, types, ``_RULES``), so a
+bad value in any section is a ConfigError, whichever command runs.
 Thickness rules inside stack regions are either a number (nm),
 "quarter-wave" (quarter wave at the design wavelength in that layer) or
 "qpm" (quarter wave at the mean index of the region's cell compositions).
@@ -13,6 +14,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import sys
 
 from . import materials
 from .efficiency import DetectionChain
@@ -98,20 +100,117 @@ DEFAULT_CONFIG = {
 }
 
 OVERRIDE_KEYS = ("n_mean", "finesse", "t_up", "t_down")  # CavityParams fields, in order
-_SHAPE = {**DEFAULT_CONFIG, "enhancement_overrides": dict.fromkeys(OVERRIDE_KEYS)}
+_SHAPE = {**DEFAULT_CONFIG, "enhancement_overrides": dict.fromkeys(OVERRIDE_KEYS, 0.0)}
+MAX_SWEEP_POINTS = 10**6  # longest sweep, grid or HOM scan, held in memory whole
 
 
-def _check_shape(doc: dict, shape: dict = _SHAPE, prefix: str = ""):
-    """ConfigError unless the keys of ``doc`` are in ``shape``, objects where it has them."""
+def _number(v) -> bool:
+    """A finite int or float, not a bool."""
+    return type(v) is not bool and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
+
+
+# A rule is (test, what it asks for). A key's rule is its range rule in
+# _RULES, which checks the type too, or else the type of its default value.
+_TYPES = {
+    dict: (lambda v: isinstance(v, dict), "an object"),
+    str: (lambda v: isinstance(v, str), "a string"),
+}
+_NUMBER = (_number, "a finite number")
+POSITIVE = (lambda v: _number(v) and v > 0, "a finite number > 0")
+NON_NEGATIVE = (lambda v: _number(v) and v >= 0, "a finite number >= 0")
+ANGLE = (lambda v: _number(v) and abs(v) < 90.0, "an angle strictly between -90 and 90 degrees")
+WINDOW = (
+    lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v)) and v[0] < v[1],
+    "two finite wavelengths lo < hi in nm",
+)
+_RULES = {
+    **dict.fromkeys(
+        (
+            "stack.design_wavelength_nm", "pump.wavelength_nm", "sample.length_mm",
+            "spectrum.step_nm", "spectrum.half_span_nm", "tuning.theta_step_deg",
+            "hom.delta_lambda_nm", "hom.degeneracy_wavelength_nm", "hom.scan_half_span_mm",
+            "hom.dwell_s",
+        ),
+        POSITIVE,
+    ),
+    **dict.fromkeys(
+        ("pump.linewidth_fwhm_nm", "spectrum.monochromator_fwhm_nm", "spectrum.noise_floor"),
+        NON_NEGATIVE,
+    ),
+    **dict.fromkeys(("pump.angle_deg", "tuning.theta_min_deg", "tuning.theta_max_deg"), ANGLE),
+    "resonance.window_nm": WINDOW,
+    "sample.facet_reflectance": (lambda v: _number(v) and 0 <= v < 1, "a number in [0, 1)"),
+    "hom.visibility": (lambda v: v is None or _number(v) and 0 <= v <= 1, "null or in [0, 1]"),
+    "hom.scan_points": (
+        lambda v: _number(v) and v == int(v) and 2 <= v <= MAX_SWEEP_POINTS,
+        f"a whole number from 2 to {MAX_SWEEP_POINTS}",
+    ),
+    "seed": (lambda v: _number(v) and isinstance(v, int) and v >= 0, "a non-negative integer"),
+    "stack.substrate_x": (lambda v: v is None or _number(v), "null (no substrate) or a number"),
+    "stack.regions": (
+        lambda v: isinstance(v, list) and len(v) > 0
+        and all(isinstance(r, dict) and {"name", "periods", "cell"} <= r.keys() for r in v),
+        "a non-empty list of objects with a name, periods and a cell",
+    ),
+    "stack.regions.periods": (
+        lambda v: _number(v) and v > 0 and round(2 * v) == 2 * v, "a half-integer > 0"
+    ),
+    "stack.regions.cell": (
+        lambda v: isinstance(v, list) and len(v) == 2
+        and all(isinstance(c, dict) and "x" in c for c in v) and v[0]["x"] != v[1]["x"],
+        "two layers, each with an x, of different compositions",
+    ),
+    "stack.regions.cell.thickness": (
+        lambda v: v in ("quarter-wave", "qpm") or POSITIVE[0](v),
+        '"quarter-wave", "qpm" or a finite number > 0',
+    ),
+}
+
+
+def require(value, rule, name: str):
+    """``value``, or ConfigError naming ``name`` unless it passes ``rule``."""
+    if not rule[0](value):
+        raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
+    return value
+
+
+def _item_shape(items: list) -> dict:
+    """The shape of one list entry: every key of the default entries, their lists joined."""
+    shape = {}
+    for item in items:
+        for key, val in item.items():
+            shape[key] = shape.get(key, []) + val if isinstance(val, list) else val
+    return shape
+
+
+def _walk(doc: dict, shape: dict, required: dict, path: str, rule_path: str):
+    """ConfigError unless ``doc`` has the keys of ``required``, and each key it has
+    is in ``shape`` and passes its rule."""
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ConfigError(f"config key '{path}{missing[0]}' is missing")
     for key, val in doc.items():
-        path = prefix + key
+        where, rule_key = f"{path}{key}", f"{rule_path}{key}"
         if key not in shape:
-            raise ConfigError(f"unknown config key '{path}'")
-        if isinstance(shape[key], dict) != isinstance(val, dict):
-            kind = "an object" if isinstance(shape[key], dict) else "a value"
-            raise ConfigError(f"config key '{path}' takes {kind}, got {val!r}")
-        if isinstance(val, dict):
-            _check_shape(val, shape[key], f"{path}.")
+            raise ConfigError(f"unknown config key '{where}'")
+        default = shape[key]
+        rule = _RULES.get(rule_key) or _TYPES.get(type(default), _NUMBER)
+        require(val, rule, f"config key '{where}'")
+        if isinstance(default, dict):
+            _walk(val, default, required.get(key, {}), f"{where}.", f"{rule_key}.")
+        elif isinstance(default, list) and isinstance(default[0], dict):
+            for i, entry in enumerate(val):  # objects with the keys they need, by the list's rule
+                _walk(entry, _item_shape(default), {}, f"{where}[{i}].", f"{rule_key}.")
+
+
+def check_config(cfg: dict) -> dict:
+    """``cfg`` itself once it is a whole config that passes every rule, else ConfigError."""
+    _walk(cfg, _SHAPE, DEFAULT_CONFIG, "", "")
+    try:
+        DetectionChain(**cfg["detection"])
+    except NonPhysicalInput as exc:
+        raise ConfigError(f"invalid detection section: {exc}") from exc
+    return cfg
 
 
 def _deep_merge(base: dict, update: dict) -> dict:
@@ -129,7 +228,7 @@ def default_config() -> dict:
 
 
 def load_config(path=None) -> dict:
-    """Defaults, overlaid with the JSON document at ``path`` when given."""
+    """Defaults, overlaid with the JSON document at ``path`` when given (see ``check_config``)."""
     cfg = default_config()
     if path is not None:
         try:
@@ -141,7 +240,6 @@ def load_config(path=None) -> dict:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(user, dict):
             raise ConfigError("config document must be a JSON object")
-        _check_shape(user)
         cfg = _deep_merge(cfg, user)
     return cfg
 
@@ -159,7 +257,6 @@ def apply_overrides(cfg: dict, assignments) -> dict:
             doc = raw
         for part in reversed(key.split(".")):
             doc = {part: doc}
-        _check_shape(doc)
         out = _deep_merge(out, doc)
     return out
 
@@ -170,43 +267,28 @@ def config_hash(cfg: dict) -> str:
 
 
 def dispersion_model(cfg: dict):
-    name = cfg.get("dispersion", {}).get("model", "adachi1985")
+    """The dispersion model the config names (the config is checked first)."""
     try:
-        return materials.get_model(name)
+        return materials.get_model(check_config(cfg)["dispersion"]["model"])
     except OutOfValidityWindow as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def build_stack(cfg: dict) -> LayerStack:
-    """LayerStack from the config's stack section (invariants enforced)."""
-    sc = cfg.get("stack", {})
+    """LayerStack from the config's stack section (config checked, invariants enforced)."""
     model = dispersion_model(cfg)
-    lam = sc.get("design_wavelength_nm", 760.0)
+    sc = cfg["stack"]
+    lam = sc["design_wavelength_nm"]
     try:
-        if not lam > 0:
-            raise ConfigError(f"stack.design_wavelength_nm must be > 0, got {lam}")
         layers: list[Layer] = []
         regions: list[Region] = []
-        for reg in sc.get("regions", []):
-            periods = reg["periods"]
-            if periods <= 0 or round(2 * periods) != 2 * periods:
-                raise ConfigError(
-                    f"region '{reg.get('name')}' period count {periods} "
-                    "is not a half-integer > 0"
-                )
-            cell = reg["cell"]
-            if len(cell) != 2:
-                raise ConfigError("each region cell must list exactly two layers")
-            if cell[0]["x"] == cell[1]["x"]:
-                raise ConfigError(
-                    f"region '{reg.get('name')}' cell repeats composition x={cell[0]['x']}"
-                )
-            n_layers = round(2 * periods)
+        for reg in sc["regions"]:
+            periods, cell = reg["periods"], reg["cell"]
             mean_n = sum(
                 materials.refractive_index(Composition(c["x"]), lam, model) for c in cell
             ) / len(cell)
             start = len(layers)
-            for i in range(n_layers):
+            for i in range(round(2 * periods)):
                 spec = cell[i % 2]
                 comp = Composition(spec["x"])
                 rule = spec.get("thickness", "quarter-wave")
@@ -214,46 +296,27 @@ def build_stack(cfg: dict) -> LayerStack:
                     t = lam / (4.0 * materials.refractive_index(comp, lam, model))
                 elif rule == "qpm":
                     t = lam / (4.0 * mean_n)
-                elif isinstance(rule, (int, float)) and rule > 0:
-                    t = float(rule)
                 else:
-                    raise ConfigError(f"bad thickness rule {rule!r}")
+                    t = float(rule)
                 layers.append(Layer(comp, t, spec.get("sign", 0)))
             regions.append(Region(reg["name"], start, len(layers), periods))
-        substrate = (
-            Composition(sc["substrate_x"]) if sc.get("substrate_x") is not None else None
-        )
+        substrate = Composition(sc["substrate_x"]) if sc["substrate_x"] is not None else None
         return LayerStack(
             layers=tuple(layers),
             substrate=substrate,
-            ambient_index=sc.get("ambient_index", 1.0),
+            ambient_index=sc["ambient_index"],
             regions=tuple(regions),
         )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError, OutOfValidityWindow, AboveBandgap) as exc:
+    except (ValueError, OutOfValidityWindow, AboveBandgap) as exc:
         raise ConfigError(f"invalid stack description: {exc}") from exc
 
 
 def build_detection_chain(cfg: dict) -> DetectionChain:
-    try:
-        return DetectionChain(**cfg.get("detection", {}))
-    except (TypeError, NonPhysicalInput) as exc:
-        raise ConfigError(f"invalid detection section: {exc}") from exc
-
-
-def facet_reflectance(cfg: dict) -> float:
-    """The sample's facet intensity reflectance, a number in [0, 1)."""
-    r = cfg.get("sample", {}).get("facet_reflectance", 0.30)
-    if not (isinstance(r, (int, float)) and 0.0 <= r < 1.0):
-        raise ConfigError(f"sample.facet_reflectance must be a number in [0, 1), got {r!r}")
-    return float(r)
+    """DetectionChain from the config's detection section (config checked)."""
+    return DetectionChain(**check_config(cfg)["detection"])
 
 
 def hom_visibility(cfg: dict) -> float:
-    vis = cfg.get("hom", {}).get("visibility")
-    if vis is None:
-        return visibility_from_reflectivity(facet_reflectance(cfg))
-    if not (isinstance(vis, (int, float)) and 0.0 <= vis <= 1.0):
-        raise ConfigError(f"hom.visibility must be a number in [0, 1], got {vis!r}")
-    return float(vis)
+    """``hom.visibility``, or 1/(1 + 2 R^2) from the facet reflectance when it is null."""
+    vis, r = check_config(cfg)["hom"]["visibility"], cfg["sample"]["facet_reflectance"]
+    return visibility_from_reflectivity(r) if vis is None else float(vis)

@@ -652,12 +652,12 @@ class EffectiveIndexTable:
         its offset t from the piece's knot, floats for a Python float and
         arrays otherwise. Both forms accept and reject the same values."""
         if type(lam) is float:
-            if not (lam < self._lo or lam > self._hi):
+            if self._lo <= lam <= self._hi:  # NaN fails this, and raises below
                 i = min(max(bisect_right(self._knots, lam) - 1, 0), self._last)
                 return (*self._pieces[i], lam - self._knots[i])
         else:
             lam = np.asarray(lam, dtype=float)
-            if not (np.any(lam < self._lo) or np.any(lam > self._hi)):
+            if np.all((self._lo <= lam) & (lam <= self._hi)):
                 i = np.clip(np.searchsorted(self.knots_nm, lam, side="right") - 1, 0, self._last)
                 return (*self._c[:, i], lam - self.knots_nm[i])
         raise ValueError(

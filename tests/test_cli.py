@@ -12,7 +12,14 @@ from hypothesis import given, settings, strategies as st
 
 import twinsource
 from twinsource.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, MAX_SWEEP_POINTS, main
-from twinsource.config import DEFAULT_CONFIG
+from twinsource.config import (
+    DEFAULT_CONFIG,
+    OVERRIDE_KEYS,
+    apply_overrides,
+    check_config,
+    default_config,
+)
+from twinsource.errors import ConfigError
 
 
 def run(*argv):
@@ -106,6 +113,16 @@ def test_stack_sweep_is_capped(tmp_path, capsys):
     assert str(MAX_SWEEP_POINTS) in capsys.readouterr().err
 
 
+# one two-layer region whose first cell entry gets the given extra key
+_ONE_REGION = 'stack.regions=[{"name":"a","periods":1,"cell":[{"x":0.9,%s},{"x":0.3}]}]'
+_NARROW_SWEEP = ("--lambda-min", 750, "--lambda-max", 770, "--step", 1)
+_OTHER_OVERRIDES = (
+    "--set", "enhancement_overrides.finesse=100",
+    "--set", "enhancement_overrides.t_up=0.5",
+    "--set", "enhancement_overrides.t_down=0.5",
+)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -138,6 +155,14 @@ def test_stack_sweep_is_capped(tmp_path, capsys):
         ("counts", "--set", "seed=true"),
         ("counts", "--set", "seed=-1"),
         ("counts", "--set", "seed=2.5"),
+        ("stack", "--set", "dispersion.model=[1]"),
+        ("spectrum", "--set", "pump.angle_deg=true"),
+        ("counts", "--set", "detection.pulse_rate_hz=true"),
+        ("stack", "--set", _ONE_REGION % '"thickness":true', *_NARROW_SWEEP),
+        ("stack", "--set", _ONE_REGION % '"thikness":100', *_NARROW_SWEEP),
+        ("counts", "--set", 'pump.wavelength_nm="x"'),
+        ("enhancement", "--set", "enhancement_overrides.n_mean=0.5", *_OTHER_OVERRIDES),
+        ("stack", "--set", "resonance=3", "--set", "resonance={}"),
     ],
     ids=[
         "negative_design_wavelength", "enhancement_window_strings", "tuning_zero_step",
@@ -149,6 +174,9 @@ def test_stack_sweep_is_capped(tmp_path, capsys):
         "n_mean_override_string", "delta_lambda_string", "misspelt_key",
         "unknown_override", "resonance_section_number", "tuning_section_number",
         "overrides_section_number", "seed_string", "seed_bool", "seed_negative", "seed_float",
+        "dispersion_model_list", "angle_bool", "pulse_rate_bool", "cell_thickness_bool",
+        "misspelt_cell_key", "unread_section_checked", "n_mean_override_out_of_range",
+        "section_emptied",
     ],
 )
 def test_bad_input_is_input_error(tmp_path, capsys, argv):
@@ -454,3 +482,80 @@ def test_arbitrary_config_values_keep_the_exit_contract(scan_dir, assignments):
             code = main([*argv, "--out", str(scan_dir / "out"), "--quiet"])
         assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# --- arbitrary values through the config check itself ------------------------------
+
+
+def _dotted(tree, prefix=""):
+    for key, val in tree.items():
+        yield prefix + key
+        if isinstance(val, dict):
+            yield from _dotted(val, f"{prefix}{key}.")
+
+
+# every section and leaf key, the expensive sections (stack, tuning, spectrum,
+# pump, resonance, dispersion) and the override names included
+_CONFIG_KEYS = sorted(
+    {*_dotted(DEFAULT_CONFIG), *(f"enhancement_overrides.{k}" for k in OVERRIDE_KEYS)}
+)
+_THICKNESS = st.one_of(_JSON_VALUES, st.sampled_from(("quarter-wave", "qpm")))
+# regions and cells that pass their list's rule, so the walk descends into
+# them, besides arbitrary objects and non-objects
+_CELL_WITH_X = st.fixed_dictionaries(
+    {"x": st.floats(0, 1), "thickness": _THICKNESS},
+    optional={"sign": _JSON_VALUES, "thikness": _JSON_VALUES},
+)
+_CELL = st.one_of(
+    _CELL_WITH_X,
+    st.dictionaries(st.sampled_from(("x", "thickness", "sign")), _THICKNESS, max_size=3),
+    _JSON_VALUES,
+)
+_CELLS = st.one_of(
+    st.lists(_CELL_WITH_X, min_size=2, max_size=2),
+    st.lists(_CELL, min_size=2, max_size=2),
+    st.lists(_CELL, max_size=3),
+)
+_REGION = st.fixed_dictionaries(
+    {
+        "name": st.text(max_size=3),
+        "periods": st.one_of(st.sampled_from((1, 4.5)), _JSON_VALUES),
+        "cell": _CELLS,
+    },
+    optional={"size": _JSON_VALUES},
+)
+_REGIONS = st.one_of(
+    st.lists(_REGION, min_size=1, max_size=2),
+    st.lists(
+        st.one_of(
+            _REGION,
+            st.dictionaries(st.sampled_from(("name", "periods", "cell")), _CELLS, max_size=3),
+            _JSON_VALUES,
+        ),
+        max_size=3,
+    ),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None, database=None)
+@given(
+    assignments=st.lists(st.tuples(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES), max_size=3),
+    regions=st.one_of(st.none(), _REGIONS),
+    dropped=st.lists(st.sampled_from(_CONFIG_KEYS), max_size=1),
+)
+def test_config_check_raises_only_config_errors(assignments, regions, dropped):
+    sets = [f"{key}={json.dumps(value)}" for key, value in assignments]
+    if regions is not None:
+        sets.append(f"stack.regions={json.dumps(regions)}")
+    cfg = apply_overrides(default_config(), sets)
+    for key in dropped:
+        *parents, leaf = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node.get(part) if isinstance(node, dict) else None
+        if isinstance(node, dict):
+            node.pop(leaf, None)
+    try:
+        assert check_config(cfg) is cfg
+    except ConfigError:
+        pass

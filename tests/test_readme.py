@@ -17,3 +17,12 @@ def test_readme_imports_exist():
     assert imports
     for node in imports:
         exec(compile(ast.Module([node], []), str(README), "exec"), {})
+
+
+def test_readme_config_example_passes_the_check(tmp_path):
+    from twinsource import config
+
+    (block,) = re.findall(r"```json\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    path = tmp_path / "device.json"
+    path.write_text(block, encoding="utf-8")
+    config.check_config(config.load_config(path))
