@@ -286,7 +286,9 @@ def cmd_spectrum(args) -> int:
     # size the grid (every emission peak, +/- the half span) before it is allocated
     pairs = [matcher.solve_pair(theta, lam_p, phasematch.interaction(i)) for i in (1, 2)]
     peaks = [w for p in pairs for w in (p.lambda_s_nm, p.lambda_i_nm)]
-    _grid(min(peaks) - half_span, max(peaks) + half_span, step, "spectrum wavelength (nm)")
+    grid = _grid(min(peaks) - half_span, max(peaks) + half_span, step, "spectrum wavelength (nm)")
+    if len(grid) < 2:
+        raise ConfigError(f"spectrum.step_nm {step} leaves a single grid point")
     sp = spectra.fluorescence_spectrum(
         theta, lam_p, length_mm, device, half_span_nm=half_span, step_nm=step, matcher=matcher,
         **instrument,
@@ -426,7 +428,11 @@ def cmd_enhancement(args) -> int:
     payload = {}
     if not set(cfgmod.OVERRIDE_KEYS).issubset(overrides):
         device = cfgmod.build_stack(cfg)
-        res = stack.find_resonance(device, cfg["resonance"]["window_nm"], pol=stack.TE, model=model)
+        window = cfg["resonance"]["window_nm"]
+        try:
+            res = stack.find_resonance(device, window, pol=stack.TE, model=model)
+        except KeyError as exc:  # the cavity's regions are found by name
+            raise ConfigError(f"stack.regions: {exc.args[0]}") from exc
         lam_deg = 2.0 * cfg["pump"]["wavelength_nm"]
         te = modes.guided_modes(device, lam_deg, stack.TE, model, max_modes=1)[0]
         tm = modes.guided_modes(device, lam_deg, stack.TM, model, max_modes=1)[0]

@@ -34,18 +34,19 @@ ch. 6), so a 41-period mirror is two layer matrices and a closed-form power.
 Roots. The scan grid holds the multiples of ``_GRID_STEP`` (1e-4, refined
 once to 1e-5 when it finds no root) inside the search window plus the two
 window ends, so a root's bracket does not depend on the window it was
-searched in. Each bracket is polished by Brent's method (``_brentq``, a port
-of scipy's C ``brentq`` that returns the same float; xtol ``_XTOL`` = 1e-12,
-rtol 4 eps); roots are reported sorted by descending n_eff (order 0 =
-fundamental).
+searched in. The brackets are polished together by Brent's method
+(``roots.brentq_lanes``, which gives the floats of scipy's ``brentq``; xtol
+``_XTOL`` = 1e-12, rtol 4 eps); roots are reported sorted by descending n_eff
+(order 0 = fundamental).
 
 Tables. ``EffectiveIndexTable`` puts its knots on the multiples of
 ``TABLE_STEP_NM`` (2 nm), evaluates every distinct composition once over the
-whole knot array, and grows by solving only the knots it lacks, so a grown
-table holds exactly the knots of a fresh table over the same range. Between
-knots it is the not-a-knot cubic spline, built and evaluated here with the
-same floating-point operations as ``scipy.interpolate.CubicSpline``, so the
-package needs numpy only.
+whole knot array, solves its knots together and grows by solving only the
+knots it lacks. A knot's root does not depend on which knots share its
+batch, so a grown table holds exactly the knots of a fresh table over the
+same range. Between knots it is the not-a-knot cubic spline, built and
+evaluated here with the same floating-point operations as
+``scipy.interpolate.CubicSpline``, so the package needs numpy only.
 
 The nominal device sits on a GaAs substrate whose index at telecom
 wavelengths exceeds every layer index, so the strict 1D structure has no
@@ -68,6 +69,7 @@ import numpy as np
 from . import materials
 from .errors import ModeTrackingLost, NoGuidedMode, NonGuidingStack
 from .materials import DispersionModel
+from .roots import brentq_lanes
 from .stack import TE, TM, LayerStack
 
 _GRID_STEP = 1e-4  # n_eff scan step of the root search
@@ -75,8 +77,8 @@ _XTOL = 1e-12  # Brent tolerance on a root, in n_eff
 TABLE_STEP_NM = 2.0  # knot spacing of EffectiveIndexTable
 _MAX_CELL = 8  # longest repeated cell, in layers, that a periodic run may have
 _BLOCK = 512  # scan points per residual call, so a full-window scan stays small
-_RTOL = 4.0 * np.finfo(float).eps  # Brent's relative tolerance, the least it accepts
-_MAXITER = 100  # Brent iterations before giving up
+_ANCHOR_EVERY = 32  # a table solves every 32nd knot on its own, to predict the others
+_SCAN_HALF = 4  # grid points scanned on each side of a knot's predicted root
 
 
 @dataclass(frozen=True)
@@ -86,70 +88,6 @@ class GuidedMode:
     n_eff: float
     order: int
     profile: tuple | None = None  # (depth_nm array, field array) when requested
-
-
-# ---------------------------------------------------------------------------
-# Brent root finder
-# ---------------------------------------------------------------------------
-
-
-def _brentq(f, a, b, xtol, rtol=_RTOL, maxiter=_MAXITER):
-    """Root of ``f`` in the sign-changing bracket [a, b] by Brent's method.
-
-    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4, in
-    the form of the C ``brentq`` that scipy ships: the same steps, the same
-    stopping rule |step| < (xtol + rtol |x|) / 2, and the same errors
-    (ValueError on an unbracketed root, a NaN value or a bad tolerance,
-    RuntimeError after ``maxiter`` iterations), so it returns the same float.
-    """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _RTOL:
-        raise ValueError(f"rtol too small ({rtol:g} < {_RTOL:g})")
-
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(a), float(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
 
 
 # ---------------------------------------------------------------------------
@@ -215,39 +153,69 @@ def _runs(path):
 
 
 class _MatchedResidual:
-    """Wronskian residual W(n_eff) of one planar profile at one wavelength.
+    """Wronskian residual W(n_eff) of one layer sequence at K wavelengths.
 
-    Callable on a scalar or an array of effective indices (same shape out):
-    the grid scan and the root polish share this one kernel.
+    ``layers`` holds (index, thickness) pairs. An index is a float (K = 1) or
+    an array over the K wavelengths (knots); ``n_top``, ``n_bot`` and
+    ``wavelength`` are floats or (K,) arrays. A layer is identified by its
+    indices over all knots and its thickness, so the run structure is found
+    once and shared by every knot; it is the structure each knot would get
+    on its own unless two different layers share an index at some knot but
+    not at all of them, or the first highest-index layer moves. ``uniform``
+    is False in those cases, and each knot is then solved on its own.
     """
 
     def __init__(self, n_top, layers, n_bot, wavelength, pol):
-        self.k0 = 2.0 * math.pi / wavelength
-        self.pol = pol
-        self.n_top, self.n_bot = n_top, n_bot
-        meet = int(np.argmax([n for n, _ in layers]))  # first highest-index layer
-        down = list(layers[:meet])
-        up = [(n, -t) for n, t in reversed(layers[meet:])]
-        steps = list(dict.fromkeys(down + up))  # distinct (n, signed t)
-        row = {step: i for i, step in enumerate(steps)}
-        self.n = np.array([n for n, _ in steps])
+        lams = np.atleast_1d(np.asarray(wavelength, dtype=float))
+        size = lams.size
+        n = np.array([n_ for n_, _ in layers], dtype=float).reshape(len(layers), -1)
+        n = np.broadcast_to(n, (len(layers), size))
+        rows = {}  # row bytes -> (number, row) of each distinct index row
+        keys = [
+            (rows.setdefault(row.tobytes(), (len(rows), row))[0], float(t))
+            for row, (_, t) in zip(n, layers)
+        ]
+        rows = [row for _, row in rows.values()]
+        meet = int(np.argmax(n[:, 0]))  # first highest-index layer
+        down = keys[:meet]
+        up = [(i, -t) for i, t in reversed(keys[meet:])]
+        steps = list(dict.fromkeys(down + up))  # distinct (index row, signed t)
+        place = {step: i for i, step in enumerate(steps)}
+        self.n = np.array([rows[i] for i, _ in steps]).reshape(len(steps), size)
         self.t = np.array([t for _, t in steps])
-        self.down = [([row[s] for s in cell], count) for cell, count in _runs(down)]
-        self.up = [([row[s] for s in cell], count) for cell, count in _runs(up)]
+        self.down = [([place[s] for s in cell], count) for cell, count in _runs(down)]
+        self.up = [([place[s] for s in cell], count) for cell, count in _runs(up)]
+        self.uniform = size == 1 or (
+            bool(np.all(np.argmax(n, axis=0) == meet))
+            and not any(np.any(rows[i] == rows[j]) for i in range(len(rows)) for j in range(i))
+        )
+        self.pol = pol
+        self.k0 = 2.0 * math.pi / lams
+        # squares and TM weights of the outer media in plain floats, per knot
+        tops = np.broadcast_to(np.asarray(n_top, dtype=float), size).tolist()
+        bots = np.broadcast_to(np.asarray(n_bot, dtype=float), size).tolist()
+        self.top2 = np.array([x**2 for x in tops])
+        self.bot2 = np.array([x**2 for x in bots])
+        self.m_top = np.array([self._m(x) for x in tops])
+        self.m_bot = np.array([self._m(x) for x in bots])
 
     def _m(self, n):
         return 1.0 if self.pol == TE else n * n
 
-    def __call__(self, neff):
+    def __call__(self, neff, knots=None):
+        """W at ``neff``, an array of any shape at the one knot, or with
+        ``knots`` (K,) one row of effective indices per knot: shape (k,) or
+        (k, P) for k knot indices."""
         neff = np.asarray(neff, dtype=float)
+        at = np.zeros((), dtype=np.intp) if knots is None else np.asarray(knots)
+        at = np.broadcast_to(at.reshape(at.shape + (1,) * (neff.ndim - at.ndim)), neff.shape)
         u = neff * neff
-        k0 = self.k0
-        col = (-1,) + (1,) * u.ndim
-        n = self.n.reshape(col)
-        c, msk, k2sk = _layer_factors(n, self.t.reshape(col), self._m(n), u, k0)
+        k0 = self.k0[at]
+        n = self.n[:, at]
+        c, msk, k2sk = _layer_factors(n, self.t.reshape((-1,) + (1,) * u.ndim), self._m(n), u, k0)
         one = np.ones_like(u)
-        g_top = k0 * np.sqrt(u - self.n_top**2) / self._m(self.n_top)
-        g_bot = -k0 * np.sqrt(u - self.n_bot**2) / self._m(self.n_bot)
+        g_top = k0 * np.sqrt(u - self.top2[at]) / self.m_top[at]
+        g_bot = -k0 * np.sqrt(u - self.bot2[at]) / self.m_bot[at]
         f_t, g_t = _carry(self.down, c, msk, k2sk, one, g_top)
         f_b, g_b = _carry(self.up, c, msk, k2sk, one, g_bot)
         return f_t * g_b - g_t * f_b
@@ -314,12 +282,8 @@ def solve_planar(
         sign = np.sign(
             np.concatenate([residual(grid[i : i + _BLOCK]) for i in range(0, grid.size, _BLOCK)])
         )
-        found = []
-        for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0][::-1]:  # highest n_eff first
-            found.append(_brentq(residual, grid[j], grid[j + 1], _XTOL))
-            if max_modes is not None and len(found) >= max_modes:
-                break
-        return found
+        at = np.nonzero(sign[:-1] * sign[1:] < 0)[0][::-1][:max_modes]  # highest n_eff first
+        return brentq_lanes(lambda x, _: residual(x), grid[at], grid[at + 1], _XTOL).tolist()
 
     roots = roots_on_grid(_GRID_STEP)
     if not roots:
@@ -338,8 +302,9 @@ def solve_planar(
 # ---------------------------------------------------------------------------
 
 
-def _planar_profiles(s: LayerStack, wavelengths, model):
-    """Yield (n_top, [(n, t), ...], n_bot) of the stack at each wavelength.
+def _profile_arrays(s: LayerStack, wavelengths, model):
+    """(n_top, n_layers (L, K), n_bot (K,), thicknesses) of the stack at K
+    wavelengths.
 
     Every distinct composition, and the substrate, is evaluated once over the
     whole wavelength array. Where the substrate index reaches the highest
@@ -364,7 +329,12 @@ def _planar_profiles(s: LayerStack, wavelengths, model):
     last = s.regions[-1] if s.regions else None
     clad = n_layers[last.start : last.stop].min(axis=0) if last else n_layers[-1]
     n_bot = np.where(n_bot >= n_layers.max(axis=0), clad, n_bot)
-    thickness = [ly.thickness_nm for ly in s.layers]
+    return n_top, n_layers, n_bot, [ly.thickness_nm for ly in s.layers]
+
+
+def _planar_profiles(s: LayerStack, wavelengths, model):
+    """Yield (n_top, [(n, t), ...], n_bot) of the stack at each wavelength."""
+    n_top, n_layers, n_bot, thickness = _profile_arrays(s, wavelengths, model)
     for col, nb in zip(n_layers.T, n_bot.tolist()):
         yield n_top, list(zip(col.tolist(), thickness)), nb
 
@@ -572,10 +542,11 @@ class EffectiveIndexTable:
     range (at least four). Dispersion solves are exact at the knots (direct
     root finding at every knot); between knots the spline reproduces direct
     solves to well below 1e-9 for any smooth guided branch, which keeps
-    momentum residuals negligible while making sweeps cheap. The solve at each knot reuses the
-    previous knot's root to narrow the scan window, falling back to the full
-    window when that fails; the scan grid is anchored to absolute n_eff
-    values, so the narrowed and the full window give the same root.
+    momentum residuals negligible while making sweeps cheap. Each knot's
+    root is the one the scan finds in the window +-0.02 around the previous
+    knot's root (the full window when that finds none); the scan grid is
+    anchored to absolute n_eff values, so the narrowed and the full window
+    give the same root. The knots are solved together (``_solve``).
     ``extend`` grows the table by solving only the knots it lacks.
 
     The spline is the not-a-knot cubic through the knots (``_not_a_knot``).
@@ -630,21 +601,77 @@ class EffectiveIndexTable:
         self._pieces = list(zip(*self._c.tolist()))  # (c0, c1, c2, c3) of each piece
 
     def _solve(self, lams, prev):
-        """Fundamental n_eff at each of ``lams`` (ascending), chained from the
-        root ``prev`` of the knot below, or from the full window if None."""
+        """Fundamental n_eff at each of ``lams`` (ascending), each root chained
+        from the root of the knot below (``prev`` below the first; the full
+        window when it is None), in a few array passes.
+
+        Anchors, every ``_ANCHOR_EVERY``-th knot and the last, are solved one
+        by one, each chained from the anchor below; linear interpolation
+        between them predicts every knot. One residual call scans the
+        ``2 _SCAN_HALF + 1`` multiples of ``_GRID_STEP`` nearest each
+        prediction, and the highest sign change of each knot is polished by
+        one lane-wise Brent. That bracket is the one the chained scan finds
+        when both of its ends lie inside the chained window (the root below
+        +-0.02) and W has the same sign at its top end as at the top of that
+        window, which one more residual call checks. A knot that fails a
+        check, or whose scan shows no sign change, is solved by the chained
+        scan itself, as is every knot of a stack without one shared run
+        structure.
+        """
         neffs = np.empty(len(lams))
         if not len(lams):
             return neffs
-        profiles = _planar_profiles(self.stack, lams, self.model)
-        for i, (lam, (n_top, n_layers, n_bot)) in enumerate(zip(lams.tolist(), profiles)):
+        n_top, n_layers, n_bot, thickness = _profile_arrays(self.stack, lams, self.model)
+        pol = self.polarization
+        residual = _MatchedResidual(n_top, list(zip(n_layers, thickness)), n_bot, lams, pol)
+
+        def chained(i, prev):
+            layers = list(zip(n_layers[:, i].tolist(), thickness))
+            lam, nb = float(lams[i]), float(n_bot[i])
             window = (prev - 0.02, prev + 0.02) if prev is not None else None
             try:
-                roots = solve_planar(
-                    n_top, n_layers, n_bot, lam, self.polarization, max_modes=1, window=window
-                )
+                return solve_planar(n_top, layers, nb, lam, pol, max_modes=1, window=window)[0]
             except (NoGuidedMode, NonGuidingStack):
-                roots = solve_planar(n_top, n_layers, n_bot, lam, self.polarization, max_modes=1)
-            prev = neffs[i] = roots[0]
+                return solve_planar(n_top, layers, nb, lam, pol, max_modes=1)[0]
+
+        if not residual.uniform or len(lams) <= 2:  # two knots are both anchors
+            for i in range(len(lams)):
+                prev = neffs[i] = chained(i, prev)
+            return neffs
+        anchors = sorted({*range(0, len(lams), _ANCHOR_EVERY), len(lams) - 1})
+        roots, at = [], prev
+        for i in anchors:
+            at = chained(i, at)
+            roots.append(at)
+        guess = np.interp(lams, lams[anchors], roots)
+        knots = np.arange(len(lams))
+        j = np.rint(guess / _GRID_STEP)[:, None] + np.arange(-_SCAN_HALF, _SCAN_HALF + 1)
+        grid = j * _GRID_STEP
+        rows = _BLOCK // grid.shape[1]  # knots per residual call
+        sign = np.sign(
+            np.concatenate([residual(grid[i : i + rows], knots[i : i + rows]) for i in knots[::rows]])
+        )
+        change = sign[:, :-1] * sign[:, 1:] < 0
+        top = change.shape[1] - 1 - np.argmax(change[:, ::-1], axis=1)  # highest change
+        found = change.any(axis=1) & np.all(sign != 0, axis=1)
+        lo, hi = grid[knots, top], grid[knots, top + 1]
+        root = guess.copy()  # a knot without a bracket keeps its guess as a neighbour
+        solved = np.flatnonzero(found)
+        root[solved] = brentq_lanes(
+            lambda x, lanes: residual(x, solved[lanes]), lo[solved], hi[solved], _XTOL
+        )
+        # the chained window of each knot, from the batch root below it
+        below = np.concatenate(([np.nan if prev is None else prev], root[:-1]))
+        w_lo = np.maximum(n_top, n_bot) + 1e-6
+        w_hi = n_layers.max(axis=0) - 1e-6
+        w_lo = np.where(np.isnan(below), w_lo, np.maximum(w_lo, below - 0.02))
+        w_hi = np.where(np.isnan(below), w_hi, np.minimum(w_hi, below + 0.02))
+        same_parity = np.sign(residual(w_hi, knots)) == sign[knots, top + 1]
+        ok = found & (w_lo < lo) & (hi < w_hi) & same_parity
+        for i in range(len(lams)):
+            neighbour = prev if i == 0 else neffs[i - 1]
+            held = i == 0 or neighbour == below[i]
+            prev = neffs[i] = root[i] if ok[i] and held else chained(i, neighbour)
         return neffs
 
     def _at(self, lam):

@@ -19,7 +19,7 @@ the multiples of ``modes.TABLE_STEP_NM`` = 2 nm, interpolation error far
 below the momentum residual tolerance ``MOMENTUM_RTOL``). A query outside a
 table grows it knot by knot: only the missing knots are solved and the
 spline is refitted, so a grown table equals a fresh one over the same range.
-The signal wavelength is polished by ``modes._brentq`` (Brent's method, the
+The signal wavelength is polished by ``roots.brentq`` (Brent's method, the
 floats of scipy's ``brentq``); it evaluates the mismatch at Python floats,
 which the tables look up without building arrays.
 """
@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoSolutionInWindow
-from .modes import EffectiveIndexTable, _brentq
+from .modes import EffectiveIndexTable
+from .roots import brentq
 from .stack import TE, TM, LayerStack
 
 MOMENTUM_RTOL = 1e-9  # residual bound, relative to k_p
@@ -197,7 +198,7 @@ class PhaseMatcher:
                 lam_s = hi
                 break
             if (f_lo < 0) != (f_hi < 0):
-                lam_s = _brentq(
+                lam_s = brentq(
                     lambda x: self.delta_k(x, theta_deg, lambda_p, inter),
                     lo,
                     hi,

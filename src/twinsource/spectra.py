@@ -133,20 +133,23 @@ def _make_grid(lo, hi, step):
 def convolve(sp: Spectrum, kernel: GaussianKernel) -> Spectrum:
     """Discrete convolution on the spectrum's own grid (zero-padded edges).
 
-    The kernel is sampled out to 6 sigma and normalized to unit sum, so the
-    total integral is preserved to better than 0.1% for features well inside
-    the grid.
+    The kernel is sampled out to 6 sigma, or out to the grid's span where
+    that is shorter (farther points meet no grid point), and normalized to
+    unit sum, so the total integral is preserved to better than 0.1% for
+    features well inside the grid.
     """
-    step = sp.step_nm
+    step, size = sp.step_nm, sp.intensity.size
     if kernel.fwhm_nm < 2.0 * step:
         raise KernelUnderResolved(
             f"kernel FWHM {kernel.fwhm_nm} nm under-resolved on a {step} nm grid"
         )
-    half = int(math.ceil(6.0 * kernel.sigma_nm / step))
+    half = min(int(math.ceil(6.0 * kernel.sigma_nm / step)), size - 1)
     x = step * np.arange(-half, half + 1)
     k = np.exp(-0.5 * (x / kernel.sigma_nm) ** 2)
     k /= k.sum()
     out = np.convolve(sp.intensity, k, mode="same")
+    if len(k) > size:  # "same" then has the kernel's length: keep the grid's points
+        out = out[half - (size - 1) // 2 :][:size]
     meta = dict(sp.metadata)
     meta["kernels"] = list(meta.get("kernels", [])) + [
         {"shape": "gaussian", "fwhm_nm": kernel.fwhm_nm}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import materials
-from .errors import MultipleResonances, NoResonanceInWindow
+from .errors import MultipleResonances, NoResonanceInWindow, TwinSourceError
 from .materials import Composition, DispersionModel
 
 TE = "TE"
@@ -159,6 +159,9 @@ _POINTS_PER_LAYER = 12  # field samples per layer, both boundaries included
 _PAD_NM = 200.0  # ambient and substrate tails of a field profile
 RESONANCE_SCAN_STEP_NM = 0.05
 RESONANCE_PROMINENCE = 5e-4  # least prominence of the resonance's R dip
+_WALK_CHUNK = 16  # half-maximum walk points per core_intensity call
+_BISECT_LEVELS = 3  # half-maximum bisection steps per core_intensity call
+_CAVITY_REGIONS = ("top_dbr", "core", "bottom_dbr")  # the region names a cavity needs
 
 
 def _cos_theta(n, n0_sin):
@@ -411,34 +414,35 @@ def field_profile(
 
 def core_intensity(
     s: LayerStack,
-    wavelength: float,
+    wavelength,
     theta_deg: float = 0.0,
     pol: str = TE,
     model: DispersionModel | None = None,
-) -> float:
-    """Peak |field|^2 inside the core region for unit incident intensity.
+):
+    """Peak |field|^2 inside the core region for unit incident intensity, a
+    float at one wavelength or an array over a 1-D wavelength array.
 
     Only the core is sampled, at ``_POINTS_PER_LAYER`` points per layer.
     The field at the top of the core is the transmitted substrate field
     carried up through the core and the layers below it.
     """
     core = _region_slice(s, "core")
-    k0 = 2.0 * math.pi / wavelength
-    n_list = layer_indices(s, wavelength, model)
+    lams = np.reshape(np.asarray(wavelength, dtype=float), -1)
+    k0 = 2.0 * math.pi / lams
+    n_list = np.reshape(layer_indices(s, lams, model), (lams.size, -1))  # (W, L)
     t_list = _thicknesses(s)
-    n_sub = substrate_index(s, wavelength, model)
+    n_sub = substrate_index(s, lams, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    _, t, _, _ = raw_response(s.ambient_index, n_list, t_list, n_sub, wavelength, theta_deg, pol)
+    _, t, _, _ = raw_response(s.ambient_index, n_list, t_list, n_sub, lams, theta_deg, pol)
     below = slice(core.start, None)
-    m00, m01, m10, m11 = _char_matrix(
-        n_list[below], t_list[below], n0_sin, np.reshape(wavelength, -1), pol
-    )[:, 0]
+    m00, m01, m10, m11 = _char_matrix(n_list[:, below], t_list[below], n0_sin, lams, pol)
     eta_sub = _admittance(n_sub, _cos_theta(n_sub, n0_sin), pol)
     f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
-    layers, _, _ = _walk(f, g, n_list[core], t_list[core], n0_sin, k0, pol)
-    a, b, kz, _ = (np.array(col)[:, None] for col in zip(*layers))
-    x = np.linspace(0.0, t_list[core], _POINTS_PER_LAYER, axis=1)
-    return float(np.max(np.abs(_layer_field(a, b, kz, x)) ** 2))
+    layers, _, _ = _walk(f, g, n_list[:, core].T, t_list[core], n0_sin, k0, pol)
+    a, b, kz, _ = (np.array(col)[:, :, None] for col in zip(*layers))  # (core layers, W, 1)
+    x = np.linspace(0.0, t_list[core], _POINTS_PER_LAYER, axis=1)[:, None, :]
+    peak = np.max(np.abs(_layer_field(a, b, kz, x)) ** 2, axis=(0, 2))
+    return float(peak[0]) if np.ndim(wavelength) == 0 else peak
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +505,7 @@ def _cavity(s, wavelength, theta_deg, pol, model):
     mean index; the incidence angle, defined in air, is carried into it by
     the conserved transverse momentum n0 sin(theta).
     """
-    top, core, bottom = (_region_slice(s, name) for name in ("top_dbr", "core", "bottom_dbr"))
+    top, core, bottom = (_region_slice(s, name) for name in _CAVITY_REGIONS)
     k0 = 2.0 * math.pi / wavelength
     n_list = layer_indices(s, wavelength, model)
     t_list = _thicknesses(s)
@@ -542,7 +546,12 @@ def find_resonance(
       refined from the neighbouring scan points to xtol = 1e-3 nm;
     * the FWHM is read off the core field-intensity resonance curve: each
       half-maximum crossing is bracketed by walking out in 0.1 nm steps, then
-      bisected 40 times;
+      bisected 40 times. The numerics are the scalar walk's and bisection's,
+      evaluated in arrays: ``_WALK_CHUNK`` walk points per ``core_intensity``
+      call (their wavelengths summed step by step, as a loop sums them; a
+      chunk the index model cannot evaluate is walked point by point), and
+      ``_BISECT_LEVELS`` bisection steps of both crossings per call, which
+      holds every midpoint those steps can reach;
     * the free spectral range comes from the slope of the cavity round-trip
       phase, a central difference with h = 0.05 nm (the window holds a single
       dip, so peak-to-peak spacing is not available);
@@ -554,6 +563,8 @@ def find_resonance(
     lo, hi = lambda_window
     if not (hi > lo):
         raise ValueError("empty wavelength window")
+    for name in _CAVITY_REGIONS:  # a missing region fails before any work
+        _region_slice(s, name)
     lams = np.arange(lo, hi + RESONANCE_SCAN_STEP_NM / 2, RESONANCE_SCAN_STEP_NM)
     refl = stack_response(s, lams, theta_deg, pol, model).reflectance
     idx = _prominent_minima(refl, RESONANCE_PROMINENCE)
@@ -576,23 +587,51 @@ def find_resonance(
     peak = intensity(lam_res)
     half = peak / 2.0
 
-    def crossing(direction):
-        step = 0.1 * direction
-        lam_in, lam_out = lam_res, lam_res + step
-        while intensity(lam_out) > half:
-            lam_in = lam_out
-            lam_out += step
-            if abs(lam_out - lam_res) > (hi - lo):
-                raise NoResonanceInWindow("core resonance half-width exceeds the window")
-        for _ in range(40):
-            mid = 0.5 * (lam_in + lam_out)
-            if intensity(mid) > half:
-                lam_in = mid
-            else:
-                lam_out = mid
-        return 0.5 * (lam_in + lam_out)
+    def bracket(step):
+        """(inside, outside) of the half-maximum crossing on walking out from
+        the peak: the first of the wavelengths lam_res + step, + step, ...
+        (summed one step at a time) at or below half, ``_WALK_CHUNK`` of them
+        per call."""
+        span = hi - lo
+        walk = np.cumsum(np.r_[lam_res, np.full(int(span / abs(step)) + 2, step)])[1:]
+        # the walk gives up at its first point beyond the window span (never the first)
+        walk = walk[: 1 + int(np.argmax(np.abs(walk[1:] - lam_res) > span))]
+        for start in range(0, len(walk), _WALK_CHUNK):
+            part = walk[start : start + _WALK_CHUNK]
+            try:
+                above = intensity(part) > half
+            except TwinSourceError:  # past the crossing the model may end: go one by one
+                above = []
+                for lam in part.tolist():
+                    above.append(intensity(lam) > half)
+                    if not above[-1]:
+                        break
+                above = np.array(above)
+            if not above.all():
+                k = start + int(np.argmin(above))
+                return (lam_res if k == 0 else walk[k - 1]), walk[k]
+        raise NoResonanceInWindow("core resonance half-width exceeds the window")
 
-    fwhm = crossing(+1.0) - crossing(-1.0)
+    # bisect both crossings 40 times, _BISECT_LEVELS steps per call: the call
+    # takes every midpoint those steps can reach, each computed as the step
+    # that reaches it computes it, and the steps then pick theirs
+    lam_in, lam_out = np.array([bracket(0.1), bracket(-0.1)]).T
+    sides = np.arange(2)
+    for start in range(0, 40, _BISECT_LEVELS):
+        los, his = [lam_in[:, None]], [lam_out[:, None]]  # level by level, inside first
+        for _ in range(min(_BISECT_LEVELS, 40 - start) - 1):
+            mid = 0.5 * (los[-1] + his[-1])
+            los.append(np.stack((mid, los[-1]), axis=2).reshape(2, -1))
+            his.append(np.stack((his[-1], mid), axis=2).reshape(2, -1))
+        mids = 0.5 * (np.concatenate(los, axis=1) + np.concatenate(his, axis=1))
+        above = (intensity(mids.ravel()) > half).reshape(mids.shape)
+        node = np.zeros(2, dtype=int)  # index into mids: level l starts at 2^l - 1
+        for _ in los:
+            mid, inside = mids[sides, node], above[sides, node]
+            lam_in, lam_out = np.where(inside, mid, lam_in), np.where(inside, lam_out, mid)
+            node = 2 * node + 1 + ~inside
+    right, left = 0.5 * (lam_in + lam_out)
+    fwhm = right - left
 
     # FSR from the round-trip phase slope (central difference, wrap-safe)
     h = 0.05

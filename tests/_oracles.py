@@ -7,7 +7,9 @@ transfer-matrix oracle multiplies the layer matrices one at a time in plain
 complex arithmetic. The planar-mode oracle sweeps (F, G) once from the top
 medium to the bottom one, layer by layer, and bisects its sign changes; the
 dispersion oracle spells out the index formula in the order the package
-evaluates it.
+evaluates it. The resonance oracle is the package's resonance search with its
+field-intensity half-width found one wavelength at a time: a scalar walk out
+in 0.1 nm steps and two 40-step bisections.
 """
 
 import cmath
@@ -212,3 +214,83 @@ def carry_loop(layers, wavelength, pol, neff, f, g):
             c, sk = math.cosh(q * t), math.sinh(q * t) / q
         f, g = c * f + m * sk * g, -(k0 * k0 * s2 / m) * sk * f + c * g
     return f, g
+
+
+def core_intensity_scalar(s, wavelength, theta_deg, pol, model=None):
+    """Peak core |field|^2 at one wavelength, from the package's transfer
+    matrices, with every array of one wavelength."""
+    from twinsource import stack as st
+
+    core = st._region_slice(s, "core")
+    k0 = 2.0 * math.pi / wavelength
+    n_list = st.layer_indices(s, wavelength, model)
+    t_list = st._thicknesses(s)
+    n_sub = st.substrate_index(s, wavelength, model)
+    n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
+    _, t, _, _ = st.raw_response(s.ambient_index, n_list, t_list, n_sub, wavelength, theta_deg, pol)
+    below = slice(core.start, None)
+    m00, m01, m10, m11 = st._char_matrix(
+        n_list[below], t_list[below], n0_sin, np.reshape(wavelength, -1), pol
+    )[:, 0]
+    eta_sub = st._admittance(n_sub, st._cos_theta(n_sub, n0_sin), pol)
+    f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
+    layers, _, _ = st._walk(f, g, n_list[core], t_list[core], n0_sin, k0, pol)
+    a, b, kz, _ = (np.array(col)[:, None] for col in zip(*layers))
+    x = np.linspace(0.0, t_list[core], st._POINTS_PER_LAYER, axis=1)
+    return float(np.max(np.abs(st._layer_field(a, b, kz, x)) ** 2))
+
+
+def resonance_scalar(s, lambda_window, theta_deg, pol, model=None):
+    """``stack.find_resonance`` with the half-maximum walk and bisections
+    taken one wavelength at a time."""
+    from twinsource import stack as st
+
+    lo, hi = lambda_window
+    lams = np.arange(lo, hi + st.RESONANCE_SCAN_STEP_NM / 2, st.RESONANCE_SCAN_STEP_NM)
+    refl = st.stack_response(s, lams, theta_deg, pol, model).reflectance
+    (i,) = st._prominent_minima(refl, st.RESONANCE_PROMINENCE)
+
+    def refl_at(lam):
+        return st.stack_response(s, lam, theta_deg, pol, model).reflectance
+
+    lam_res = st._golden_minimize(
+        refl_at, lams[max(i - 1, 0)], lams[min(i + 1, len(lams) - 1)], 1e-3
+    )
+    r_min = refl_at(lam_res)
+
+    def intensity(lam):
+        return core_intensity_scalar(s, lam, theta_deg, pol, model)
+
+    half = intensity(lam_res) / 2.0
+
+    def crossing(direction):
+        step = 0.1 * direction
+        lam_in, lam_out = lam_res, lam_res + step
+        while intensity(lam_out) > half:
+            lam_in = lam_out
+            lam_out += step
+            assert abs(lam_out - lam_res) <= hi - lo
+        for _ in range(40):
+            mid = 0.5 * (lam_in + lam_out)
+            if intensity(mid) > half:
+                lam_in = mid
+            else:
+                lam_out = mid
+        return 0.5 * (lam_in + lam_out)
+
+    fwhm = crossing(+1.0) - crossing(-1.0)
+    h = 0.05
+    prop_p, (up_p, *_), (dn_p, *_) = st._cavity(s, lam_res + h, theta_deg, pol, model)
+    prop_m, (up_m, *_), (dn_m, *_) = st._cavity(s, lam_res - h, theta_deg, pol, model)
+    dphi = (prop_p - prop_m) + np.angle(up_p / up_m) + np.angle(dn_p / dn_m)
+    fsr = 2.0 * math.pi / abs(dphi / (2.0 * h))
+    _, (*_, t_up), (*_, t_down) = st._cavity(s, lam_res, theta_deg, pol, model)
+    return st.ResonanceResult(
+        wavelength_nm=float(lam_res),
+        finesse=float(fsr / fwhm),
+        t_up=float(t_up),
+        t_down=float(t_down),
+        reflectance_min=float(r_min),
+        fwhm_nm=float(fwhm),
+        fsr_nm=float(fsr),
+    )

@@ -116,6 +116,13 @@ def test_stack_sweep_is_capped(tmp_path, capsys):
 # one two-layer region whose first cell entry gets the given extra key
 _ONE_REGION = 'stack.regions=[{"name":"a","periods":1,"cell":[{"x":0.9,%s},{"x":0.3}]}]'
 _NARROW_SWEEP = ("--lambda-min", 750, "--lambda-max", 770, "--step", 1)
+# the default regions renamed: enhancement finds the cavity's mirrors by name
+_RENAMED_REGIONS = "stack.regions=" + json.dumps(
+    [
+        {**region, "name": name}
+        for region, name in zip(DEFAULT_CONFIG["stack"]["regions"], ("t", "core", "b"))
+    ]
+)
 _OTHER_OVERRIDES = (
     "--set", "enhancement_overrides.finesse=100",
     "--set", "enhancement_overrides.t_up=0.5",
@@ -163,6 +170,8 @@ _OTHER_OVERRIDES = (
         ("counts", "--set", 'pump.wavelength_nm="x"'),
         ("enhancement", "--set", "enhancement_overrides.n_mean=0.5", *_OTHER_OVERRIDES),
         ("stack", "--set", "resonance=3", "--set", "resonance={}"),
+        ("enhancement", "--set", _RENAMED_REGIONS),
+        ("spectrum", "--set", "spectrum.step_nm=46"),
     ],
     ids=[
         "negative_design_wavelength", "enhancement_window_strings", "tuning_zero_step",
@@ -176,13 +185,18 @@ _OTHER_OVERRIDES = (
         "overrides_section_number", "seed_string", "seed_bool", "seed_negative", "seed_float",
         "dispersion_model_list", "angle_bool", "pulse_rate_bool", "cell_thickness_bool",
         "misspelt_cell_key", "unread_section_checked", "n_mean_override_out_of_range",
-        "section_emptied",
+        "section_emptied", "cavity_regions_renamed", "spectrum_single_grid_point",
     ],
 )
 def test_bad_input_is_input_error(tmp_path, capsys, argv):
     assert run(*argv, "--out", tmp_path, "--quiet") == EXIT_INPUT
     assert capsys.readouterr().err.startswith("error: ")
     assert not list(tmp_path.iterdir())
+
+
+def test_enhancement_names_the_missing_region(tmp_path, capsys):
+    assert run("enhancement", "--set", _RENAMED_REGIONS, "--out", tmp_path) == EXIT_INPUT
+    assert "stack.regions" in (err := capsys.readouterr().err) and "'top_dbr'" in err
 
 
 def test_counts_beyond_the_double_range_is_numeric_error(tmp_path, capsys):
@@ -427,21 +441,31 @@ def test_bad_config_file(tmp_path):
     ) == EXIT_INPUT
 
 
-# --- arbitrary config values on the cheap commands ---------------------------------
+# --- arbitrary config values through the commands -----------------------------------
 
-# the cheap commands that read each section
+# the commands run for a value in each section: the cheapest that read it, and
+# tuning for the stack, whose mode tables then solve the changed device
 _FUZZ_COMMANDS = {
     "hom": ("hom simulate", "hom fit"),
     "detection": ("counts", "hom simulate"),
     "sample": ("hom simulate",),
     "enhancement_overrides": ("enhancement",),
+    "stack": ("stack", "tuning"),
+    "tuning": ("tuning",),
+    "spectrum": ("spectrum",),
 }
 _FUZZ_KEYS = (
     [f"hom.{k}" for k in DEFAULT_CONFIG["hom"]]
     + [f"detection.{k}" for k in DEFAULT_CONFIG["detection"]]
     + ["sample.facet_reflectance"]
     + [f"enhancement_overrides.{k}" for k in ("n_mean", "finesse", "t_up", "t_down")]
+    + [f"{part}.{k}" for part in ("stack", "tuning", "spectrum") for k in DEFAULT_CONFIG[part]]
 )
+# sweeps that pass the check but hold this many points make an example slow,
+# not a better test
+_FUZZ_MAX_POINTS = 2000
+# a numeric default scaled by one of these is a value the check may pass
+_FUZZ_SCALES = (-1.0, 0.0, 0.5, 0.99, 1.01, 1.5, 3.0)
 _JSON_VALUES = st.one_of(
     st.none(),
     st.booleans(),
@@ -451,6 +475,18 @@ _JSON_VALUES = st.one_of(
     st.lists(st.one_of(st.integers(), st.floats()), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
 )
+
+
+def _fuzz_assignment(key):
+    """(key, value): any JSON value or, for a numeric default, a scaled default."""
+    section, name = key.split(".")
+    default = DEFAULT_CONFIG.get(section, {}).get(name)
+    values = _JSON_VALUES
+    if type(default) in (int, float):
+        values = st.one_of(values, st.sampled_from([default * f for f in _FUZZ_SCALES]))
+    return st.tuples(st.just(key), values)
+
+
 # enhancement runs on these four overrides alone, without the device
 _ALL_OVERRIDES = (
     "enhancement_overrides.n_mean=3.1",
@@ -462,11 +498,22 @@ _ALL_OVERRIDES = (
 
 
 
-@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+def _sweeps_stay_small(assignments):
+    cfg = apply_overrides(default_config(), [f"{k}={json.dumps(v)}" for k, v in assignments])
+    try:
+        check_config(cfg)
+    except ConfigError:
+        return True
+    tuning, spectrum = cfg["tuning"], cfg["spectrum"]
+    angles = (tuning["theta_max_deg"] - tuning["theta_min_deg"]) / tuning["theta_step_deg"]
+    return max(angles, 2 * spectrum["half_span_nm"] / spectrum["step_nm"]) <= _FUZZ_MAX_POINTS
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(
     assignments=st.lists(
-        st.tuples(st.sampled_from(_FUZZ_KEYS), _JSON_VALUES), min_size=1, max_size=2
-    )
+        st.sampled_from(_FUZZ_KEYS).flatmap(_fuzz_assignment), min_size=1, max_size=2
+    ).filter(_sweeps_stay_small)
 )
 def test_arbitrary_config_values_keep_the_exit_contract(scan_dir, assignments):
     sets = [f"{key}={json.dumps(value)}" for key, value in assignments]

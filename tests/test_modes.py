@@ -262,3 +262,80 @@ def test_table_knots_sit_on_step_multiples(paper_stack):
     grown.extend(1501.3, 1519.1)
     assert np.array_equal(grown.knots_nm, table.knots_nm)
     assert np.array_equal(grown.knot_n_eff, table.knot_n_eff)
+
+
+def _chained_knots(stack, pol, lams):
+    """Each knot solved on its own by ``solve_planar``, from the window
+    around the root below it (the full window for the first), as a table
+    once solved its knots one by one."""
+    prev, out = None, []
+    for lam, (n_top, layers, n_bot) in zip(lams, modes._planar_profiles(stack, lams, None)):
+        window = None if prev is None else (prev - 0.02, prev + 0.02)
+        try:
+            prev = solve_planar(n_top, layers, n_bot, lam, pol, max_modes=1, window=window)[0]
+        except NoGuidedMode:
+            prev = solve_planar(n_top, layers, n_bot, lam, pol, max_modes=1)[0]
+        out.append(prev)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_knot_roots_do_not_depend_on_their_batch(paper_stack, pol):
+    # the same knot solved in batches of 191, 31 and 10 + 181 (a table grown
+    # both ways) gives the same float, and that float is the per-knot solve's
+    wide = EffectiveIndexTable(paper_stack, pol, 1330.0, 1710.0)
+    narrow = EffectiveIndexTable(paper_stack, pol, 1500.0, 1560.0)
+    grown = EffectiveIndexTable(paper_stack, pol, 1500.0, 1520.0)
+    grown.extend(1330.0, 1710.0)
+    assert np.array_equal(grown.knots_nm, wide.knots_nm)
+    assert np.array_equal(grown.knot_n_eff, wide.knot_n_eff)
+    overlap = np.isin(wide.knots_nm, narrow.knots_nm)
+    assert overlap.sum() == narrow.knots_nm.size == 31
+    assert np.array_equal(wide.knot_n_eff[overlap], narrow.knot_n_eff)
+    assert np.array_equal(wide.knot_n_eff, _chained_knots(paper_stack, pol, wide.knots_nm))
+    assert np.array_equal(narrow.knot_n_eff, _chained_knots(paper_stack, pol, narrow.knots_nm))
+
+
+def test_table_falls_back_to_per_knot_solves(paper_stack, monkeypatch):
+    # a prediction 100 grid steps above every root leaves no sign change in
+    # the narrow scans, so every knot takes the chained per-knot solve and
+    # lands on the same floats
+    want = EffectiveIndexTable(paper_stack, TE, 1500.0, 1560.0).knot_n_eff
+    real_interp, calls = np.interp, []
+    monkeypatch.setattr(np, "interp", lambda *args: real_interp(*args) + 0.01)
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return solve_planar(*args, **kwargs)
+
+    monkeypatch.setattr(modes, "solve_planar", counted)
+    assert np.array_equal(EffectiveIndexTable(paper_stack, TE, 1500.0, 1560.0).knot_n_eff, want)
+    assert len(calls) == 2 + 31  # two anchors, then every knot on its own
+
+
+def test_a_prediction_on_the_next_mode_is_caught(paper_stack, monkeypatch):
+    # predictions on the first-order mode: every narrow scan brackets that
+    # mode, the sign at the top of the first knot's window shows the
+    # fundamental above it, and each knot then follows its true neighbour
+    want = EffectiveIndexTable(paper_stack, TE, 1500.0, 1560.0)
+    lams = want.knots_nm
+    second = [
+        solve_planar(n_top, layers, n_bot, lam, TE, max_modes=2)[1]
+        for lam, (n_top, layers, n_bot) in zip(lams, modes._planar_profiles(paper_stack, lams, None))
+    ]
+    monkeypatch.setattr(np, "interp", lambda *args: np.array(second))
+    got = EffectiveIndexTable(paper_stack, TE, 1500.0, 1560.0)
+    assert np.array_equal(got.knot_n_eff, want.knot_n_eff)
+
+
+def test_knots_without_a_shared_run_structure_are_flagged():
+    # one layer list at two wavelengths: a structure found from both knots
+    # is each knot's own unless two different layers meet in index at one
+    # knot only, or the highest-index layer changes
+    def uniform(first, second):
+        layers = [(first, 100.0), (second, 200.0), (np.array([3.0, 3.0]), 50.0)]
+        return modes._MatchedResidual(1.0, layers, 1.0, np.array([1500.0, 1510.0]), TE).uniform
+
+    assert uniform(np.array([3.2, 3.3]), np.array([3.1, 3.2]))
+    assert not uniform(np.array([3.2, 3.3]), np.array([3.2, 3.1]))  # equal at one knot
+    assert not uniform(np.array([3.2, 3.1]), np.array([3.1, 3.3]))  # the top layer moves
+    assert modes._MatchedResidual(1.0, [(3.2, 100.0), (3.2, 50.0)], 1.0, 1500.0, TE).uniform

@@ -8,8 +8,8 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from twinsource import modes
-from twinsource.modes import EffectiveIndexTable, _brentq
+from twinsource import modes, roots
+from twinsource.modes import EffectiveIndexTable
 from twinsource.phasematch import INTERACTION_1, INTERACTION_2
 from twinsource.stack import TE, TM
 
@@ -29,7 +29,8 @@ def test_brent_matches_scipy_on_the_mode_residual(paper_stack, pol):
         sign = np.sign(residual(grid))
         for j in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
             a, b = grid[j], grid[j + 1]
-            assert _brentq(residual, a, b, modes._XTOL) == brentq(residual, a, b, xtol=modes._XTOL)
+            want = brentq(residual, a, b, xtol=modes._XTOL)
+            assert roots.brentq(residual, a, b, modes._XTOL) == want
             brackets += 1
     assert brackets >= 6
 
@@ -41,7 +42,7 @@ def test_brent_matches_scipy_on_the_momentum_mismatch(matcher, inter):
             return matcher.delta_k(x, theta, 760.0, inter)
 
         for lo, hi in ((1370.0, 1670.0), (1400.0, 1650.0)):
-            mine = _brentq(mismatch, lo, hi, xtol=1e-10, rtol=8.9e-16)
+            mine = roots.brentq(mismatch, lo, hi, xtol=1e-10, rtol=8.9e-16)
             assert mine == brentq(mismatch, lo, hi, xtol=1e-10, rtol=8.9e-16)
 
 
@@ -61,8 +62,79 @@ def test_brent_steps_are_scipys(rng):
         if (f(lo, []) < 0) == (f(hi, []) < 0):
             continue
         want = brentq(f, lo, hi, args=(calls["scipy"],), xtol=xtol)
-        assert _brentq(lambda x: f(x, calls["port"]), lo, hi, xtol) == want
+        assert roots.brentq(lambda x: f(x, calls["port"]), lo, hi, xtol) == want
         assert calls["port"] == calls["scipy"]
+
+
+def _lane_cases(rng):
+    """The bracketed random functions of ``test_brent_steps_are_scipys``,
+    plus roots that Brent lands on exactly or that sit on a bracket end."""
+    cases = []
+    for _ in range(300):
+        a, b, p = rng.uniform(0.5, 8.0), rng.uniform(-0.9, 0.9), int(rng.integers(1, 6))
+        rng.uniform(-14, -3)  # the xtol draw of that test, skipped to keep its brackets
+        lo, hi = sorted(rng.uniform(-3.0, 3.0, 2))
+
+        def f(x, a=a, b=b, p=p):
+            return math.sin(a * x) ** p + b * x - 0.1
+
+        if (f(lo) < 0) != (f(hi) < 0):
+            cases.append((f, lo, hi))
+    exact = [(lambda x: x - 0.5, 0.0, 1.0), (lambda x: x - 0.25, 0.25, 1.0)]
+    return cases + exact + [(lambda x: x - 0.25, 0.0, 0.25), (lambda x: 0.75 - x, 0.5, 1.0)]
+
+
+def _lane_function(cases, log):
+    def f(x, lanes):
+        out = []
+        for lane, xi in zip(lanes.tolist(), x.tolist()):
+            log[lane].append(xi)
+            out.append(cases[lane][0](xi))
+        return np.array(out)
+
+    return f
+
+
+@pytest.mark.parametrize("xtol", [1e-3, 1e-8, 2e-12, 1e-14])
+def test_brent_lanes_are_scipys(rng, xtol):
+    # every lane takes scipy's steps: the same points in the same order and
+    # the same root, whichever iteration the other lanes stop at
+    cases = _lane_cases(rng)
+    lo, hi = np.array([c[1:] for c in cases]).T
+    log = [[] for _ in cases]
+    got = roots.brentq_lanes(_lane_function(cases, log), lo, hi, xtol)
+    counts = set()
+    for (f, a, b), root, seen in zip(cases, got.tolist(), log):
+        calls = []
+        want = brentq(lambda x: calls.append(x) or f(x), a, b, xtol=xtol)
+        assert root == want
+        assert seen == calls
+        counts.add(len(calls))
+    assert len(cases) > 100 and len(counts) > 5
+
+
+def test_brent_lanes_raise_what_scipy_raises(rng):
+    good = _lane_cases(rng)[:20]
+    bad = [
+        ((lambda x: x * x + 1.0, -1.0, 1.0), {}, ValueError),  # no sign change
+        ((lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0), {}, ValueError),  # NaN
+        ((lambda x: math.nan, 0.0, 1.0), {}, ValueError),  # NaN at a bracket end
+        ((math.sin, 3.0, 4.0), {"xtol": 1e-300, "maxiter": 2}, RuntimeError),
+        ((math.sin, 3.0, 4.0), {"rtol": 1e-16}, ValueError),  # below 4 eps
+        ((math.sin, 3.0, 4.0), {"xtol": 0.0}, ValueError),
+    ]
+    for case, kwargs, error in bad:
+        with pytest.raises(error):
+            brentq(*case, **kwargs)
+        cases = good[:7] + [case] + good[7:]
+        lo, hi = np.array([c[1:] for c in cases]).T
+        f = _lane_function(cases, [[] for _ in cases])
+        with pytest.raises(error):
+            roots.brentq_lanes(f, lo, hi, **{"xtol": 2e-12, **kwargs})
+    assert roots.brentq_lanes(lambda x, _: np.sin(x), [3.0], [4.0], 2e-12)[0] == brentq(
+        np.sin, 3.0, 4.0
+    )
+    assert roots.brentq_lanes(lambda x, _: x, [], [], 2e-12).size == 0
 
 
 def test_brent_raises_what_scipy_raises():
@@ -77,8 +149,8 @@ def test_brent_raises_what_scipy_raises():
         with pytest.raises(error):
             brentq(*args, **kwargs)
         with pytest.raises(error):
-            _brentq(*args, **{"xtol": 2e-12, **kwargs})
-    assert _brentq(math.sin, 3.0, 4.0, 2e-12) == brentq(math.sin, 3.0, 4.0)
+            roots.brentq(*args, **{"xtol": 2e-12, **kwargs})
+    assert roots.brentq(math.sin, 3.0, 4.0, 2e-12) == brentq(math.sin, 3.0, 4.0)
 
 
 @pytest.mark.parametrize("pol", [TE, TM])

@@ -124,6 +124,21 @@ def test_convolved_width_not_below_factors(matcher, paper_stack):
     assert abs(width - 0.53) < 0.15
 
 
+def test_kernel_longer_than_the_grid_keeps_the_grid():
+    # "same" convolution on the spectrum's own points, as a full convolution
+    # cut at the kernel's centre, also when 6 sigma of kernel outgrow the
+    # grid (the kernel then ends at the grid's span)
+    for fwhm_nm in (0.6, 3.0, 40.0, 1e300):
+        sp = _gaussian_spectrum(0.5)
+        kernel = GaussianKernel(fwhm_nm)
+        out = convolve(sp, kernel)
+        assert np.array_equal(out.wavelength_nm, sp.wavelength_nm)
+        half = min(math.ceil(6.0 * kernel.sigma_nm / sp.step_nm), sp.intensity.size - 1)
+        k = np.exp(-0.5 * (sp.step_nm * np.arange(-half, half + 1) / kernel.sigma_nm) ** 2)
+        full = np.convolve(sp.intensity, k / k.sum())
+        assert np.allclose(out.intensity, full[half : half + sp.intensity.size], rtol=1e-12)
+
+
 def test_kernel_under_resolved():
     sp = _gaussian_spectrum(1.0, step=0.05)
     with pytest.raises(KernelUnderResolved):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
-from _oracles import response_loop
+import _oracles
+from _oracles import core_intensity_scalar, resonance_scalar, response_loop
 from twinsource import config, materials
+from twinsource import stack as stack_mod
 from twinsource.errors import (
     AboveBandgap,
     ConfigError,
     MultipleResonances,
     NoResonanceInWindow,
+    OutOfValidityWindow,
 )
 from twinsource.materials import Composition, refractive_index
 from twinsource.stack import (
@@ -328,3 +331,63 @@ def test_multiple_resonances_detected(paper_stack):
     # widening into the stopband edges brings the band-edge dips into view
     with pytest.raises(MultipleResonances):
         find_resonance(paper_stack, (728.0, 815.0))
+
+
+@pytest.mark.parametrize("theta", [0.0, 3.0])
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_resonance_equals_the_scalar_search(paper_stack, pol, theta, monkeypatch):
+    # the half-maximum walk and both bisections run as array calls, and give
+    # every field the scalar search gives, to the bit; every wavelength the
+    # scalar search evaluates is evaluated, the same float
+    asked, asked_by_oracle = [], []
+    real, real_oracle = stack_mod.core_intensity, _oracles.core_intensity_scalar
+
+    def recorded(s, wavelength, *args):
+        asked.extend(np.ravel(wavelength).tolist())
+        return real(s, wavelength, *args)
+
+    def recorded_oracle(s, wavelength, *args):
+        asked_by_oracle.append(wavelength)
+        return real_oracle(s, wavelength, *args)
+
+    monkeypatch.setattr(stack_mod, "core_intensity", recorded)
+    monkeypatch.setattr(_oracles, "core_intensity_scalar", recorded_oracle)
+    mine = find_resonance(paper_stack, (740.0, 780.0), theta, pol)
+    assert mine == resonance_scalar(paper_stack, (740.0, 780.0), theta, pol)
+    assert set(asked_by_oracle) <= set(asked) and len(asked_by_oracle) > 100
+
+
+def test_resonance_walk_stops_where_the_scalar_walk_stops(paper_stack, resonance, monkeypatch):
+    # an index model that ends just past the first walk point below half
+    # maximum: the chunk that reaches beyond fails, and walking it point by
+    # point gives the same result without evaluating past that point
+    half = core_intensity(paper_stack, resonance.wavelength_nm) / 2.0
+    k = 1
+    while core_intensity(paper_stack, resonance.wavelength_nm + 0.1 * k) > half:
+        k += 1
+    limit, refused = resonance.wavelength_nm + 0.1 * k + 0.05, []
+    real = stack_mod.core_intensity
+
+    def ending(s, wavelength, *args):
+        if np.any(np.asarray(wavelength) > limit):
+            refused.append(wavelength)
+            raise OutOfValidityWindow(f"no index beyond {limit} nm")
+        return real(s, wavelength, *args)
+
+    monkeypatch.setattr(stack_mod, "core_intensity", ending)
+    assert find_resonance(paper_stack, (740.0, 780.0)) == resonance
+    assert refused and all(np.ndim(lam) for lam in refused)
+
+
+def test_core_intensity_over_an_array_is_one_wavelength_at_a_time(paper_stack):
+    # an array call gives each wavelength's own one-wavelength value, to the
+    # bit; numpy's array loops may fuse a complex product's multiply and add
+    # where its scalar arithmetic does not, so the scalar oracle agrees to a
+    # few units in the last place
+    lams = np.concatenate((np.linspace(755.0, 768.0, 37), [761.6058240589]))
+    got = core_intensity(paper_stack, lams, 3.0, TM)
+    one = [core_intensity(paper_stack, lam, 3.0, TM) for lam in lams.tolist()]
+    assert got.shape == lams.shape and np.array_equal(got, one)
+    assert all(type(x) is float for x in one)
+    want = [core_intensity_scalar(paper_stack, lam, 3.0, TM) for lam in lams.tolist()]
+    assert np.allclose(got, want, rtol=1e-14, atol=0.0)
