@@ -381,10 +381,9 @@ def cmd_hom_fit(args) -> int:
     fit = hom.fit_dip(scan, lam)
     if not fit.converged:
         run.report.warnings.append("dip fit not converged: its baseline reached no fixed point")
-    model = hom.DipModel(fit.visibility, lam, fit.delta_lambda_nm)
-    residuals = (
-        scan.net_counts / fit.baseline_counts - hom.dip_value(model, scan.delta_z_mm)
-    ).tolist()
+    if fit.visibility > 1.0:
+        run.report.warnings.append(f"fitted visibility {fit.visibility} exceeds 1: net counts < 0")
+    residuals = hom.normalized_residuals(scan, fit, lam).tolist()
     run.emit_json(
         "hom_fit",
         {

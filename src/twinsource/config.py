@@ -102,6 +102,7 @@ DEFAULT_CONFIG = {
 OVERRIDE_KEYS = ("n_mean", "finesse", "t_up", "t_down")  # CavityParams fields, in order
 _SHAPE = {**DEFAULT_CONFIG, "enhancement_overrides": dict.fromkeys(OVERRIDE_KEYS, 0.0)}
 MAX_SWEEP_POINTS = 10**6  # longest sweep, grid or HOM scan, held in memory whole
+MAX_PERIODS = 1000  # most periods of one stack region, each built as layer objects
 
 
 def _number(v) -> bool:
@@ -153,7 +154,8 @@ _RULES = {
         "a non-empty list of objects with a name, periods and a cell",
     ),
     "stack.regions.periods": (
-        lambda v: _number(v) and v > 0 and round(2 * v) == 2 * v, "a half-integer > 0"
+        lambda v: _number(v) and 0 < v <= MAX_PERIODS and round(2 * v) == 2 * v,
+        f"a half-integer from 0.5 to {MAX_PERIODS}",
     ),
     "stack.regions.cell": (
         lambda v: isinstance(v, list) and len(v) == 2

@@ -12,9 +12,12 @@ add twice-reflected photon paths that never overlap the direct ones, which
 caps the visibility at V = 1 / (1 + 2 R^2).
 
 Scans are simulated with independent Poisson draws per position for the
-total and the (flat) accidental coincidences; fits run weighted nonlinear
-least squares on accidental-subtracted, baseline-normalized counts with
-Poisson error bars.
+total and the (flat) accidental coincidences. Fits run weighted least squares
+on accidental-subtracted, baseline-normalized counts with Poisson error bars.
+The model is linear in V for a fixed width, so V is eliminated in closed form
+(variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973)
+and the width is one Brent root of the chi^2 slope (``roots.brentq``), inside
+a few baseline passes whose point set is frozen before it can cycle.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ import numpy as np
 
 from .efficiency import DetectionChain, expected_counts
 from .errors import DegenerateScan, NoConvergence
+from .roots import brentq
 
 _LN2 = math.log(2.0)
 _SHAPE = math.pi**2 / _LN2  # exponent prefactor of the dip model
@@ -33,7 +37,8 @@ _SHAPE = math.pi**2 / _LN2  # exponent prefactor of the dip model
 NM_PER_MM = 1e6
 
 _INIT_DELTA_LAMBDA_NM = np.geomspace(0.1, 2.0, 25)  # fit_dip start values
-_MAX_ITERATIONS = 200  # Gauss-Newton iterations per refinement
+_WIDTH_BRACKET = 1.5  # each pass finds its width in [w / 1.5, 1.5 w], w the pass's start
+_WIDTH_XTOL_NM = 1e-12  # Brent's absolute tolerance on the width
 _BASELINE_PASSES = 10  # 8000 hom-calibration-like scans: each fixed point by pass 8
 _BASELINE_RTOL = 1e-12
 
@@ -51,11 +56,15 @@ class DipModel:
             raise ValueError("wavelength and spectral width must be positive")
 
 
+def _dip_shape(dz_nm, delta_lambda, wavelength):
+    u = dz_nm * delta_lambda / wavelength**2
+    return np.exp(-_SHAPE * u * u)
+
+
 def dip_value(m: DipModel, delta_z_mm):
     """Normalized coincidence rate at path difference delta_z (mm)."""
     dz_nm = np.asarray(delta_z_mm, dtype=float) * NM_PER_MM
-    u = dz_nm * m.delta_lambda_nm / m.wavelength_nm**2
-    val = 1.0 - m.visibility * np.exp(-_SHAPE * u * u)
+    val = 1.0 - m.visibility * _dip_shape(dz_nm, m.delta_lambda_nm, m.wavelength_nm)
     return float(val) if np.isscalar(delta_z_mm) else val
 
 
@@ -155,6 +164,8 @@ def simulate_scan(
 
 @dataclass(frozen=True)
 class FitResult:
+    """A dip fit; ``iterations`` counts the chi^2-slope evaluations of all its passes."""
+
     visibility: float
     delta_lambda_nm: float
     visibility_err: float
@@ -165,11 +176,6 @@ class FitResult:
     baseline_counts: float
 
 
-def _dip_shape(dz_nm, delta_lambda, wavelength):
-    u = dz_nm * delta_lambda / wavelength**2
-    return np.exp(-_SHAPE * u * u)
-
-
 def _jacobian(v, dl, g, dz_nm, wavelength, sy):
     """d/d(v, dl) of the weighted residuals (y - 1 + v g) / sy, g the shape at dl."""
     jac = np.empty((len(g), 2))
@@ -178,19 +184,29 @@ def _jacobian(v, dl, g, dz_nm, wavelength, sy):
     return jac
 
 
+def _best_visibility(y, w, g) -> float:
+    """V minimizing sum w (y - 1 + V g)^2 for a fixed shape g:
+    sum w g (1 - y) / sum w g^2 (0 when g vanishes on every point)."""
+    wg = w * g
+    denom = float(wg @ g)
+    return float(wg @ (1.0 - y)) / denom if denom > 0 else 0.0
+
+
 def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
     """Weighted least-squares fit of (V, delta_lambda) to a scan.
 
-    Accidentals are subtracted, the net counts are normalized by the mean of
-    the points farther than three dip half-widths from zero (at least three
-    required), and the two parameters are refined by damped Gauss-Newton from
-    the best width of ``_INIT_DELTA_LAMBDA_NM`` until the relative parameter
-    change stays below 1e-8 for three of at most ``_MAX_ITERATIONS``
-    iterations. Poisson weights: sigma^2(net) = total + accidental. Up to
-    ``_BASELINE_PASSES`` passes correct the baseline with the fitted model;
-    ``converged`` means one started from a baseline that moved by at most
-    ``_BASELINE_RTOL`` relative. A width leaving < 3 baseline points ends the
-    passes with the previous pass's fit.
+    Accidentals are subtracted and, from the best width of
+    ``_INIT_DELTA_LAMBDA_NM``, the net counts are normalized by the mean of the
+    points farther than three dip half-widths from zero (at least three
+    required). Poisson weights: sigma^2(net) = total + accidental. Each of up
+    to ``_BASELINE_PASSES`` passes corrects the baseline with the fitted model,
+    then takes V in closed form (``_best_visibility``) and the width from
+    ``roots.brentq`` on the chi^2 slope, to ``_WIDTH_XTOL_NM`` within a factor
+    ``_WIDTH_BRACKET`` of its start (NoConvergence if that holds no sign
+    change). A width that would bring back an earlier pass's baseline point
+    set keeps the current set. ``converged`` means one pass started from a
+    baseline that moved by at most ``_BASELINE_RTOL`` relative. A width
+    leaving < 3 baseline points ends the passes with the previous pass's fit.
     """
     if len(scan.delta_z_mm) < 8:
         raise DegenerateScan("need at least 8 scan points")
@@ -211,9 +227,7 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
         sy = sigma / baseline
         g = _dip_shape(dz_nm, dl, wavelength_nm)
         w = 1.0 / sy**2
-        denom = float(np.sum(w * g * g))
-        v = float(np.sum(w * g * (1.0 - y)) / denom) if denom > 0 else 0.0
-        v = min(max(v, 0.0), 1.0)
+        v = min(max(_best_visibility(y, w, g), 0.0), 1.0)
         chi2 = float(np.sum(w * (y - (1.0 - v * g)) ** 2))
         if best is None or chi2 < best[0]:
             chi2_flat = float(np.sum(w * (y - 1.0) ** 2))
@@ -222,80 +236,70 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
         raise DegenerateScan(
             "no spectral-width candidate leaves >= 3 baseline points outside the dip"
         )
-    chi2_0, v0, dl0, baseline, chi2_flat = best
+    chi2_0, v, dl, baseline, chi2_flat = best
     if chi2_flat - chi2_0 < 9.0:
         raise DegenerateScan("no dip resolvable above the noise (< 3 sigma)")
     span = scan.delta_z_mm[-1] - scan.delta_z_mm[0]
-    if span < dip_fwhm_mm(wavelength_nm, dl0):
+    if span < dip_fwhm_mm(wavelength_nm, dl):
         raise DegenerateScan("scan span must cover at least one dip width")
 
-    def refine(p0, y, sy):
-        def residuals(v, dl):
-            g = _dip_shape(dz_nm, dl, wavelength_nm)
-            return (y - (1.0 - v * g)) / sy, g
+    u2 = (dz_nm / wavelength_nm**2) ** 2  # d ln g / d width = -2 _SHAPE u2 width
 
-        p = np.array(p0, dtype=float)
-        r, g = residuals(*p)
-        chi2 = float(r @ r)
-        streak = 0
-        for iterations in range(1, _MAX_ITERATIONS + 1):
-            jac = _jacobian(*p, g, dz_nm, wavelength_nm, sy)
-            jtj = jac.T @ jac
-            jtr = jac.T @ r
-            try:
-                step = -np.linalg.solve(jtj, jtr)
-            except np.linalg.LinAlgError:
-                step = -np.linalg.lstsq(jtj, jtr, rcond=None)[0]
-            scale = 1.0
-            for _ in range(30):
-                cand = p + scale * step
-                if 0.0 <= cand[0] <= 1.2 and 1e-3 <= cand[1] <= 100.0:
-                    r_new, g_new = residuals(*cand)
-                    chi2_new = float(r_new @ r_new)
-                    if chi2_new <= chi2 + 1e-12:
-                        break
-                scale *= 0.5
-            else:
-                raise NoConvergence("step search exhausted without improving the fit")
-            rel = float(np.max(np.abs(scale * step) / (np.abs(p) + 1e-30)))
-            p, r, g, chi2 = cand, r_new, g_new, chi2_new
-            streak = streak + 1 if rel < 1e-8 else 0
-            if streak >= 3:
-                return p, chi2, iterations
-        raise NoConvergence(f"no convergence after {_MAX_ITERATIONS} iterations")
+    def slope(width):
+        """The chi^2 slope in the width at the optimal V, over 4 _SHAPE."""
+        nonlocal iterations
+        iterations += 1
+        g = _dip_shape(dz_nm, width, wavelength_nm)
+        v = _best_visibility(y, w, g)
+        return -v * width * float((w * g * (y - 1.0 + v * g)) @ u2)
 
     # the baseline points still sit ~0.1% inside the dip, so correct the
     # normalization with the fitted model and re-run until it is a fixed point;
     # the start value leaves >= 3 baseline points, so the first pass always runs
-    p = np.array([v0, dl0])
     iterations = 0
+    sets = []  # the baseline point set of each pass
     for _ in range(_BASELINE_PASSES):
-        outside = np.abs(scan.delta_z_mm) > 3.0 * dip_half_width_mm(wavelength_nm, p[1])
+        outside = np.abs(scan.delta_z_mm) > 3.0 * dip_half_width_mm(wavelength_nm, dl)
         if outside.sum() < 3:
             break  # keep the previous pass's fit, not converged
-        model_out = 1.0 - p[0] * _dip_shape(dz_nm[outside], p[1], wavelength_nm)
+        if any(np.array_equal(outside, seen) for seen in sets):
+            outside = sets[-1]  # going back could cycle: keep the current set
+        sets.append(outside)
+        model_out = 1.0 - v * _dip_shape(dz_nm[outside], dl, wavelength_nm)
         new_baseline = float(np.mean(net[outside] / model_out))
         converged = abs(new_baseline - baseline) <= _BASELINE_RTOL * abs(baseline)
         baseline = new_baseline
-        sy = sigma / baseline
-        p, chi2, its = refine(p, net / baseline, sy)
-        iterations += its
+        y, sy = net / baseline, sigma / baseline
+        w = 1.0 / sy**2
+        try:
+            dl = brentq(slope, dl / _WIDTH_BRACKET, dl * _WIDTH_BRACKET, _WIDTH_XTOL_NM)
+        except (ValueError, RuntimeError) as exc:
+            raise NoConvergence(f"no chi^2 minimum in the width: {exc}") from exc
+        g = _dip_shape(dz_nm, dl, wavelength_nm)
+        v = _best_visibility(y, w, g)
         if converged:
             break
 
-    v, dl = p
-    jac = _jacobian(v, dl, _dip_shape(dz_nm, dl, wavelength_nm), dz_nm, wavelength_nm, sy)
+    r = (y - (1.0 - v * g)) / sy
+    jac = _jacobian(v, dl, g, dz_nm, wavelength_nm, sy)
     try:
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError as exc:
         raise DegenerateScan(f"the scan does not constrain both parameters: {exc}") from exc
     return FitResult(
-        visibility=float(v),
+        visibility=v,
         delta_lambda_nm=float(dl),
         visibility_err=float(math.sqrt(max(cov[0, 0], 0.0))),
         delta_lambda_err=float(math.sqrt(max(cov[1, 1], 0.0))),
-        residual_norm=float(math.sqrt(chi2)),
+        residual_norm=math.sqrt(r @ r),
         converged=converged,
         iterations=iterations,
         baseline_counts=baseline,
     )
+
+
+def normalized_residuals(scan: HomScan, fit: FitResult, wavelength_nm: float) -> np.ndarray:
+    """Baseline-normalized net counts minus the fitted dip, point by point,
+    for any fitted V (a V above 1, which ``DipModel`` refuses, too)."""
+    g = _dip_shape(scan.delta_z_mm * NM_PER_MM, fit.delta_lambda_nm, wavelength_nm)
+    return scan.net_counts / fit.baseline_counts - (1.0 - fit.visibility * g)

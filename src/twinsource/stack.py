@@ -27,6 +27,7 @@ import numpy as np
 from . import materials
 from .errors import MultipleResonances, NoResonanceInWindow, TwinSourceError
 from .materials import Composition, DispersionModel
+from .roots import brentq_lanes
 
 TE = "TE"
 TM = "TM"
@@ -160,7 +161,7 @@ _PAD_NM = 200.0  # ambient and substrate tails of a field profile
 RESONANCE_SCAN_STEP_NM = 0.05
 RESONANCE_PROMINENCE = 5e-4  # least prominence of the resonance's R dip
 _WALK_CHUNK = 16  # half-maximum walk points per core_intensity call
-_BISECT_LEVELS = 3  # half-maximum bisection steps per core_intensity call
+_CROSSING_XTOL_NM = 1e-12  # Brent's absolute tolerance on a half-maximum crossing
 _CAVITY_REGIONS = ("top_dbr", "core", "bottom_dbr")  # the region names a cavity needs
 
 
@@ -545,13 +546,13 @@ def find_resonance(
     * the resonance wavelength is the reflectance minimum, golden-section
       refined from the neighbouring scan points to xtol = 1e-3 nm;
     * the FWHM is read off the core field-intensity resonance curve: each
-      half-maximum crossing is bracketed by walking out in 0.1 nm steps, then
-      bisected 40 times. The numerics are the scalar walk's and bisection's,
-      evaluated in arrays: ``_WALK_CHUNK`` walk points per ``core_intensity``
-      call (their wavelengths summed step by step, as a loop sums them; a
-      chunk the index model cannot evaluate is walked point by point), and
-      ``_BISECT_LEVELS`` bisection steps of both crossings per call, which
-      holds every midpoint those steps can reach;
+      half-maximum crossing is bracketed by walking out in 0.1 nm steps,
+      ``_WALK_CHUNK`` walk points per ``core_intensity`` call (their
+      wavelengths summed step by step, as a loop sums them; a chunk the index
+      model cannot evaluate is walked point by point), then found by Brent's
+      method to xtol = ``_CROSSING_XTOL_NM`` (1e-12 nm), both crossings in one
+      ``roots.brentq_lanes`` call: each of its ``core_intensity`` calls takes
+      at most 4 wavelengths, those the scalar ``roots.brentq`` would ask for;
     * the free spectral range comes from the slope of the cavity round-trip
       phase, a central difference with h = 0.05 nm (the window holds a single
       dip, so peak-to-peak spacing is not available);
@@ -612,25 +613,12 @@ def find_resonance(
                 return (lam_res if k == 0 else walk[k - 1]), walk[k]
         raise NoResonanceInWindow("core resonance half-width exceeds the window")
 
-    # bisect both crossings 40 times, _BISECT_LEVELS steps per call: the call
-    # takes every midpoint those steps can reach, each computed as the step
-    # that reaches it computes it, and the steps then pick theirs
+    def over_half(lams, _lanes):  # both lanes solve the same curve
+        return intensity(lams) - half
+
+    # both crossings at once, each from its walk bracket (inside, outside)
     lam_in, lam_out = np.array([bracket(0.1), bracket(-0.1)]).T
-    sides = np.arange(2)
-    for start in range(0, 40, _BISECT_LEVELS):
-        los, his = [lam_in[:, None]], [lam_out[:, None]]  # level by level, inside first
-        for _ in range(min(_BISECT_LEVELS, 40 - start) - 1):
-            mid = 0.5 * (los[-1] + his[-1])
-            los.append(np.stack((mid, los[-1]), axis=2).reshape(2, -1))
-            his.append(np.stack((his[-1], mid), axis=2).reshape(2, -1))
-        mids = 0.5 * (np.concatenate(los, axis=1) + np.concatenate(his, axis=1))
-        above = (intensity(mids.ravel()) > half).reshape(mids.shape)
-        node = np.zeros(2, dtype=int)  # index into mids: level l starts at 2^l - 1
-        for _ in los:
-            mid, inside = mids[sides, node], above[sides, node]
-            lam_in, lam_out = np.where(inside, mid, lam_in), np.where(inside, lam_out, mid)
-            node = 2 * node + 1 + ~inside
-    right, left = 0.5 * (lam_in + lam_out)
+    right, left = brentq_lanes(over_half, lam_in, lam_out, _CROSSING_XTOL_NM)
     fwhm = right - left
 
     # FSR from the round-trip phase slope (central difference, wrap-safe)

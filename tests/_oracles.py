@@ -9,7 +9,9 @@ medium to the bottom one, layer by layer, and bisects its sign changes; the
 dispersion oracle spells out the index formula in the order the package
 evaluates it. The resonance oracle is the package's resonance search with its
 field-intensity half-width found one wavelength at a time: a scalar walk out
-in 0.1 nm steps and two 40-step bisections.
+in 0.1 nm steps and a scalar Brent solve of each crossing. The dip-fit oracle
+is the damped Gauss-Newton fit that ``hom.fit_dip`` ran before it solved for
+the width alone.
 """
 
 import cmath
@@ -18,7 +20,21 @@ import math
 import numpy as np
 from scipy.constants import c as _C, e as _E, h as _H
 
+from twinsource.errors import DegenerateScan, NoConvergence
+from twinsource.hom import (
+    _BASELINE_PASSES,
+    _BASELINE_RTOL,
+    _INIT_DELTA_LAMBDA_NM,
+    NM_PER_MM,
+    FitResult,
+    _dip_shape,
+    _jacobian,
+    dip_fwhm_mm,
+    dip_half_width_mm,
+)
+
 HC_EV_NM = _H * _C / _E * 1e9
+_MAX_ITERATIONS = 200  # Gauss-Newton iterations per refinement
 
 
 def slab_modes(n_clad_top, n_core, n_clad_bot, thickness_nm, wavelength_nm, pol):
@@ -241,9 +257,10 @@ def core_intensity_scalar(s, wavelength, theta_deg, pol, model=None):
 
 
 def resonance_scalar(s, lambda_window, theta_deg, pol, model=None):
-    """``stack.find_resonance`` with the half-maximum walk and bisections
-    taken one wavelength at a time."""
+    """``stack.find_resonance`` with the half-maximum walk and the crossings
+    taken one wavelength at a time, each crossing by the scalar ``brentq``."""
     from twinsource import stack as st
+    from twinsource.roots import brentq
 
     lo, hi = lambda_window
     lams = np.arange(lo, hi + st.RESONANCE_SCAN_STEP_NM / 2, st.RESONANCE_SCAN_STEP_NM)
@@ -270,13 +287,7 @@ def resonance_scalar(s, lambda_window, theta_deg, pol, model=None):
             lam_in = lam_out
             lam_out += step
             assert abs(lam_out - lam_res) <= hi - lo
-        for _ in range(40):
-            mid = 0.5 * (lam_in + lam_out)
-            if intensity(mid) > half:
-                lam_in = mid
-            else:
-                lam_out = mid
-        return 0.5 * (lam_in + lam_out)
+        return brentq(lambda lam: intensity(lam) - half, lam_in, lam_out, st._CROSSING_XTOL_NM)
 
     fwhm = crossing(+1.0) - crossing(-1.0)
     h = 0.05
@@ -293,4 +304,127 @@ def resonance_scalar(s, lambda_window, theta_deg, pol, model=None):
         reflectance_min=float(r_min),
         fwhm_nm=float(fwhm),
         fsr_nm=float(fsr),
+    )
+
+
+def fit_dip_gauss_newton(scan, wavelength_nm):
+    """Weighted least-squares fit of (V, delta_lambda) to a scan.
+
+    Accidentals are subtracted, the net counts are normalized by the mean of
+    the points farther than three dip half-widths from zero (at least three
+    required), and the two parameters are refined by damped Gauss-Newton from
+    the best width of ``_INIT_DELTA_LAMBDA_NM`` until the relative parameter
+    change stays below 1e-8 for three of at most ``_MAX_ITERATIONS``
+    iterations. Poisson weights: sigma^2(net) = total + accidental. Up to
+    ``_BASELINE_PASSES`` passes correct the baseline with the fitted model;
+    ``converged`` means one started from a baseline that moved by at most
+    ``_BASELINE_RTOL`` relative. A width leaving < 3 baseline points ends the
+    passes with the previous pass's fit.
+    """
+    if len(scan.delta_z_mm) < 8:
+        raise DegenerateScan("need at least 8 scan points")
+    dz_nm = scan.delta_z_mm * NM_PER_MM
+    net = scan.net_counts.astype(float)
+    sigma = np.sqrt(np.maximum(scan.total_counts + scan.accidental_counts, 1.0))
+
+    # coarse initialization over a spectral-width grid
+    best = None
+    for dl in _INIT_DELTA_LAMBDA_NM:
+        outside = np.abs(scan.delta_z_mm) > 3.0 * dip_half_width_mm(wavelength_nm, dl)
+        if outside.sum() < 3:
+            continue
+        baseline = float(net[outside].mean())
+        if baseline <= 0:
+            continue
+        y = net / baseline
+        sy = sigma / baseline
+        g = _dip_shape(dz_nm, dl, wavelength_nm)
+        w = 1.0 / sy**2
+        denom = float(np.sum(w * g * g))
+        v = float(np.sum(w * g * (1.0 - y)) / denom) if denom > 0 else 0.0
+        v = min(max(v, 0.0), 1.0)
+        chi2 = float(np.sum(w * (y - (1.0 - v * g)) ** 2))
+        if best is None or chi2 < best[0]:
+            chi2_flat = float(np.sum(w * (y - 1.0) ** 2))
+            best = (chi2, v, dl, baseline, chi2_flat)
+    if best is None:
+        raise DegenerateScan(
+            "no spectral-width candidate leaves >= 3 baseline points outside the dip"
+        )
+    chi2_0, v0, dl0, baseline, chi2_flat = best
+    if chi2_flat - chi2_0 < 9.0:
+        raise DegenerateScan("no dip resolvable above the noise (< 3 sigma)")
+    span = scan.delta_z_mm[-1] - scan.delta_z_mm[0]
+    if span < dip_fwhm_mm(wavelength_nm, dl0):
+        raise DegenerateScan("scan span must cover at least one dip width")
+
+    def refine(p0, y, sy):
+        def residuals(v, dl):
+            g = _dip_shape(dz_nm, dl, wavelength_nm)
+            return (y - (1.0 - v * g)) / sy, g
+
+        p = np.array(p0, dtype=float)
+        r, g = residuals(*p)
+        chi2 = float(r @ r)
+        streak = 0
+        for iterations in range(1, _MAX_ITERATIONS + 1):
+            jac = _jacobian(*p, g, dz_nm, wavelength_nm, sy)
+            jtj = jac.T @ jac
+            jtr = jac.T @ r
+            try:
+                step = -np.linalg.solve(jtj, jtr)
+            except np.linalg.LinAlgError:
+                step = -np.linalg.lstsq(jtj, jtr, rcond=None)[0]
+            scale = 1.0
+            for _ in range(30):
+                cand = p + scale * step
+                if 0.0 <= cand[0] <= 1.2 and 1e-3 <= cand[1] <= 100.0:
+                    r_new, g_new = residuals(*cand)
+                    chi2_new = float(r_new @ r_new)
+                    if chi2_new <= chi2 + 1e-12:
+                        break
+                scale *= 0.5
+            else:
+                raise NoConvergence("step search exhausted without improving the fit")
+            rel = float(np.max(np.abs(scale * step) / (np.abs(p) + 1e-30)))
+            p, r, g, chi2 = cand, r_new, g_new, chi2_new
+            streak = streak + 1 if rel < 1e-8 else 0
+            if streak >= 3:
+                return p, chi2, iterations
+        raise NoConvergence(f"no convergence after {_MAX_ITERATIONS} iterations")
+
+    # the baseline points still sit ~0.1% inside the dip, so correct the
+    # normalization with the fitted model and re-run until it is a fixed point;
+    # the start value leaves >= 3 baseline points, so the first pass always runs
+    p = np.array([v0, dl0])
+    iterations = 0
+    for _ in range(_BASELINE_PASSES):
+        outside = np.abs(scan.delta_z_mm) > 3.0 * dip_half_width_mm(wavelength_nm, p[1])
+        if outside.sum() < 3:
+            break  # keep the previous pass's fit, not converged
+        model_out = 1.0 - p[0] * _dip_shape(dz_nm[outside], p[1], wavelength_nm)
+        new_baseline = float(np.mean(net[outside] / model_out))
+        converged = abs(new_baseline - baseline) <= _BASELINE_RTOL * abs(baseline)
+        baseline = new_baseline
+        sy = sigma / baseline
+        p, chi2, its = refine(p, net / baseline, sy)
+        iterations += its
+        if converged:
+            break
+
+    v, dl = p
+    jac = _jacobian(v, dl, _dip_shape(dz_nm, dl, wavelength_nm), dz_nm, wavelength_nm, sy)
+    try:
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError as exc:
+        raise DegenerateScan(f"the scan does not constrain both parameters: {exc}") from exc
+    return FitResult(
+        visibility=float(v),
+        delta_lambda_nm=float(dl),
+        visibility_err=float(math.sqrt(max(cov[0, 0], 0.0))),
+        delta_lambda_err=float(math.sqrt(max(cov[1, 1], 0.0))),
+        residual_norm=float(math.sqrt(chi2)),
+        converged=converged,
+        iterations=iterations,
+        baseline_counts=baseline,
     )

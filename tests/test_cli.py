@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +15,15 @@ import twinsource
 from twinsource.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, MAX_SWEEP_POINTS, main
 from twinsource.config import (
     DEFAULT_CONFIG,
+    MAX_PERIODS,
     OVERRIDE_KEYS,
     apply_overrides,
     check_config,
     default_config,
 )
+from twinsource.efficiency import DetectionChain
 from twinsource.errors import ConfigError
+from twinsource.hom import DipModel, simulate_scan
 
 
 def run(*argv):
@@ -194,6 +198,21 @@ def test_bad_input_is_input_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("periods", [1e7, 1e300])
+def test_region_periods_are_bounded(tmp_path, capsys, periods):
+    # a region is built as 2 x periods layer objects: past the bound the
+    # check refuses it before any is built
+    regions = [
+        {**region, "periods": periods} if region["name"] == "bottom_dbr" else region
+        for region in DEFAULT_CONFIG["stack"]["regions"]
+    ]
+    start = time.monotonic()
+    argv = ("stack", "--set", "stack.regions=" + json.dumps(regions), "--out", tmp_path, "--quiet")
+    assert run(*argv) == EXIT_INPUT
+    assert time.monotonic() - start < 1.0
+    assert f"to {MAX_PERIODS}" in capsys.readouterr().err
+
+
 def test_enhancement_names_the_missing_region(tmp_path, capsys):
     assert run("enhancement", "--set", _RENAMED_REGIONS, "--out", tmp_path) == EXIT_INPUT
     assert "stack.regions" in (err := capsys.readouterr().err) and "'top_dbr'" in err
@@ -333,6 +352,29 @@ def test_hom_fit_reports_an_unconverged_fit(tmp_path):
     assert json.loads((tmp_path / "hom_fit.json").read_text())["converged"] is False
     warnings = json.loads((tmp_path / "hom-fit.report.json").read_text())["warnings"]
     assert any("not converged" in w for w in warnings)
+
+
+def test_hom_fit_keeps_a_visibility_above_one(tmp_path):
+    # accidentals above the totals at the three central points push the net
+    # counts below zero there, so the fitted V exceeds 1: the fit is written
+    # as it is, with a warning, and its residuals need no DipModel
+    positions = np.linspace(-5.0, 5.0, 25)
+    scan = simulate_scan(DipModel(1.0, 1520.0, 0.53), DetectionChain(), positions, 60.0, seed=0)
+    centre = np.abs(positions) < 0.5
+    accidental = np.where(centre, scan.total_counts + 1, scan.accidental_counts)
+    rows = zip(positions.tolist(), scan.total_counts.tolist(), accidental.tolist())
+    path = tmp_path / "scan.csv"
+    path.write_text(
+        "delta_z_mm,total_counts,accidental_counts\n"
+        + "".join(f"{z!r},{t},{a}\n" for z, t, a in rows)
+    )
+    assert run("hom", "fit", "--scan", path, "--out", tmp_path, "--quiet") == EXIT_OK
+    fit = json.loads((tmp_path / "hom_fit.json").read_text())
+    assert fit["visibility"] == pytest.approx(1.069, abs=1e-3)
+    assert len(fit["normalized_residuals"]) == 25
+    assert all(np.isfinite(fit["normalized_residuals"]))
+    warnings = json.loads((tmp_path / "hom-fit.report.json").read_text())["warnings"]
+    assert any("exceeds 1" in w for w in warnings)
 
 
 def test_hom_seed_changes_counts(tmp_path):

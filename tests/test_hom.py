@@ -1,11 +1,13 @@
 import math
 
+import _oracles
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from twinsource import hom
 from twinsource.efficiency import DetectionChain, expected_counts
-from twinsource.errors import DegenerateScan
+from twinsource.errors import DegenerateScan, NoConvergence
 from twinsource.hom import (
     DipModel,
     HomScan,
@@ -184,12 +186,69 @@ def _calibration_scan(delta_lambda_nm, seed):
     return simulate_scan(model, DetectionChain(), POSITIONS, 60.0, seed)
 
 
-def test_fit_flags_a_baseline_that_never_settles():
+def _oracle_fit(scan, monkeypatch):
+    """The Gauss-Newton oracle's fit, and whether its baseline point set
+    cycles: a pass's set differs from the previous pass's and equals an
+    earlier one."""
+    widths = []
+
+    def recorded(wavelength_nm, delta_lambda_nm):
+        widths.append(delta_lambda_nm)
+        return dip_half_width_mm(wavelength_nm, delta_lambda_nm)
+
+    monkeypatch.setattr(_oracles, "dip_half_width_mm", recorded)
+    fit = _oracles.fit_dip_gauss_newton(scan, 1520.0)
+    # one half-width per start candidate, then one per baseline pass
+    sets = [
+        tuple(np.abs(scan.delta_z_mm) > 3.0 * dip_half_width_mm(1520.0, dl))
+        for dl in widths[len(_oracles._INIT_DELTA_LAMBDA_NM) :]
+    ]
+    cycles = any(s != sets[k - 1] and s in sets[: k - 1] for k, s in enumerate(sets) if k)
+    return fit, cycles
+
+
+def _assert_fits_agree(got, want):
+    assert got.converged == want.converged
+    for name in ("visibility", "delta_lambda_nm", "baseline_counts"):
+        assert getattr(got, name) == pytest.approx(getattr(want, name), rel=1e-9, abs=0), name
+
+
+def test_fit_matches_the_gauss_newton_oracle(monkeypatch):
+    # variable projection and Brent reach the optimum the damped Gauss-Newton
+    # fit reaches, with the same status, wherever the baseline set never cycles
+    rng = np.random.default_rng(401)
+    compared = 0
+    for _ in range(240):
+        scan = _calibration_scan(float(rng.uniform(0.4, 0.7)), int(rng.integers(0, 2**31)))
+        want, cycles = _oracle_fit(scan, monkeypatch)
+        if not cycles:
+            _assert_fits_agree(fit_dip(scan, 1520.0), want)
+            compared += 1
+    assert compared >= 200
+
+
+@pytest.mark.parametrize("seed", [20090401, 7], ids=["config_seed", "readme_seed"])
+def test_reference_fits_match_the_gauss_newton_oracle(monkeypatch, seed):
+    # the hom-calibration reference scan and the README's `hom simulate --seed 7`
+    scan = _calibration_scan(0.53, seed)
+    want, cycles = _oracle_fit(scan, monkeypatch)
+    assert not cycles and want.converged
+    _assert_fits_agree(fit_dip(scan, 1520.0), want)
+
+
+def test_fit_settles_a_baseline_set_that_would_cycle(monkeypatch):
     # its baseline points fall in and out of the fitted dip region from pass
-    # to pass, so the baseline changes by ~1% every pass
-    fit = fit_dip(_calibration_scan(0.5443425958180103, 331913304), 1520.0)
-    assert not fit.converged
-    assert fit.delta_lambda_nm == pytest.approx(0.544, abs=0.05)
+    # to pass, so the oracle's baseline changes by ~1% every pass and never
+    # settles; keeping the current set once a width would bring back an
+    # earlier one gives a fixed point
+    scan = _calibration_scan(0.5443425958180103, 331913304)
+    want, cycles = _oracle_fit(scan, monkeypatch)
+    assert cycles and not want.converged
+    fit = fit_dip(scan, 1520.0)
+    assert fit.converged
+    assert fit.visibility == pytest.approx(0.8558163064958964, abs=1e-9)
+    assert fit.delta_lambda_nm == pytest.approx(0.522226808495588, abs=1e-9)
+    assert fit.visibility == pytest.approx(want.visibility, abs=1e-4)
 
 
 def test_fit_keeps_the_last_pass_that_leaves_baseline_points():
@@ -198,6 +257,14 @@ def test_fit_keeps_the_last_pass_that_leaves_baseline_points():
     assert not fit.converged
     assert fit.visibility == pytest.approx(0.847, abs=0.05)
     assert np.isfinite(fit.delta_lambda_err)
+
+
+def test_fit_raises_when_the_width_bracket_holds_no_minimum(monkeypatch):
+    # a bracket of +/-0.1% around the coarse start width, a grid value 4-8%
+    # from the optimum: the chi^2 slope has one sign across it
+    monkeypatch.setattr(hom, "_WIDTH_BRACKET", 1.001)
+    with pytest.raises(NoConvergence):
+        fit_dip(_calibration_scan(0.53, 7), 1520.0)
 
 
 def test_flat_scan_raises_degenerate():
