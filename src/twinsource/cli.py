@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,15 +43,6 @@ class RunReport:
     outputs: list = field(default_factory=list)
     elapsed_s: float = 0.0
     warnings: list = field(default_factory=list)
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config_hash": self.config_hash,
-            "outputs": self.outputs,
-            "elapsed_s": self.elapsed_s,
-            "warnings": self.warnings,
-        }
 
 
 def _fmt(value) -> str:
@@ -131,7 +122,7 @@ class _Run:
 
     def finish(self) -> RunReport:
         self.report.elapsed_s = round(time.monotonic() - self.t0, 6)
-        _write_json(self.out_dir / f"{self.report.command}.report.json", self.report.as_dict())
+        _write_json(self.out_dir / f"{self.report.command}.report.json", asdict(self.report))
         if not self.args.quiet:
             for line in self.report.warnings:
                 print(f"warning: {line}", file=sys.stderr)

@@ -70,7 +70,7 @@ from . import materials
 from .errors import ModeTrackingLost, NoGuidedMode, NonGuidingStack
 from .materials import DispersionModel
 from .roots import brentq_lanes
-from .stack import TE, TM, LayerStack
+from .stack import TE, TM, LayerStack, layer_indices
 
 _GRID_STEP = 1e-4  # n_eff scan step of the root search
 _XTOL = 1e-12  # Brent tolerance on a root, in n_eff
@@ -314,11 +314,7 @@ def _profile_arrays(s: LayerStack, wavelengths, model):
     if not s.layers:
         raise NonGuidingStack("stack has no layers")
     lams = np.atleast_1d(np.asarray(wavelengths, dtype=float))
-    index = {
-        comp: materials.refractive_index(comp, lams, model)
-        for comp in dict.fromkeys(ly.composition for ly in s.layers)
-    }
-    n_layers = np.array([index[ly.composition] for ly in s.layers])  # (L, K)
+    n_layers = layer_indices(s, lams, model).T  # (L, K)
     n_top = s.ambient_index
     if s.substrate is None:
         n_bot = np.full(lams.shape, n_top)
@@ -375,23 +371,11 @@ def _mode_profile(n_top, layers, n_bot, wavelength, pol, neff, points_per_layer=
     f, g = 1.0, gamma_top / m_top
     z = 0.0
     for n, t in layers:
-        m = 1.0 if pol == TE else n * n
-        s2 = n * n - u
-        q = k0 * math.sqrt(abs(s2))
         xs = np.linspace(0.0, t, points_per_layer)
-        if q * t < 1e-9:
-            c, sk = np.ones_like(xs), xs
-        elif s2 > 0:
-            c, sk = np.cos(q * xs), np.sin(q * xs) / q
-        else:
-            c, sk = np.cosh(q * xs), np.sinh(q * xs) / q
-        k2 = k0 * k0 * s2
+        c, m_sk, k2sk_m = _layer_factors(n, xs, 1.0 if pol == TE else n * n, u, k0)
         depth.append(z + xs)
-        field.append(c * f + m * sk * g)
-        f, g = (
-            float(c[-1] * f + m * sk[-1] * g),
-            float(-(k2 / m) * sk[-1] * f + c[-1] * g),
-        )
+        field.append(c * f + m_sk * g)
+        f, g = float(c[-1] * f + m_sk[-1] * g), float(-k2sk_m[-1] * f + c[-1] * g)
         z += t
     gamma_bot = k0 * math.sqrt(u - n_bot * n_bot)
     pad = 2.0 / gamma_bot if gamma_bot > 0 else 500.0

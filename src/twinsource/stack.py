@@ -13,6 +13,11 @@ Conventions
   admittance factored out).
 * For lossless stacks R + T = 1; the substrate may be absorbing (complex
   index), in which case T is the flux entering it.
+* Fields inside the stack follow one rule (``_waves``): the transmitted
+  substrate field t (1, eta_sub) is carried up through the layers below a
+  slice by their characteristic matrix, then walked down through the slice.
+  ``field_profile`` (all layers) and ``core_intensity`` (the core) read the
+  same waves.
 
 All lengths in nanometres unless a name says otherwise.
 """
@@ -152,8 +157,10 @@ class ResonanceResult:
 # low-level engine on raw index arrays
 # ---------------------------------------------------------------------------
 
-# wavelengths per kernel call in stack_response: the kernel's temporaries take
-# about 30 kB per wavelength for the 127-layer device, so a block holds ~8 MB
+# wavelengths per kernel call in stack_response for a stack of up to 128
+# layers; the kernel holds (2, 2, W, P) complex arrays, P the layer count padded
+# to a power of two, so a taller stack gets _BLOCK * 128 // P wavelengths and
+# a block holds ~8 MB of kernel temporaries whatever the layer count
 _BLOCK = 256
 
 _POINTS_PER_LAYER = 12  # field samples per layer, both boundaries included
@@ -277,10 +284,11 @@ def stack_response(
     """Plane-wave response at one wavelength (scalar fields) or over a 1-D
     wavelength array (array fields)."""
     lam = np.asarray(wavelength, dtype=float)
-    if lam.size > _BLOCK:
+    block = max(1, _BLOCK * 128 // (1 << (len(s.layers) - 1).bit_length()))
+    if lam.size > block:
         parts = [
-            stack_response(s, lam[i : i + _BLOCK], theta_deg, pol, model)
-            for i in range(0, lam.size, _BLOCK)
+            stack_response(s, lam[i : i + block], theta_deg, pol, model)
+            for i in range(0, lam.size, block)
         ]
         r, t, R, T = (
             np.concatenate([getattr(p, name) for p in parts])
@@ -295,30 +303,9 @@ def stack_response(
     return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
 
 
-def characteristic_matrix(
-    s: LayerStack,
-    wavelength,
-    theta_deg: float = 0.0,
-    pol: str = TE,
-    layer_slice: slice | None = None,
-    model: DispersionModel | None = None,
-):
-    """2x2 characteristic matrix of the stack (or a slice of its layers);
-    shape (W, 2, 2) over a 1-D array of W wavelengths."""
-    n_list = layer_indices(s, wavelength, model)
-    t_list = _thicknesses(s)
-    if layer_slice is not None:
-        n_list = n_list[..., layer_slice]
-        t_list = t_list[layer_slice]
-    n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    m = _char_matrix(n_list, t_list, n0_sin, np.reshape(wavelength, -1), pol)
-    m = m.T.reshape(-1, 2, 2)
-    return m if np.ndim(wavelength) else m[0]
-
-
 def _walk(f, g, n_list, t_list, n0_sin, k0, pol):
-    """Wave amplitudes (A, B, kz, eta) at the top of each layer, given the
-    tangential field (F, G) at the top of the first; also (F, G) below the last."""
+    """Wave amplitudes (A, B, kz) at the top of each layer, given the
+    tangential field (F, G) at the top of the first."""
     out = []
     for n, t_nm in zip(n_list, t_list):
         ct = _cos_theta(n, n0_sin)
@@ -327,12 +314,12 @@ def _walk(f, g, n_list, t_list, n0_sin, k0, pol):
         a = 0.5 * (f + g / eta)
         b = 0.5 * (f - g / eta)
         kz = k0 * n * ct
-        out.append((a, b, kz, eta))
+        out.append((a, b, kz))
         a_bot = a * np.exp(1j * kz * t_nm)
         b_bot = b * np.exp(-1j * kz * t_nm)
         f = a_bot + b_bot
         g = eta * (a_bot - b_bot)
-    return out, f, g
+    return out
 
 
 def _layer_field(a, b, kz, x):
@@ -340,35 +327,31 @@ def _layer_field(a, b, kz, x):
     return a * np.exp(1j * kz * x) + b * np.exp(-1j * kz * x)
 
 
-def layer_amplitudes(
-    s: LayerStack,
-    wavelength: float,
-    theta_deg: float = 0.0,
-    pol: str = TE,
-    model: DispersionModel | None = None,
-):
-    """Forward/backward wave amplitudes (A, B) at the top of every medium.
+def _waves(s, lams, theta_deg, pol, model, layers):
+    """Waves in the layers of the slice ``layers`` over a 1-D array of W
+    wavelengths, for unit incident amplitude.
 
-    Returns a list of (A, B, kz, eta) tuples for ambient, each layer, and the
-    substrate (B = 0 there), normalized to unit incident amplitude. The net
-    downward flux Re(eta) (|A|^2 - |B|^2) is conserved through lossless media.
+    Returns (A, B, kz, r, t, kz_sub): the forward and backward amplitudes and
+    the wavenumber at the top of each layer of the slice, each (L, W), the
+    stack's r and t, and the substrate wavenumber. The field (F, G) at the top
+    of the slice is the transmitted substrate field t (1, eta_sub) carried up
+    through the slice and the layers below it by their characteristic matrix;
+    the waves are then walked down through the slice.
     """
-    k0 = 2.0 * math.pi / wavelength
-    n_list = layer_indices(s, wavelength, model)
+    k0 = 2.0 * math.pi / lams
+    n_list = np.reshape(layer_indices(s, lams, model), (lams.size, -1))  # (W, L)
     t_list = _thicknesses(s)
-    n_sub = substrate_index(s, wavelength, model)
+    n_sub = substrate_index(s, lams, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    r, _, _, _ = raw_response(s.ambient_index, n_list, t_list, n_sub, wavelength, theta_deg, pol)
-
-    ct0 = _cos_theta(s.ambient_index, n0_sin)
-    eta0 = _admittance(s.ambient_index + 0j, ct0, pol)
-    out = [(1.0 + 0j, complex(r), k0 * s.ambient_index * ct0, eta0)]
-    layers, f, g = _walk(1.0 + r, eta0 * (1.0 - r), n_list, t_list, n0_sin, k0, pol)
+    r, t, _, _ = raw_response(s.ambient_index, n_list, t_list, n_sub, lams, theta_deg, pol)
+    below = slice(layers.start, None)
+    m00, m01, m10, m11 = _char_matrix(n_list[:, below], t_list[below], n0_sin, lams, pol)
     ct_sub = _cos_theta(n_sub, n0_sin)
     eta_sub = _admittance(n_sub, ct_sub, pol)
-    out += layers
-    out.append((0.5 * (f + g / eta_sub), 0j, k0 * n_sub * ct_sub, eta_sub))
-    return out
+    f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
+    waves = _walk(f, g, n_list[:, layers].T, t_list[layers], n0_sin, k0, pol)
+    a, b, kz = np.reshape(waves, (-1, 3, lams.size)).transpose(1, 0, 2)
+    return a, b, kz, r, t, k0 * n_sub * ct_sub
 
 
 def field_profile(
@@ -380,33 +363,31 @@ def field_profile(
 ) -> FieldProfile:
     """Tangential field amplitude through the stack for unit incident amplitude.
 
-    Per-layer forward/backward amplitudes come from the same matrix cascade as
-    the reflectivity; each layer, and the evanescent/propagating tails of
-    ``_PAD_NM`` (200 nm) in the ambient and substrate, is sampled at
-    ``_POINTS_PER_LAYER`` (12) points including both of its boundaries.
+    The waves of every layer come from ``_waves`` over the whole stack (the
+    transmitted field carried up to the surface, then walked down); the
+    ambient holds the incident and reflected waves (1, r), the substrate the
+    transmitted wave t. Each layer, and the ambient and substrate tails of
+    ``_PAD_NM`` (200 nm), is sampled at ``_POINTS_PER_LAYER`` (12) points
+    including both of its boundaries.
     """
-    amps_per_medium = layer_amplitudes(s, wavelength, theta_deg, pol, model)
-    t_list = [ly.thickness_nm for ly in s.layers]
-
-    a0, b0, kz0, _ = amps_per_medium[0]
-    x = np.linspace(-_PAD_NM, 0.0, _POINTS_PER_LAYER)
-    depths, amps = [x], [_layer_field(a0, b0, kz0, x)]
-
-    z = 0.0
-    for (a, b, kz, _), t_nm in zip(amps_per_medium[1:-1], t_list):
-        x_local = np.linspace(0.0, t_nm, _POINTS_PER_LAYER)
-        depths.append(z + x_local)
-        amps.append(_layer_field(a, b, kz, x_local))
-        z += t_nm
-
-    a_sub, _, kz_sub, _ = amps_per_medium[-1]
-    x = np.linspace(0.0, _PAD_NM, _POINTS_PER_LAYER)
-    depths.append(z + x)
-    amps.append(a_sub * np.exp(1j * kz_sub * x))
-
+    lam = np.array([wavelength], dtype=float)
+    a, b, kz, r, t, kz_sub = _waves(s, lam, theta_deg, pol, model, slice(0, None))
+    t_list = _thicknesses(s)
+    tops = np.cumsum(np.r_[0.0, t_list])  # the last is the substrate's
+    x = np.linspace(0.0, t_list, _POINTS_PER_LAYER, axis=1)  # (L, points)
+    x_amb = np.linspace(-_PAD_NM, 0.0, _POINTS_PER_LAYER)
+    x_sub = np.linspace(0.0, _PAD_NM, _POINTS_PER_LAYER)
+    n0 = s.ambient_index
+    kz0 = 2.0 * math.pi / wavelength * n0 * _cos_theta(n0, n0 * math.sin(math.radians(theta_deg)))
     return FieldProfile(
-        depth_nm=np.concatenate(depths),
-        amplitude=np.concatenate(amps),
+        depth_nm=np.concatenate([x_amb, (tops[:-1, None] + x).ravel(), tops[-1] + x_sub]),
+        amplitude=np.concatenate(
+            [
+                _layer_field(1.0, r, kz0, x_amb),
+                _layer_field(a, b, kz, x).ravel(),
+                t * np.exp(1j * kz_sub * x_sub),
+            ]
+        ),
         wavelength_nm=wavelength,
         theta_deg=theta_deg,
         polarization=pol,
@@ -423,25 +404,14 @@ def core_intensity(
     """Peak |field|^2 inside the core region for unit incident intensity, a
     float at one wavelength or an array over a 1-D wavelength array.
 
-    Only the core is sampled, at ``_POINTS_PER_LAYER`` points per layer.
-    The field at the top of the core is the transmitted substrate field
-    carried up through the core and the layers below it.
+    The waves are ``_waves`` on the core: the transmitted substrate field
+    carried up through the core and the layers below it, then walked down
+    through the core, sampled at ``_POINTS_PER_LAYER`` points per layer.
     """
     core = _region_slice(s, "core")
     lams = np.reshape(np.asarray(wavelength, dtype=float), -1)
-    k0 = 2.0 * math.pi / lams
-    n_list = np.reshape(layer_indices(s, lams, model), (lams.size, -1))  # (W, L)
-    t_list = _thicknesses(s)
-    n_sub = substrate_index(s, lams, model)
-    n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    _, t, _, _ = raw_response(s.ambient_index, n_list, t_list, n_sub, lams, theta_deg, pol)
-    below = slice(core.start, None)
-    m00, m01, m10, m11 = _char_matrix(n_list[:, below], t_list[below], n0_sin, lams, pol)
-    eta_sub = _admittance(n_sub, _cos_theta(n_sub, n0_sin), pol)
-    f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
-    layers, _, _ = _walk(f, g, n_list[:, core].T, t_list[core], n0_sin, k0, pol)
-    a, b, kz, _ = (np.array(col)[:, :, None] for col in zip(*layers))  # (core layers, W, 1)
-    x = np.linspace(0.0, t_list[core], _POINTS_PER_LAYER, axis=1)[:, None, :]
+    a, b, kz = (w[:, :, None] for w in _waves(s, lams, theta_deg, pol, model, core)[:3])
+    x = np.linspace(0.0, _thicknesses(s)[core], _POINTS_PER_LAYER, axis=1)[:, None, :]
     peak = np.max(np.abs(_layer_field(a, b, kz, x)) ** 2, axis=(0, 2))
     return float(peak[0]) if np.ndim(wavelength) == 0 else peak
 

@@ -9,9 +9,11 @@ medium to the bottom one, layer by layer, and bisects its sign changes; the
 dispersion oracle spells out the index formula in the order the package
 evaluates it. The resonance oracle is the package's resonance search with its
 field-intensity half-width found one wavelength at a time: a scalar walk out
-in 0.1 nm steps and a scalar Brent solve of each crossing. The dip-fit oracle
-is the damped Gauss-Newton fit that ``hom.fit_dip`` ran before it solved for
-the width alone.
+in 0.1 nm steps and a scalar Brent solve of each crossing. The field-profile
+oracle walks the layer waves down from the surface field (1 + r, eta0 (1 - r)),
+where the package carries the transmitted field up from the substrate. The
+dip-fit oracle is the damped Gauss-Newton fit that ``hom.fit_dip`` ran before
+it solved for the width alone.
 """
 
 import cmath
@@ -250,10 +252,47 @@ def core_intensity_scalar(s, wavelength, theta_deg, pol, model=None):
     )[:, 0]
     eta_sub = st._admittance(n_sub, st._cos_theta(n_sub, n0_sin), pol)
     f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
-    layers, _, _ = st._walk(f, g, n_list[core], t_list[core], n0_sin, k0, pol)
-    a, b, kz, _ = (np.array(col)[:, None] for col in zip(*layers))
+    layers = st._walk(f, g, n_list[core], t_list[core], n0_sin, k0, pol)
+    a, b, kz = (np.array(col)[:, None] for col in zip(*layers))
     x = np.linspace(0.0, t_list[core], st._POINTS_PER_LAYER, axis=1)
     return float(np.max(np.abs(st._layer_field(a, b, kz, x)) ** 2))
+
+
+def field_profile_top_down(s, wavelength, theta_deg, pol, model=None):
+    """(depth_nm, amplitude) of ``stack.field_profile`` with the waves walked
+    down from the surface, where the field is (1 + r, eta0 (1 - r)), layer by
+    layer in scalar arithmetic, and each layer sampled in its own loop pass."""
+    from twinsource import stack as st
+
+    k0 = 2.0 * math.pi / wavelength
+    n_list = st.layer_indices(s, wavelength, model)
+    t_list = [ly.thickness_nm for ly in s.layers]
+    n_sub = st.substrate_index(s, wavelength, model)
+    n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
+    r, _, _, _ = st.raw_response(s.ambient_index, n_list, t_list, n_sub, wavelength, theta_deg, pol)
+    ct0 = st._cos_theta(s.ambient_index, n0_sin)
+    eta0 = st._admittance(s.ambient_index + 0j, ct0, pol)
+    kz0 = k0 * s.ambient_index * ct0
+    x = np.linspace(-st._PAD_NM, 0.0, st._POINTS_PER_LAYER)
+    depths, amps = [x], [np.exp(1j * kz0 * x) + r * np.exp(-1j * kz0 * x)]
+    f, g, z = 1.0 + r, eta0 * (1.0 - r), 0.0
+    for n, t_nm in zip(n_list, t_list):
+        ct = st._cos_theta(n, n0_sin)
+        eta = st._admittance(n, ct, pol)
+        a, b, kz = 0.5 * (f + g / eta), 0.5 * (f - g / eta), k0 * n * ct
+        x = np.linspace(0.0, t_nm, st._POINTS_PER_LAYER)
+        depths.append(z + x)
+        amps.append(a * np.exp(1j * kz * x) + b * np.exp(-1j * kz * x))
+        a_bot, b_bot = a * np.exp(1j * kz * t_nm), b * np.exp(-1j * kz * t_nm)
+        f, g = a_bot + b_bot, eta * (a_bot - b_bot)
+        z += t_nm
+    ct_sub = st._cos_theta(n_sub, n0_sin)
+    a_sub = 0.5 * (f + g / st._admittance(n_sub, ct_sub, pol))
+    x = np.linspace(0.0, st._PAD_NM, st._POINTS_PER_LAYER)
+    depths.append(z + x)
+    kz_sub = k0 * n_sub * ct_sub
+    amps.append(a_sub * np.exp(1j * kz_sub * x))
+    return np.concatenate(depths), np.concatenate(amps)
 
 
 def resonance_scalar(s, lambda_window, theta_deg, pol, model=None):

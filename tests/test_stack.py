@@ -1,11 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.signal import find_peaks
 
 import _oracles
-from _oracles import core_intensity_scalar, resonance_scalar, response_loop
+from _oracles import core_intensity_scalar, field_profile_top_down, resonance_scalar, response_loop
 from twinsource import config, materials
 from twinsource import stack as stack_mod
 from twinsource.errors import (
@@ -22,12 +23,14 @@ from twinsource.stack import (
     _BLOCK,
     Layer,
     LayerStack,
+    _char_matrix,
     _prominent_minima,
-    characteristic_matrix,
+    _thicknesses,
+    _waves,
     core_intensity,
     field_profile,
     find_resonance,
-    layer_amplitudes,
+    layer_indices,
     raw_response,
     stack_response,
 )
@@ -164,12 +167,40 @@ def test_batched_response_past_one_kernel_block(paper_stack):
         assert batch.transmittance[i] == pytest.approx(resp.transmittance, abs=1e-12)
 
 
+def test_batched_response_of_a_tall_stack_stays_small():
+    # the kernel block shrinks with the layer count: 6000 layers (every default
+    # region at 1000 periods) over 300 wavelengths run in blocks of 4, where a
+    # fixed 256-wavelength block held ~134 MB per kernel array
+    cfg = config.default_config()
+    for reg in cfg["stack"]["regions"]:
+        reg["periods"] = 1000
+    s = config.build_stack(cfg)
+    lams = np.linspace(740.0, 780.0, 300)
+    tracemalloc.start()
+    try:
+        batch = stack_response(s, lams, 5.0, TM)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(s.layers) == 6000 and peak < 32e6
+    for i in (0, 3, 4, 151, len(lams) - 1):
+        resp = stack_response(s, float(lams[i]), 5.0, TM)
+        assert batch.r[i] == pytest.approx(resp.r, abs=1e-12)
+        assert batch.transmittance[i] == pytest.approx(resp.transmittance, abs=1e-12)
+
+
 def test_characteristic_matrix_cascades(paper_stack):
-    for lam in (1520.0, np.array([1480.0, 1520.0, 1560.0])):
-        whole = characteristic_matrix(paper_stack, lam, 7.0, TM)
-        top = characteristic_matrix(paper_stack, lam, 7.0, TM, layer_slice=slice(0, 50))
-        rest = characteristic_matrix(paper_stack, lam, 7.0, TM, layer_slice=slice(50, None))
-        assert whole.shape == np.shape(lam) + (2, 2)
+    n0_sin = math.sin(math.radians(7.0))
+    t_list = _thicknesses(paper_stack)
+    for lam in (np.array([1520.0]), np.array([1480.0, 1520.0, 1560.0])):
+        n_list = layer_indices(paper_stack, lam)
+
+        def matrix(part):
+            m = _char_matrix(n_list[:, part], t_list[part], n0_sin, lam, TM)
+            return m.T.reshape(-1, 2, 2)
+
+        whole, top, rest = matrix(slice(None)), matrix(slice(0, 50)), matrix(slice(50, None))
+        assert whole.shape == (lam.size, 2, 2)
         assert np.allclose(whole, top @ rest, rtol=1e-12, atol=1e-12)
 
 
@@ -259,9 +290,26 @@ def test_core_intensity_enhancement_at_resonance(paper_stack, resonance):
     assert enhancement == pytest.approx(18.6, rel=0.05)
 
 
+def test_field_profile_equals_the_top_down_walk(paper_stack):
+    # the waves carried up from the substrate and walked down agree with those
+    # walked down from the surface field (1 + r, eta0 (1 - r)), at the same depths
+    cases = ((750.0, 0.0, TE), (759.99, 0.0, TE), (1520.0, 17.0, TE), (760.3, 3.0, TM))
+    for lam, theta, pol in cases:
+        prof = field_profile(paper_stack, lam, theta, pol)
+        depth, amp = field_profile_top_down(paper_stack, lam, theta, pol)
+        assert np.array_equal(prof.depth_nm, depth)
+        assert np.max(np.abs(prof.amplitude - amp)) <= 1e-11 * np.max(np.abs(amp))
+
+
 def test_net_flux_constant_through_lossless_stack(paper_stack):
-    amps = layer_amplitudes(paper_stack, 1520.0, 17.0, TE)
-    fluxes = [(eta.real * (abs(a) ** 2 - abs(b) ** 2)) for a, b, _, eta in amps]
+    # TE: the admittance eta = n cos(theta) is kz / k0 in every medium
+    k0 = 2.0 * math.pi / 1520.0
+    waves = _waves(paper_stack, np.array([1520.0]), 17.0, TE, None, slice(0, None))
+    a, b, kz, r, t, kz_sub = (w[..., 0] for w in waves)
+    fluxes = [math.cos(math.radians(17.0)) * (1.0 - abs(r) ** 2)]
+    fluxes += ((kz / k0).real * (np.abs(a) ** 2 - np.abs(b) ** 2)).tolist()
+    fluxes.append((kz_sub / k0).real * abs(t) ** 2)
+    assert len(fluxes) == len(paper_stack.layers) + 2
     assert np.allclose(fluxes, fluxes[0], rtol=1e-9, atol=1e-12)
 
 
