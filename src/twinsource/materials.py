@@ -18,13 +18,19 @@ legitimately needs an absorbing medium (the GaAs substrate at the pump
 wavelength); there sqrt(1-chi) continues to +i*sqrt(chi-1) so that Im(n) >= 0
 with the exp(-i w t) time convention.
 
+A scalar wavelength is evaluated in plain ``math`` floats and an array in
+numpy, through one n^2 formula that takes its square root as an argument; the
+two paths give the same floats (``==``) and raise the same errors.
+
 Alternative coefficient sets can be registered at runtime or loaded from a
 JSON document, and every result can be traced back to the model name.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -81,14 +87,12 @@ class DispersionModel:
         c0, c1, c2 = self.coefficients["e0"]
         return c0 + c1 * x + c2 * x * x
 
-    def _check_window(self, x: float, wavelength_nm):
+    def _checked(self, x: float, wavelength_nm):
+        """(scalar, lam): the wavelength as a float or a float array, checked."""
+        scalar = isinstance(wavelength_nm, float) or np.isscalar(wavelength_nm)
+        lam = float(wavelength_nm) if scalar else np.asarray(wavelength_nm, dtype=float)
         lo, hi = self.wavelength_window_nm
-        if np.ndim(wavelength_nm):
-            lam = np.asarray(wavelength_nm, dtype=float)
-            outside = np.any(lam < lo) or np.any(lam > hi)
-        else:
-            outside = wavelength_nm < lo or wavelength_nm > hi
-        if outside:
+        if (lam < lo or lam > hi) if scalar else (np.any(lam < lo) or np.any(lam > hi)):
             shown = f"{lam.min()}..{lam.max()}" if np.ndim(wavelength_nm) else f"{wavelength_nm}"
             raise OutOfValidityWindow(
                 f"wavelength {shown} nm outside model '{self.name}' "
@@ -99,59 +103,69 @@ class DispersionModel:
             raise OutOfValidityWindow(
                 f"composition x={x} outside model '{self.name}' window [{xlo}, {xhi}]"
             )
+        return scalar, lam
 
-    def _chi_terms(self, x: float, wavelength_nm):
-        energy = HC_EV_NM / np.asarray(wavelength_nm, dtype=float)
+    def _chi_terms(self, x: float, lam):
+        energy = HC_EV_NM / lam
         e0 = self.gap_energy_ev(x)
         s0, s1, s2 = self.coefficients["e0_so"]
         e0_so = s0 + s1 * x + s2 * x * x
         return energy / e0, energy / e0_so, e0 / e0_so
 
-    def _n_squared(self, x: float, chi_terms, complex_sqrt: bool):
+    def _n_squared(self, x: float, chi_terms, sqrt, complex_root=None):
+        """n^2 from the chi terms of a float (``sqrt`` is ``math.sqrt``) or of
+        an array (``np.sqrt``); ``complex_root`` continues f past the gap."""
         chi, chi_so, ratio = chi_terms
         a0, a1 = self.coefficients["a"]
         b0, b1 = self.coefficients["b"]
         a = a0 + a1 * x
         b = b0 + b1 * x
-        f_main = _oscillator_f(chi, complex_sqrt)
-        f_so = _oscillator_f(chi_so, complex_sqrt)
+        f_main = _oscillator_f(chi, sqrt, complex_root)
+        f_so = _oscillator_f(chi_so, sqrt, complex_root)
         return a * (f_main + 0.5 * f_so * ratio**1.5) + b
 
     def evaluate(self, x: float, wavelength_nm):
-        """Real below-gap refractive index. Raises above the gap."""
-        self._check_window(x, wavelength_nm)
-        terms = self._chi_terms(x, wavelength_nm)
+        """Real below-gap refractive index. Raises above the gap. A float for
+        a scalar wavelength, an array for an array: the same floats (``==``)."""
+        scalar, lam = self._checked(x, wavelength_nm)
+        terms = self._chi_terms(x, lam)
         chi, chi_so, _ = terms
         margin = self.near_gap_margin
-        if np.ndim(chi):
-            above = np.any(chi > margin) or np.any(chi_so > margin)
-        else:
-            above = chi > margin or chi_so > margin
-        if above:
+        above = (chi > margin) | (chi_so > margin)
+        if (above if scalar else above.any()):
             raise AboveBandgap(
                 f"photon energy within {100 * (1 - margin):.1f}% of the "
                 f"Al(x={x}) gap: model '{self.name}' index is complex there"
             )
-        n = np.sqrt(self._n_squared(x, terms, complex_sqrt=False))
-        return float(n) if np.isscalar(wavelength_nm) else n
+        sqrt = math.sqrt if scalar else np.sqrt
+        return sqrt(self._n_squared(x, terms, sqrt))
 
     def evaluate_complex(self, x: float, wavelength_nm):
-        """Complex index n + i*kappa, valid above the gap (kappa >= 0)."""
-        self._check_window(x, wavelength_nm)
-        n2 = self._n_squared(x, self._chi_terms(x, wavelength_nm), complex_sqrt=True)
-        n = np.sqrt(n2.astype(complex) if not np.isscalar(wavelength_nm) else complex(n2))
-        n = np.where(np.imag(n) < 0, np.conj(n), n)
-        return complex(n) if np.isscalar(wavelength_nm) else n
+        """Complex index n + i*kappa, valid above the gap (kappa >= 0). A
+        complex for a scalar wavelength, an array for an array (``==``)."""
+        scalar, lam = self._checked(x, wavelength_nm)
+        terms = self._chi_terms(x, lam)
+        if scalar:
+            n = cmath.sqrt(self._n_squared(x, terms, math.sqrt, _complex_root))
+            return n.conjugate() if n.imag < 0 else n
+        n = np.sqrt(self._n_squared(x, terms, np.sqrt, lambda v: np.sqrt(v.astype(complex))))
+        return np.where(np.imag(n) < 0, np.conj(n), n)
 
 
-def _oscillator_f(chi, complex_sqrt: bool):
-    """f(chi) = (2 - sqrt(1+chi) - sqrt(1-chi)) / chi^2 of the oscillator model."""
-    chi = np.asarray(chi, dtype=float)
-    if complex_sqrt:
-        one_minus = np.sqrt((1.0 - chi).astype(complex))
-    else:
-        one_minus = np.sqrt(1.0 - chi)
-    return (2.0 - np.sqrt(1.0 + chi) - one_minus) / chi**2
+def _complex_root(v: float) -> complex:
+    """sqrt(v) of a float as a complex, +i sqrt(-v) below zero, as numpy's."""
+    return complex(math.sqrt(v), 0.0) if v >= 0 else complex(0.0, math.sqrt(-v))
+
+
+def _oscillator_f(chi, sqrt, complex_root=None):
+    """f(chi) = (2 - sqrt(1+chi) - sqrt(1-chi)) / chi^2 of the oscillator model.
+
+    chi * chi is numpy's square (Python's chi**2 calls ``pow``), and numpy
+    divides a complex by a real as a product with the reciprocal, so a float
+    and an array give the same floats.
+    """
+    top = 2.0 - sqrt(1.0 + chi) - (complex_root or sqrt)(1.0 - chi)
+    return top / (chi * chi) if complex_root is None else top * (1.0 / (chi * chi))
 
 
 DEFAULT_MODEL = DispersionModel(name="adachi1985")

@@ -325,7 +325,7 @@ def _profile_arrays(s: LayerStack, wavelengths, model):
     last = s.regions[-1] if s.regions else None
     clad = n_layers[last.start : last.stop].min(axis=0) if last else n_layers[-1]
     n_bot = np.where(n_bot >= n_layers.max(axis=0), clad, n_bot)
-    return n_top, n_layers, n_bot, [ly.thickness_nm for ly in s.layers]
+    return n_top, n_layers, n_bot, s._plan.thickness.tolist()
 
 
 def _planar_profiles(s: LayerStack, wavelengths, model):

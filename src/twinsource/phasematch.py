@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSolutionInWindow
+from .errors import NoSolutionInWindow, TwinSourceError
 from .modes import EffectiveIndexTable
 from .roots import brentq
 from .stack import TE, TM, LayerStack
@@ -242,15 +242,17 @@ class PhaseMatcher:
     def tuning_curve(self, theta_deg_values, lambda_p: float):
         """solve_pair swept over angles for both interactions.
 
-        Per-point failures are recorded and the sweep continues. Returns
-        (points, failures) where failures is a list of
-        (theta_deg, interaction_id, message).
+        Per-point failures are recorded and the sweep continues: the domain
+        errors, ``ValueError`` (angle, energy and bracket checks) and
+        ``RuntimeError`` (Brent's non-convergence); any other exception is a
+        fault and propagates. Returns (points, failures) where failures is a
+        list of (theta_deg, interaction_id, message).
         """
         points, failures = [], []
         for inter in (INTERACTION_1, INTERACTION_2):
             for theta in theta_deg_values:
                 try:
                     points.append(self.solve_pair(float(theta), lambda_p, inter))
-                except Exception as exc:  # noqa: BLE001 - per-point error capture
+                except (TwinSourceError, ValueError, RuntimeError) as exc:
                     failures.append((float(theta), inter.id, str(exc)))
         return points, failures

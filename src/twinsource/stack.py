@@ -18,6 +18,9 @@ Conventions
   slice by their characteristic matrix, then walked down through the slice.
   ``field_profile`` (all layers) and ``core_intensity`` (the core) read the
   same waves.
+* A stack builds its layer plan once (distinct compositions, each layer's
+  index into them, thicknesses), so no call loops over the layers; it keeps
+  its layers and regions as tuples, so the plan cannot go stale.
 
 All lengths in nanometres unless a name says otherwise.
 """
@@ -26,6 +29,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,6 +69,14 @@ class Region:
     periods: float
 
 
+class _LayerPlan(NamedTuple):
+    """The layers of a stack as arrays, built once per stack."""
+
+    xs: tuple  # the distinct aluminium fractions, in order of first appearance
+    index: np.ndarray  # (L,) intp: each layer's fraction in xs
+    thickness: np.ndarray  # (L,) read-only layer thicknesses, nm
+
+
 @dataclass(frozen=True)
 class LayerStack:
     """Ordered layers (top to bottom) between the ambient and the substrate.
@@ -80,6 +93,8 @@ class LayerStack:
     regions: tuple = ()
 
     def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
+        object.__setattr__(self, "regions", tuple(self.regions))
         if self.ambient_index < 1.0:
             raise ValueError("ambient index below vacuum")
         if self.regions:
@@ -114,6 +129,14 @@ class LayerStack:
 
     def region_layers(self, name: str) -> tuple:
         return self.layers[_region_slice(self, name)]
+
+    @cached_property
+    def _plan(self) -> _LayerPlan:
+        first = {}
+        index = [first.setdefault(ly.composition.x, len(first)) for ly in self.layers]
+        thickness = np.array([ly.thickness_nm for ly in self.layers], dtype=float)
+        thickness.flags.writeable = False
+        return _LayerPlan(tuple(first), np.array(index, dtype=np.intp), thickness)
 
 
 @dataclass(frozen=True)
@@ -166,6 +189,8 @@ _BLOCK = 256
 _POINTS_PER_LAYER = 12  # field samples per layer, both boundaries included
 _PAD_NM = 200.0  # ambient and substrate tails of a field profile
 RESONANCE_SCAN_STEP_NM = 0.05
+_WALK_STEP_NM = 0.1  # step of the walk out from the peak to each half-maximum
+_FSR_STEP_NM = 0.05  # h of the round-trip phase slope's central difference
 RESONANCE_PROMINENCE = 5e-4  # least prominence of the resonance's R dip
 _WALK_CHUNK = 16  # half-maximum walk points per core_intensity call
 _CROSSING_XTOL_NM = 1e-12  # Brent's absolute tolerance on a half-maximum crossing
@@ -250,20 +275,14 @@ def _region_slice(s: LayerStack, name: str) -> slice:
     return slice(reg.start, reg.stop)
 
 
-def _thicknesses(s: LayerStack) -> np.ndarray:
-    return np.array([ly.thickness_nm for ly in s.layers])
-
-
 def layer_indices(s: LayerStack, wavelength, model: DispersionModel | None = None):
     """Per-layer refractive indices (below-gap real): shape (L,) at one
     wavelength, (W, L) over a 1-D array of W wavelengths. Each distinct
-    composition is evaluated once."""
-    cache = {}
-    for ly in s.layers:
-        key = ly.composition.x
-        if key not in cache:
-            cache[key] = materials.refractive_index(ly.composition, wavelength, model)
-    return np.array([cache[ly.composition.x] for ly in s.layers]).T
+    composition of the stack's layer plan is evaluated once, and the plan's
+    layer index spreads the results over the layers."""
+    m = model or materials.DEFAULT_MODEL
+    plan = s._plan
+    return np.array([m.evaluate(x, wavelength) for x in plan.xs])[plan.index].T
 
 
 def substrate_index(s: LayerStack, wavelength, model: DispersionModel | None = None):
@@ -298,7 +317,7 @@ def stack_response(
         n_list = layer_indices(s, wavelength, model)
         n_sub = substrate_index(s, wavelength, model)
         r, t, R, T = raw_response(
-            s.ambient_index, n_list, _thicknesses(s), n_sub, wavelength, theta_deg, pol
+            s.ambient_index, n_list, s._plan.thickness, n_sub, wavelength, theta_deg, pol
         )
     return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
 
@@ -340,7 +359,7 @@ def _waves(s, lams, theta_deg, pol, model, layers):
     """
     k0 = 2.0 * math.pi / lams
     n_list = np.reshape(layer_indices(s, lams, model), (lams.size, -1))  # (W, L)
-    t_list = _thicknesses(s)
+    t_list = s._plan.thickness
     n_sub = substrate_index(s, lams, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
     r, t, _, _ = raw_response(s.ambient_index, n_list, t_list, n_sub, lams, theta_deg, pol)
@@ -372,7 +391,7 @@ def field_profile(
     """
     lam = np.array([wavelength], dtype=float)
     a, b, kz, r, t, kz_sub = _waves(s, lam, theta_deg, pol, model, slice(0, None))
-    t_list = _thicknesses(s)
+    t_list = s._plan.thickness
     tops = np.cumsum(np.r_[0.0, t_list])  # the last is the substrate's
     x = np.linspace(0.0, t_list, _POINTS_PER_LAYER, axis=1)  # (L, points)
     x_amb = np.linspace(-_PAD_NM, 0.0, _POINTS_PER_LAYER)
@@ -411,7 +430,7 @@ def core_intensity(
     core = _region_slice(s, "core")
     lams = np.reshape(np.asarray(wavelength, dtype=float), -1)
     a, b, kz = (w[:, :, None] for w in _waves(s, lams, theta_deg, pol, model, core)[:3])
-    x = np.linspace(0.0, _thicknesses(s)[core], _POINTS_PER_LAYER, axis=1)[:, None, :]
+    x = np.linspace(0.0, s._plan.thickness[core], _POINTS_PER_LAYER, axis=1)[:, None, :]
     peak = np.max(np.abs(_layer_field(a, b, kz, x)) ** 2, axis=(0, 2))
     return float(peak[0]) if np.ndim(wavelength) == 0 else peak
 
@@ -479,7 +498,7 @@ def _cavity(s, wavelength, theta_deg, pol, model):
     top, core, bottom = (_region_slice(s, name) for name in _CAVITY_REGIONS)
     k0 = 2.0 * math.pi / wavelength
     n_list = layer_indices(s, wavelength, model)
-    t_list = _thicknesses(s)
+    t_list = s._plan.thickness
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
     n_core, t_core = n_list[core], t_list[core]
     opl = sum(n_core * t_core * _cos_theta(n_core, n0_sin).real)
@@ -516,16 +535,16 @@ def find_resonance(
     * the resonance wavelength is the reflectance minimum, golden-section
       refined from the neighbouring scan points to xtol = 1e-3 nm;
     * the FWHM is read off the core field-intensity resonance curve: each
-      half-maximum crossing is bracketed by walking out in 0.1 nm steps,
-      ``_WALK_CHUNK`` walk points per ``core_intensity`` call (their
-      wavelengths summed step by step, as a loop sums them; a chunk the index
-      model cannot evaluate is walked point by point), then found by Brent's
+      half-maximum crossing is bracketed by walking out in ``_WALK_STEP_NM``
+      (0.1 nm) steps, ``_WALK_CHUNK`` walk points per ``core_intensity`` call
+      (their wavelengths summed step by step, as a loop sums them; a chunk the
+      index model cannot evaluate is walked point by point), then found by Brent's
       method to xtol = ``_CROSSING_XTOL_NM`` (1e-12 nm), both crossings in one
       ``roots.brentq_lanes`` call: each of its ``core_intensity`` calls takes
       at most 4 wavelengths, those the scalar ``roots.brentq`` would ask for;
     * the free spectral range comes from the slope of the cavity round-trip
-      phase, a central difference with h = 0.05 nm (the window holds a single
-      dip, so peak-to-peak spacing is not available);
+      phase, a central difference with h = ``_FSR_STEP_NM`` (0.05 nm); the
+      window holds a single dip, so peak-to-peak spacing is not available;
     * the finesse is FSR / FWHM.
 
     T_up and T_down are the transmittances of the two DBR sub-stacks seen
@@ -587,12 +606,12 @@ def find_resonance(
         return intensity(lams) - half
 
     # both crossings at once, each from its walk bracket (inside, outside)
-    lam_in, lam_out = np.array([bracket(0.1), bracket(-0.1)]).T
+    lam_in, lam_out = np.array([bracket(_WALK_STEP_NM), bracket(-_WALK_STEP_NM)]).T
     right, left = brentq_lanes(over_half, lam_in, lam_out, _CROSSING_XTOL_NM)
     fwhm = right - left
 
     # FSR from the round-trip phase slope (central difference, wrap-safe)
-    h = 0.05
+    h = _FSR_STEP_NM
     prop_p, (up_p, *_), (dn_p, *_) = _cavity(s, lam_res + h, theta_deg, pol, model)
     prop_m, (up_m, *_), (dn_m, *_) = _cavity(s, lam_res - h, theta_deg, pol, model)
     dphi = (prop_p - prop_m) + np.angle(up_p / up_m) + np.angle(dn_p / dn_m)

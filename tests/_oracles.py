@@ -242,7 +242,7 @@ def core_intensity_scalar(s, wavelength, theta_deg, pol, model=None):
     core = st._region_slice(s, "core")
     k0 = 2.0 * math.pi / wavelength
     n_list = st.layer_indices(s, wavelength, model)
-    t_list = st._thicknesses(s)
+    t_list = s._plan.thickness
     n_sub = st.substrate_index(s, wavelength, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
     _, t, _, _ = st.raw_response(s.ambient_index, n_list, t_list, n_sub, wavelength, theta_deg, pol)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import adachi_index
-from twinsource.errors import AboveBandgap, OutOfValidityWindow
+from twinsource.errors import AboveBandgap, OutOfValidityWindow, TwinSourceError
 from twinsource.materials import (
     Composition,
     DispersionModel,
@@ -41,6 +41,49 @@ def test_evaluate_is_bit_identical_to_the_formula(window, x):
     expected = adachi_index(model, x, lam, complex_index=True)
     assert np.array_equal(model.evaluate_complex(x, lam), expected)
     assert np.array_equal([model.evaluate_complex(x, float(v)) for v in lam], expected)
+
+
+def _outcomes(evaluate, x, lams):
+    """evaluate(x, lam) at each of lams, or the class of the domain error it raised."""
+    out = []
+    for lam in lams:
+        try:
+            out.append(evaluate(x, lam))
+        except TwinSourceError as exc:
+            out.append(type(exc))
+    return out
+
+
+def _float_path_equals_the_array_paths(evaluate, x, lams, kind):
+    got = _outcomes(evaluate, x, lams.tolist())
+    assert got == _outcomes(evaluate, x, [np.array(lam) for lam in lams])  # 0-d arrays
+    values = [v for v in got if not isinstance(v, type)]
+    assert all(type(v) is kind for v in values)
+    # the valid points as one 1-D array, through numpy's vector loops
+    valid = lams[[not isinstance(v, type) for v in got]]
+    batch = evaluate(x, valid)
+    assert isinstance(batch, np.ndarray) and np.array_equal(batch, values)
+    return got
+
+
+@pytest.mark.parametrize("x", [0.0, 0.25, 0.35, 0.8, 0.9])
+def test_float_index_equals_the_array_index_on_a_dense_grid(x):
+    # every 0.5 nm of 600-4000 nm; Python's chi**2 or a true division in the
+    # float path moves some of these floats
+    got = _float_path_equals_the_array_paths(
+        get_model().evaluate, x, np.arange(1200, 8001) * 0.5, float
+    )
+    assert (AboveBandgap in got) == (x <= 0.35)  # the grid starts above those gaps
+
+
+@pytest.mark.parametrize("x", [0.0, 0.35])
+def test_float_complex_index_equals_the_array_index_on_a_dense_grid(x):
+    # every 0.25 nm of 550-4000 nm, the absorbing GaAs substrate at the pump
+    # wavelengths included
+    got = _float_path_equals_the_array_paths(
+        get_model().evaluate_complex, x, np.arange(2200, 16001) * 0.25, complex
+    )
+    assert any(v.imag > 0 for v in got)  # the absorbing branch is on the grid
 
 
 @pytest.mark.parametrize("key", sorted(ORACLE_N))

@@ -127,6 +127,19 @@ def test_tuning_curve_x_shape(matcher):
     assert crossings == 2  # one X crossing per interaction
 
 
+def test_tuning_curve_records_domain_failures_and_raises_faults(matcher, monkeypatch):
+    points, failures = matcher.tuning_curve([3.1, 95.0], 760.0)
+    assert len(points) == 2  # 3.1 deg for both interactions
+    assert [(f[0], f[1]) for f in failures] == [(95.0, 1), (95.0, 2)]  # |theta| < 90 check
+
+    def broken(theta_deg, lambda_p, inter):
+        raise TypeError("a fault, not a failed point")
+
+    monkeypatch.setattr(matcher, "solve_pair", broken)
+    with pytest.raises(TypeError, match="a fault"):
+        matcher.tuning_curve([3.1], 760.0)
+
+
 def test_delta_k_zero_at_solution_and_sign_flip(matcher):
     p = matcher.solve_pair(1.5, 760.0, INTERACTION_1)
     k_p = 2.0 * math.pi / 760.0

@@ -25,7 +25,6 @@ from twinsource.stack import (
     LayerStack,
     _char_matrix,
     _prominent_minima,
-    _thicknesses,
     _waves,
     core_intensity,
     field_profile,
@@ -158,6 +157,39 @@ def test_batched_response_edge_stacks(s, pol):
         assert abs(stack_response(s, float(lam), 17.0, pol).reflectance - r) <= 1e-12
 
 
+def test_a_stack_built_from_lists_ignores_later_changes_to_them(paper_stack):
+    # the stack keeps tuples, so its cached layer plan cannot go stale
+    layers, regions = list(paper_stack.layers), list(paper_stack.regions)
+    s = LayerStack(layers, paper_stack.substrate, paper_stack.ambient_index, regions)
+    lams = np.linspace(740.0, 780.0, 41)
+    before = stack_response(s, lams, 3.0, TM), stack_response(s, 761.0, 3.0, TM)
+    layers.reverse()
+    layers[0] = Layer(Composition(0.1), 50.0)
+    regions.clear()
+    after = stack_response(s, lams, 3.0, TM), stack_response(s, 761.0, 3.0, TM)
+    assert isinstance(s.layers, tuple) and isinstance(s.regions, tuple)
+    assert s == paper_stack
+    for name in ("r", "t", "reflectance", "transmittance"):
+        assert np.array_equal(getattr(before[0], name), getattr(after[0], name))
+        assert getattr(before[1], name) == getattr(after[1], name)
+
+
+@pytest.mark.parametrize("substrate", [Composition(0.0), None], ids=["bare_substrate", "empty"])
+def test_an_empty_stack_has_an_empty_layer_plan(substrate):
+    s = LayerStack(layers=(), substrate=substrate)
+    lams = np.linspace(740.0, 1600.0, 23)
+    assert layer_indices(s, 760.0).shape == layer_indices(s, lams).shape == (0,)
+    assert s._plan.thickness.shape == (0,)
+    n = 1.0 if substrate is None else materials.complex_refractive_index(substrate, 760.0)
+    resp = stack_response(s, 760.0)
+    assert resp.r == pytest.approx((1.0 - n) / (1.0 + n), abs=1e-15)
+    if substrate is None:
+        assert (resp.r, resp.t, resp.reflectance, resp.transmittance) == (0.0, 1.0, 0.0, 1.0)
+    batch = stack_response(s, lams)
+    for lam, r in zip(lams.tolist(), batch.r):
+        assert stack_response(s, lam).r == r
+
+
 def test_batched_response_past_one_kernel_block(paper_stack):
     lams = np.linspace(1500.0, 1540.0, 2 * _BLOCK + 100)
     batch = stack_response(paper_stack, lams, 5.0, TM)
@@ -191,7 +223,7 @@ def test_batched_response_of_a_tall_stack_stays_small():
 
 def test_characteristic_matrix_cascades(paper_stack):
     n0_sin = math.sin(math.radians(7.0))
-    t_list = _thicknesses(paper_stack)
+    t_list = paper_stack._plan.thickness
     for lam in (np.array([1520.0]), np.array([1480.0, 1520.0, 1560.0])):
         n_list = layer_indices(paper_stack, lam)
 
