@@ -92,7 +92,10 @@ class _Run:
         self.cfg = cfgmod.check_config(cfg)  # commands read the values it checked
         self.hash = cfgmod.config_hash(cfg)
         self.out_dir = Path(args.out)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:  # --out names a file, or a path through one
+            raise ConfigError(f"cannot use output directory: {exc}") from exc
         self.report = RunReport(command=command, config_hash=self.hash)
         self.t0 = time.monotonic()
         self.fmt = args.format
@@ -336,7 +339,7 @@ def cmd_hom_simulate(args) -> int:
 def _read_scan_csv(path: Path, dwell_s: float) -> hom.HomScan:
     try:
         raw = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read scan file: {exc}") from exc
     lines = [ln for ln in raw.splitlines() if ln.strip()]
     if not lines:

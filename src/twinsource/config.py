@@ -236,7 +236,7 @@ def load_config(path=None) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 user = json.load(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc

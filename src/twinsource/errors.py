@@ -32,10 +32,6 @@ class NonGuidingStack(NoGuidedMode):
     """No layer index exceeds both outer media; the structure cannot guide."""
 
 
-class ModeTrackingLost(TwinSourceError):
-    """A mode order could not be followed across a wavelength step."""
-
-
 # phasematch
 class NoSolutionInWindow(TwinSourceError):
     """Energy/momentum conservation has no root in the spectral search window."""

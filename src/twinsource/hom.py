@@ -101,8 +101,8 @@ class HomScan:
         acc = np.asarray(self.accidental_counts)
         if not (dz.ndim == 1 and tot.shape == dz.shape and acc.shape == dz.shape):
             raise ValueError("scan arrays must be matching 1D arrays")
-        if np.any(np.diff(dz) <= 0):
-            raise ValueError("delta_z positions must be strictly increasing")
+        if not (np.all(np.isfinite(dz)) and np.all(np.diff(dz) > 0)):
+            raise ValueError("delta_z positions must be finite and strictly increasing")
         for name, arr in (("total", tot), ("accidental", acc)):
             if np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer):
                 raise ValueError(f"{name} counts must be non-negative integers")

@@ -22,14 +22,14 @@ A scalar wavelength is evaluated in plain ``math`` floats and an array in
 numpy, through one n^2 formula that takes its square root as an argument; the
 two paths give the same floats (``==``) and raise the same errors.
 
-Alternative coefficient sets can be registered at runtime or loaded from a
-JSON document, and every result can be traced back to the model name.
+``get_model`` looks a model up by name (the ``dispersion.model`` config key);
+a ``DispersionModel`` with other coefficients can be passed to any function
+that takes ``model``, and every result can be traced back to the model name.
 """
 
 from __future__ import annotations
 
 import cmath
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -70,7 +70,6 @@ class DispersionModel:
     """
 
     name: str
-    kind: str = "adachi_algaas"
     coefficients: dict = field(
         default_factory=lambda: {
             "a": (6.3, 19.0),
@@ -170,46 +169,12 @@ def _oscillator_f(chi, sqrt, complex_root=None):
 
 DEFAULT_MODEL = DispersionModel(name="adachi1985")
 
-_REGISTRY: dict[str, DispersionModel] = {DEFAULT_MODEL.name: DEFAULT_MODEL}
-
-
-def register_model(model: DispersionModel) -> DispersionModel:
-    _REGISTRY[model.name] = model
-    return model
-
 
 def get_model(name: str | None = None) -> DispersionModel:
-    if name is None:
+    """The shipped model, by its name (the ``dispersion.model`` config key) or None."""
+    if name is None or name == DEFAULT_MODEL.name:
         return DEFAULT_MODEL
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise OutOfValidityWindow(f"no dispersion model named '{name}' registered") from None
-
-
-def load_model_json(source) -> DispersionModel:
-    """Register a model from a JSON document (path, file object, or dict).
-
-    Expected keys: name, kind, coefficients, wavelength_window_nm, x_window,
-    and optionally near_gap_margin.
-    """
-    if isinstance(source, dict):
-        doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    coeffs = {k: tuple(v) for k, v in doc["coefficients"].items()}
-    model = DispersionModel(
-        name=doc["name"],
-        kind=doc.get("kind", "adachi_algaas"),
-        coefficients=coeffs,
-        wavelength_window_nm=tuple(doc["wavelength_window_nm"]),
-        x_window=tuple(doc.get("x_window", (0.0, 1.0))),
-        near_gap_margin=doc.get("near_gap_margin", 0.995),
-    )
-    return register_model(model)
+    raise OutOfValidityWindow(f"no dispersion model named '{name}'")
 
 
 def refractive_index(c: Composition, wavelength_nm, model: DispersionModel | None = None):
@@ -224,22 +189,3 @@ def complex_refractive_index(
     """Complex index for absorbing media (above-gap substrate evaluation)."""
     m = model or DEFAULT_MODEL
     return m.evaluate_complex(c.x, wavelength_nm)
-
-
-def group_index(
-    c: Composition,
-    wavelength_nm: float,
-    model: DispersionModel | None = None,
-    step_nm: float = 0.1,
-):
-    """Group index n_g = n - lambda dn/dlambda via central finite difference.
-
-    The default 0.1 nm step balances truncation against double-precision
-    round-off; both lambda +/- step must lie in the model window.
-    """
-    m = model or DEFAULT_MODEL
-    n0 = m.evaluate(c.x, wavelength_nm)
-    n_plus = m.evaluate(c.x, wavelength_nm + step_nm)
-    n_minus = m.evaluate(c.x, wavelength_nm - step_nm)
-    dn = (n_plus - n_minus) / (2.0 * step_nm)
-    return n0 - wavelength_nm * dn

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import materials
-from .errors import ModeTrackingLost, NoGuidedMode, NonGuidingStack
+from .errors import NoGuidedMode, NonGuidingStack
 from .materials import DispersionModel
 from .roots import brentq_lanes
 from .stack import TE, TM, LayerStack, layer_indices
@@ -87,7 +87,6 @@ class GuidedMode:
     wavelength_nm: float
     n_eff: float
     order: int
-    profile: tuple | None = None  # (depth_nm array, field array) when requested
 
 
 # ---------------------------------------------------------------------------
@@ -341,63 +340,11 @@ def guided_modes(
     pol: str = TE,
     model: DispersionModel | None = None,
     max_modes: int | None = None,
-    include_profiles: bool = False,
 ):
     """Guided modes of the stack at one wavelength, fundamental first."""
     n_top, n_layers, n_bot = next(_planar_profiles(s, wavelength, model))
     roots = solve_planar(n_top, n_layers, n_bot, wavelength, pol, max_modes=max_modes)
-    out = []
-    for order, neff in enumerate(roots):
-        profile = (
-            _mode_profile(n_top, n_layers, n_bot, wavelength, pol, neff)
-            if include_profiles
-            else None
-        )
-        out.append(GuidedMode(pol, wavelength, neff, order, profile=profile))
-    return out
-
-
-def _mode_profile(n_top, layers, n_bot, wavelength, pol, neff, points_per_layer=12):
-    """Sampled transverse field of one mode (normalized to unit peak)."""
-    k0 = 2.0 * math.pi / wavelength
-    u = neff * neff
-    gamma_top = k0 * math.sqrt(u - n_top * n_top)
-    m_top = 1.0 if pol == TE else n_top * n_top
-    depth, field = [], []
-    pad = 2.0 / gamma_top if gamma_top > 0 else 500.0
-    x = np.linspace(-min(pad, 2000.0), 0.0, points_per_layer)
-    depth.append(x)
-    field.append(np.exp(gamma_top * x))
-    f, g = 1.0, gamma_top / m_top
-    z = 0.0
-    for n, t in layers:
-        xs = np.linspace(0.0, t, points_per_layer)
-        c, m_sk, k2sk_m = _layer_factors(n, xs, 1.0 if pol == TE else n * n, u, k0)
-        depth.append(z + xs)
-        field.append(c * f + m_sk * g)
-        f, g = float(c[-1] * f + m_sk[-1] * g), float(-k2sk_m[-1] * f + c[-1] * g)
-        z += t
-    gamma_bot = k0 * math.sqrt(u - n_bot * n_bot)
-    pad = 2.0 / gamma_bot if gamma_bot > 0 else 500.0
-    x = np.linspace(0.0, min(pad, 2000.0), points_per_layer)
-    depth.append(z + x)
-    field.append(f * np.exp(-gamma_bot * x))
-    depth = np.concatenate(depth)
-    field = np.concatenate(field)
-    return depth, field / np.max(np.abs(field))
-
-
-def mode_residual(
-    s: LayerStack,
-    n_eff: float,
-    wavelength: float,
-    pol: str = TE,
-    model: DispersionModel | None = None,
-):
-    """Matched (Wronskian) dispersion residual at one candidate n_eff; it
-    changes sign at every guided mode (diagnostic/validation)."""
-    n_top, n_layers, n_bot = next(_planar_profiles(s, wavelength, model))
-    return float(_MatchedResidual(n_top, n_layers, n_bot, wavelength, pol)(n_eff))
+    return [GuidedMode(pol, wavelength, neff, order) for order, neff in enumerate(roots)]
 
 
 def birefringence(
@@ -409,37 +356,6 @@ def birefringence(
     te = guided_modes(s, wavelength, TE, model, max_modes=1)
     tm = guided_modes(s, wavelength, TM, model, max_modes=1)
     return te[0].n_eff - tm[0].n_eff
-
-
-def mode_group_index(
-    s: LayerStack,
-    pol: str,
-    wavelength: float,
-    order: int = 0,
-    step_nm: float = 0.1,
-    model: DispersionModel | None = None,
-) -> float:
-    """Group index n_g = n_eff - lambda dn_eff/dlambda of one tracked mode.
-
-    Central difference with the documented step; the same mode order must
-    exist on both sides and stay within a small jump bound, otherwise
-    tracking is declared lost.
-    """
-    vals = []
-    for lam in (wavelength - step_nm, wavelength, wavelength + step_nm):
-        ms = guided_modes(s, lam, pol, model, max_modes=order + 1)
-        if len(ms) <= order:
-            raise ModeTrackingLost(
-                f"{pol} mode order {order} missing at {lam} nm while differentiating"
-            )
-        vals.append(ms[order].n_eff)
-    if abs(vals[2] - vals[0]) > 0.05:
-        raise ModeTrackingLost(
-            f"{pol} mode order {order} jumped by {abs(vals[2] - vals[0]):.3f} "
-            f"across +/-{step_nm} nm at {wavelength} nm"
-        )
-    dn = (vals[2] - vals[0]) / (2.0 * step_nm)
-    return vals[1] - wavelength * dn
 
 
 # ---------------------------------------------------------------------------
@@ -683,25 +599,8 @@ class EffectiveIndexTable:
     __call__ = n_eff
 
     def n_group(self, wavelength):
+        """Group index n_eff - lambda dn_eff/dlambda, from the spline's slope."""
         c0, c1, c2, c3, t = self._at(wavelength)
         val = c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t)
         val = val - wavelength * (c2 + 2 * c1 * t + 3 * c0 * (t * t))
         return val if type(wavelength) is float else _shaped(val, wavelength)
-
-
-def export_mode_table(
-    s: LayerStack,
-    wavelengths,
-    path,
-    model: DispersionModel | None = None,
-):
-    """Write a CSV mode table: (pol, order, lambda_nm, n_eff, n_g) of the
-    fundamental (order 0) TE and TM mode at each wavelength."""
-    lines = ["pol,order,lambda_nm,n_eff,n_g"]
-    for pol in (TE, TM):
-        for lam in wavelengths:
-            mode = guided_modes(s, float(lam), pol, model, max_modes=1)[0]
-            ng = mode_group_index(s, pol, float(lam), model=model)
-            lines.append(f"{pol},{mode.order},{float(lam)!r},{mode.n_eff!r},{ng!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -483,6 +483,32 @@ def test_bad_config_file(tmp_path):
     ) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("below", ["", "x"], ids=["file", "path_through_a_file"])
+def test_out_naming_a_file_is_input_error(tmp_path, capsys, below):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    assert run("counts", "--out", taken / below, "--quiet") == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [("counts", "--config"), ("hom", "fit", "--scan")], ids=["config", "scan"])
+def test_file_that_is_not_utf8_is_input_error(tmp_path, capsys, argv):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")  # UTF-16 with its byte-order mark
+    assert run(*argv, path, "--out", tmp_path / "out", "--quiet") == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("row, position", [(12, "nan"), (24, "inf")], ids=["nan", "inf"])
+def test_hom_fit_non_finite_position_is_input_error(scan_dir, tmp_path, capsys, row, position):
+    header, *rows = (scan_dir / "hom_scan.csv").read_text(encoding="utf-8").splitlines()
+    rows[row] = f"{position}," + rows[row].split(",", 1)[1]
+    scan = tmp_path / "scan.csv"
+    scan.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+    assert run("hom", "fit", "--scan", scan, "--out", tmp_path / "out", "--quiet") == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: scan violates invariants")
+
+
 # --- arbitrary config values through the commands -----------------------------------
 
 # the commands run for a value in each section: the cheapest that read it, and

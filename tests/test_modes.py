@@ -5,33 +5,20 @@ import pytest
 
 from _oracles import carry_loop, planar_modes_topdown, slab_modes
 from twinsource import modes
-from twinsource.errors import ModeTrackingLost, NoGuidedMode, NonGuidingStack
-from twinsource.materials import Composition, refractive_index
+from twinsource.errors import NoGuidedMode, NonGuidingStack
+from twinsource.materials import refractive_index
 from twinsource.modes import (
     EffectiveIndexTable,
     birefringence,
     guided_modes,
-    mode_group_index,
-    mode_residual,
     solve_planar,
 )
-from twinsource.stack import TE, TM, Layer, LayerStack
+from twinsource.stack import TE, TM
 
 # regression pins from the nominal structure (engine-derived, frozen)
 PIN_NEFF_TE_1520 = 3.131277
 PIN_NEFF_TM_1520 = 3.116907
 PIN_BIREFRINGENCE_1520 = 0.014371
-
-
-def _slab_stack(x_core, x_clad, thickness_nm, clad_nm=4000.0):
-    """Air / thick cladding / core / substrate=cladding, for LayerStack-level tests."""
-    return LayerStack(
-        layers=(
-            Layer(Composition(x_clad), clad_nm),
-            Layer(Composition(x_core), thickness_nm),
-        ),
-        substrate=Composition(x_clad),
-    )
 
 
 @pytest.mark.parametrize("pol", [TE, TM])
@@ -59,10 +46,11 @@ def test_no_confinement_when_cladding_equals_core():
 
 
 def test_reported_roots_satisfy_dispersion_relation(paper_stack):
+    n_top, layers, n_bot = next(modes._planar_profiles(paper_stack, 1520.0, None))
     for pol in (TE, TM):
+        residual = modes._MatchedResidual(n_top, layers, n_bot, 1520.0, pol)
         for mode in guided_modes(paper_stack, 1520.0, pol, max_modes=2):
-            below = mode_residual(paper_stack, mode.n_eff - 1e-9, 1520.0, pol)
-            above = mode_residual(paper_stack, mode.n_eff + 1e-9, 1520.0, pol)
+            below, above = residual(np.array([mode.n_eff - 1e-9, mode.n_eff + 1e-9]))
             assert (below < 0) != (above < 0)  # root pinched to 1e-9
 
 
@@ -80,14 +68,6 @@ def test_modes_sorted_descending(paper_stack):
     vals = [m.n_eff for m in ms]
     assert vals == sorted(vals, reverse=True)
     assert [m.order for m in ms] == [0, 1, 2, 3]
-
-
-def test_mode_profile_decays_into_outer_media(paper_stack):
-    mode = guided_modes(paper_stack, 1520.0, TE, max_modes=1, include_profiles=True)[0]
-    depth, fld = mode.profile
-    assert abs(fld[0]) < 0.05  # ambient tail
-    assert abs(fld[-1]) < 0.6  # cladding tail (slow Bloch decay)
-    assert np.max(np.abs(fld)) == pytest.approx(1.0)
 
 
 def test_birefringence_pinned(paper_stack):
@@ -117,22 +97,10 @@ def test_thick_symmetric_slab_loses_birefringence():
 
 def test_group_index_exceeds_effective_index(paper_stack):
     for pol in (TE, TM):
-        ng = mode_group_index(paper_stack, pol, 1520.0)
+        ng = EffectiveIndexTable(paper_stack, pol, 1505.0, 1535.0).n_group(1520.0)
         neff = guided_modes(paper_stack, 1520.0, pol, max_modes=1)[0].n_eff
         assert ng > neff
         assert 3.0 < ng < 4.0  # nominal-structure pin
-
-
-def test_group_index_step_convergence(paper_stack):
-    full = mode_group_index(paper_stack, TE, 1520.0, step_nm=0.1)
-    half = mode_group_index(paper_stack, TE, 1520.0, step_nm=0.05)
-    assert abs(full - half) < 1e-6
-
-
-def test_mode_tracking_lost_for_missing_order():
-    s = _slab_stack(0.25, 0.80, 400.0)
-    with pytest.raises(ModeTrackingLost):
-        mode_group_index(s, TE, 1520.0, order=5)
 
 
 def test_mode_count_non_increasing_with_wavelength():
@@ -167,22 +135,13 @@ def test_effective_index_table_matches_direct_solves(paper_stack):
 
 
 def test_effective_index_table_group_index(paper_stack):
+    # the spline's slope against a central difference of direct solves
     table = EffectiveIndexTable(paper_stack, TE, 1505.0, 1535.0)
-    direct = mode_group_index(paper_stack, TE, 1520.0)
+    lo, mid, hi = (
+        guided_modes(paper_stack, lam, TE, max_modes=1)[0].n_eff for lam in (1519.9, 1520.0, 1520.1)
+    )
+    direct = mid - 1520.0 * (hi - lo) / 0.2
     assert table.n_group(1520.0) == pytest.approx(direct, abs=1e-6)
-
-
-def test_export_mode_table(paper_stack, tmp_path):
-    from twinsource.modes import export_mode_table
-
-    path = tmp_path / "modes.csv"
-    export_mode_table(paper_stack, [1510.0, 1520.0], path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "pol,order,lambda_nm,n_eff,n_g"
-    assert len(lines) == 1 + 2 * 2  # two wavelengths x two polarizations
-    pol, order, lam, neff, ng = lines[2].split(",")
-    assert pol == TE and order == "0"
-    assert float(ng) > float(neff) > 3.0
 
 
 @pytest.mark.parametrize("pol", [TE, TM])
