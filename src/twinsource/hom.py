@@ -84,6 +84,11 @@ def visibility_from_reflectivity(reflectance: float) -> float:
     return 1.0 / (1.0 + 2.0 * reflectance**2)
 
 
+def _finite_and_increasing(positions) -> bool:
+    """The position rule of a scan: finite and strictly increasing."""
+    return bool(np.all(np.isfinite(positions)) and np.all(np.diff(positions) > 0))
+
+
 @dataclass
 class HomScan:
     """One coincidence scan: positions, total and accidental counts."""
@@ -101,7 +106,7 @@ class HomScan:
         acc = np.asarray(self.accidental_counts)
         if not (dz.ndim == 1 and tot.shape == dz.shape and acc.shape == dz.shape):
             raise ValueError("scan arrays must be matching 1D arrays")
-        if not (np.all(np.isfinite(dz)) and np.all(np.diff(dz) > 0)):
+        if not _finite_and_increasing(dz):
             raise ValueError("delta_z positions must be finite and strictly increasing")
         for name, arr in (("total", tot), ("accidental", acc)):
             if np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer):
@@ -131,8 +136,8 @@ def simulate_scan(
     dwell * accidental_rate (delayed-window style), drawn independently.
     """
     positions = np.asarray(positions_mm, dtype=float)
-    if positions.ndim != 1 or np.any(np.diff(positions) <= 0):
-        raise ValueError("positions must be strictly increasing")
+    if positions.ndim != 1 or not _finite_and_increasing(positions):
+        raise ValueError("positions must be finite and strictly increasing")
     if dwell_s <= 0:
         raise ValueError("dwell time must be positive")
     budget = expected_counts(chain)

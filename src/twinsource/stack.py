@@ -19,8 +19,16 @@ Conventions
   ``field_profile`` (all layers) and ``core_intensity`` (the core) read the
   same waves.
 * A stack builds its layer plan once (distinct compositions, each layer's
-  index into them, thicknesses), so no call loops over the layers; it keeps
-  its layers and regions as tuples, so the plan cannot go stale.
+  index into them, thicknesses, and its leaves: the distinct (composition,
+  thickness) pairs), so no call loops over the layers; it keeps its layers
+  and regions as tuples, so the plan cannot go stale.
+* A characteristic matrix is the product of a layer sequence's matrices,
+  taken pairwise, level by level, along a product tree (``_product_tree``):
+  each leaf's matrix is built once, and equal (left, right) pairs on a level
+  are one product. A periodic mirror so costs a few products per level, and
+  every product is the one the positional pairwise product takes, from the
+  same operands in the same order, so it is the same float. A stack caches
+  the trees of the sequences it multiplies (``LayerStack._tree``).
 
 All lengths in nanometres unless a name says otherwise.
 """
@@ -29,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +83,9 @@ class _LayerPlan(NamedTuple):
     xs: tuple  # the distinct aluminium fractions, in order of first appearance
     index: np.ndarray  # (L,) intp: each layer's fraction in xs
     thickness: np.ndarray  # (L,) read-only layer thicknesses, nm
+    leaf: np.ndarray  # (L,) intp: each layer's leaf, its (fraction, thickness) pair
+    leaf_index: np.ndarray  # (U,) intp: each leaf's fraction in xs
+    leaf_thickness: np.ndarray  # (U,) read-only leaf thicknesses, nm
 
 
 @dataclass(frozen=True)
@@ -132,11 +143,36 @@ class LayerStack:
 
     @cached_property
     def _plan(self) -> _LayerPlan:
-        first = {}
+        def frozen(values, dtype):
+            out = np.array(values, dtype=dtype)
+            out.flags.writeable = False
+            return out
+
+        first, leaves = {}, {}
         index = [first.setdefault(ly.composition.x, len(first)) for ly in self.layers]
-        thickness = np.array([ly.thickness_nm for ly in self.layers], dtype=float)
-        thickness.flags.writeable = False
-        return _LayerPlan(tuple(first), np.array(index, dtype=np.intp), thickness)
+        thickness = [ly.thickness_nm for ly in self.layers]
+        leaf = [leaves.setdefault(key, len(leaves)) for key in zip(index, thickness)]
+        return _LayerPlan(
+            tuple(first),
+            frozen(index, np.intp),
+            frozen(thickness, float),
+            frozen(leaf, np.intp),
+            frozen([i for i, _ in leaves], np.intp),
+            frozen([t for _, t in leaves], float),
+        )
+
+    @cached_property
+    def _trees(self) -> dict:
+        return {}
+
+    def _tree(self, leaf: np.ndarray) -> _Tree:
+        """Product tree of a sequence of the plan's leaves (top to bottom),
+        built once per sequence."""
+        key = leaf.tobytes()
+        tree = self._trees.get(key)
+        if tree is None:
+            tree = self._trees[key] = _product_tree(leaf, len(self._plan.leaf_index))
+        return tree
 
 
 @dataclass(frozen=True)
@@ -180,11 +216,12 @@ class ResonanceResult:
 # low-level engine on raw index arrays
 # ---------------------------------------------------------------------------
 
-# wavelengths per kernel call in stack_response for a stack of up to 128
-# layers; the kernel holds (2, 2, W, P) complex arrays, P the layer count padded
-# to a power of two, so a taller stack gets _BLOCK * 128 // P wavelengths and
-# a block holds ~8 MB of kernel temporaries whatever the layer count
-_BLOCK = 256
+# nodes times wavelengths per kernel call in stack_response; the kernel holds
+# (4 N, W) complex arrays for the N nodes of a tree level over W wavelengths,
+# so a block of _BLOCK // (the widest level's N) wavelengths holds ~2 MB per
+# kernel array whatever the stack (N is 5 or 6 for the paper's cavities and
+# their 1000-period variants)
+_BLOCK = 1 << 15
 
 _POINTS_PER_LAYER = 12  # field samples per layer, both boundaries included
 _PAD_NM = 200.0  # ambient and substrate tails of a field profile
@@ -206,51 +243,101 @@ def _admittance(n, cos_t, pol):
     return n * cos_t if pol == TE else n / cos_t
 
 
-def _char_matrix(n_list, t_list, n0_sin, wavelength, pol):
+class _Tree(NamedTuple):
+    """Product tree of a layer sequence over U leaves, leaf U the identity."""
+
+    levels: tuple  # per level, the rows (a, b) its products gather
+    root: int  # the node of the last level (or leaf) that is the product
+    widest: int  # the most nodes on one level, the leaves included
+
+
+def _product_tree(leaf, n_leaves) -> _Tree:
+    """The pairwise product tree of the layers whose leaves are ``leaf`` (top
+    to bottom), identity leaves (``n_leaves``) padding them to a power of two.
+
+    Level by level, neighbours 2k and 2k + 1 are multiplied, as in the
+    positional product; equal (left, right) pairs on a level are one node.
+    Entry e (m00, m01, m10, m11) of node k of a level of N nodes sits in row
+    e N + k of the kernel's (4 N, W) array. Entry (i, j) of a product is
+    a[i, 0] b[0, j] + a[i, 1] b[1, j]: a level gathers the rows of the left
+    factors (``a``, the a[i, 0] terms, then the a[i, 1] terms) and of the
+    right factors (``b``), multiplies them, and adds the two halves.
+    """
+    node = np.full(1 << (len(leaf) - 1).bit_length(), n_leaves, dtype=np.intp)
+    node[: len(leaf)] = leaf
+    width = widest = n_leaves + 1
+    i, j = np.divmod(np.arange(4)[:, None], 2)  # product entry (i, j) by row
+    levels = []
+    while len(node) > 1:
+        pairs, node = np.unique(node[0::2] * width + node[1::2], return_inverse=True)
+        left, right = np.divmod(pairs, width)
+        a = np.concatenate([(2 * i + k) * width + left for k in (0, 1)], axis=None)
+        b = np.concatenate([(2 * k + j) * width + right for k in (0, 1)], axis=None)
+        levels.append((a, b))
+        width = len(pairs)
+        widest = max(widest, width)
+    return _Tree(tuple(levels), int(node[0]), widest)
+
+
+@lru_cache(maxsize=32)
+def _positional_tree(n_layers) -> _Tree:
+    """The product tree of L layers that are each their own leaf."""
+    return _product_tree(np.arange(n_layers), n_layers)
+
+
+_IDENTITY = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex)[:, None]
+
+
+def _char_matrix(n_list, t_list, n0_sin, wavelength, pol, tree=None):
     """Characteristic matrices of a layer sequence (top to bottom), one per wavelength.
 
-    ``wavelength`` is a 1-D array of W values, ``n_list`` the layer indices
-    with shape (L,) or (W, L), ``t_list`` the L thicknesses and ``n0_sin``
-    a scalar or a (W,) array. Returns the entries m00, m01, m10, m11 as a
-    (4, W) array. Neighbouring matrices are multiplied pairwise, level by
-    level, so the number of array operations grows with log2 L only, not
-    with L or W.
+    ``wavelength`` is a 1-D array of W values and ``n0_sin`` a scalar or a
+    (W,) array. Without a ``tree``, ``n_list`` holds the layer indices, shape
+    (L,) or (W, L), and ``t_list`` the L thicknesses, and the product is the
+    positional one; with a stack's product tree (``LayerStack._tree``) they
+    hold its U leaves' indices, (U,) or (W, U), and thicknesses. Returns the
+    entries m00, m01, m10, m11 as a (4, W) array. One matrix is built per
+    leaf, then each level of the tree takes its products at once, so the
+    number of array operations grows with log2 L only, not with L or W, and
+    the arrays with the widest level, not with L.
     """
-    k0 = (2.0 * math.pi / wavelength)[:, None]
-    n0_sin = np.reshape(n0_sin, (-1, 1))
-    ct = _cos_theta(n_list, n0_sin)
-    eta = _admittance(n_list, ct, pol)
-    d = k0 * n_list * ct * np.asarray(t_list, dtype=float)
+    if tree is None:
+        tree = _positional_tree(len(t_list))
+    n_lam = len(wavelength)
+    n = np.atleast_2d(n_list).T  # (U, W) or (U, 1)
+    ct = _cos_theta(n, n0_sin)
+    eta = _admittance(n, ct, pol)
+    d = 2.0 * math.pi / wavelength * n * ct * np.asarray(t_list, dtype=float)[:, None]
     c, s = np.cos(d), np.sin(d)
-    n_layers = d.shape[1]
-    # m[i, j] holds entry (i, j) of every layer matrix, shape (W, P); identity
-    # matrices pad the sequence to P = a power of two, so every level pairs
-    # all of its matrices (multiplying by an identity is exact)
-    m = np.zeros((2, 2, len(d), 1 << (n_layers - 1).bit_length()), dtype=complex)
-    m[0, 0, :, n_layers:] = m[1, 1, :, n_layers:] = 1.0
-    m[0, 0, :, :n_layers] = m[1, 1, :, :n_layers] = c
-    m[0, 1, :, :n_layers] = -1j * s / eta
-    m[1, 0, :, :n_layers] = -1j * eta * s
-    while m.shape[-1] > 1:
-        a, b = m[..., 0::2], m[..., 1::2]
-        # row i of a times b: a[i, 0] b[0, :] + a[i, 1] b[1, :]
-        m = a[:, :1] * b[0] + a[:, 1:] * b[1]
-    return m[..., 0].reshape(4, -1)
+    n_leaves = len(d)
+    # entry e of leaf k in row e (U + 1) + k; leaf U is the identity that pads
+    # the sequence (multiplying by an identity is exact)
+    m = np.empty((4, n_leaves + 1, n_lam), dtype=complex)
+    m[0, :n_leaves] = m[3, :n_leaves] = c
+    m[1, :n_leaves] = -1j * s / eta
+    m[2, :n_leaves] = -1j * eta * s
+    m[:, n_leaves] = _IDENTITY
+    m = m.reshape(-1, n_lam)
+    for a, b in tree.levels:
+        p = m.take(a, 0) * m.take(b, 0)
+        m = p[: len(p) // 2] + p[len(p) // 2 :]
+    return m.reshape(4, -1, n_lam)[:, tree.root]
 
 
-def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol):
+def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol, tree=None):
     """Fresnel response (r, t, R, T) of an arbitrary index profile (low-level entry point).
 
     ``wavelength`` is a scalar or a 1-D array of W values. ``n_list`` holds
     one index per layer, shape (L,) or (W, L); ``n0``, ``n_sub`` and
     ``theta_deg`` are scalars or (W,) arrays. A scalar wavelength gives
-    scalars out, an array gives (W,) arrays.
+    scalars out, an array gives (W,) arrays. With a stack's product ``tree``,
+    ``n_list`` and ``t_list`` are per leaf, as in ``_char_matrix``.
     """
     lam = np.asarray(wavelength, dtype=float)
     n0_sin = n0 * np.sin(np.radians(theta_deg))
     eta0 = _admittance(n0, _cos_theta(n0, n0_sin), pol)
     eta_sub = _admittance(n_sub, _cos_theta(n_sub, n0_sin), pol)
-    m00, m01, m10, m11 = _char_matrix(np.asarray(n_list), t_list, n0_sin, lam.reshape(-1), pol)
+    m00, m01, m10, m11 = _char_matrix(n_list, t_list, n0_sin, lam.reshape(-1), pol, tree)
     b = m00 + m01 * eta_sub
     c = m10 + m11 * eta_sub
     denom = eta0 * b + c
@@ -280,9 +367,14 @@ def layer_indices(s: LayerStack, wavelength, model: DispersionModel | None = Non
     wavelength, (W, L) over a 1-D array of W wavelengths. Each distinct
     composition of the stack's layer plan is evaluated once, and the plan's
     layer index spreads the results over the layers."""
+    return _composition_indices(s, wavelength, model)[s._plan.index].T
+
+
+def _composition_indices(s, wavelength, model):
+    """Index of each distinct composition of the stack's layer plan: shape
+    (X,) at one wavelength, (X, W) over a 1-D array of W wavelengths."""
     m = model or materials.DEFAULT_MODEL
-    plan = s._plan
-    return np.array([m.evaluate(x, wavelength) for x in plan.xs])[plan.index].T
+    return np.array([m.evaluate(x, wavelength) for x in s._plan.xs])
 
 
 def substrate_index(s: LayerStack, wavelength, model: DispersionModel | None = None):
@@ -303,7 +395,9 @@ def stack_response(
     """Plane-wave response at one wavelength (scalar fields) or over a 1-D
     wavelength array (array fields)."""
     lam = np.asarray(wavelength, dtype=float)
-    block = max(1, _BLOCK * 128 // (1 << (len(s.layers) - 1).bit_length()))
+    plan = s._plan
+    tree = s._tree(plan.leaf)
+    block = max(1, _BLOCK // tree.widest)
     if lam.size > block:
         parts = [
             stack_response(s, lam[i : i + block], theta_deg, pol, model)
@@ -314,10 +408,10 @@ def stack_response(
             for name in ("r", "t", "reflectance", "transmittance")
         )
     else:
-        n_list = layer_indices(s, wavelength, model)
+        n_leaf = _composition_indices(s, wavelength, model)[plan.leaf_index].T
         n_sub = substrate_index(s, wavelength, model)
         r, t, R, T = raw_response(
-            s.ambient_index, n_list, s._plan.thickness, n_sub, wavelength, theta_deg, pol
+            s.ambient_index, n_leaf, plan.leaf_thickness, n_sub, wavelength, theta_deg, pol, tree
         )
     return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
 
@@ -354,21 +448,23 @@ def _waves(s, lams, theta_deg, pol, model, layers):
     the wavenumber at the top of each layer of the slice, each (L, W), the
     stack's r and t, and the substrate wavenumber. The field (F, G) at the top
     of the slice is the transmitted substrate field t (1, eta_sub) carried up
-    through the slice and the layers below it by their characteristic matrix;
-    the waves are then walked down through the slice.
+    through the slice and the layers below it by their characteristic matrix
+    (the product tree of those layers); the waves are then walked down
+    through the slice.
     """
     k0 = 2.0 * math.pi / lams
-    n_list = np.reshape(layer_indices(s, lams, model), (lams.size, -1))  # (W, L)
-    t_list = s._plan.thickness
+    plan = s._plan
+    n_x = _composition_indices(s, lams, model)  # (X, W)
+    n_leaf, t_leaf = n_x[plan.leaf_index].T, plan.leaf_thickness  # (W, U), (U,)
     n_sub = substrate_index(s, lams, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    r, t, _, _ = raw_response(s.ambient_index, n_list, t_list, n_sub, lams, theta_deg, pol)
-    below = slice(layers.start, None)
-    m00, m01, m10, m11 = _char_matrix(n_list[:, below], t_list[below], n0_sin, lams, pol)
+    whole, below = s._tree(plan.leaf), s._tree(plan.leaf[layers.start :])
+    r, t, _, _ = raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lams, theta_deg, pol, whole)
+    m00, m01, m10, m11 = _char_matrix(n_leaf, t_leaf, n0_sin, lams, pol, below)
     ct_sub = _cos_theta(n_sub, n0_sin)
     eta_sub = _admittance(n_sub, ct_sub, pol)
     f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
-    waves = _walk(f, g, n_list[:, layers].T, t_list[layers], n0_sin, k0, pol)
+    waves = _walk(f, g, n_x[plan.index[layers]], plan.thickness[layers], n0_sin, k0, pol)
     a, b, kz = np.reshape(waves, (-1, 3, lams.size)).transpose(1, 0, 2)
     return a, b, kz, r, t, k0 * n_sub * ct_sub
 
@@ -497,25 +593,18 @@ def _cavity(s, wavelength, theta_deg, pol, model):
     """
     top, core, bottom = (_region_slice(s, name) for name in _CAVITY_REGIONS)
     k0 = 2.0 * math.pi / wavelength
-    n_list = layer_indices(s, wavelength, model)
-    t_list = s._plan.thickness
+    plan = s._plan
+    n_x = _composition_indices(s, wavelength, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    n_core, t_core = n_list[core], t_list[core]
+    n_core, t_core = n_x[plan.index[core]], plan.thickness[core]
     opl = sum(n_core * t_core * _cos_theta(n_core, n0_sin).real)
     n_mean = sum(n_core * t_core) / sum(t_core)
     theta_core = math.degrees(math.asin(n0_sin / abs(n_mean)))
-    up = raw_response(
-        n_mean, n_list[top][::-1], t_list[top][::-1], s.ambient_index, wavelength, theta_core, pol
-    )
-    down = raw_response(
-        n_mean,
-        n_list[bottom],
-        t_list[bottom],
-        substrate_index(s, wavelength, model),
-        wavelength,
-        theta_core,
-        pol,
-    )
+    n_leaf, t_leaf = n_x[plan.leaf_index], plan.leaf_thickness
+    n_sub = substrate_index(s, wavelength, model)
+    up_tree, down_tree = s._tree(plan.leaf[top][::-1]), s._tree(plan.leaf[bottom])
+    up = raw_response(n_mean, n_leaf, t_leaf, s.ambient_index, wavelength, theta_core, pol, up_tree)
+    down = raw_response(n_mean, n_leaf, t_leaf, n_sub, wavelength, theta_core, pol, down_tree)
     return 2.0 * k0 * opl, up, down
 
 

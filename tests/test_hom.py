@@ -148,6 +148,17 @@ def test_scan_validation():
         HomScan(np.array([0.0, 1.0]), np.array([1, -2]), np.array([0, 0]), 1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_simulate_scan_refuses_non_finite_positions(bad):
+    # the rule of HomScan; a NaN position used to pass the increasing check
+    # and fail inside numpy's Poisson sampler
+    chain = DetectionChain()
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        simulate_scan(DipModel(0.84, 1520.0, 0.5), chain, [0.0, bad, 1.0], 1.0, 0)
+    with pytest.raises(ValueError, match="finite and strictly increasing"):
+        simulate_scan(DipModel(0.84, 1520.0, 0.5), chain, [0.0, 1.0, bad], 1.0, 0)
+
+
 # --- fitting ---------------------------------------------------------------------
 
 

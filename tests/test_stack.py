@@ -191,18 +191,22 @@ def test_an_empty_stack_has_an_empty_layer_plan(substrate):
 
 
 def test_batched_response_past_one_kernel_block(paper_stack):
-    lams = np.linspace(1500.0, 1540.0, 2 * _BLOCK + 100)
+    # a block holds _BLOCK nodes x wavelengths at the tree's widest level
+    block = _BLOCK // paper_stack._tree(paper_stack._plan.leaf).widest
+    lams = np.linspace(1500.0, 1540.0, 2 * block + 100)
     batch = stack_response(paper_stack, lams, 5.0, TM)
-    for i in (0, _BLOCK - 1, _BLOCK, 2 * _BLOCK, len(lams) - 1):
+    for i in (0, block - 1, block, 2 * block, len(lams) - 1):
         resp = stack_response(paper_stack, float(lams[i]), 5.0, TM)
         assert batch.r[i] == pytest.approx(resp.r, abs=1e-12)
         assert batch.transmittance[i] == pytest.approx(resp.transmittance, abs=1e-12)
 
 
 def test_batched_response_of_a_tall_stack_stays_small():
-    # the kernel block shrinks with the layer count: 6000 layers (every default
-    # region at 1000 periods) over 300 wavelengths run in blocks of 4, where a
-    # fixed 256-wavelength block held ~134 MB per kernel array
+    # the kernel arrays follow the widest level of the product tree, not the
+    # layer count: 6000 layers (every default region at 1000 periods) have 5
+    # distinct layer matrices and at most 6 distinct products on a level, so
+    # 300 wavelengths run in one block of a few hundred kB, where one (2, 2,
+    # W, 8192) array per layer position held ~134 MB at 256 wavelengths
     cfg = config.default_config()
     for reg in cfg["stack"]["regions"]:
         reg["periods"] = 1000
@@ -219,6 +223,119 @@ def test_batched_response_of_a_tall_stack_stays_small():
         resp = stack_response(s, float(lams[i]), 5.0, TM)
         assert batch.r[i] == pytest.approx(resp.r, abs=1e-12)
         assert batch.transmittance[i] == pytest.approx(resp.transmittance, abs=1e-12)
+
+
+def _draw_stacks():
+    """20 cavity-scan-like designs: 16-20 top and 39-43 bottom periods,
+    design wavelength 755-765 nm."""
+    rng = np.random.default_rng(11)
+    stacks = []
+    for _ in range(20):
+        cfg = config.default_config()
+        cfg["stack"]["design_wavelength_nm"] = float(rng.uniform(755.0, 765.0))
+        cfg["stack"]["regions"][0]["periods"] = int(rng.integers(16, 21))
+        cfg["stack"]["regions"][2]["periods"] = int(rng.integers(39, 44))
+        stacks.append(config.build_stack(cfg))
+    return stacks
+
+
+def _tall_stack():
+    cfg = config.default_config()
+    for reg in cfg["stack"]["regions"]:
+        reg["periods"] = 1000
+    return config.build_stack(cfg)
+
+
+_GAAS, _AL30, _AL70 = Composition(0.0), Composition(0.3), Composition(0.7)
+
+# hand stacks that catch a wrong leaf key, with their leaf counts
+_HAND_STACKS = {
+    "one_composition_two_thicknesses": (
+        LayerStack([Layer(_AL30, 100.0), Layer(_AL30, 130.0)] * 3 + [Layer(_AL30, 100.0)], _GAAS),
+        2,
+    ),
+    "two_compositions_one_thickness": (
+        LayerStack([Layer(_AL30, 100.0), Layer(_AL70, 100.0)] * 3 + [Layer(_AL30, 100.0)], _GAAS),
+        2,
+    ),
+    "empty": (LayerStack((), _GAAS), 0),
+    "one_layer": (LayerStack((Layer(_AL70, 90.0),), _GAAS), 1),
+}
+
+
+@pytest.fixture(scope="module")
+def tree_stacks(paper_stack):
+    stacks = {"nominal": paper_stack, "tall": _tall_stack()}
+    stacks.update((f"draw{k}", s) for k, s in enumerate(_draw_stacks()))
+    stacks.update((name, s) for name, (s, _) in _HAND_STACKS.items())
+    return stacks
+
+
+def _sequences(s):
+    """(layers, reversed) of the sequences a stack multiplies: the whole
+    stack, its top mirror seen from the core, the layers below the core; for
+    a hand stack the whole stack, reversed, and all but its first layer."""
+    if not s.regions:
+        return (slice(None), False), (slice(None), True), (slice(1, None), False)
+    top, core = (stack_mod._region_slice(s, name) for name in ("top_dbr", "core"))
+    return (slice(None), False), (top, True), (slice(core.start, None), False)
+
+
+@pytest.mark.parametrize(
+    "name", ["nominal", "tall", *(f"draw{k}" for k in range(20)), *_HAND_STACKS]
+)
+def test_tree_product_is_the_positional_product(tree_stacks, name):
+    # the stack's product tree takes the same products as the positional
+    # pairwise product, so the characteristic matrices are the same bytes
+    s = tree_stacks[name]
+    plan = s._plan
+    if name in _HAND_STACKS:
+        assert len(plan.leaf_index) == len(plan.leaf_thickness) == _HAND_STACKS[name][1]
+    for lams in (np.array([761.3]), np.linspace(740.0, 780.0, 300)):
+        n_x = stack_mod._composition_indices(s, lams, None)
+        n_leaf, t_leaf = n_x[plan.leaf_index].T, plan.leaf_thickness
+        for layers, rev in _sequences(s):
+            order = slice(None, None, -1 if rev else 1)
+            leaf, index, t = (a[layers][order] for a in (plan.leaf, plan.index, plan.thickness))
+            n_layer = n_x[index].T
+            for pol in (TE, TM):
+                for theta in (0.0, 3.0):
+                    n0_sin = math.sin(math.radians(theta))
+                    tree = _char_matrix(n_leaf, t_leaf, n0_sin, lams, pol, s._tree(leaf))
+                    # the positional product in blocks of 25 wavelengths keeps
+                    # its arrays small for the 6000-layer stack
+                    blocks = [slice(k, k + 25) for k in range(0, lams.size, 25)]
+                    positional = np.concatenate(
+                        [_char_matrix(n_layer[b], t, n0_sin, lams[b], pol) for b in blocks],
+                        axis=1,
+                    )
+                    assert tree.shape == positional.shape == (4, lams.size)
+                    assert tree.tobytes() == positional.tobytes(), (layers, rev, pol, theta)
+
+
+def test_nominal_tree_shape(paper_stack):
+    # 4 distinct layers (the two mirror layers and the two core layers) and 26
+    # distinct sub-products, where the positional product takes 127; a level
+    # gathers 8 rows per product
+    plan = paper_stack._plan
+    whole, positional = paper_stack._tree(plan.leaf), stack_mod._positional_tree(127)
+    assert len(plan.leaf_index) == 4
+    assert sum(len(a) for a, _ in whole.levels) == 8 * 26
+    assert sum(len(a) for a, _ in positional.levels) == 8 * 127
+
+
+def test_stack_calls_take_no_positional_product(paper_stack, monkeypatch):
+    # every stack-level call multiplies along one of the stack's trees
+    def positional(n_layers):
+        raise AssertionError("positional product taken")
+
+    monkeypatch.setattr(stack_mod, "_positional_tree", positional)
+    lams = np.linspace(755.0, 765.0, 11)
+    stack_response(paper_stack, 760.0, 3.0, TM)
+    stack_response(paper_stack, lams, 3.0, TM)
+    core_intensity(paper_stack, lams, 3.0, TM)
+    field_profile(paper_stack, 760.0, 3.0, TM)
+    stack_mod._cavity(paper_stack, 760.0, 3.0, TM, None)
 
 
 def test_characteristic_matrix_cascades(paper_stack):
