@@ -283,10 +283,15 @@ def cmd_spectrum(args) -> int:
     grid = _grid(min(peaks) - half_span, max(peaks) + half_span, step, "spectrum wavelength (nm)")
     if len(grid) < 2:
         raise ConfigError(f"spectrum.step_nm {step} leaves a single grid point")
-    sp = spectra.fluorescence_spectrum(
-        theta, lam_p, length_mm, device, half_span_nm=half_span, step_nm=step, matcher=matcher,
-        **instrument,
-    )
+    try:
+        sp = spectra.fluorescence_spectrum(
+            theta, lam_p, length_mm, device, half_span_nm=half_span, step_nm=step, matcher=matcher,
+            **instrument,
+        )
+    except errors.KernelUnderResolved as exc:  # the config chose both the kernel and the step
+        pump = exc.fwhm_nm == instrument["pump_fwhm_nm"]
+        key = "pump.linewidth_fwhm_nm" if pump else "spectrum.monochromator_fwhm_nm"
+        raise ConfigError(f"spectrum.step_nm {step} is too coarse for {key}: {exc}") from exc
     run.emit_table(
         "spectrum",
         {"lambda_nm": sp.wavelength_nm, "intensity": sp.intensity},

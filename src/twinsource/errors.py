@@ -39,7 +39,11 @@ class NoSolutionInWindow(TwinSourceError):
 
 # spectra
 class KernelUnderResolved(TwinSourceError):
-    """Convolution kernel narrower than two grid steps."""
+    """Convolution kernel narrower than two grid steps; ``fwhm_nm`` is its width."""
+
+    def __init__(self, message: str, fwhm_nm: float):
+        super().__init__(message)
+        self.fwhm_nm = fwhm_nm
 
 
 class NoPeak(TwinSourceError):

@@ -61,7 +61,6 @@ explicit profile still solves the literal structure.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,7 +73,7 @@ from .stack import TE, TM, LayerStack, layer_indices
 
 _GRID_STEP = 1e-4  # n_eff scan step of the root search
 _XTOL = 1e-12  # Brent tolerance on a root, in n_eff
-TABLE_STEP_NM = 2.0  # knot spacing of EffectiveIndexTable
+TABLE_STEP_NM = 2.0  # knot spacing of EffectiveIndexTable: a power of two, see _at
 _MAX_CELL = 8  # longest repeated cell, in layers, that a periodic run may have
 _BLOCK = 512  # scan points per residual call, so a full-window scan stays small
 _ANCHOR_EVERY = 32  # a table solves every 32nd knot on its own, to predict the others
@@ -456,6 +455,14 @@ class EffectiveIndexTable:
     are the values ``CubicSpline`` and its derivative give. A Python float
     is looked up and evaluated in plain floats; anything else takes one
     vectorized pass, which returns the same values.
+
+    The piece is found on the knot lattice, not by a search: it is
+    floor(lambda / ``TABLE_STEP_NM``) less the lattice number of the first
+    knot, clipped to the pieces. The knots are whole multiples of the step
+    and the step is a power of two, so lambda / step is exact and its floor
+    is the number of the last lattice point at or below lambda: the piece a
+    search of the knots (``searchsorted(side="right") - 1``, clipped) finds,
+    at the knots and at both range ends too.
     """
 
     def __init__(
@@ -580,13 +587,14 @@ class EffectiveIndexTable:
         arrays otherwise. Both forms accept and reject the same values."""
         if type(lam) is float:
             if self._lo <= lam <= self._hi:  # NaN fails this, and raises below
-                i = min(max(bisect_right(self._knots, lam) - 1, 0), self._last)
+                i = min(max(math.floor(lam / TABLE_STEP_NM) - self._j_lo, 0), self._last)
                 return (*self._pieces[i], lam - self._knots[i])
         else:
             lam = np.asarray(lam, dtype=float)
             if np.all((self._lo <= lam) & (lam <= self._hi)):
-                i = np.clip(np.searchsorted(self.knots_nm, lam, side="right") - 1, 0, self._last)
-                return (*self._c[:, i], lam - self.knots_nm[i])
+                i = np.floor(lam / TABLE_STEP_NM).astype(np.intp) - self._j_lo
+                i = np.clip(i, 0, self._last)
+                return (*(row.take(i) for row in self._c), lam - self.knots_nm.take(i))
         raise ValueError(
             f"wavelength {lam} outside table range [{self.lambda_min}, {self.lambda_max}] nm"
         )

@@ -19,9 +19,13 @@ the multiples of ``modes.TABLE_STEP_NM`` = 2 nm, interpolation error far
 below the momentum residual tolerance ``MOMENTUM_RTOL``). A query outside a
 table grows it knot by knot: only the missing knots are solved and the
 spline is refitted, so a grown table equals a fresh one over the same range.
-The signal wavelength is polished by ``roots.brentq`` (Brent's method, the
-floats of scipy's ``brentq``); it evaluates the mismatch at Python floats,
-which the tables look up without building arrays.
+The mismatch has one formula, ``_mismatch``, which ``delta_k``,
+``solve_pair``, ``PhaseMatchPoint.momentum_residual`` and
+``spectra.fluorescence_spectrum`` all evaluate. The signal wavelength is
+polished by ``roots.brentq`` (Brent's method, the floats of scipy's
+``brentq``). ``solve_pair`` reserves its whole bracket in both tables before
+the search, so its Brent function evaluates the mismatch on those two tables
+directly, at Python floats, which the tables look up without building arrays.
 """
 
 from __future__ import annotations
@@ -84,23 +88,44 @@ class PhaseMatchPoint:
     @property
     def momentum_residual(self) -> float:
         """k_p sin(theta) - (n_s k_s - n_i k_i), in rad/nm."""
-        k_p = 2.0 * math.pi / self.lambda_p_nm
-        return (
-            k_p * math.sin(math.radians(self.theta_deg))
-            - self.n_s * 2.0 * math.pi / self.lambda_s_nm
-            + self.n_i * 2.0 * math.pi / self.lambda_i_nm
+        return _mismatch(
+            _kp_sin(self.theta_deg, self.lambda_p_nm),
+            self.lambda_s_nm,
+            self.n_s,
+            self.lambda_i_nm,
+            self.n_i,
         )
 
 
+def _kp_sin(theta_deg, lambda_p):
+    """In-plane pump momentum k_p sin(theta), rad/nm."""
+    return 2.0 * math.pi / lambda_p * math.sin(math.radians(theta_deg))
+
+
+def _mismatch(kp_sin, lam_s, n_s, lam_i, n_i):
+    """k_p sin(theta) - (n_s k_s - n_i k_i), floats or arrays: the package's
+    one mismatch formula, in one operation order."""
+    return kp_sin - n_s * 2.0 * math.pi / lam_s + n_i * 2.0 * math.pi / lam_i
+
+
 def conjugate_wavelength(lambda_p: float, lambda_s):
-    """Idler wavelength paired with lambda_s by energy conservation."""
-    if type(lambda_s) is float and lambda_s > 0:  # in plain floats
+    """Idler wavelength paired with lambda_s by energy conservation.
+
+    Raises ValueError for a signal wavelength that is not positive (NaN
+    included) or that carries more energy than the pump, in either form.
+    """
+    if type(lambda_s) is float:  # in plain floats
+        if not lambda_s > 0:  # NaN fails the comparison
+            raise ValueError(f"signal wavelength {lambda_s} nm is not positive")
         inv = 1.0 / lambda_p - 1.0 / lambda_s
-        bad = inv <= 0
-    else:
-        inv = 1.0 / lambda_p - 1.0 / np.asarray(lambda_s, dtype=float)
-        bad = np.any(inv <= 0)
-    if bad:
+        if not inv > 0:
+            raise ValueError(f"signal {lambda_s} nm carries more energy than the pump")
+        return 1.0 / inv
+    lam = np.asarray(lambda_s, dtype=float)
+    if not np.all(lam > 0):
+        raise ValueError(f"signal wavelength {lambda_s} nm is not positive")
+    inv = 1.0 / lambda_p - 1.0 / lam
+    if not np.all(inv > 0):
         raise ValueError(f"signal {lambda_s} nm carries more energy than the pump")
     return float(1.0 / inv) if np.isscalar(lambda_s) else 1.0 / inv
 
@@ -152,13 +177,12 @@ class PhaseMatcher:
         """
         lam_s = lambda_s if type(lambda_s) is float else np.asarray(lambda_s, dtype=float)
         lam_i = conjugate_wavelength(lambda_p, lam_s)
-        n_s = self.n_eff(inter.copropagating_pol, lam_s)
-        n_i = self.n_eff(inter.counterpropagating_pol, lam_i)
-        k_p = 2.0 * math.pi / lambda_p
-        dk = (
-            k_p * math.sin(math.radians(theta_deg))
-            - n_s * 2.0 * math.pi / lam_s
-            + n_i * 2.0 * math.pi / lam_i
+        dk = _mismatch(
+            _kp_sin(theta_deg, lambda_p),
+            lam_s,
+            self.n_eff(inter.copropagating_pol, lam_s),
+            lam_i,
+            self.n_eff(inter.counterpropagating_pol, lam_i),
         )
         return float(dk) if np.isscalar(lambda_s) else dk
 
@@ -172,10 +196,13 @@ class PhaseMatcher:
 
         Brackets the (monotone) mismatch over +/- ``SEARCH_HALF_WINDOW_NM``
         around the degeneracy wavelength 2 lambda_p, widening once on failure.
+        The whole bracket is reserved in both tables first, so every
+        evaluation reads those two tables and none grows them.
         """
         if not abs(theta_deg) < 90.0:
             raise ValueError("pump incidence angle must satisfy |theta| < 90 deg")
         k_p = 2.0 * math.pi / lambda_p
+        kp_sin = _kp_sin(theta_deg, lambda_p)
         center = 2.0 * lambda_p
         half = SEARCH_HALF_WINDOW_NM
         for attempt in range(2):
@@ -183,14 +210,18 @@ class PhaseMatcher:
             hi = center + half
             # reserve the whole bracket (and its energy conjugate) up front so
             # the index tables are built once, not grown per evaluation
-            self._ensure(inter.copropagating_pol, lo, hi)
-            self._ensure(
+            tab_s = self._ensure(inter.copropagating_pol, lo, hi)
+            tab_i = self._ensure(
                 inter.counterpropagating_pol,
                 conjugate_wavelength(lambda_p, hi),
                 conjugate_wavelength(lambda_p, lo),
             )
-            f_lo = self.delta_k(lo, theta_deg, lambda_p, inter)
-            f_hi = self.delta_k(hi, theta_deg, lambda_p, inter)
+
+            def dk(x):
+                lam_i = conjugate_wavelength(lambda_p, x)
+                return _mismatch(kp_sin, x, tab_s.n_eff(x), lam_i, tab_i.n_eff(lam_i))
+
+            f_lo, f_hi = dk(lo), dk(hi)
             if f_lo == 0.0:
                 lam_s = lo
                 break
@@ -198,13 +229,7 @@ class PhaseMatcher:
                 lam_s = hi
                 break
             if (f_lo < 0) != (f_hi < 0):
-                lam_s = brentq(
-                    lambda x: self.delta_k(x, theta_deg, lambda_p, inter),
-                    lo,
-                    hi,
-                    xtol=1e-10,
-                    rtol=8.9e-16,
-                )
+                lam_s = brentq(dk, lo, hi, xtol=1e-10, rtol=8.9e-16)
                 break
             half *= 2.0
         else:
@@ -212,7 +237,7 @@ class PhaseMatcher:
                 f"no phase-matched signal within +/-{half / 2:.0f} nm of "
                 f"{center:.1f} nm (theta={theta_deg} deg, interaction {inter.id})"
             )
-        residual = self.delta_k(lam_s, theta_deg, lambda_p, inter)
+        residual = dk(lam_s)
         if abs(residual) > MOMENTUM_RTOL * k_p:
             raise NoSolutionInWindow(
                 f"root polish stalled: |residual| = {abs(residual):.3e} rad/nm"
@@ -224,8 +249,8 @@ class PhaseMatcher:
             interaction=inter,
             lambda_s_nm=float(lam_s),
             lambda_i_nm=float(lam_i),
-            n_s=float(self.n_eff(inter.copropagating_pol, lam_s)),
-            n_i=float(self.n_eff(inter.counterpropagating_pol, lam_i)),
+            n_s=float(tab_s.n_eff(lam_s)),
+            n_i=float(tab_i.n_eff(lam_i)),
         )
 
     def degeneracy_angle(self, inter: Interaction, lambda_p: float) -> float:

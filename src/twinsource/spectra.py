@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
-from .phasematch import PhaseMatcher, conjugate_wavelength, interaction
+from .phasematch import PhaseMatcher, _kp_sin, _mismatch, conjugate_wavelength, interaction
 from .stack import LayerStack
 
 # |x| where sinc^2(x) = 1/2; fixes the sinc^2 full width 2x at half maximum
@@ -53,11 +53,16 @@ class Spectrum:
         return float(self.wavelength_nm[1] - self.wavelength_nm[0])
 
     def normalized(self) -> "Spectrum":
-        peak = float(self.intensity.max())
-        if peak <= 0:
-            raise NoPeak("cannot normalize an all-zero spectrum")
         meta = dict(self.metadata, normalized=True)
-        return Spectrum(self.wavelength_nm, self.intensity / peak, meta)
+        return Spectrum(self.wavelength_nm, _normalized(self.intensity), meta)
+
+
+def _normalized(intensity: np.ndarray) -> np.ndarray:
+    """Intensities over their peak; NoPeak for an all-zero spectrum."""
+    peak = float(intensity.max())
+    if peak <= 0:
+        raise NoPeak("cannot normalize an all-zero spectrum")
+    return intensity / peak
 
 
 @dataclass(frozen=True)
@@ -76,11 +81,12 @@ class GaussianKernel:
 
 
 def sinc2(x):
-    """sinc^2 with sinc(x) = sin(x)/x and sinc(0) = 1."""
+    """sinc^2 with sinc(x) = sin(x)/x and sinc(0) = 1: an array for an array,
+    a float for a scalar or a 0-d array."""
     x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
-    nz = x != 0
-    out[nz] = (np.sin(x[nz]) / x[nz]) ** 2
+    np.divide(np.sin(x), x, out=out, where=x != 0)
+    out *= out
     return out if out.ndim else float(out)
 
 
@@ -138,23 +144,30 @@ def convolve(sp: Spectrum, kernel: GaussianKernel) -> Spectrum:
     unit sum, so the total integral is preserved to better than 0.1% for
     features well inside the grid.
     """
-    step, size = sp.step_nm, sp.intensity.size
+    meta = dict(sp.metadata)
+    meta["kernels"] = list(meta.get("kernels", [])) + [_kernel_record(kernel)]
+    return Spectrum(sp.wavelength_nm, _smooth(sp.intensity, sp.step_nm, kernel), meta)
+
+
+def _kernel_record(kernel: GaussianKernel) -> dict:
+    return {"shape": "gaussian", "fwhm_nm": kernel.fwhm_nm}
+
+
+def _smooth(intensity: np.ndarray, step: float, kernel: GaussianKernel) -> np.ndarray:
+    """``convolve``'s intensities, for intensities on a grid of this step."""
+    size = intensity.size
     if kernel.fwhm_nm < 2.0 * step:
         raise KernelUnderResolved(
-            f"kernel FWHM {kernel.fwhm_nm} nm under-resolved on a {step} nm grid"
+            f"kernel FWHM {kernel.fwhm_nm} nm under-resolved on a {step} nm grid", kernel.fwhm_nm
         )
     half = min(int(math.ceil(6.0 * kernel.sigma_nm / step)), size - 1)
     x = step * np.arange(-half, half + 1)
     k = np.exp(-0.5 * (x / kernel.sigma_nm) ** 2)
     k /= k.sum()
-    out = np.convolve(sp.intensity, k, mode="same")
+    out = np.convolve(intensity, k, mode="same")
     if len(k) > size:  # "same" then has the kernel's length: keep the grid's points
         out = out[half - (size - 1) // 2 :][:size]
-    meta = dict(sp.metadata)
-    meta["kernels"] = list(meta.get("kernels", [])) + [
-        {"shape": "gaussian", "fwhm_nm": kernel.fwhm_nm}
-    ]
-    return Spectrum(sp.wavelength_nm, np.clip(out, 0.0, None), meta)
+    return np.clip(out, 0.0, None)
 
 
 def fluorescence_spectrum(
@@ -177,6 +190,12 @@ def fluorescence_spectrum(
     Long-wavelength photons exit through the far facet and are collected
     after one reflection there, so those peaks are scaled by the facet
     intensity reflectance (``long_peak_attenuation``).
+
+    Each branch's mismatch is ``delta_k``'s, at the signal grid or at its
+    energy conjugate, on tables reserved over every wavelength looked up;
+    the lookups at the conjugate, which both interactions make, are made
+    once. The convolutions and the normalization are those of ``convolve``
+    and ``Spectrum.normalized``, on the intensity array.
     """
     m: PhaseMatcher = matcher or PhaseMatcher(s)
     if noise_floor < 0:
@@ -190,17 +209,35 @@ def fluorescence_spectrum(
 
     length_nm = length_mm * 1e6
     lam_deg = 2.0 * lambda_p
+    kp_sin = _kp_sin(theta_deg, lambda_p)
     total = np.zeros_like(grid)
     conj = conjugate_wavelength(lambda_p, grid)
+    back = conjugate_wavelength(lambda_p, conj)  # not grid: they differ in the last bits
+    # every table is reserved over all three arrays before the first lookup,
+    # so no lookup grows a table that an earlier one read
+    lo = min(float(a.min()) for a in (grid, conj, back))
+    hi = max(float(a.max()) for a in (grid, conj, back))
+    tables = {
+        pol: m._ensure(pol, lo, hi)
+        for it in inters
+        for pol in (it.copropagating_pol, it.counterpropagating_pol)
+    }
+    # each interaction looks up both polarizations at conj: look them up once
+    at_conj = {pol: tab.n_eff(conj) for pol, tab in tables.items()}
+
+    def n_eff(pol, lam):
+        return at_conj[pol] if lam is conj else tables[pol].n_eff(lam)
+
     for it, p in zip(inters, points):
-        for branch_peak, lam_eval in ((p.lambda_s_nm, grid), (p.lambda_i_nm, conj)):
-            dk = m.delta_k(lam_eval, theta_deg, lambda_p, it)
+        co, counter = it.copropagating_pol, it.counterpropagating_pol
+        for branch_peak, lam_s, lam_i in ((p.lambda_s_nm, grid, conj), (p.lambda_i_nm, conj, back)):
+            dk = _mismatch(kp_sin, lam_s, n_eff(co, lam_s), lam_i, n_eff(counter, lam_i))
             branch = sinc2(dk * length_nm / 2.0)
             if branch_peak > lam_deg:
                 branch = branch * long_peak_attenuation
             total += branch
 
-    sp = Spectrum(
+    sp = Spectrum(  # checks the grid and the intensities once
         grid,
         total,
         {
@@ -214,11 +251,14 @@ def fluorescence_spectrum(
             "kernels": [],
         },
     )
+    inten, step = sp.intensity, sp.step_nm
     for fwhm in (pump_fwhm_nm, mono_fwhm_nm):
         if fwhm and fwhm > 0:
-            sp = convolve(sp, GaussianKernel(fwhm))
-    sp = sp.normalized()
-    return Spectrum(sp.wavelength_nm, sp.intensity + noise_floor, sp.metadata)
+            kernel = GaussianKernel(fwhm)
+            inten = _smooth(inten, step, kernel)
+            sp.metadata["kernels"].append(_kernel_record(kernel))
+    sp.metadata["normalized"] = True
+    return Spectrum(grid, _normalized(inten) + noise_floor, sp.metadata)
 
 
 def fwhm(sp: Spectrum) -> float:

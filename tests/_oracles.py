@@ -14,15 +14,30 @@ oracle walks the layer waves down from the surface field (1 + r, eta0 (1 - r)),
 where the package carries the transmitted field up from the substrate. The
 dip-fit oracle is the damped Gauss-Newton fit that ``hom.fit_dip`` ran before
 it solved for the width alone.
+
+The spline-piece oracle finds a table's piece by searching the knots, as
+``EffectiveIndexTable._at`` did before it read the piece off the knot
+lattice. The phase-matching oracles are ``solve_pair`` with every Brent
+evaluation through the public ``delta_k``, and the fluorescence spectrum as it
+was built before it shared its lookups: each branch looks up both of its
+indices (eight lookups for two interactions), sinc^2 takes its mask form, and
+every convolution and the normalization build a new ``Spectrum``.
 """
 
 import cmath
 import math
+from bisect import bisect_right
 
 import numpy as np
 from scipy.constants import c as _C, e as _E, h as _H
 
-from twinsource.errors import DegenerateScan, NoConvergence
+from twinsource import roots
+from twinsource.errors import (
+    DegenerateScan,
+    KernelUnderResolved,
+    NoConvergence,
+    NoSolutionInWindow,
+)
 from twinsource.hom import (
     _BASELINE_PASSES,
     _BASELINE_RTOL,
@@ -34,6 +49,8 @@ from twinsource.hom import (
     dip_fwhm_mm,
     dip_half_width_mm,
 )
+from twinsource.phasematch import SEARCH_HALF_WINDOW_NM, interaction
+from twinsource.spectra import GaussianKernel, Spectrum
 
 HC_EV_NM = _H * _C / _E * 1e9
 _MAX_ITERATIONS = 200  # Gauss-Newton iterations per refinement
@@ -467,3 +484,142 @@ def fit_dip_gauss_newton(scan, wavelength_nm):
         iterations=iterations,
         baseline_counts=baseline,
     )
+
+
+def spline_piece_search(table, lam):
+    """(c0, c1, c2, c3, t) of the piece of ``table`` holding ``lam``, found by
+    a search of the knots: ``bisect_right`` for a Python float (floats out),
+    ``searchsorted(side="right")`` otherwise (arrays out); both less one and
+    clipped to the pieces. No range check."""
+    last = table._c.shape[1] - 1
+    if type(lam) is float:
+        knots = table.knots_nm.tolist()
+        i = min(max(bisect_right(knots, lam) - 1, 0), last)
+        return (*table._c[:, i].tolist(), lam - knots[i])
+    lam = np.asarray(lam, dtype=float)
+    i = np.clip(np.searchsorted(table.knots_nm, lam, side="right") - 1, 0, last)
+    return (*table._c[:, i], lam - table.knots_nm[i])
+
+
+def solve_pair_through_delta_k(matcher, theta_deg, lambda_p, inter):
+    """(lambda_s, lambda_i, n_s, n_i) of ``PhaseMatcher.solve_pair``, with the
+    bracket reserved as it does and every evaluation through ``delta_k``."""
+    center, half = 2.0 * lambda_p, SEARCH_HALF_WINDOW_NM
+    for _ in range(2):
+        lo, hi = max(center - half, 1.05 * lambda_p), center + half
+        matcher._ensure(inter.copropagating_pol, lo, hi)
+        matcher._ensure(
+            inter.counterpropagating_pol,
+            1.0 / (1.0 / lambda_p - 1.0 / hi),
+            1.0 / (1.0 / lambda_p - 1.0 / lo),
+        )
+
+        def mismatch(x):
+            return matcher.delta_k(x, theta_deg, lambda_p, inter)
+
+        f_lo, f_hi = mismatch(lo), mismatch(hi)
+        if f_lo == 0.0 or f_hi == 0.0 or (f_lo < 0) != (f_hi < 0):
+            break
+        half *= 2.0
+    else:
+        raise NoSolutionInWindow("no bracket")
+    if f_lo == 0.0:
+        lam_s = lo
+    elif f_hi == 0.0:
+        lam_s = hi
+    else:
+        lam_s = roots.brentq(mismatch, lo, hi, xtol=1e-10, rtol=8.9e-16)
+    lam_i = 1.0 / (1.0 / lambda_p - 1.0 / lam_s)
+    return (
+        lam_s,
+        lam_i,
+        matcher.n_eff(inter.copropagating_pol, lam_s),
+        matcher.n_eff(inter.counterpropagating_pol, lam_i),
+    )
+
+
+def _sinc2_masked(x):
+    out = np.ones_like(x)
+    nz = x != 0
+    out[nz] = (np.sin(x[nz]) / x[nz]) ** 2
+    return out
+
+
+def _convolve_spectrum(sp, kernel):
+    step, size = sp.step_nm, sp.intensity.size
+    if kernel.fwhm_nm < 2.0 * step:
+        raise KernelUnderResolved("kernel under-resolved", kernel.fwhm_nm)
+    half = min(int(math.ceil(6.0 * kernel.sigma_nm / step)), size - 1)
+    x = step * np.arange(-half, half + 1)
+    k = np.exp(-0.5 * (x / kernel.sigma_nm) ** 2)
+    k /= k.sum()
+    out = np.convolve(sp.intensity, k, mode="same")
+    if len(k) > size:
+        out = out[half - (size - 1) // 2 :][:size]
+    meta = dict(sp.metadata)
+    meta["kernels"] = list(meta.get("kernels", [])) + [
+        {"shape": "gaussian", "fwhm_nm": kernel.fwhm_nm}
+    ]
+    return Spectrum(sp.wavelength_nm, np.clip(out, 0.0, None), meta)
+
+
+def fluorescence_spectrum_per_branch(
+    theta_deg,
+    lambda_p,
+    length_mm,
+    matcher,
+    noise_floor=0.0,
+    interactions=(1, 2),
+    pump_fwhm_nm=0.3,
+    mono_fwhm_nm=0.1,
+    long_peak_attenuation=0.30,
+    half_span_nm=5.0,
+    step_nm=0.005,
+):
+    """``spectra.fluorescence_spectrum`` with two lookups per branch and a new
+    ``Spectrum`` after each step (module docstring)."""
+    inters = [interaction(i) for i in interactions]
+    points = [matcher.solve_pair(theta_deg, lambda_p, it) for it in inters]
+    peaks = [w for p in points for w in (p.lambda_s_nm, p.lambda_i_nm)]
+    lo, hi = min(peaks) - half_span_nm, max(peaks) + half_span_nm
+    grid = lo + step_nm * np.arange(int(round((hi - lo) / step_nm)) + 1)
+
+    length_nm = length_mm * 1e6
+    k_p = 2.0 * math.pi / lambda_p
+    total = np.zeros_like(grid)
+    conj = 1.0 / (1.0 / lambda_p - 1.0 / grid)
+    for it, p in zip(inters, points):
+        for branch_peak, lam_s in ((p.lambda_s_nm, grid), (p.lambda_i_nm, conj)):
+            lam_i = 1.0 / (1.0 / lambda_p - 1.0 / lam_s)
+            n_s = matcher.n_eff(it.copropagating_pol, lam_s)
+            n_i = matcher.n_eff(it.counterpropagating_pol, lam_i)
+            dk = (
+                k_p * math.sin(math.radians(theta_deg))
+                - n_s * 2.0 * math.pi / lam_s
+                + n_i * 2.0 * math.pi / lam_i
+            )
+            branch = _sinc2_masked(dk * length_nm / 2.0)
+            if branch_peak > 2.0 * lambda_p:
+                branch = branch * long_peak_attenuation
+            total += branch
+
+    sp = Spectrum(
+        grid,
+        total,
+        {
+            "theta_deg": theta_deg,
+            "lambda_p_nm": lambda_p,
+            "length_mm": length_mm,
+            "interactions": list(interactions),
+            "peaks_nm": sorted(peaks),
+            "long_peak_attenuation": long_peak_attenuation,
+            "noise_floor": noise_floor,
+            "kernels": [],
+        },
+    )
+    for fwhm in (pump_fwhm_nm, mono_fwhm_nm):
+        if fwhm and fwhm > 0:
+            sp = _convolve_spectrum(sp, GaussianKernel(fwhm))
+    meta = dict(sp.metadata, normalized=True)
+    sp = Spectrum(sp.wavelength_nm, sp.intensity / float(sp.intensity.max()), meta)
+    return Spectrum(sp.wavelength_nm, sp.intensity + noise_floor, sp.metadata)

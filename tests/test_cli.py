@@ -176,6 +176,7 @@ _OTHER_OVERRIDES = (
         ("stack", "--set", "resonance=3", "--set", "resonance={}"),
         ("enhancement", "--set", _RENAMED_REGIONS),
         ("spectrum", "--set", "spectrum.step_nm=46"),
+        ("spectrum", "--set", "spectrum.step_nm=0.2"),
     ],
     ids=[
         "negative_design_wavelength", "enhancement_window_strings", "tuning_zero_step",
@@ -190,6 +191,7 @@ _OTHER_OVERRIDES = (
         "dispersion_model_list", "angle_bool", "pulse_rate_bool", "cell_thickness_bool",
         "misspelt_cell_key", "unread_section_checked", "n_mean_override_out_of_range",
         "section_emptied", "cavity_regions_renamed", "spectrum_single_grid_point",
+        "spectrum_step_coarser_than_kernel",
     ],
 )
 def test_bad_input_is_input_error(tmp_path, capsys, argv):
@@ -243,6 +245,20 @@ def test_spectrum_grid_is_capped(tmp_path, capsys):
         "spectrum", "--set", "spectrum.step_nm=1e-9", "--out", tmp_path, "--quiet"
     ) == EXIT_INPUT
     assert str(MAX_SWEEP_POINTS) in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "step, key",
+    [(0.2, "pump.linewidth_fwhm_nm"), (0.06, "spectrum.monochromator_fwhm_nm")],
+    ids=["pump_kernel", "monochromator_kernel"],
+)
+def test_spectrum_step_coarser_than_a_kernel_names_both_keys(tmp_path, capsys, step, key):
+    # the default kernels are 0.3 nm (pump) and 0.1 nm (monochromator) wide;
+    # a kernel needs at least two grid steps across its FWHM
+    assert run("spectrum", "--set", f"spectrum.step_nm={step}", "--out", tmp_path) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "spectrum.step_nm" in err and key in err
     assert not list(tmp_path.iterdir())
 
 

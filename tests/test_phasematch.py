@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from _oracles import solve_pair_through_delta_k
 from twinsource.errors import NoSolutionInWindow
 from twinsource.modes import EffectiveIndexTable
 from twinsource.phasematch import (
@@ -36,6 +37,32 @@ def test_conjugate_wavelength_roundtrip():
     assert 1.0 / 1497.0 + 1.0 / lam_i == pytest.approx(1.0 / 760.0, rel=1e-15)
     with pytest.raises(ValueError):
         conjugate_wavelength(760.0, 700.0)
+
+
+@pytest.mark.parametrize(
+    "signal",
+    [-5.0, 0.0, math.nan, np.float64(-5.0), np.array(math.nan), np.array([1497.0, -5.0]),
+     np.array([math.nan, 1497.0])],
+    ids=["negative", "zero", "nan", "numpy_negative", "0d_nan", "array_negative", "array_nan"],
+)
+def test_conjugate_wavelength_refuses_a_signal_that_is_not_positive(signal):
+    with pytest.raises(ValueError, match="not positive"):
+        conjugate_wavelength(760.0, signal)
+
+
+def test_tuning_curve_is_the_per_point_solve_through_delta_k(box_matcher, pair_draws):
+    # solve_pair's Brent function reads the two reserved tables directly;
+    # every point must be the one a solve through delta_k finds
+    angles = np.linspace(-1.0, 4.0, 21)
+    for _, lambda_p in pair_draws:
+        points, failures = box_matcher.tuning_curve(angles, lambda_p)
+        assert not failures
+        want = [
+            solve_pair_through_delta_k(box_matcher, float(theta), lambda_p, inter)
+            for inter in (INTERACTION_1, INTERACTION_2)
+            for theta in angles
+        ]
+        assert [(p.lambda_s_nm, p.lambda_i_nm, p.n_s, p.n_i) for p in points] == want
 
 
 def test_zero_birefringence_degenerates_at_normal_incidence(matcher, paper_stack):

@@ -8,6 +8,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
+from _oracles import spline_piece_search
 from twinsource import modes, roots
 from twinsource.modes import EffectiveIndexTable
 from twinsource.phasematch import INTERACTION_1, INTERACTION_2
@@ -33,6 +34,29 @@ def test_brent_matches_scipy_on_the_mode_residual(paper_stack, pol):
             assert roots.brentq(residual, a, b, modes._XTOL) == want
             brackets += 1
     assert brackets >= 6
+
+
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_spline_piece_is_the_searched_piece(tables, pol, rng):
+    # lambda / TABLE_STEP_NM is exact only for a power-of-two step
+    assert math.frexp(modes.TABLE_STEP_NM)[0] == 0.5
+    tab = tables[pol]
+    knots = tab.knots_nm
+    lams = np.concatenate((
+        knots,
+        np.nextafter(knots, -math.inf),
+        np.nextafter(knots, math.inf),
+        [tab.lambda_min - 1e-9, tab.lambda_max + 1e-9],
+        rng.uniform(tab.lambda_min - 1e-9, tab.lambda_max + 1e-9, 10**5),
+    ))
+    got, want = tab._at(lams), spline_piece_search(tab, lams)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for lam in lams.tolist():
+        assert tab._at(lam) == spline_piece_search(tab, lam)
+    for outside in (np.nextafter(tab._lo, -math.inf), np.nextafter(tab._hi, math.inf), math.nan):
+        for query in (float(outside), np.array([tab.lambda_min, outside])):
+            with pytest.raises(ValueError):
+                tab._at(query)
 
 
 @pytest.mark.parametrize("inter", [INTERACTION_1, INTERACTION_2], ids=["inter1", "inter2"])

@@ -5,8 +5,9 @@ import pytest
 from scipy.optimize import brentq
 from scipy.signal import find_peaks
 
+from _oracles import fluorescence_spectrum_per_branch
 from twinsource.errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
-from twinsource.phasematch import INTERACTION_1
+from twinsource.phasematch import INTERACTION_1, INTERACTION_2, PhaseMatcher
 from twinsource.spectra import (
     SINC2_HALF_MAX_ARG,
     GaussianKernel,
@@ -25,6 +26,9 @@ PIN_SINC_FWHM_NM = 0.3157  # L = 1 mm at the interaction-1 degeneracy, frozen
 
 def test_sinc2_basics():
     assert sinc2(0.0) == 1.0
+    assert type(sinc2(0.0)) is float and type(sinc2(np.array(0.5))) is float
+    assert sinc2(np.array(0.0)) == 1.0
+    assert sinc2(np.array([0.0]))[0] == 1.0
     assert sinc2(math.pi) == pytest.approx(0.0, abs=1e-30)
     x = np.linspace(-8, 8, 40001)
     y = sinc2(x)
@@ -163,6 +167,38 @@ def test_fluorescence_four_peaks(matcher, paper_stack):
         assert 1.0 / a + 1.0 / b == pytest.approx(1.0 / 759.5, abs=2e-8)
     # long-wavelength peaks collected after a facet bounce
     assert sp.intensity[peaks[2]] < 0.5 * sp.intensity[peaks[0]]
+
+
+def test_fluorescence_spectrum_is_the_per_branch_spectrum(box_matcher, paper_stack, pair_draws):
+    # six shared lookups and two Spectrum objects give the floats of eight
+    # per-branch lookups and five Spectrum objects, bit for bit
+    for theta, lambda_p in pair_draws:
+        got = fluorescence_spectrum(theta, lambda_p, 1.0, paper_stack, matcher=box_matcher)
+        want = fluorescence_spectrum_per_branch(theta, lambda_p, 1.0, box_matcher)
+        assert got.wavelength_nm.tobytes() == want.wavelength_nm.tobytes()
+        assert got.intensity.tobytes() == want.intensity.tobytes()
+        assert repr(got.metadata) == repr(want.metadata)
+    one = fluorescence_spectrum(3.1, 759.5, 1.0, paper_stack, interactions=(2,), matcher=box_matcher)
+    want = fluorescence_spectrum_per_branch(3.1, 759.5, 1.0, box_matcher, interactions=(2,))
+    assert one.intensity.tobytes() == want.intensity.tobytes()
+
+
+def test_wide_spectrum_reserves_its_tables_before_the_first_lookup(paper_stack):
+    # a half span past the solves' reserved brackets and their pad grows the
+    # tables; they grow before the first lookup, so each shared lookup is the
+    # one a per-branch lookup makes, and a fresh matcher answers as a grown one
+    m = PhaseMatcher(paper_stack)
+    for inter in (INTERACTION_1, INTERACTION_2):
+        m.solve_pair(3.1, 759.5, inter)
+    reserved = {pol: (t.lambda_min, t.lambda_max) for pol, t in m._tables.items()}
+    kw = dict(half_span_nm=200.0, step_nm=0.05)
+    first = fluorescence_spectrum(3.1, 759.5, 1.0, paper_stack, matcher=m, **kw)
+    grown = {pol: (t.lambda_min, t.lambda_max) for pol, t in m._tables.items()}
+    assert all(grown[pol][1] > reserved[pol][1] for pol in reserved)
+    again = fluorescence_spectrum(3.1, 759.5, 1.0, paper_stack, matcher=m, **kw)
+    want = fluorescence_spectrum_per_branch(3.1, 759.5, 1.0, m, **kw)
+    assert {pol: (t.lambda_min, t.lambda_max) for pol, t in m._tables.items()} == grown
+    assert first.intensity.tobytes() == again.intensity.tobytes() == want.intensity.tobytes()
 
 
 def test_fluorescence_single_interaction_two_peaks(matcher, paper_stack):
