@@ -108,6 +108,12 @@ def _mismatch(kp_sin, lam_s, n_s, lam_i, n_i):
     return kp_sin - n_s * 2.0 * math.pi / lam_s + n_i * 2.0 * math.pi / lam_i
 
 
+def _check_pump(lambda_p) -> None:
+    """Refuse a pump wavelength that is not finite and > 0 (NaN included)."""
+    if not (math.isfinite(lambda_p) and lambda_p > 0):
+        raise ValueError(f"pump wavelength {lambda_p} nm must be finite and > 0")
+
+
 def conjugate_wavelength(lambda_p: float, lambda_s):
     """Idler wavelength paired with lambda_s by energy conservation.
 
@@ -197,8 +203,10 @@ class PhaseMatcher:
         Brackets the (monotone) mismatch over +/- ``SEARCH_HALF_WINDOW_NM``
         around the degeneracy wavelength 2 lambda_p, widening once on failure.
         The whole bracket is reserved in both tables first, so every
-        evaluation reads those two tables and none grows them.
+        evaluation reads those two tables and none grows them. Raises
+        ValueError for a pump wavelength that is not finite and > 0.
         """
+        _check_pump(lambda_p)
         if not abs(theta_deg) < 90.0:
             raise ValueError("pump incidence angle must satisfy |theta| < 90 deg")
         k_p = 2.0 * math.pi / lambda_p
@@ -257,8 +265,10 @@ class PhaseMatcher:
         """Angle at which the pair degenerates to 2 lambda_p, in degrees.
 
         At degeneracy k_s = k_i = k_p/2, so sin(theta) = (n_s - n_i)/2
-        directly from the momentum equation (no iteration).
+        directly from the momentum equation (no iteration). Raises
+        ValueError for a pump wavelength that is not finite and > 0.
         """
+        _check_pump(lambda_p)
         lam_deg = 2.0 * lambda_p
         n_s = self.n_eff(inter.copropagating_pol, lam_deg)
         n_i = self.n_eff(inter.counterpropagating_pol, lam_deg)

@@ -29,6 +29,18 @@ Conventions
   every product is the one the positional pairwise product takes, from the
   same operands in the same order, so it is the same float. A stack caches
   the trees of the sequences it multiplies (``LayerStack._tree``).
+* At one wavelength ``raw_response`` multiplies a tree, and takes its r/t
+  step, in plain floats (``_response_floats``), the floats the kernel gives
+  for a one-element wavelength array, by four rules: (1) a node is four real
+  floats (m00, p01, q10, m11), the matrix [[m00, i p01], [i q10, m11]] of a
+  propagating lossless layer, a form products keep, so every complex product
+  the kernel takes has a zero term and numpy's fused multiply-add gives the
+  unfused product; (2) a division is numpy's, a product with a reciprocal:
+  p01 = -s (1/eta), the TM admittance n (1/cos theta), and Smith's method for
+  r and t (``_quotient``); (3) a square is ``x * x`` and a modulus
+  ``np.abs`` (Python's ``abs`` and ``math.hypot`` round otherwise); (4)
+  n0 sin(theta), eta0 and eta_sub stay the kernel step's numpy scalars,
+  since CPython divides complex numbers otherwise.
 
 All lengths in nanometres unless a name says otherwise.
 """
@@ -247,6 +259,7 @@ class _Tree(NamedTuple):
     """Product tree of a layer sequence over U leaves, leaf U the identity."""
 
     levels: tuple  # per level, the rows (a, b) its products gather
+    pairs: tuple  # per level, the (left, right) nodes of its products
     root: int  # the node of the last level (or leaf) that is the product
     widest: int  # the most nodes on one level, the leaves included
 
@@ -267,16 +280,17 @@ def _product_tree(leaf, n_leaves) -> _Tree:
     node[: len(leaf)] = leaf
     width = widest = n_leaves + 1
     i, j = np.divmod(np.arange(4)[:, None], 2)  # product entry (i, j) by row
-    levels = []
+    levels, level_pairs = [], []
     while len(node) > 1:
         pairs, node = np.unique(node[0::2] * width + node[1::2], return_inverse=True)
         left, right = np.divmod(pairs, width)
         a = np.concatenate([(2 * i + k) * width + left for k in (0, 1)], axis=None)
         b = np.concatenate([(2 * k + j) * width + right for k in (0, 1)], axis=None)
         levels.append((a, b))
+        level_pairs.append(tuple(zip(left.tolist(), right.tolist())))
         width = len(pairs)
         widest = max(widest, width)
-    return _Tree(tuple(levels), int(node[0]), widest)
+    return _Tree(tuple(levels), tuple(level_pairs), int(node[0]), widest)
 
 
 @lru_cache(maxsize=32)
@@ -324,6 +338,88 @@ def _char_matrix(n_list, t_list, n0_sin, wavelength, pol, tree=None):
     return m.reshape(4, -1, n_lam)[:, tree.root]
 
 
+def _char_matrix_floats(n_list, t_list, n0_sin, wavelength, pol, tree):
+    """``_char_matrix`` at one wavelength in plain floats, the same floats.
+
+    Returns the root of the product tree as (m00, p01, q10, m11), the matrix
+    [[m00, i p01], [i q10, m11]], or None when a leaf does not propagate (a
+    complex index, or n0 sin(theta) >= n) or its phase d is not finite, since
+    only a propagating lossless leaf, [[cos d, -i sin d / eta], [-i eta sin d,
+    cos d]], has that form.
+    """
+    n_list = np.asarray(n_list)
+    if n_list.dtype != float:
+        return None
+    k0, n0_sin = 2.0 * math.pi / wavelength, float(n0_sin)
+    nodes = []
+    for n, t in zip(n_list.tolist(), np.asarray(t_list, dtype=float).tolist()):
+        if not n > abs(n0_sin):
+            return None
+        q = n0_sin / n
+        cos2 = 1.0 - q * q
+        if not cos2 > 0.0:
+            return None
+        ct = math.sqrt(cos2)
+        eta = n * ct if pol == TE else n * (1.0 / ct)
+        d = k0 * n * ct * t
+        if not math.isfinite(d):
+            return None
+        c, s = math.cos(d), math.sin(d)
+        nodes.append((c, -(s * (1.0 / eta)), -(eta * s), c))
+    nodes.append((1.0, 0.0, 0.0, 1.0))
+    for pairs in tree.pairs:
+        level = []
+        for left, right in pairs:
+            a, p, q, d = nodes[left]
+            a2, p2, q2, d2 = nodes[right]
+            level.append((a * a2 - p * q2, a * p2 + p * d2, q * a2 + d * q2, d * d2 - q * p2))
+        nodes = level
+    return nodes[tree.root]
+
+
+def _quotient(ar, ai, br, bi):
+    """(ar + i ai) / (br + i bi) in floats as numpy divides: Smith's method,
+    multiplying by the reciprocal of the scaled denominator."""
+    if abs(br) >= abs(bi):
+        rat = bi / br
+        scl = 1.0 / (br + bi * rat)
+        return (ar + ai * rat) * scl, (ai - ar * rat) * scl
+    rat = br / bi
+    scl = 1.0 / (bi + br * rat)
+    return (ar * rat + ai) * scl, (ai * rat - ar) * scl
+
+
+def _response_floats(n_list, t_list, n0_sin, eta0, eta_sub, wavelength, pol, tree):
+    """``raw_response`` at one wavelength in plain floats, the same floats as
+    its array step, or None where that step must run: a leaf that does not
+    propagate, an ambient admittance that is not a real scalar, a zero
+    denominator.
+
+    Every complex product of the array step has a zero term (the real part of
+    m01 and m10, the imaginary part of m00, m11 and eta0), so a fused
+    multiply-add in numpy's loops gives the unfused product of these floats.
+    """
+    if not (isinstance(n0_sin, float) and isinstance(eta_sub, complex)):
+        return None
+    if not (isinstance(eta0, complex) and eta0.imag == 0.0):
+        return None
+    m = _char_matrix_floats(n_list, t_list, n0_sin, wavelength, pol, tree)
+    if m is None:
+        return None
+    a, p, q, d = m
+    e0, er, ei = float(eta0.real), float(eta_sub.real), float(eta_sub.imag)
+    br, bi = a - p * ei, p * er
+    cr, ci = d * er, q + d * ei
+    dr, di = e0 * br + cr, e0 * bi + ci
+    if dr == 0.0 and di == 0.0:
+        return None
+    r = _quotient(e0 * br - cr, e0 * bi - ci, dr, di)
+    t = _quotient(2.0 * e0, 0.0, dr, di)
+    abs_r = float(np.abs(complex(*r)))
+    abs_denom = float(np.abs(complex(dr, di)))
+    return complex(*r), complex(*t), abs_r * abs_r, 4.0 * e0 * er / (abs_denom * abs_denom)
+
+
 def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol, tree=None):
     """Fresnel response (r, t, R, T) of an arbitrary index profile (low-level entry point).
 
@@ -332,11 +428,22 @@ def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol, tree=Non
     ``theta_deg`` are scalars or (W,) arrays. A scalar wavelength gives
     scalars out, an array gives (W,) arrays. With a stack's product ``tree``,
     ``n_list`` and ``t_list`` are per leaf, as in ``_char_matrix``.
+
+    A scalar wavelength with a ``tree`` multiplies the tree in plain floats
+    (``_char_matrix_floats``), the same floats as the kernel; it falls back
+    to the kernel ``_char_matrix`` when a leaf does not propagate (a complex
+    index, or n0 sin(theta) >= n, as with a large ambient index at a steep
+    angle), when the ambient admittance is not real, or when the response's
+    denominator is zero.
     """
     lam = np.asarray(wavelength, dtype=float)
     n0_sin = n0 * np.sin(np.radians(theta_deg))
     eta0 = _admittance(n0, _cos_theta(n0, n0_sin), pol)
     eta_sub = _admittance(n_sub, _cos_theta(n_sub, n0_sin), pol)
+    if lam.ndim == 0 and tree is not None:
+        out = _response_floats(n_list, t_list, n0_sin, eta0, eta_sub, float(lam), pol, tree)
+        if out is not None:
+            return out
     m00, m01, m10, m11 = _char_matrix(n_list, t_list, n0_sin, lam.reshape(-1), pol, tree)
     b = m00 + m01 * eta_sub
     c = m10 + m11 * eta_sub

@@ -15,6 +15,11 @@ where the package carries the transmitted field up from the substrate. The
 dip-fit oracle is the damped Gauss-Newton fit that ``hom.fit_dip`` ran before
 it solved for the width alone.
 
+The one-wavelength response oracle is the exception: it runs the package's
+transfer-matrix kernel on a one-element wavelength array and takes the r/t
+step on arrays, the floats that the plain-float path at one wavelength must
+give.
+
 The spline-piece oracle finds a table's piece by searching the knots, as
 ``EffectiveIndexTable._at`` did before it read the piece off the knot
 lattice. The phase-matching oracles are ``solve_pair`` with every Brent
@@ -129,6 +134,28 @@ def response_loop(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol):
     denom = eta0 * b + c
     r = (eta0 * b - c) / denom
     return abs(r) ** 2, 4.0 * eta0.real * eta_sub.real / abs(denom) ** 2
+
+
+def response_at_numpy(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol, tree=None):
+    """``stack.raw_response`` at one wavelength as numpy computes it: the
+    kernel ``_char_matrix`` on a one-element wavelength array, then the r/t
+    step on (1,) arrays (the package's one-wavelength path before it took
+    plain floats)."""
+    from twinsource import stack as st
+
+    n0_sin = n0 * np.sin(np.radians(theta_deg))
+    eta0 = st._admittance(n0, st._cos_theta(n0, n0_sin), pol)
+    eta_sub = st._admittance(n_sub, st._cos_theta(n_sub, n0_sin), pol)
+    lam = np.array([wavelength], dtype=float)
+    m00, m01, m10, m11 = st._char_matrix(n_list, t_list, n0_sin, lam, pol, tree)
+    b = m00 + m01 * eta_sub
+    c = m10 + m11 * eta_sub
+    denom = eta0 * b + c
+    r = (eta0 * b - c) / denom
+    t = 2.0 * eta0 / denom
+    reflectance = np.abs(r) ** 2
+    transmittance = 4.0 * np.real(eta0) * np.real(eta_sub) / np.abs(denom) ** 2
+    return complex(r[0]), complex(t[0]), float(reflectance[0]), float(transmittance[0])
 
 
 def adachi_index(model, x, wavelength_nm, complex_index=False):

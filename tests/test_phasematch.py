@@ -205,3 +205,32 @@ def test_no_solution_for_extreme_angle(matcher):
 def test_angle_domain_enforced(matcher):
     with pytest.raises(ValueError):
         matcher.solve_pair(95.0, 760.0, INTERACTION_1)
+
+
+_BAD_PUMPS = pytest.mark.parametrize(
+    "lambda_p", [0.0, math.nan, -760.0, math.inf], ids=["zero", "nan", "negative", "inf"]
+)
+
+
+@_BAD_PUMPS
+def test_tuning_curve_records_a_pump_that_is_not_finite_and_positive(paper_stack, lambda_p):
+    # solve_pair refuses the pump before it touches a table; the sweep records
+    # each point's refusal and goes on
+    m = PhaseMatcher(paper_stack)
+    with pytest.raises(ValueError, match="pump wavelength"):
+        m.solve_pair(1.0, lambda_p, INTERACTION_1)
+    points, failures = m.tuning_curve([1.0, 2.0], lambda_p)
+    assert points == [] and [(theta, i) for theta, i, _ in failures] == [
+        (1.0, 1), (2.0, 1), (1.0, 2), (2.0, 2)
+    ]
+    assert all(msg.startswith(f"pump wavelength {lambda_p} nm") for *_, msg in failures)
+    assert m._tables == {}
+
+
+@_BAD_PUMPS
+def test_degeneracy_angle_refuses_a_pump_that_is_not_finite_and_positive(paper_stack, lambda_p):
+    m = PhaseMatcher(paper_stack)
+    for inter in (INTERACTION_1, INTERACTION_2):
+        with pytest.raises(ValueError, match="pump wavelength"):
+            m.degeneracy_angle(inter, lambda_p)
+    assert m._tables == {}

@@ -6,7 +6,13 @@ import pytest
 from scipy.signal import find_peaks
 
 import _oracles
-from _oracles import core_intensity_scalar, field_profile_top_down, resonance_scalar, response_loop
+from _oracles import (
+    core_intensity_scalar,
+    field_profile_top_down,
+    resonance_scalar,
+    response_at_numpy,
+    response_loop,
+)
 from twinsource import config, materials
 from twinsource import stack as stack_mod
 from twinsource.errors import (
@@ -137,7 +143,7 @@ def test_batched_response_matches_oracle_and_scalar_calls(paper_stack, window, p
         assert np.max(np.abs(batch.transmittance - other[1])) <= 1e-12
 
 
-@pytest.mark.parametrize(
+_EDGE_STACKS = pytest.mark.parametrize(
     "s",
     [
         LayerStack(layers=(Layer(Composition(0.3), 120.0), Layer(Composition(0.7), 95.0)), substrate=None),
@@ -146,6 +152,9 @@ def test_batched_response_matches_oracle_and_scalar_calls(paper_stack, window, p
     ],
     ids=["free_standing", "bare_substrate", "empty"],
 )
+
+
+@_EDGE_STACKS
 @pytest.mark.parametrize("pol", [TE, TM])
 def test_batched_response_edge_stacks(s, pol):
     lams = np.linspace(740.0, 1600.0, 23)
@@ -227,16 +236,17 @@ def test_batched_response_of_a_tall_stack_stays_small():
 
 def _draw_stacks():
     """20 cavity-scan-like designs: 16-20 top and 39-43 bottom periods,
-    design wavelength 755-765 nm."""
+    design wavelength 755-765 nm; (stack, design wavelength) pairs."""
     rng = np.random.default_rng(11)
-    stacks = []
+    draws = []
     for _ in range(20):
         cfg = config.default_config()
-        cfg["stack"]["design_wavelength_nm"] = float(rng.uniform(755.0, 765.0))
+        lam0 = float(rng.uniform(755.0, 765.0))
+        cfg["stack"]["design_wavelength_nm"] = lam0
         cfg["stack"]["regions"][0]["periods"] = int(rng.integers(16, 21))
         cfg["stack"]["regions"][2]["periods"] = int(rng.integers(39, 44))
-        stacks.append(config.build_stack(cfg))
-    return stacks
+        draws.append((config.build_stack(cfg), lam0))
+    return draws
 
 
 def _tall_stack():
@@ -266,7 +276,7 @@ _HAND_STACKS = {
 @pytest.fixture(scope="module")
 def tree_stacks(paper_stack):
     stacks = {"nominal": paper_stack, "tall": _tall_stack()}
-    stacks.update((f"draw{k}", s) for k, s in enumerate(_draw_stacks()))
+    stacks.update((f"draw{k}", s) for k, (s, _) in enumerate(_draw_stacks()))
     stacks.update((name, s) for name, (s, _) in _HAND_STACKS.items())
     return stacks
 
@@ -322,6 +332,7 @@ def test_nominal_tree_shape(paper_stack):
     assert len(plan.leaf_index) == 4
     assert sum(len(a) for a, _ in whole.levels) == 8 * 26
     assert sum(len(a) for a, _ in positional.levels) == 8 * 127
+    assert sum(map(len, whole.pairs)) == 26 and sum(map(len, positional.pairs)) == 127
 
 
 def test_stack_calls_take_no_positional_product(paper_stack, monkeypatch):
@@ -336,6 +347,101 @@ def test_stack_calls_take_no_positional_product(paper_stack, monkeypatch):
     core_intensity(paper_stack, lams, 3.0, TM)
     field_profile(paper_stack, 760.0, 3.0, TM)
     stack_mod._cavity(paper_stack, 760.0, 3.0, TM, None)
+
+
+# --- one wavelength in plain floats ------------------------------------------
+
+
+@pytest.fixture
+def one_wavelength_calls(monkeypatch):
+    """Every one-wavelength ``raw_response`` call a stack makes: (args, result)."""
+    calls, real = [], stack_mod.raw_response
+
+    def recorded(*args):
+        out = real(*args)
+        if np.ndim(args[4]) == 0:
+            calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(stack_mod, "raw_response", recorded)
+    return calls
+
+
+def _assert_numpy_floats(calls, least):
+    # r, t, R and T of every call are the floats of numpy's one-element path
+    assert len(calls) >= least
+    for args, out in calls:
+        assert out == response_at_numpy(*args), args[4:7]
+
+
+@pytest.mark.parametrize("theta", [0.0, -4.0, 3.0, 17.0, 60.0])
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_one_wavelength_response_is_numpys_on_a_dense_grid(
+    paper_stack, one_wavelength_calls, pol, theta
+):
+    # 735-1600 nm: an absorbing substrate below ~870 nm, a real one above
+    for lam in np.arange(735.0, 1600.5, 2.0).tolist():
+        stack_response(paper_stack, lam, theta, pol)
+    _assert_numpy_floats(one_wavelength_calls, 433)
+
+
+def test_one_wavelength_responses_of_cavity_draws_are_numpys(one_wavelength_calls):
+    # the sweep's calls, the resonance search's golden-section calls and the
+    # mirror responses of _cavity, on 20 cavity-scan-like designs, each at a
+    # drawn polarization and angle (0-4 deg), over its design wavelength +/- 20 nm
+    rng = np.random.default_rng(15)
+    for s, lam0 in _draw_stacks():
+        pol, theta = (TE, TM)[int(rng.integers(0, 2))], float(rng.uniform(0.0, 4.0))
+        for lam in np.linspace(lam0 - 20.0, lam0 + 20.0, 81).tolist():
+            stack_response(s, lam, theta, pol)
+        find_resonance(s, (lam0 - 20.0, lam0 + 20.0), theta, pol)
+    _assert_numpy_floats(one_wavelength_calls, 20 * (81 + 6))
+
+
+@_EDGE_STACKS
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_one_wavelength_response_of_edge_stacks_is_numpys(s, pol, one_wavelength_calls):
+    for theta in (0.0, 17.0, 60.0):
+        for lam in np.linspace(740.0, 1600.0, 23).tolist():
+            stack_response(s, lam, theta, pol)
+    _assert_numpy_floats(one_wavelength_calls, 3 * 23)
+
+
+def test_cavity_mirror_responses_are_numpys(paper_stack, one_wavelength_calls):
+    # _cavity's two mirror responses, seen from the core at the core's angle
+    for pol in (TE, TM):
+        for theta in (0.0, 3.0, 17.0):
+            for lam in (750.0, 759.9, 761.6058240589, 1520.0):
+                stack_mod._cavity(paper_stack, lam, theta, pol, None)
+    _assert_numpy_floats(one_wavelength_calls, 2 * 2 * 3 * 4)
+
+
+def _steep(s):
+    """The stack under an ambient of index 3.6: at 60 deg, n0 sin(theta) ~ 3.12
+    exceeds the index of Al(0.9)As, so a mirror leaf does not propagate."""
+    return LayerStack(s.layers, s.substrate, 3.6, s.regions)
+
+
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_response_past_a_non_propagating_leaf_is_numpys(paper_stack, one_wavelength_calls, pol):
+    steep = _steep(paper_stack)
+    for lam in np.linspace(740.0, 1600.0, 44).tolist():
+        stack_response(steep, lam, 60.0, pol)
+    _assert_numpy_floats(one_wavelength_calls, 44)
+
+
+def test_one_wavelength_stack_calls_take_the_float_path(paper_stack, monkeypatch):
+    # a propagating stack never reaches the array kernel at one wavelength;
+    # a leaf that does not propagate does
+    def kernel(*args):
+        raise AssertionError("kernel taken")
+
+    monkeypatch.setattr(stack_mod, "_char_matrix", kernel)
+    for pol in (TE, TM):
+        stack_response(paper_stack, 760.0, 3.0, pol)
+        stack_mod._cavity(paper_stack, 760.0, 3.0, pol, None)
+    with pytest.raises(AssertionError, match="kernel taken"):
+        stack_response(_steep(paper_stack), 1520.0, 60.0, TE)
 
 
 def test_characteristic_matrix_cascades(paper_stack):
