@@ -10,7 +10,9 @@
 Every command is deterministic given (config, seed). Data files are CSV
 (header row, '.' decimal separator, LF endings) or JSON via --format; each
 output gets a ``<name>.meta.json`` sidecar carrying the config hash, and the
-command writes a run report listing every file it produced.
+command writes a run report listing every file it produced and the time it
+spent reading the config, computing and writing. Each command imports only
+the layers it runs: ``counts`` loads no stack, mode, spectrum or HOM code.
 
 Exit status: 0 success, 2 input/config error, 3 numerical failure.
 """
@@ -27,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfgmod
-from . import efficiency, errors, hom, modes, phasematch, spectra, stack
+from . import efficiency, errors
 from .config import ANGLE, MAX_SWEEP_POINTS, POSITIVE, WINDOW, require
 from .errors import ConfigError, NoResonanceInWindow, OutOfValidityWindow, TwinSourceError
 
@@ -42,6 +44,7 @@ class RunReport:
     config_hash: str
     outputs: list = field(default_factory=list)
     elapsed_s: float = 0.0
+    stages: dict = field(default_factory=dict)  # config_s, compute_s, write_s: elapsed_s split
     warnings: list = field(default_factory=list)
 
 
@@ -55,21 +58,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _item(value):
+    return value.item() if hasattr(value, "item") else value
+
+
+def _float_array(col) -> bool:
+    """A float array whose ``tolist()`` gives Python floats (so not a longdouble one)."""
+    return isinstance(col, np.ndarray) and col.dtype.kind == "f" and col.itemsize <= 8
+
+
 def _write_table(path: Path, columns: dict, fmt: str):
-    """Write a column dict as CSV (default) or a JSON record list."""
-    names = list(columns)
-    rows = len(next(iter(columns.values())))
+    """Write a column dict as CSV (default) or a JSON record list, column-wise.
+
+    A float array gives its cells from one ``tolist()``; other columns keep
+    the per-value rule (``_fmt``, or ``.item()`` in JSON). CSV rows are
+    streamed; columns of unequal length raise ValueError.
+    """
     if fmt == "json":
-        records = [
-            {name: (columns[name][i].item() if hasattr(columns[name][i], "item") else columns[name][i]) for name in names}
-            for i in range(rows)
-        ]
-        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        values = [c.tolist() if _float_array(c) else map(_item, c) for c in columns.values()]
+        _write_json(path, [dict(zip(columns, row)) for row in zip(*values, strict=True)])
         return
-    lines = [",".join(names)]
-    for i in range(rows):
-        lines.append(",".join(_fmt(columns[name][i]) for name in names))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    cells = [map(repr, c.tolist()) if _float_array(c) else map(_fmt, c) for c in columns.values()]
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write(",".join(columns) + "\n")
+        for row in map(",".join, zip(*cells, strict=True)):
+            out.write(row + "\n")
 
 
 def _write_json(path: Path, payload: dict):
@@ -85,6 +98,7 @@ class _Run:
     """Shared bookkeeping for one command invocation."""
 
     def __init__(self, args, command):
+        self.t0 = time.monotonic()
         self.args = args
         cfg = cfgmod.apply_overrides(cfgmod.load_config(args.config), args.set or [])
         if args.seed is not None:
@@ -97,34 +111,38 @@ class _Run:
         except OSError as exc:  # --out names a file, or a path through one
             raise ConfigError(f"cannot use output directory: {exc}") from exc
         self.report = RunReport(command=command, config_hash=self.hash)
-        self.t0 = time.monotonic()
         self.fmt = args.format
         self.model = model = cfgmod.dispersion_model(cfg)
         self.provenance = {
             "dispersion_model": model.name,
             "dispersion_coefficients": {k: list(v) for k, v in model.coefficients.items()},
         }
+        self.config_s, self.write_s = time.monotonic() - self.t0, 0.0
 
     def table_path(self, name: str) -> Path:
         ext = ".json" if self.fmt == "json" else ".csv"
         return self.out_dir / f"{name}{ext}"
 
     def emit_table(self, name: str, columns: dict, meta: dict) -> Path:
-        path = self.table_path(name)
-        _write_table(path, columns, self.fmt)
-        _sidecar(path, self.hash, {**self.provenance, **meta})
-        self.report.outputs.append(str(path))
-        return path
+        return self._emit(self.table_path(name), meta, _write_table, columns, self.fmt)
 
     def emit_json(self, name: str, payload: dict, meta: dict) -> Path:
-        path = self.out_dir / f"{name}.json"
-        _write_json(path, payload)
+        return self._emit(self.out_dir / f"{name}.json", meta, _write_json, payload)
+
+    def _emit(self, path: Path, meta: dict, write, *data) -> Path:
+        t = time.monotonic()
+        write(path, *data)
         _sidecar(path, self.hash, {**self.provenance, **meta})
         self.report.outputs.append(str(path))
+        self.write_s += time.monotonic() - t
         return path
 
     def finish(self) -> RunReport:
-        self.report.elapsed_s = round(time.monotonic() - self.t0, 6)
+        elapsed = time.monotonic() - self.t0
+        compute_s = elapsed - self.config_s - self.write_s
+        stages = {"config_s": self.config_s, "compute_s": compute_s, "write_s": self.write_s}
+        self.report.elapsed_s = round(elapsed, 6)
+        self.report.stages = {k: round(v, 6) for k, v in stages.items()}
         _write_json(self.out_dir / f"{self.report.command}.report.json", asdict(self.report))
         if not self.args.quiet:
             for line in self.report.warnings:
@@ -154,6 +172,7 @@ def _grid(lo, hi, step, name: str) -> np.ndarray:
 
 
 def cmd_stack(args) -> int:
+    from . import stack
     run = _Run(args, "stack")
     cfg = run.cfg
     model = run.model
@@ -171,7 +190,7 @@ def cmd_stack(args) -> int:
     try:
         res = stack.find_resonance(device, (lam_lo, lam_hi), theta, pol, model)
         resonance_nm = res.wavelength_nm
-    except (NoResonanceInWindow, stack.MultipleResonances, KeyError) as exc:
+    except (NoResonanceInWindow, errors.MultipleResonances, KeyError) as exc:
         run.report.warnings.append(f"resonance not flagged: {exc}")
     flag = np.zeros(len(lams), dtype=bool)
     if resonance_nm is not None:
@@ -217,6 +236,7 @@ def cmd_stack(args) -> int:
 
 
 def cmd_tuning(args) -> int:
+    from . import phasematch
     run = _Run(args, "tuning")
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
@@ -262,6 +282,7 @@ def cmd_tuning(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    from . import phasematch, spectra
     run = _Run(args, "spectrum")
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
@@ -301,20 +322,16 @@ def cmd_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _hom_model(cfg) -> hom.DipModel:
+def cmd_hom_simulate(args) -> int:
+    from . import hom
+    run = _Run(args, "hom-simulate")
+    cfg = run.cfg
     hcfg = cfg["hom"]
-    return hom.DipModel(  # sidecars record floats
+    model = hom.DipModel(  # sidecars record floats
         visibility=cfgmod.hom_visibility(cfg),
         wavelength_nm=float(hcfg["degeneracy_wavelength_nm"]),
         delta_lambda_nm=float(hcfg["delta_lambda_nm"]),
     )
-
-
-def cmd_hom_simulate(args) -> int:
-    run = _Run(args, "hom-simulate")
-    cfg = run.cfg
-    hcfg = cfg["hom"]
-    model = _hom_model(cfg)
     chain = cfgmod.build_detection_chain(cfg)
     half_span = hcfg["scan_half_span_mm"]
     positions = np.linspace(-half_span, half_span, int(hcfg["scan_points"]))
@@ -342,6 +359,7 @@ def cmd_hom_simulate(args) -> int:
 
 
 def _read_scan_csv(path: Path, dwell_s: float) -> hom.HomScan:
+    from . import hom
     try:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -373,6 +391,7 @@ def _read_scan_csv(path: Path, dwell_s: float) -> hom.HomScan:
 
 
 def cmd_hom_fit(args) -> int:
+    from . import hom
     run = _Run(args, "hom-fit")
     cfg = run.cfg
     lam = float(cfg["hom"]["degeneracy_wavelength_nm"])
@@ -419,6 +438,7 @@ def cmd_counts(args) -> int:
 
 
 def cmd_enhancement(args) -> int:
+    from . import modes, stack
     run = _Run(args, "enhancement")
     cfg = run.cfg
     overrides = cfg["enhancement_overrides"]
@@ -485,7 +505,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", type=float)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--theta", type=float)
-    p.add_argument("--pol", choices=(stack.TE, stack.TM), default=stack.TE)
+    p.add_argument("--pol", choices=("TE", "TM"), default="TE")  # stack.TE, stack.TM
     _add_common(p)
     p.set_defaults(func=cmd_stack)
 

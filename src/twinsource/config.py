@@ -19,9 +19,7 @@ import sys
 from . import materials
 from .efficiency import DetectionChain
 from .errors import AboveBandgap, ConfigError, NonPhysicalInput, OutOfValidityWindow
-from .hom import visibility_from_reflectivity
 from .materials import Composition
-from .stack import Layer, LayerStack, Region
 
 
 # The nominal device. DBR cells are listed top to bottom as (low, high) index,
@@ -278,6 +276,7 @@ def dispersion_model(cfg: dict):
 
 def build_stack(cfg: dict) -> LayerStack:
     """LayerStack from the config's stack section (config checked, invariants enforced)."""
+    from .stack import Layer, LayerStack, Region  # here: a command that builds no stack loads none
     model = dispersion_model(cfg)
     sc = cfg["stack"]
     lam = sc["design_wavelength_nm"]
@@ -320,5 +319,6 @@ def build_detection_chain(cfg: dict) -> DetectionChain:
 
 def hom_visibility(cfg: dict) -> float:
     """``hom.visibility``, or 1/(1 + 2 R^2) from the facet reflectance when it is null."""
+    from .hom import visibility_from_reflectivity
     vis, r = check_config(cfg)["hom"]["visibility"], cfg["sample"]["facet_reflectance"]
     return visibility_from_reflectivity(r) if vis is None else float(vis)

@@ -52,18 +52,6 @@ class Spectrum:
     def step_nm(self) -> float:
         return float(self.wavelength_nm[1] - self.wavelength_nm[0])
 
-    def normalized(self) -> "Spectrum":
-        meta = dict(self.metadata, normalized=True)
-        return Spectrum(self.wavelength_nm, _normalized(self.intensity), meta)
-
-
-def _normalized(intensity: np.ndarray) -> np.ndarray:
-    """Intensities over their peak; NoPeak for an all-zero spectrum."""
-    peak = float(intensity.max())
-    if peak <= 0:
-        raise NoPeak("cannot normalize an all-zero spectrum")
-    return intensity / peak
-
 
 @dataclass(frozen=True)
 class GaussianKernel:
@@ -136,25 +124,14 @@ def _make_grid(lo, hi, step):
     return lo + step * np.arange(n)
 
 
-def convolve(sp: Spectrum, kernel: GaussianKernel) -> Spectrum:
-    """Discrete convolution on the spectrum's own grid (zero-padded edges).
+def _smooth(intensity: np.ndarray, step: float, kernel: GaussianKernel) -> np.ndarray:
+    """Discrete convolution on a grid of this step (zero-padded edges).
 
     The kernel is sampled out to 6 sigma, or out to the grid's span where
     that is shorter (farther points meet no grid point), and normalized to
     unit sum, so the total integral is preserved to better than 0.1% for
     features well inside the grid.
     """
-    meta = dict(sp.metadata)
-    meta["kernels"] = list(meta.get("kernels", [])) + [_kernel_record(kernel)]
-    return Spectrum(sp.wavelength_nm, _smooth(sp.intensity, sp.step_nm, kernel), meta)
-
-
-def _kernel_record(kernel: GaussianKernel) -> dict:
-    return {"shape": "gaussian", "fwhm_nm": kernel.fwhm_nm}
-
-
-def _smooth(intensity: np.ndarray, step: float, kernel: GaussianKernel) -> np.ndarray:
-    """``convolve``'s intensities, for intensities on a grid of this step."""
     size = intensity.size
     if kernel.fwhm_nm < 2.0 * step:
         raise KernelUnderResolved(
@@ -194,8 +171,7 @@ def fluorescence_spectrum(
     Each branch's mismatch is ``delta_k``'s, at the signal grid or at its
     energy conjugate, on tables reserved over every wavelength looked up;
     the lookups at the conjugate, which both interactions make, are made
-    once. The convolutions and the normalization are those of ``convolve``
-    and ``Spectrum.normalized``, on the intensity array.
+    once. NoPeak if nothing is left to normalize.
     """
     m: PhaseMatcher = matcher or PhaseMatcher(s)
     if noise_floor < 0:
@@ -256,9 +232,12 @@ def fluorescence_spectrum(
         if fwhm and fwhm > 0:
             kernel = GaussianKernel(fwhm)
             inten = _smooth(inten, step, kernel)
-            sp.metadata["kernels"].append(_kernel_record(kernel))
+            sp.metadata["kernels"].append({"shape": "gaussian", "fwhm_nm": kernel.fwhm_nm})
+    peak = float(inten.max())
+    if peak <= 0:
+        raise NoPeak("cannot normalize an all-zero spectrum")
     sp.metadata["normalized"] = True
-    return Spectrum(grid, _normalized(inten) + noise_floor, sp.metadata)
+    return Spectrum(grid, inten / peak + noise_floor, sp.metadata)
 
 
 def fwhm(sp: Spectrum) -> float:

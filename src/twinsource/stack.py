@@ -150,9 +150,6 @@ class LayerStack:
                 return reg
         return None
 
-    def region_layers(self, name: str) -> tuple:
-        return self.layers[_region_slice(self, name)]
-
     @cached_property
     def _plan(self) -> _LayerPlan:
         def frozen(values, dtype):

@@ -27,9 +27,13 @@ evaluation through the public ``delta_k``, and the fluorescence spectrum as it
 was built before it shared its lookups: each branch looks up both of its
 indices (eight lookups for two interactions), sinc^2 takes its mask form, and
 every convolution and the normalization build a new ``Spectrum``.
+
+The table-writer oracle is the CLI's writer as it was before it went
+column-wise: it indexes every column per row and formats each cell alone.
 """
 
 import cmath
+import json
 import math
 from bisect import bisect_right
 
@@ -650,3 +654,30 @@ def fluorescence_spectrum_per_branch(
     meta = dict(sp.metadata, normalized=True)
     sp = Spectrum(sp.wavelength_nm, sp.intensity / float(sp.intensity.max()), meta)
     return Spectrum(sp.wavelength_nm, sp.intensity + noise_floor, sp.metadata)
+
+
+def _fmt_cell(value) -> str:
+    if isinstance(value, (bool, np.bool_)):
+        return "1" if value else "0"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def write_table_rows(path, columns: dict, fmt: str):
+    """``cli._write_table`` row by row (module docstring); rows follow the first column."""
+    names = list(columns)
+    rows = len(next(iter(columns.values())))
+    if fmt == "json":
+        records = [
+            {name: (columns[name][i].item() if hasattr(columns[name][i], "item") else columns[name][i]) for name in names}
+            for i in range(rows)
+        ]
+        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        return
+    lines = [",".join(names)]
+    for i in range(rows):
+        lines.append(",".join(_fmt_cell(columns[name][i]) for name in names))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import twinsource
-from twinsource.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, MAX_SWEEP_POINTS, main
+from _oracles import write_table_rows
+from twinsource.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, MAX_SWEEP_POINTS, _write_table, main
 from twinsource.config import (
     DEFAULT_CONFIG,
     MAX_PERIODS,
@@ -74,6 +76,9 @@ def test_stack_meta_sidecar_and_report(tmp_path):
     report = json.loads((tmp_path / "stack.report.json").read_text())
     assert report["command"] == "stack"
     assert report["config_hash"] == meta["config_hash"]
+    stages = report["stages"]  # elapsed_s split into reading the config, computing and writing
+    assert set(stages) == {"config_s", "compute_s", "write_s"} and min(stages.values()) >= 0
+    assert sum(stages.values()) == pytest.approx(report["elapsed_s"], abs=1e-5)
     for out in report["outputs"]:
         assert Path(out).exists()
 
@@ -274,16 +279,82 @@ def test_config_file_shape_is_checked(tmp_path, capsys, document, named):
     assert f"'{named}'" in capsys.readouterr().err
 
 
+def _source_env():
+    src = str(Path(twinsource.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_cli_import_loads_no_scipy():
     # importing scipy's constants, interpolate and optimize took ~0.75-0.85 s of
     # the ~1.0 s start of every command (measured on a 2-vCPU x86-64 host)
-    src = str(Path(twinsource.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = (
         "import sys, twinsource.cli; "
         "sys.exit(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
     )
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    assert subprocess.run([sys.executable, "-c", code], env=_source_env(), timeout=120).returncode == 0
+
+
+@pytest.mark.parametrize(
+    "command, absent",
+    [
+        (["counts"], {"stack", "modes", "phasematch", "spectra", "hom", "roots"}),
+        (["hom", "simulate"], {"stack", "modes", "phasematch", "spectra"}),
+        (["stack"], {"modes", "phasematch", "spectra", "hom"}),
+    ],
+)
+def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, absent):
+    # each layer a command skips saves its import (and, without bytecode
+    # caches, its compile) in every fresh process
+    code = (
+        "import sys, twinsource.cli as cli; rc = cli.main(sys.argv[1:]); "
+        "print(*(m for m in sys.modules if m.startswith('twinsource.'))); sys.exit(rc)"
+    )
+    argv = [sys.executable, "-c", code, *command, "--out", str(tmp_path), "--quiet"]
+    proc = subprocess.run(argv, env=_source_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    loaded = {m.removeprefix("twinsource.") for m in proc.stdout.split()}
+    assert {"cli", "config"} <= loaded and not loaded & absent
+
+
+def _mixed_columns():
+    specials = [-0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 0.1, -2.5e-7]
+    n = len(specials)
+    return {
+        "f64": np.array(specials),
+        "f32": np.array([-0.0, math.inf, -math.inf, math.nan, 1e-45, 3e38, 0.1, -2.5e-7], dtype=np.float32),
+        "flag": np.arange(n) % 3 == 0,
+        "count": np.arange(n) - 3,
+        "floats": [1.0 / (k + 1) for k in range(n)],
+        "ints": list(range(-4, n - 4)),
+        "bools": [k % 2 == 1 for k in range(n)],
+        "scalars": [np.float64(k) / 7 for k in range(n)],
+    }
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("rows", [8, 0])
+def test_column_wise_table_writer_is_the_row_by_row_writer(tmp_path, fmt, rows):
+    columns = {name: col[:rows] for name, col in _mixed_columns().items()}
+    _write_table(tmp_path / "new", columns, fmt)
+    write_table_rows(tmp_path / "old", columns, fmt)
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+def test_table_writer_keeps_a_longdouble_cell_a_double(tmp_path):
+    # tolist() leaves longdouble elements numpy scalars, whose repr is not a float's
+    columns = {"x": np.array([0.1, 1e300], dtype=np.longdouble), "y": np.array([1.0, 2.0])}
+    _write_table(tmp_path / "new", columns, "csv")
+    write_table_rows(tmp_path / "old", columns, "csv")
+    assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("lengths", [(3, 2), (2, 3)])
+def test_table_writer_refuses_ragged_columns(tmp_path, fmt, lengths):
+    # the row-by-row writer took its row count from the first column alone
+    columns = {"a": np.arange(float(lengths[0])), "b": list(range(lengths[1]))}
+    with pytest.raises(ValueError):
+        _write_table(tmp_path / "table", columns, fmt)
 
 
 def test_unknown_dispersion_model_is_input_error(tmp_path):

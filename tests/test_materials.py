@@ -63,8 +63,10 @@ def _float_path_equals_the_array_paths(evaluate, x, lams, kind):
     return got
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("x", [0.0, 0.25, 0.35, 0.8, 0.9])
 def test_float_index_equals_the_array_index_on_a_dense_grid(x):
+    """Dispatch: the plain-float index must equal numpy's whichever loop numpy dispatches."""
     # every 0.5 nm of 600-4000 nm; Python's chi**2 or a true division in the
     # float path moves some of these floats
     got = _float_path_equals_the_array_paths(
@@ -73,8 +75,10 @@ def test_float_index_equals_the_array_index_on_a_dense_grid(x):
     assert (AboveBandgap in got) == (x <= 0.35)  # the grid starts above those gaps
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("x", [0.0, 0.35])
 def test_float_complex_index_equals_the_array_index_on_a_dense_grid(x):
+    """Dispatch: the plain-float index must equal numpy's whichever loop numpy dispatches."""
     # every 0.25 nm of 550-4000 nm, the absorbing GaAs substrate at the pump
     # wavelengths included
     got = _float_path_equals_the_array_paths(

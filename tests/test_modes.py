@@ -13,7 +13,7 @@ from twinsource.modes import (
     guided_modes,
     solve_planar,
 )
-from twinsource.stack import TE, TM
+from twinsource.stack import TE, TM, _region_slice
 
 # regression pins from the nominal structure (engine-derived, frozen)
 PIN_NEFF_TE_1520 = 3.131277
@@ -120,7 +120,7 @@ def test_substrate_policy_literal_vs_auto(paper_stack):
     assert substrate > max(n for n, _ in layers)
     with pytest.raises(NonGuidingStack):
         solve_planar(n_top, layers, substrate, 1520.0, TE)
-    mirror = paper_stack.region_layers("bottom_dbr")
+    mirror = paper_stack.layers[_region_slice(paper_stack, "bottom_dbr")]
     assert n_bot == min(refractive_index(ly.composition, 1520.0) for ly in mirror)
     assert solve_planar(n_top, layers, n_bot, 1520.0, TE, max_modes=1)
 
@@ -158,7 +158,8 @@ def test_table_knots_match_topdown_oracle(paper_stack, pol):
         layers = [(index[ly.composition][i], ly.thickness_nm) for ly in paper_stack.layers]
         # the GaAs substrate outruns every layer index: the auto policy puts
         # the bottom mirror's low index below the stack instead
-        clad = min(index[ly.composition][i] for ly in paper_stack.region_layers("bottom_dbr"))
+        mirror = paper_stack.layers[_region_slice(paper_stack, "bottom_dbr")]
+        clad = min(index[ly.composition][i] for ly in mirror)
         window = (prev - 0.02, prev + 0.02) if prev is not None else None
         prev = planar_modes_topdown(1.0, layers, clad, lam, pol, max_modes=1, window=window)[0]
         worst = max(worst, abs(table(lam) - prev))
@@ -238,8 +239,10 @@ def _chained_knots(stack, pol, lams):
     return np.array(out)
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("pol", [TE, TM])
 def test_knot_roots_do_not_depend_on_their_batch(paper_stack, pol):
+    """Dispatch: a batch's length decides which knots a SIMD main or remainder loop solves."""
     # the same knot solved in batches of 191, 31 and 10 + 181 (a table grown
     # both ways) gives the same float, and that float is the per-knot solve's
     wide = EffectiveIndexTable(paper_stack, pol, 1330.0, 1710.0)

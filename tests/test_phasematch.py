@@ -50,7 +50,9 @@ def test_conjugate_wavelength_refuses_a_signal_that_is_not_positive(signal):
         conjugate_wavelength(760.0, signal)
 
 
+@pytest.mark.dispatch
 def test_tuning_curve_is_the_per_point_solve_through_delta_k(box_matcher, pair_draws):
+    """Dispatch: the tuning points and the per-point oracle must agree on either SIMD path."""
     # solve_pair's Brent function reads the two reserved tables directly;
     # every point must be the one a solve through delta_k finds
     angles = np.linspace(-1.0, 4.0, 21)

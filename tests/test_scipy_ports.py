@@ -36,8 +36,10 @@ def test_brent_matches_scipy_on_the_mode_residual(paper_stack, pol):
     assert brackets >= 6
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("pol", [TE, TM])
 def test_spline_piece_is_the_searched_piece(tables, pol, rng):
+    """Dispatch: the lattice read is a floor, a subtraction and a clip in numpy, on either SIMD path."""
     # lambda / TABLE_STEP_NM is exact only for a power-of-two step
     assert math.frexp(modes.TABLE_STEP_NM)[0] == 0.5
     tab = tables[pol]

@@ -12,8 +12,8 @@ from twinsource.spectra import (
     SINC2_HALF_MAX_ARG,
     GaussianKernel,
     Spectrum,
+    _smooth,
     bandwidth_estimates,
-    convolve,
     fluorescence_spectrum,
     fwhm,
     phase_matching_intensity,
@@ -98,21 +98,26 @@ def _gaussian_spectrum(fwhm_nm, step=0.005, span=8.0, center=1520.0):
     return Spectrum(lam, inten)
 
 
+def smoothed(sp, kernel):
+    """``_smooth`` (the smoothing ``fluorescence_spectrum`` applies) as a Spectrum, for ``fwhm``."""
+    return Spectrum(sp.wavelength_nm, _smooth(sp.intensity, sp.step_nm, kernel))
+
+
 def test_delta_like_kernel_is_identity():
     sp = _gaussian_spectrum(1.0)
-    out = convolve(sp, GaussianKernel(2 * sp.step_nm))
+    out = smoothed(sp, GaussianKernel(2 * sp.step_nm))
     assert np.max(np.abs(out.intensity - sp.intensity)) < 0.02
 
 
 def test_gaussian_convolution_widths_add_in_quadrature():
     sp = _gaussian_spectrum(0.8)
-    out = convolve(sp, GaussianKernel(0.6))
+    out = smoothed(sp, GaussianKernel(0.6))
     assert fwhm(out) == pytest.approx(math.hypot(0.8, 0.6), rel=1e-2)
 
 
 def test_convolution_preserves_integral_and_positivity():
     sp = _gaussian_spectrum(0.5)
-    out = convolve(sp, GaussianKernel(0.3))
+    out = smoothed(sp, GaussianKernel(0.3))
     assert out.intensity.sum() == pytest.approx(sp.intensity.sum(), rel=1e-3)
     assert np.all(out.intensity >= 0)
 
@@ -120,7 +125,7 @@ def test_convolution_preserves_integral_and_positivity():
 def test_convolved_width_not_below_factors(matcher, paper_stack):
     theta = matcher.degeneracy_angle(INTERACTION_1, 760.0)
     sp = phase_matching_spectrum(theta, 760.0, INTERACTION_1, 1.0, paper_stack, matcher=matcher)
-    out = convolve(convolve(sp, GaussianKernel(0.3)), GaussianKernel(0.1))
+    out = smoothed(smoothed(sp, GaussianKernel(0.3)), GaussianKernel(0.1))
     width = fwhm(out)
     assert width >= fwhm(sp)
     assert width >= 0.3
@@ -135,7 +140,7 @@ def test_kernel_longer_than_the_grid_keeps_the_grid():
     for fwhm_nm in (0.6, 3.0, 40.0, 1e300):
         sp = _gaussian_spectrum(0.5)
         kernel = GaussianKernel(fwhm_nm)
-        out = convolve(sp, kernel)
+        out = smoothed(sp, kernel)
         assert np.array_equal(out.wavelength_nm, sp.wavelength_nm)
         half = min(math.ceil(6.0 * kernel.sigma_nm / sp.step_nm), sp.intensity.size - 1)
         k = np.exp(-0.5 * (sp.step_nm * np.arange(-half, half + 1) / kernel.sigma_nm) ** 2)
@@ -146,7 +151,7 @@ def test_kernel_longer_than_the_grid_keeps_the_grid():
 def test_kernel_under_resolved():
     sp = _gaussian_spectrum(1.0, step=0.05)
     with pytest.raises(KernelUnderResolved):
-        convolve(sp, GaussianKernel(0.05))
+        smoothed(sp, GaussianKernel(0.05))
 
 
 def test_kernel_validation():
@@ -169,7 +174,9 @@ def test_fluorescence_four_peaks(matcher, paper_stack):
     assert sp.intensity[peaks[2]] < 0.5 * sp.intensity[peaks[0]]
 
 
+@pytest.mark.dispatch
 def test_fluorescence_spectrum_is_the_per_branch_spectrum(box_matcher, paper_stack, pair_draws):
+    """Dispatch: exp and np.convolve give other last bits without AVX-512; both sides share a path."""
     # six shared lookups and two Spectrum objects give the floats of eight
     # per-branch lookups and five Spectrum objects, bit for bit
     for theta, lambda_p in pair_draws:
@@ -183,7 +190,9 @@ def test_fluorescence_spectrum_is_the_per_branch_spectrum(box_matcher, paper_sta
     assert one.intensity.tobytes() == want.intensity.tobytes()
 
 
+@pytest.mark.dispatch
 def test_wide_spectrum_reserves_its_tables_before_the_first_lookup(paper_stack):
+    """Dispatch: exp and np.convolve give other last bits without AVX-512; both sides share a path."""
     # a half span past the solves' reserved brackets and their pad grows the
     # tables; they grow before the first lookup, so each shared lookup is the
     # one a per-branch lookup makes, and a fresh matcher answers as a grown one

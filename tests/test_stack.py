@@ -199,7 +199,9 @@ def test_an_empty_stack_has_an_empty_layer_plan(substrate):
         assert stack_response(s, lam).r == r
 
 
+@pytest.mark.dispatch
 def test_batched_response_past_one_kernel_block(paper_stack):
+    """Dispatch: a kernel block boundary is where a SIMD remainder loop starts."""
     # a block holds _BLOCK nodes x wavelengths at the tree's widest level
     block = _BLOCK // paper_stack._tree(paper_stack._plan.leaf).widest
     lams = np.linspace(1500.0, 1540.0, 2 * block + 100)
@@ -210,7 +212,9 @@ def test_batched_response_past_one_kernel_block(paper_stack):
         assert batch.transmittance[i] == pytest.approx(resp.transmittance, abs=1e-12)
 
 
+@pytest.mark.dispatch
 def test_batched_response_of_a_tall_stack_stays_small():
+    """Dispatch: the kernel blocks follow the tree's widest level, so SIMD remainders fall elsewhere."""
     # the kernel arrays follow the widest level of the product tree, not the
     # layer count: 6000 layers (every default region at 1000 periods) have 5
     # distinct layer matrices and at most 6 distinct products on a level, so
@@ -291,10 +295,12 @@ def _sequences(s):
     return (slice(None), False), (top, True), (slice(core.start, None), False)
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize(
     "name", ["nominal", "tall", *(f"draw{k}" for k in range(20)), *_HAND_STACKS]
 )
 def test_tree_product_is_the_positional_product(tree_stacks, name):
+    """Dispatch: a level's gathers move each product to another array position, so into another SIMD loop."""
     # the stack's product tree takes the same products as the positional
     # pairwise product, so the characteristic matrices are the same bytes
     s = tree_stacks[name]
@@ -374,18 +380,22 @@ def _assert_numpy_floats(calls, least):
         assert out == response_at_numpy(*args), args[4:7]
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("theta", [0.0, -4.0, 3.0, 17.0, 60.0])
 @pytest.mark.parametrize("pol", [TE, TM])
 def test_one_wavelength_response_is_numpys_on_a_dense_grid(
     paper_stack, one_wavelength_calls, pol, theta
 ):
+    """Dispatch: the plain-float product must be numpy's one-element product whichever loop numpy takes."""
     # 735-1600 nm: an absorbing substrate below ~870 nm, a real one above
     for lam in np.arange(735.0, 1600.5, 2.0).tolist():
         stack_response(paper_stack, lam, theta, pol)
     _assert_numpy_floats(one_wavelength_calls, 433)
 
 
+@pytest.mark.dispatch
 def test_one_wavelength_responses_of_cavity_draws_are_numpys(one_wavelength_calls):
+    """Dispatch: the plain-float product must be numpy's one-element product whichever loop numpy takes."""
     # the sweep's calls, the resonance search's golden-section calls and the
     # mirror responses of _cavity, on 20 cavity-scan-like designs, each at a
     # drawn polarization and angle (0-4 deg), over its design wavelength +/- 20 nm
@@ -398,16 +408,20 @@ def test_one_wavelength_responses_of_cavity_draws_are_numpys(one_wavelength_call
     _assert_numpy_floats(one_wavelength_calls, 20 * (81 + 6))
 
 
+@pytest.mark.dispatch
 @_EDGE_STACKS
 @pytest.mark.parametrize("pol", [TE, TM])
 def test_one_wavelength_response_of_edge_stacks_is_numpys(s, pol, one_wavelength_calls):
+    """Dispatch: the plain-float product must be numpy's one-element product whichever loop numpy takes."""
     for theta in (0.0, 17.0, 60.0):
         for lam in np.linspace(740.0, 1600.0, 23).tolist():
             stack_response(s, lam, theta, pol)
     _assert_numpy_floats(one_wavelength_calls, 3 * 23)
 
 
+@pytest.mark.dispatch
 def test_cavity_mirror_responses_are_numpys(paper_stack, one_wavelength_calls):
+    """Dispatch: the plain-float product must be numpy's one-element product whichever loop numpy takes."""
     # _cavity's two mirror responses, seen from the core at the core's angle
     for pol in (TE, TM):
         for theta in (0.0, 3.0, 17.0):
@@ -422,8 +436,10 @@ def _steep(s):
     return LayerStack(s.layers, s.substrate, 3.6, s.regions)
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("pol", [TE, TM])
 def test_response_past_a_non_propagating_leaf_is_numpys(paper_stack, one_wavelength_calls, pol):
+    """Dispatch: the plain-float product must be numpy's one-element product whichever loop numpy takes."""
     steep = _steep(paper_stack)
     for lam in np.linspace(740.0, 1600.0, 44).tolist():
         stack_response(steep, lam, 60.0, pol)
@@ -467,13 +483,13 @@ def test_paper_stack_layer_count(paper_stack):
 
 
 def test_paper_stack_core_signs_alternate(paper_stack):
-    signs = [ly.nonlinear_sign for ly in paper_stack.region_layers("core")]
+    signs = [ly.nonlinear_sign for ly in paper_stack.layers[stack_mod._region_slice(paper_stack, "core")]]
     assert len(signs) == 9
     assert signs == [1, -1, 1, -1, 1, -1, 1, -1, 1]
 
 
 def test_quarter_wave_rule_thickness_ordering(paper_stack):
-    top = paper_stack.region_layers("top_dbr")
+    top = paper_stack.layers[stack_mod._region_slice(paper_stack, "top_dbr")]
     low = {ly.thickness_nm for ly in top if ly.composition.x == 0.90}
     high = {ly.thickness_nm for ly in top if ly.composition.x == 0.35}
     assert len(low) == len(high) == 1
@@ -636,9 +652,11 @@ def test_multiple_resonances_detected(paper_stack):
         find_resonance(paper_stack, (728.0, 815.0))
 
 
+@pytest.mark.dispatch
 @pytest.mark.parametrize("theta", [0.0, 3.0])
 @pytest.mark.parametrize("pol", [TE, TM])
 def test_resonance_equals_the_scalar_search(paper_stack, pol, theta, monkeypatch):
+    """Dispatch: the batched walk and the scalar oracle must find the same floats on either SIMD path."""
     # the half-maximum walk and both Brent crossings run as array calls, and
     # give every field the scalar search gives, to the bit; every wavelength
     # the scalar search evaluates is evaluated, the same float
