@@ -45,17 +45,18 @@ class CavityParams:
 
 
 def enhancement_factor(p: CavityParams) -> float:
-    """Cavity-to-bare conversion-efficiency ratio."""
+    """Cavity-to-bare conversion-efficiency ratio; OverflowError when it
+    leaves the double range."""
     if p.t_up == 0.0:
         raise DivisionDomain("t_up = 0 leaves the mirror ratio undefined")
-    n = p.n_mean
-    return (
-        2.0
-        * (1.0 + n) ** 2
-        / (math.pi * n)
-        * p.finesse
-        / (1.0 + abs(1.0 + p.t_down / p.t_up))
-    )
+    n, mirrors = p.n_mean, 1.0 + abs(1.0 + p.t_down / p.t_up)
+    try:
+        factor = 2.0 * (1.0 + n) ** 2 / (math.pi * n) * p.finesse / mirrors
+    except OverflowError:  # (1 + n) ** 2 raises where a product gives inf
+        factor = math.inf
+    if not math.isfinite(factor):
+        raise OverflowError("enhancement factor leaves the double range")
+    return factor
 
 
 @dataclass(frozen=True)

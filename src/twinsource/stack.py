@@ -15,9 +15,10 @@ Conventions
   index), in which case T is the flux entering it.
 * Fields inside the stack follow one rule (``_waves``): the transmitted
   substrate field t (1, eta_sub) is carried up through the layers below a
-  slice by their characteristic matrix, then walked down through the slice.
-  ``field_profile`` (all layers) and ``core_intensity`` (the core) read the
-  same waves.
+  slice by their characteristic matrix, then walked up through the slice,
+  the way a mirror's stop-band field grows (a downward walk amplifies
+  rounding with depth below the core). ``field_profile`` (all layers) and
+  ``core_intensity`` (the core) read the same waves.
 * A stack builds its layer plan once (distinct compositions, each layer's
   index into them, thicknesses, and its leaves: the distinct (composition,
   thickness) pairs), so no call loops over the layers; it keeps its layers
@@ -520,25 +521,6 @@ def stack_response(
     return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
 
 
-def _walk(f, g, n_list, t_list, n0_sin, k0, pol):
-    """Wave amplitudes (A, B, kz) at the top of each layer, given the
-    tangential field (F, G) at the top of the first."""
-    out = []
-    for n, t_nm in zip(n_list, t_list):
-        ct = _cos_theta(n, n0_sin)
-        eta = _admittance(n, ct, pol)
-        # tangential (F, G) continuity across the interface
-        a = 0.5 * (f + g / eta)
-        b = 0.5 * (f - g / eta)
-        kz = k0 * n * ct
-        out.append((a, b, kz))
-        a_bot = a * np.exp(1j * kz * t_nm)
-        b_bot = b * np.exp(-1j * kz * t_nm)
-        f = a_bot + b_bot
-        g = eta * (a_bot - b_bot)
-    return out
-
-
 def _layer_field(a, b, kz, x):
     """Tangential field at depths x below the top of a layer."""
     return a * np.exp(1j * kz * x) + b * np.exp(-1j * kz * x)
@@ -550,11 +532,12 @@ def _waves(s, lams, theta_deg, pol, model, layers):
 
     Returns (A, B, kz, r, t, kz_sub): the forward and backward amplitudes and
     the wavenumber at the top of each layer of the slice, each (L, W), the
-    stack's r and t, and the substrate wavenumber. The field (F, G) at the top
-    of the slice is the transmitted substrate field t (1, eta_sub) carried up
-    through the slice and the layers below it by their characteristic matrix
-    (the product tree of those layers); the waves are then walked down
-    through the slice.
+    stack's r and t, and the substrate wavenumber. The field (F, G) at the
+    bottom of the slice is the transmitted substrate field t (1, eta_sub)
+    carried up through the layers below the slice by their characteristic
+    matrix (the product tree of those layers, empty for the whole stack); the
+    waves are then walked up through the slice, the way a stop-band field
+    below the core grows, so rounding stays small next to the field.
     """
     k0 = 2.0 * math.pi / lams
     plan = s._plan
@@ -562,14 +545,23 @@ def _waves(s, lams, theta_deg, pol, model, layers):
     n_leaf, t_leaf = n_x[plan.leaf_index].T, plan.leaf_thickness  # (W, U), (U,)
     n_sub = substrate_index(s, lams, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    whole, below = s._tree(plan.leaf), s._tree(plan.leaf[layers.start :])
+    whole, below = s._tree(plan.leaf), s._tree(plan.leaf[layers.indices(len(plan.leaf))[1] :])
     r, t, _, _ = raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lams, theta_deg, pol, whole)
     m00, m01, m10, m11 = _char_matrix(n_leaf, t_leaf, n0_sin, lams, pol, below)
     ct_sub = _cos_theta(n_sub, n0_sin)
     eta_sub = _admittance(n_sub, ct_sub, pol)
     f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
-    waves = _walk(f, g, n_x[plan.index[layers]], plan.thickness[layers], n0_sin, k0, pol)
-    a, b, kz = np.reshape(waves, (-1, 3, lams.size)).transpose(1, 0, 2)
+    waves = []
+    for n, t_nm in zip(n_x[plan.index[layers]][::-1], plan.thickness[layers][::-1]):
+        ct = _cos_theta(n, n0_sin)
+        eta = _admittance(n, ct, pol)
+        kz = k0 * n * ct
+        # (F, G) is continuous across the layer's bottom face; carry it to the top
+        a = 0.5 * (f + g / eta) * np.exp(-1j * kz * t_nm)
+        b = 0.5 * (f - g / eta) * np.exp(1j * kz * t_nm)
+        waves.append((a, b, kz))
+        f, g = a + b, eta * (a - b)
+    a, b, kz = np.reshape(waves[::-1], (-1, 3, lams.size)).transpose(1, 0, 2)
     return a, b, kz, r, t, k0 * n_sub * ct_sub
 
 
@@ -583,11 +575,11 @@ def field_profile(
     """Tangential field amplitude through the stack for unit incident amplitude.
 
     The waves of every layer come from ``_waves`` over the whole stack (the
-    transmitted field carried up to the surface, then walked down); the
-    ambient holds the incident and reflected waves (1, r), the substrate the
-    transmitted wave t. Each layer, and the ambient and substrate tails of
-    ``_PAD_NM`` (200 nm), is sampled at ``_POINTS_PER_LAYER`` (12) points
-    including both of its boundaries.
+    transmitted field walked up from the substrate); the ambient holds the
+    incident and reflected waves (1, r), the substrate the transmitted wave
+    t. Each layer, and the ambient and substrate tails of ``_PAD_NM`` (200
+    nm), is sampled at ``_POINTS_PER_LAYER`` (12) points including both of
+    its boundaries.
     """
     lam = np.array([wavelength], dtype=float)
     a, b, kz, r, t, kz_sub = _waves(s, lam, theta_deg, pol, model, slice(0, None))
@@ -624,8 +616,8 @@ def core_intensity(
     float at one wavelength or an array over a 1-D wavelength array.
 
     The waves are ``_waves`` on the core: the transmitted substrate field
-    carried up through the core and the layers below it, then walked down
-    through the core, sampled at ``_POINTS_PER_LAYER`` points per layer.
+    carried up through the bottom mirror, then walked up through the core,
+    sampled at ``_POINTS_PER_LAYER`` points per layer.
     """
     core = _region_slice(s, "core")
     lams = np.reshape(np.asarray(wavelength, dtype=float), -1)

@@ -9,9 +9,10 @@ medium to the bottom one, layer by layer, and bisects its sign changes; the
 dispersion oracle spells out the index formula in the order the package
 evaluates it. The resonance oracle is the package's resonance search with its
 field-intensity half-width found one wavelength at a time: a scalar walk out
-in 0.1 nm steps and a scalar Brent solve of each crossing. The field-profile
-oracle walks the layer waves down from the surface field (1 + r, eta0 (1 - r)),
-where the package carries the transmitted field up from the substrate. The
+in 0.1 nm steps and a scalar Brent solve of each crossing, with the core
+field walked up from the substrate's as the package walks it. The
+field-profile oracle walks the layer waves down from the surface field
+(1 + r, eta0 (1 - r)), where the package walks them up from the substrate. The
 dip-fit oracle is the damped Gauss-Newton fit that ``hom.fit_dip`` ran before
 it solved for the width alone.
 
@@ -283,25 +284,34 @@ def carry_loop(layers, wavelength, pol, neff, f, g):
 
 
 def core_intensity_scalar(s, wavelength, theta_deg, pol, model=None):
-    """Peak core |field|^2 at one wavelength, from the package's transfer
-    matrices, with every array of one wavelength."""
+    """Peak core |field|^2 at one wavelength by the package's rule, with
+    every array of one wavelength: the transmitted field carried up through
+    the layers below the core by their positional characteristic matrix, then
+    walked up through the core one layer at a time."""
     from twinsource import stack as st
 
     core = st._region_slice(s, "core")
-    k0 = 2.0 * math.pi / wavelength
-    n_list = st.layer_indices(s, wavelength, model)
+    lam = np.reshape(float(wavelength), -1)
+    k0 = 2.0 * math.pi / lam
+    n_list = st.layer_indices(s, lam, model).T  # (L, 1)
     t_list = s._plan.thickness
-    n_sub = st.substrate_index(s, wavelength, model)
+    n_sub = st.substrate_index(s, lam, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    _, t, _, _ = st.raw_response(s.ambient_index, n_list, t_list, n_sub, wavelength, theta_deg, pol)
-    below = slice(core.start, None)
-    m00, m01, m10, m11 = st._char_matrix(
-        n_list[below], t_list[below], n0_sin, np.reshape(wavelength, -1), pol
-    )[:, 0]
+    _, t, _, _ = st.raw_response(s.ambient_index, n_list.T, t_list, n_sub, lam, theta_deg, pol)
+    below = slice(core.stop, None)
+    m00, m01, m10, m11 = st._char_matrix(n_list[below].T, t_list[below], n0_sin, lam, pol)
     eta_sub = st._admittance(n_sub, st._cos_theta(n_sub, n0_sin), pol)
     f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
-    layers = st._walk(f, g, n_list[core], t_list[core], n0_sin, k0, pol)
-    a, b, kz = (np.array(col)[:, None] for col in zip(*layers))
+    layers = []
+    for n, t_nm in zip(n_list[core][::-1], t_list[core][::-1]):
+        ct = st._cos_theta(n, n0_sin)
+        eta = st._admittance(n, ct, pol)
+        kz = k0 * n * ct
+        a = 0.5 * (f + g / eta) * np.exp(-1j * kz * t_nm)
+        b = 0.5 * (f - g / eta) * np.exp(1j * kz * t_nm)
+        layers.insert(0, (a, b, kz))
+        f, g = a + b, eta * (a - b)
+    a, b, kz = (np.array(col) for col in zip(*layers))  # (L, 1) each
     x = np.linspace(0.0, t_list[core], st._POINTS_PER_LAYER, axis=1)
     return float(np.max(np.abs(st._layer_field(a, b, kz, x)) ** 2))
 

@@ -220,6 +220,17 @@ def test_region_periods_are_bounded(tmp_path, capsys, periods):
     assert f"to {MAX_PERIODS}" in capsys.readouterr().err
 
 
+def test_stack_field_stays_bounded_with_every_region_at_the_period_bound(tmp_path):
+    # 6000 layers: the field is walked up from the substrate, the way a
+    # mirror's stop-band field grows, so it stays a standing wave (|F|^2 <= 4)
+    regions = [{**region, "periods": MAX_PERIODS} for region in DEFAULT_CONFIG["stack"]["regions"]]
+    argv = ("stack", "--set", "stack.regions=" + json.dumps(regions), "--out", tmp_path, "--quiet")
+    assert run(*argv) == EXIT_OK
+    header, rows = read_csv(tmp_path / "field_profile.csv")
+    intensity = [float(row[header.index("intensity")]) for row in rows]
+    assert len(intensity) > 12 * 6000 and max(intensity) < 5.0
+
+
 def test_enhancement_names_the_missing_region(tmp_path, capsys):
     assert run("enhancement", "--set", _RENAMED_REGIONS, "--out", tmp_path) == EXIT_INPUT
     assert "stack.regions" in (err := capsys.readouterr().err) and "'top_dbr'" in err
@@ -229,6 +240,22 @@ def test_counts_beyond_the_double_range_is_numeric_error(tmp_path, capsys):
     argv = ("counts", "--set", "detection.pairs_per_pulse=1e300", "--out", tmp_path, "--quiet")
     assert run(*argv) == EXIT_NUMERIC
     assert capsys.readouterr().err.startswith("error: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        '{"n_mean":3.1,"finesse":1e308,"t_up":1,"t_down":0}',
+        '{"n_mean":1e308,"finesse":100,"t_up":1,"t_down":0}',
+    ],
+    ids=["finesse", "n_mean"],
+)
+def test_enhancement_beyond_the_double_range_is_numeric_error(tmp_path, capsys, overrides):
+    # an infinite factor is no JSON number: the command writes no file
+    argv = ("enhancement", "--set", f"enhancement_overrides={overrides}", "--out", tmp_path)
+    assert run(*argv) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "error: enhancement factor leaves the double range\n"
     assert not list(tmp_path.iterdir())
 
 

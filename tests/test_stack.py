@@ -562,8 +562,8 @@ def test_core_intensity_enhancement_at_resonance(paper_stack, resonance):
 
 
 def test_field_profile_equals_the_top_down_walk(paper_stack):
-    # the waves carried up from the substrate and walked down agree with those
-    # walked down from the surface field (1 + r, eta0 (1 - r)), at the same depths
+    # the waves walked up from the substrate agree with those walked down from
+    # the surface field (1 + r, eta0 (1 - r)), at the same depths
     cases = ((750.0, 0.0, TE), (759.99, 0.0, TE), (1520.0, 17.0, TE), (760.3, 3.0, TM))
     for lam, theta, pol in cases:
         prof = field_profile(paper_stack, lam, theta, pol)
@@ -572,16 +572,63 @@ def test_field_profile_equals_the_top_down_walk(paper_stack):
         assert np.max(np.abs(prof.amplitude - amp)) <= 1e-11 * np.max(np.abs(amp))
 
 
-def test_net_flux_constant_through_lossless_stack(paper_stack):
-    # TE: the admittance eta = n cos(theta) is kz / k0 in every medium
-    k0 = 2.0 * math.pi / 1520.0
-    waves = _waves(paper_stack, np.array([1520.0]), 17.0, TE, None, slice(0, None))
-    a, b, kz, r, t, kz_sub = (w[..., 0] for w in waves)
-    fluxes = [math.cos(math.radians(17.0)) * (1.0 - abs(r) ** 2)]
-    fluxes += ((kz / k0).real * (np.abs(a) ** 2 - np.abs(b) ** 2)).tolist()
-    fluxes.append((kz_sub / k0).real * abs(t) ** 2)
-    assert len(fluxes) == len(paper_stack.layers) + 2
-    assert np.allclose(fluxes, fluxes[0], rtol=1e-9, atol=1e-12)
+def _max_intensity(s, lam, theta, pol):
+    return float(np.max(np.abs(field_profile(s, lam, theta, pol).amplitude) ** 2))
+
+
+@pytest.mark.parametrize("pol, theta", [(TE, 0.0), (TM, 3.0)])
+def test_field_stays_bounded_in_thick_mirrors(pol, theta):
+    # below the core a stop-band field decays with depth: a thicker bottom
+    # mirror leaves the field above it unchanged (400 periods leak nothing a
+    # double can hold) and with every region at 1000 periods the field in the
+    # mirrors is the standing wave of a near-perfect reflector, |F|^2 <= 4
+    thick = [
+        _max_intensity(config.build_stack(_nominal_config((18, 4.5, bottom))), 761.6, theta, pol)
+        for bottom in (400, 1000)
+    ]
+    assert thick[0] == pytest.approx(thick[1], rel=1e-9, abs=0.0) and thick[0] < 25.0
+    assert _max_intensity(_tall_stack(), 760.0 if pol == TE else 761.6, theta, pol) < 5.0
+
+
+def _resonant(top):
+    s = config.build_stack(_nominal_config((top, 4.5, 41)))
+    return s, find_resonance(s, (740.0, 780.0)).wavelength_nm
+
+
+@pytest.mark.parametrize(
+    "case, theta, pol",
+    [
+        ("nominal_1520", 17.0, TE),
+        ("bottom400", 0.0, TE),
+        ("bottom400", 3.0, TM),
+        ("top30_resonant", 0.0, TE),
+        ("top40_resonant", 0.0, TE),
+        ("top60_resonant", 0.0, TE),
+    ],
+)
+def test_net_flux_constant_through_lossless_stack(paper_stack, case, theta, pol):
+    # the flux Re(conj(F) G) / Re(eta0) through every layer top of a lossless
+    # stack is the transmittance, for TE and TM alike; a thick bottom mirror
+    # (T ~ 1e-60) must leave no rounding behind, and a thick top mirror at its
+    # resonance, where the field decays upward, keeps to rounding of the field
+    if case == "nominal_1520":
+        s, lam = paper_stack, 1520.0
+    elif case.startswith("bottom"):
+        s, lam = config.build_stack(_nominal_config((18, 4.5, 400))), 761.6
+    else:
+        s, lam = _resonant(int(case[3:5]))
+    waves = _waves(s, np.array([lam]), theta, pol, None, slice(0, None))
+    a, b, _, r, _, _ = (w[..., 0] for w in waves)
+    n0_sin = math.sin(math.radians(theta))
+    n = layer_indices(s, lam)
+    eta = stack_mod._admittance(n, stack_mod._cos_theta(n, n0_sin), pol)
+    eta0 = stack_mod._admittance(1.0, stack_mod._cos_theta(1.0, n0_sin), pol)
+    f, g = a + b, eta * (a - b)
+    flux = np.r_[1.0 - abs(r) ** 2, (np.conj(f) * g).real / eta0.real]  # ambient, layer tops
+    transmittance = stack_response(s, lam, theta, pol).transmittance
+    assert len(flux) == len(s.layers) + 1
+    bound = 1e-12 if case.startswith(("nominal", "bottom")) else 4e-15 * np.max(np.abs(f) ** 2)
+    assert np.max(np.abs(flux - transmittance)) <= bound
 
 
 # --- resonance --------------------------------------------------------------
@@ -652,14 +699,35 @@ def test_multiple_resonances_detected(paper_stack):
         find_resonance(paper_stack, (728.0, 815.0))
 
 
+@pytest.fixture(scope="module")
+def drawn_stacks():
+    return _draw_stacks()
+
+
+# the nominal device in every (polarization, angle), then each drawn design in
+# one of them, cycling through all four
+_SEARCHES = [
+    pytest.param("nominal", pol, theta, id=f"{pol}-{theta}")
+    for pol in (TE, TM)
+    for theta in (0.0, 3.0)
+]
+_SEARCHES += [(f"draw{k}", (TE, TM)[k % 2], (0.0, 3.0)[k // 2 % 2]) for k in range(20)]
+
+
 @pytest.mark.dispatch
-@pytest.mark.parametrize("theta", [0.0, 3.0])
-@pytest.mark.parametrize("pol", [TE, TM])
-def test_resonance_equals_the_scalar_search(paper_stack, pol, theta, monkeypatch):
+@pytest.mark.parametrize("design, pol, theta", _SEARCHES)
+def test_resonance_equals_the_scalar_search(
+    paper_stack, drawn_stacks, design, pol, theta, monkeypatch
+):
     """Dispatch: the batched walk and the scalar oracle must find the same floats on either SIMD path."""
     # the half-maximum walk and both Brent crossings run as array calls, and
     # give every field the scalar search gives, to the bit; every wavelength
     # the scalar search evaluates is evaluated, the same float
+    if design == "nominal":
+        s, window = paper_stack, (740.0, 780.0)
+    else:
+        s, lam0 = drawn_stacks[int(design[4:])]
+        window = (lam0 - 20.0, lam0 + 20.0)
     asked, asked_by_oracle = [], []
     real, real_oracle = stack_mod.core_intensity, _oracles.core_intensity_scalar
 
@@ -673,9 +741,11 @@ def test_resonance_equals_the_scalar_search(paper_stack, pol, theta, monkeypatch
 
     monkeypatch.setattr(stack_mod, "core_intensity", recorded)
     monkeypatch.setattr(_oracles, "core_intensity_scalar", recorded_oracle)
-    mine = find_resonance(paper_stack, (740.0, 780.0), theta, pol)
-    assert mine == resonance_scalar(paper_stack, (740.0, 780.0), theta, pol)
-    assert set(asked_by_oracle) <= set(asked) and len(asked_by_oracle) > 40
+    mine = find_resonance(s, window, theta, pol)
+    assert mine == resonance_scalar(s, window, theta, pol)
+    # the nominal searches ask for 41 or more wavelengths, a drawn design 32-38
+    least = 40 if design == "nominal" else 30
+    assert set(asked_by_oracle) <= set(asked) and len(asked_by_oracle) > least
 
 
 def test_resonance_walk_stops_where_the_scalar_walk_stops(paper_stack, resonance, monkeypatch):
@@ -702,9 +772,8 @@ def test_resonance_walk_stops_where_the_scalar_walk_stops(paper_stack, resonance
 
 def test_core_intensity_over_an_array_is_one_wavelength_at_a_time(paper_stack):
     # an array call gives each wavelength's own one-wavelength value, to the
-    # bit; numpy's array loops may fuse a complex product's multiply and add
-    # where its scalar arithmetic does not, so the scalar oracle agrees to a
-    # few units in the last place
+    # bit; the scalar oracle, which multiplies positionally and walks
+    # one-wavelength arrays, is held to a few units in the last place
     lams = np.concatenate((np.linspace(755.0, 768.0, 37), [761.6058240589]))
     got = core_intensity(paper_stack, lams, 3.0, TM)
     one = [core_intensity(paper_stack, lam, 3.0, TM) for lam in lams.tolist()]
