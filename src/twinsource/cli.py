@@ -48,37 +48,25 @@ class RunReport:
     warnings: list = field(default_factory=list)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _item(value):
-    return value.item() if hasattr(value, "item") else value
-
-
-def _float_array(col) -> bool:
-    """A float array whose ``tolist()`` gives Python floats (so not a longdouble one)."""
-    return isinstance(col, np.ndarray) and col.dtype.kind == "f" and col.itemsize <= 8
+# a CSV cell by its column's dtype kind: floats by repr, bools as 1/0
+_CELL = {"f": repr, "b": lambda v: "1" if v else "0"}
 
 
 def _write_table(path: Path, columns: dict, fmt: str):
     """Write a column dict as CSV (default) or a JSON record list, column-wise.
 
-    A float array gives its cells from one ``tolist()``; other columns keep
-    the per-value rule (``_fmt``, or ``.item()`` in JSON). CSV rows are
-    streamed; columns of unequal length raise ValueError.
+    Each column is one array, and its values one ``tolist()``; a float
+    column is cast to float64 first, so a longdouble cell stays a double.
+    A CSV cell follows its column's dtype kind (``_CELL``; ``str`` for the
+    rest). CSV rows are streamed; columns of unequal length raise ValueError.
     """
+    arrays = [np.asarray(c) for c in columns.values()]
+    arrays = [a.astype(np.float64, copy=False) if a.dtype.kind == "f" else a for a in arrays]
+    values = [a.tolist() for a in arrays]
     if fmt == "json":
-        values = [c.tolist() if _float_array(c) else map(_item, c) for c in columns.values()]
         _write_json(path, [dict(zip(columns, row)) for row in zip(*values, strict=True)])
         return
-    cells = [map(repr, c.tolist()) if _float_array(c) else map(_fmt, c) for c in columns.values()]
+    cells = [map(_CELL.get(a.dtype.kind, str), v) for a, v in zip(arrays, values)]
     with path.open("w", encoding="utf-8", newline="\n") as out:
         out.write(",".join(columns) + "\n")
         for row in map(",".join, zip(*cells, strict=True)):
@@ -190,7 +178,7 @@ def cmd_stack(args) -> int:
     try:
         res = stack.find_resonance(device, (lam_lo, lam_hi), theta, pol, model)
         resonance_nm = res.wavelength_nm
-    except (NoResonanceInWindow, errors.MultipleResonances, KeyError) as exc:
+    except (NoResonanceInWindow, errors.MultipleResonances, errors.MissingRegion) as exc:
         run.report.warnings.append(f"resonance not flagged: {exc}")
     flag = np.zeros(len(lams), dtype=bool)
     if resonance_nm is not None:
@@ -371,6 +359,8 @@ def _read_scan_csv(path: Path, dwell_s: float) -> hom.HomScan:
     expected = ["delta_z_mm", "total_counts", "accidental_counts"]
     if header != expected:
         raise ConfigError(f"scan header must be {expected}, got {header}")
+    if len(lines) == 1:
+        raise ConfigError("scan file has a header and no data rows")
     dz, tot, acc = [], [], []
     for ln in lines[1:]:
         parts = ln.split(",")
@@ -449,8 +439,8 @@ def cmd_enhancement(args) -> int:
         window = cfg["resonance"]["window_nm"]
         try:
             res = stack.find_resonance(device, window, pol=stack.TE, model=model)
-        except KeyError as exc:  # the cavity's regions are found by name
-            raise ConfigError(f"stack.regions: {exc.args[0]}") from exc
+        except errors.MissingRegion as exc:  # the cavity's regions are found by name
+            raise ConfigError(f"stack.regions: {exc}") from exc
         lam_deg = 2.0 * cfg["pump"]["wavelength_nm"]
         te = modes.guided_modes(device, lam_deg, stack.TE, model, max_modes=1)[0]
         tm = modes.guided_modes(device, lam_deg, stack.TM, model, max_modes=1)[0]
@@ -547,7 +537,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OutOfValidityWindow) as exc:
+    except (ConfigError, OutOfValidityWindow, errors.AboveBandgap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TwinSourceError, OverflowError) as exc:  # OverflowError: beyond the double range

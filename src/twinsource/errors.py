@@ -23,6 +23,10 @@ class MultipleResonances(TwinSourceError):
     """More than one reflectance dip found where exactly one was required."""
 
 
+class MissingRegion(TwinSourceError):
+    """The stack has no region of a name the computation looks up."""
+
+
 # modes
 class NoGuidedMode(TwinSourceError):
     """The dispersion relation has no root in the guided-index window."""

@@ -46,7 +46,8 @@ knots it lacks. A knot's root does not depend on which knots share its
 batch, so a grown table holds exactly the knots of a fresh table over the
 same range. Between knots it is the not-a-knot cubic spline, built and
 evaluated here with the same floating-point operations as
-``scipy.interpolate.CubicSpline``, so the package needs numpy only.
+``scipy.interpolate.CubicSpline``, so the package needs numpy only; on the
+evenly spaced knot lattice its tridiagonal solve interchanges no rows.
 
 The nominal device sits on a GaAs substrate whose index at telecom
 wavelengths exceeds every layer index, so the strict 1D structure has no
@@ -364,41 +365,30 @@ def birefringence(
 
 def _gtsv(dl, d, du, b):
     """Solve the tridiagonal system (sub-diagonal ``dl``, diagonal ``d``,
-    super-diagonal ``du``) for right-hand side ``b``; all four lists are
+    super-diagonal ``du``) for right-hand side ``b``; ``d`` and ``b`` are
     overwritten and ``b`` holds the solution.
 
-    LAPACK ``dgtsv`` for one right-hand side, step for step: Gaussian
-    elimination with partial pivoting (a pivoted row gains a second
-    super-diagonal, kept in ``dl``), then back substitution. The spline
-    system on evenly spaced knots never interchanges rows; uneven knots can.
+    LAPACK ``dgtsv`` for one right-hand side on the path it takes while no
+    rows need interchanging (|d[i]| >= |dl[i]|): elimination, then back
+    substitution. The spline system on evenly spaced knots (spacing h)
+    always takes it: d[0] = dl[0] = h, and every later d[i] with
+    i < n - 1 is at least 2h, which no dl[i] exceeds.
     """
     n = len(d)
     for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:  # interchange rows i and i + 1
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+        fact = dl[i] / d[i]
+        d[i + 1] = d[i + 1] - fact * du[i]
+        b[i + 1] = b[i + 1] - fact * b[i]
     b[n - 1] = b[n - 1] / d[n - 1]
-    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    for i in range(n - 2, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1]) / d[i]
     return b
 
 
 def _not_a_knot(x, y):
     """Power-basis coefficients, shape (4, len(x) - 1), of the not-a-knot
-    cubic spline through (x, y), for at least four strictly increasing x.
+    cubic spline through (x, y), for at least four evenly spaced increasing
+    x (the table's knot lattice), where the solve interchanges no rows.
 
     Piece i is c[0] t^3 + c[1] t^2 + c[2] t + c[3] with t = x - x[i]. The
     knot slopes solve the tridiagonal continuity system (de Boor, A Practical

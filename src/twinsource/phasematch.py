@@ -230,13 +230,7 @@ class PhaseMatcher:
                 return _mismatch(kp_sin, x, tab_s.n_eff(x), lam_i, tab_i.n_eff(lam_i))
 
             f_lo, f_hi = dk(lo), dk(hi)
-            if f_lo == 0.0:
-                lam_s = lo
-                break
-            if f_hi == 0.0:
-                lam_s = hi
-                break
-            if (f_lo < 0) != (f_hi < 0):
+            if f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo:  # brentq returns a zero end itself
                 lam_s = brentq(dk, lo, hi, xtol=1e-10, rtol=8.9e-16)
                 break
             half *= 2.0

@@ -5,8 +5,8 @@ sinc^2(dk L / 2) in the longitudinal mismatch dk, evaluated against the
 signal wavelength; the counterpropagating geometry makes dk grow with the
 sum of the signal and idler group indices, which is what squeezes the
 bandwidth far below the copropagating case. Measured spectra are modeled by
-convolving with Gaussian kernels for the pump linewidth and the
-monochromator resolution.
+convolving with unit-area Gaussians, each given by its FWHM, for the pump
+linewidth and the monochromator resolution (``_smooth``).
 
 Wavelength grids are uniform, in nm; intensities are dimensionless and
 non-negative.
@@ -51,21 +51,6 @@ class Spectrum:
     @property
     def step_nm(self) -> float:
         return float(self.wavelength_nm[1] - self.wavelength_nm[0])
-
-
-@dataclass(frozen=True)
-class GaussianKernel:
-    """Unit-area Gaussian convolution kernel, specified by its FWHM in nm."""
-
-    fwhm_nm: float
-
-    def __post_init__(self):
-        if self.fwhm_nm <= 0:
-            raise ValueError("kernel FWHM must be positive")
-
-    @property
-    def sigma_nm(self) -> float:
-        return self.fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
 def sinc2(x):
@@ -124,22 +109,25 @@ def _make_grid(lo, hi, step):
     return lo + step * np.arange(n)
 
 
-def _smooth(intensity: np.ndarray, step: float, kernel: GaussianKernel) -> np.ndarray:
-    """Discrete convolution on a grid of this step (zero-padded edges).
+def _smooth(intensity: np.ndarray, step: float, fwhm_nm: float) -> np.ndarray:
+    """Discrete convolution with a unit-area Gaussian of this FWHM (nm) on a
+    grid of this step (zero-padded edges).
 
     The kernel is sampled out to 6 sigma, or out to the grid's span where
     that is shorter (farther points meet no grid point), and normalized to
     unit sum, so the total integral is preserved to better than 0.1% for
-    features well inside the grid.
+    features well inside the grid. KernelUnderResolved for a FWHM under two
+    grid steps.
     """
     size = intensity.size
-    if kernel.fwhm_nm < 2.0 * step:
+    if fwhm_nm < 2.0 * step:
         raise KernelUnderResolved(
-            f"kernel FWHM {kernel.fwhm_nm} nm under-resolved on a {step} nm grid", kernel.fwhm_nm
+            f"kernel FWHM {fwhm_nm} nm under-resolved on a {step} nm grid", fwhm_nm
         )
-    half = min(int(math.ceil(6.0 * kernel.sigma_nm / step)), size - 1)
+    sigma = fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+    half = min(int(math.ceil(6.0 * sigma / step)), size - 1)
     x = step * np.arange(-half, half + 1)
-    k = np.exp(-0.5 * (x / kernel.sigma_nm) ** 2)
+    k = np.exp(-0.5 * (x / sigma) ** 2)
     k /= k.sum()
     out = np.convolve(intensity, k, mode="same")
     if len(k) > size:  # "same" then has the kernel's length: keep the grid's points
@@ -230,9 +218,8 @@ def fluorescence_spectrum(
     inten, step = sp.intensity, sp.step_nm
     for fwhm in (pump_fwhm_nm, mono_fwhm_nm):
         if fwhm and fwhm > 0:
-            kernel = GaussianKernel(fwhm)
-            inten = _smooth(inten, step, kernel)
-            sp.metadata["kernels"].append({"shape": "gaussian", "fwhm_nm": kernel.fwhm_nm})
+            inten = _smooth(inten, step, fwhm)
+            sp.metadata["kernels"].append({"shape": "gaussian", "fwhm_nm": fwhm})
     peak = float(inten.max())
     if peak <= 0:
         raise NoPeak("cannot normalize an all-zero spectrum")

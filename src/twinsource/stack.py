@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import materials
-from .errors import MultipleResonances, NoResonanceInWindow, TwinSourceError
+from .errors import MissingRegion, MultipleResonances, NoResonanceInWindow, TwinSourceError
 from .materials import Composition, DispersionModel
 from .roots import brentq_lanes
 
@@ -463,7 +463,7 @@ def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol, tree=Non
 def _region_slice(s: LayerStack, name: str) -> slice:
     reg = s.region(name)
     if reg is None:
-        raise KeyError(f"stack has no region named '{name}'")
+        raise MissingRegion(f"stack has no region named '{name}'")
     return slice(reg.start, reg.stop)
 
 

@@ -27,7 +27,8 @@ lattice. The phase-matching oracles are ``solve_pair`` with every Brent
 evaluation through the public ``delta_k``, and the fluorescence spectrum as it
 was built before it shared its lookups: each branch looks up both of its
 indices (eight lookups for two interactions), sinc^2 takes its mask form, and
-every convolution and the normalization build a new ``Spectrum``.
+every convolution and the normalization build a new ``Spectrum``; each
+convolution's kernel is the oracle's own ``GaussianKernel``.
 
 The table-writer oracle is the CLI's writer as it was before it went
 column-wise: it indexes every column per row and formats each cell alone.
@@ -60,7 +61,7 @@ from twinsource.hom import (
     dip_half_width_mm,
 )
 from twinsource.phasematch import SEARCH_HALF_WINDOW_NM, interaction
-from twinsource.spectra import GaussianKernel, Spectrum
+from twinsource.spectra import Spectrum
 
 HC_EV_NM = _H * _C / _E * 1e9
 _MAX_ITERATIONS = 200  # Gauss-Newton iterations per refinement
@@ -584,6 +585,14 @@ def _sinc2_masked(x):
     nz = x != 0
     out[nz] = (np.sin(x[nz]) / x[nz]) ** 2
     return out
+
+
+class GaussianKernel:
+    """Unit-area Gaussian convolution kernel, given by its FWHM in nm."""
+
+    def __init__(self, fwhm_nm):
+        self.fwhm_nm = fwhm_nm
+        self.sigma_nm = fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
 
 
 def _convolve_spectrum(sp, kernel):

@@ -182,6 +182,10 @@ _OTHER_OVERRIDES = (
         ("enhancement", "--set", _RENAMED_REGIONS),
         ("spectrum", "--set", "spectrum.step_nm=46"),
         ("spectrum", "--set", "spectrum.step_nm=0.2"),
+        # a wavelength above an alloy's gap, as one outside the model's window
+        ("stack", "--lambda-min", 560, "--lambda-max", 600),
+        ("enhancement", "--set", "pump.wavelength_nm=300"),
+        ("spectrum", "--set", "spectrum.half_span_nm=700"),
     ],
     ids=[
         "negative_design_wavelength", "enhancement_window_strings", "tuning_zero_step",
@@ -196,7 +200,8 @@ _OTHER_OVERRIDES = (
         "dispersion_model_list", "angle_bool", "pulse_rate_bool", "cell_thickness_bool",
         "misspelt_cell_key", "unread_section_checked", "n_mean_override_out_of_range",
         "section_emptied", "cavity_regions_renamed", "spectrum_single_grid_point",
-        "spectrum_step_coarser_than_kernel",
+        "spectrum_step_coarser_than_kernel", "stack_above_gap", "enhancement_pump_above_gap",
+        "spectrum_span_above_gap",
     ],
 )
 def test_bad_input_is_input_error(tmp_path, capsys, argv):
@@ -234,6 +239,26 @@ def test_stack_field_stays_bounded_with_every_region_at_the_period_bound(tmp_pat
 def test_enhancement_names_the_missing_region(tmp_path, capsys):
     assert run("enhancement", "--set", _RENAMED_REGIONS, "--out", tmp_path) == EXIT_INPUT
     assert "stack.regions" in (err := capsys.readouterr().err) and "'top_dbr'" in err
+
+
+def test_stack_warns_of_the_missing_region(tmp_path):
+    argv = ("stack", "--set", _RENAMED_REGIONS, *_NARROW_SWEEP, "--out", tmp_path, "--quiet")
+    assert run(*argv) == EXIT_OK
+    warnings = json.loads((tmp_path / "stack.report.json").read_text())["warnings"]
+    assert warnings == ["resonance not flagged: stack has no region named 'top_dbr'"]
+
+
+def test_stack_does_not_swallow_a_fault_in_the_resonance_search(tmp_path, monkeypatch):
+    # only a missing region is a "resonance not flagged" warning: a KeyError
+    # from inside the search is a fault, not a stack without its cavity
+    from twinsource import stack
+
+    def broken(*args):
+        raise KeyError("fault")
+
+    monkeypatch.setattr(stack, "_cavity", broken)
+    with pytest.raises(KeyError, match="fault"):
+        run("stack", *_NARROW_SWEEP, "--out", tmp_path, "--quiet")
 
 
 def test_counts_beyond_the_double_range_is_numeric_error(tmp_path, capsys):
@@ -512,6 +537,13 @@ def test_hom_fit_rejects_corrupt_csv(tmp_path):
     assert run(
         "hom", "fit", "--scan", tmp_path / "missing.csv", "--out", tmp_path, "--quiet"
     ) == EXIT_INPUT
+
+
+def test_hom_fit_names_a_scan_without_rows(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("delta_z_mm,total_counts,accidental_counts\n", encoding="utf-8")
+    assert run("hom", "fit", "--scan", empty, "--out", tmp_path / "out", "--quiet") == EXIT_INPUT
+    assert capsys.readouterr().err == "error: scan file has a header and no data rows\n"
 
 
 def test_hom_fit_degenerate_scan_is_numeric_failure(tmp_path):

@@ -186,11 +186,12 @@ def test_spline_coefficients_are_cubic_splines(tables, pol):
     assert np.array_equal(tab._c, spline.c)
 
 
-def test_spline_coefficients_on_uneven_knots(rng):
-    # uneven spacing makes the tridiagonal solve interchange rows, which the
-    # table's even 2 nm knots never do
-    for size in range(4, 40):
-        x = np.cumsum(rng.uniform(0.05, 3.0, size))
+def test_spline_coefficients_on_lattice_knots(rng):
+    # the table's knots are whole multiples of the 2 nm step, where the
+    # tridiagonal solve interchanges no rows: up to 1726 knots, the most a
+    # table inside the dispersion window (550-4000 nm) holds
+    for size in [*range(4, 70), 191, 500, 1726]:
+        x = (int(rng.integers(275, 2000)) + np.arange(size)) * modes.TABLE_STEP_NM
         y = rng.normal(size=size)
         assert np.array_equal(modes._not_a_knot(x, y), CubicSpline(x, y).c)
 

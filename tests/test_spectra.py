@@ -10,7 +10,6 @@ from twinsource.errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
 from twinsource.phasematch import INTERACTION_1, INTERACTION_2, PhaseMatcher
 from twinsource.spectra import (
     SINC2_HALF_MAX_ARG,
-    GaussianKernel,
     Spectrum,
     _smooth,
     bandwidth_estimates,
@@ -98,26 +97,26 @@ def _gaussian_spectrum(fwhm_nm, step=0.005, span=8.0, center=1520.0):
     return Spectrum(lam, inten)
 
 
-def smoothed(sp, kernel):
+def smoothed(sp, fwhm_nm):
     """``_smooth`` (the smoothing ``fluorescence_spectrum`` applies) as a Spectrum, for ``fwhm``."""
-    return Spectrum(sp.wavelength_nm, _smooth(sp.intensity, sp.step_nm, kernel))
+    return Spectrum(sp.wavelength_nm, _smooth(sp.intensity, sp.step_nm, fwhm_nm))
 
 
 def test_delta_like_kernel_is_identity():
     sp = _gaussian_spectrum(1.0)
-    out = smoothed(sp, GaussianKernel(2 * sp.step_nm))
+    out = smoothed(sp, 2 * sp.step_nm)
     assert np.max(np.abs(out.intensity - sp.intensity)) < 0.02
 
 
 def test_gaussian_convolution_widths_add_in_quadrature():
     sp = _gaussian_spectrum(0.8)
-    out = smoothed(sp, GaussianKernel(0.6))
+    out = smoothed(sp, 0.6)
     assert fwhm(out) == pytest.approx(math.hypot(0.8, 0.6), rel=1e-2)
 
 
 def test_convolution_preserves_integral_and_positivity():
     sp = _gaussian_spectrum(0.5)
-    out = smoothed(sp, GaussianKernel(0.3))
+    out = smoothed(sp, 0.3)
     assert out.intensity.sum() == pytest.approx(sp.intensity.sum(), rel=1e-3)
     assert np.all(out.intensity >= 0)
 
@@ -125,7 +124,7 @@ def test_convolution_preserves_integral_and_positivity():
 def test_convolved_width_not_below_factors(matcher, paper_stack):
     theta = matcher.degeneracy_angle(INTERACTION_1, 760.0)
     sp = phase_matching_spectrum(theta, 760.0, INTERACTION_1, 1.0, paper_stack, matcher=matcher)
-    out = smoothed(smoothed(sp, GaussianKernel(0.3)), GaussianKernel(0.1))
+    out = smoothed(smoothed(sp, 0.3), 0.1)
     width = fwhm(out)
     assert width >= fwhm(sp)
     assert width >= 0.3
@@ -139,11 +138,11 @@ def test_kernel_longer_than_the_grid_keeps_the_grid():
     # grid (the kernel then ends at the grid's span)
     for fwhm_nm in (0.6, 3.0, 40.0, 1e300):
         sp = _gaussian_spectrum(0.5)
-        kernel = GaussianKernel(fwhm_nm)
-        out = smoothed(sp, kernel)
+        out = smoothed(sp, fwhm_nm)
         assert np.array_equal(out.wavelength_nm, sp.wavelength_nm)
-        half = min(math.ceil(6.0 * kernel.sigma_nm / sp.step_nm), sp.intensity.size - 1)
-        k = np.exp(-0.5 * (sp.step_nm * np.arange(-half, half + 1) / kernel.sigma_nm) ** 2)
+        sigma = fwhm_nm / (2.0 * math.sqrt(2.0 * math.log(2.0)))
+        half = min(math.ceil(6.0 * sigma / sp.step_nm), sp.intensity.size - 1)
+        k = np.exp(-0.5 * (sp.step_nm * np.arange(-half, half + 1) / sigma) ** 2)
         full = np.convolve(sp.intensity, k / k.sum())
         assert np.allclose(out.intensity, full[half : half + sp.intensity.size], rtol=1e-12)
 
@@ -151,12 +150,7 @@ def test_kernel_longer_than_the_grid_keeps_the_grid():
 def test_kernel_under_resolved():
     sp = _gaussian_spectrum(1.0, step=0.05)
     with pytest.raises(KernelUnderResolved):
-        smoothed(sp, GaussianKernel(0.05))
-
-
-def test_kernel_validation():
-    with pytest.raises(ValueError):
-        GaussianKernel(0.0)
+        smoothed(sp, 0.05)
 
 
 # --- fluorescence ------------------------------------------------------------
