@@ -133,8 +133,8 @@ class DispersionModel:
         above = (chi > margin) | (chi_so > margin)
         if (above if scalar else above.any()):
             raise AboveBandgap(
-                f"photon energy within {100 * (1 - margin):.1f}% of the "
-                f"Al(x={x}) gap: model '{self.name}' index is complex there"
+                f"photon energy at or above {100 * margin:.1f}% of the "
+                f"Al(x={x}) gap energy: model '{self.name}' index is complex there"
             )
         sqrt = math.sqrt if scalar else np.sqrt
         return sqrt(self._n_squared(x, terms, sqrt))

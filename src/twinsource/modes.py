@@ -47,7 +47,9 @@ batch, so a grown table holds exactly the knots of a fresh table over the
 same range. Between knots it is the not-a-knot cubic spline, built and
 evaluated here with the same floating-point operations as
 ``scipy.interpolate.CubicSpline``, so the package needs numpy only; on the
-evenly spaced knot lattice its tridiagonal solve interchanges no rows.
+evenly spaced knot lattice its tridiagonal solve interchanges no rows. A
+lookup reads a Python float inline in plain floats, and an array in one pass
+that evaluates in the coefficient rows it takes, touching no shared array.
 
 The nominal device sits on a GaAs substrate whose index at telecom
 wavelengths exceeds every layer index, so the strict 1D structure has no
@@ -74,7 +76,7 @@ from .stack import TE, TM, LayerStack, layer_indices
 
 _GRID_STEP = 1e-4  # n_eff scan step of the root search
 _XTOL = 1e-12  # Brent tolerance on a root, in n_eff
-TABLE_STEP_NM = 2.0  # knot spacing of EffectiveIndexTable: a power of two, see _at
+TABLE_STEP_NM = 2.0  # knot spacing of EffectiveIndexTable: a power of two, see its lattice
 _MAX_CELL = 8  # longest repeated cell, in layers, that a periodic run may have
 _BLOCK = 512  # scan points per residual call, so a full-window scan stays small
 _ANCHOR_EVERY = 32  # a table solves every 32nd knot on its own, to predict the others
@@ -419,9 +421,10 @@ def _not_a_knot(x, y):
 
 
 def _shaped(val, query):
-    """Spline values for a query that is not a Python float: a float for a
-    scalar, an array (0-d included) otherwise."""
-    return float(val) if np.isscalar(query) else np.asarray(val)
+    """Spline values (an array, at least 1-d) in the query's shape: a float
+    for a scalar, an array (0-d included) otherwise."""
+    val = val.reshape(np.shape(query))
+    return float(val) if np.isscalar(query) else val
 
 
 class EffectiveIndexTable:
@@ -442,17 +445,22 @@ class EffectiveIndexTable:
     A wavelength is evaluated on the piece of the last knot at or below it
     (the end pieces beyond the ends), as c3 + c2 t + c1 t^2 + c0 t^3 and its
     derivative as c2 + 2 c1 t + 3 c0 t^2, summed in ascending powers; these
-    are the values ``CubicSpline`` and its derivative give. A Python float
-    is looked up and evaluated in plain floats; anything else takes one
-    vectorized pass, which returns the same values.
+    are the values ``CubicSpline`` and its derivative give. ``n_eff`` and
+    ``n_group`` read a Python float's piece inline and evaluate it in plain
+    floats. Anything else takes one vectorized pass (``_at``) that takes
+    every piece's coefficients and knot into fresh arrays; ``n_eff`` then
+    multiplies and adds into those arrays in the order written above, so it
+    allocates no temporary and gives the float path's floats.
 
     The piece is found on the knot lattice, not by a search: it is
     floor(lambda / ``TABLE_STEP_NM``) less the lattice number of the first
-    knot, clipped to the pieces. The knots are whole multiples of the step
-    and the step is a power of two, so lambda / step is exact and its floor
-    is the number of the last lattice point at or below lambda: the piece a
-    search of the knots (``searchsorted(side="right") - 1``, clipped) finds,
-    at the knots and at both range ends too.
+    knot. After its pieces the table holds the last piece and the first once
+    more, for lattice numbers one past either end (within 1e-9 nm of it).
+    The knots are whole multiples of the step and the step is a power of
+    two, so lambda / step is exact and its floor is the number of the last
+    lattice point at or below lambda: the piece a search of the knots
+    (``searchsorted(side="right") - 1``, clipped) finds, at the knots and at
+    both range ends too.
     """
 
     def __init__(
@@ -493,9 +501,10 @@ class EffectiveIndexTable:
         self.lambda_max = float(self.knots_nm[-1])
         self._lo, self._hi = self.lambda_min - 1e-9, self.lambda_max + 1e-9
         self._c = _not_a_knot(self.knots_nm, self.knot_n_eff)
-        self._last = self._c.shape[1] - 1  # the last piece
-        self._knots = self.knots_nm.tolist()
-        self._pieces = list(zip(*self._c.tolist()))  # (c0, c1, c2, c3) of each piece
+        # c0, c1, c2, c3 and knot over the pieces, then the last and first again
+        cols = np.concatenate((self._c, self.knots_nm[None, :-1]))
+        self._cols = np.concatenate((cols, cols[:, [-1, 0]]), axis=1)
+        self._rows = list(zip(*self._cols.tolist()))
 
     def _solve(self, lams, prev):
         """Fundamental n_eff at each of ``lams`` (ascending), each root chained
@@ -572,33 +581,41 @@ class EffectiveIndexTable:
         return neffs
 
     def _at(self, lam):
-        """(c0, c1, c2, c3, t): coefficients of the piece holding ``lam`` and
-        its offset t from the piece's knot, floats for a Python float and
-        arrays otherwise. Both forms accept and reject the same values."""
-        if type(lam) is float:
-            if self._lo <= lam <= self._hi:  # NaN fails this, and raises below
-                i = min(max(math.floor(lam / TABLE_STEP_NM) - self._j_lo, 0), self._last)
-                return (*self._pieces[i], lam - self._knots[i])
-        else:
-            lam = np.asarray(lam, dtype=float)
-            if np.all((self._lo <= lam) & (lam <= self._hi)):
-                i = np.floor(lam / TABLE_STEP_NM).astype(np.intp) - self._j_lo
-                i = np.clip(i, 0, self._last)
-                return (*(row.take(i) for row in self._c), lam - self.knots_nm.take(i))
+        """(c0, c1, c2, c3, t), fresh arrays (at least 1-d): the coefficients
+        of the piece holding each wavelength of ``lam`` and its offset t from
+        the piece's knot."""
+        q = np.atleast_1d(np.asarray(lam, dtype=float))
+        if np.all((self._lo <= q) & (q <= self._hi)):  # NaN fails this
+            x = q / TABLE_STEP_NM
+            i = np.floor(x, out=x).astype(np.intp)
+            i -= self._j_lo
+            *c, t = (col.take(i) for col in self._cols)
+            return (*c, np.subtract(q, t, out=t))
         raise ValueError(
             f"wavelength {lam} outside table range [{self.lambda_min}, {self.lambda_max}] nm"
         )
 
     def n_eff(self, wavelength):
+        if type(wavelength) is float and self._lo <= wavelength <= self._hi:
+            c0, c1, c2, c3, knot = self._rows[math.floor(wavelength / TABLE_STEP_NM) - self._j_lo]
+            t = wavelength - knot
+            return c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t)
         c0, c1, c2, c3, t = self._at(wavelength)
-        val = c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t)
-        return val if type(wavelength) is float else _shaped(val, wavelength)
+        # the same sum, each product and sum written into a row taken above
+        c3 += np.multiply(c2, t, out=c2)
+        c3 += np.multiply(c1, np.multiply(t, t, out=c2), out=c1)
+        c3 += np.multiply(c0, np.multiply(c2, t, out=c2), out=c0)
+        return _shaped(c3, wavelength)
 
     __call__ = n_eff
 
     def n_group(self, wavelength):
         """Group index n_eff - lambda dn_eff/dlambda, from the spline's slope."""
-        c0, c1, c2, c3, t = self._at(wavelength)
+        if type(wavelength) is float and self._lo <= wavelength <= self._hi:
+            c0, c1, c2, c3, knot = self._rows[math.floor(wavelength / TABLE_STEP_NM) - self._j_lo]
+            t = wavelength - knot
+        else:
+            c0, c1, c2, c3, t = self._at(wavelength)
         val = c3 + c2 * t + c1 * (t * t) + c0 * (t * t * t)
         val = val - wavelength * (c2 + 2 * c1 * t + 3 * c0 * (t * t))
         return val if type(wavelength) is float else _shaped(val, wavelength)

@@ -57,10 +57,11 @@ def sinc2(x):
     """sinc^2 with sinc(x) = sin(x)/x and sinc(0) = 1: an array for an array,
     a float for a scalar or a 0-d array."""
     x = np.asarray(x, dtype=float)
-    out = np.ones_like(x)
-    np.divide(np.sin(x), x, out=out, where=x != 0)
-    out *= out
-    return out if out.ndim else float(out)
+    sin = np.sin(x)
+    with np.errstate(invalid="ignore"):  # 0/0 at x == 0, replaced by 1
+        v = np.where(x == 0, 1.0, sin / x)
+    v *= v
+    return v if v.ndim else float(v)
 
 
 def phase_matching_intensity(

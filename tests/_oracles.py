@@ -37,7 +37,6 @@ column-wise: it indexes every column per row and formats each cell alone.
 import cmath
 import json
 import math
-from bisect import bisect_right
 
 import numpy as np
 from scipy.constants import c as _C, e as _E, h as _H
@@ -529,15 +528,10 @@ def fit_dip_gauss_newton(scan, wavelength_nm):
 
 
 def spline_piece_search(table, lam):
-    """(c0, c1, c2, c3, t) of the piece of ``table`` holding ``lam``, found by
-    a search of the knots: ``bisect_right`` for a Python float (floats out),
-    ``searchsorted(side="right")`` otherwise (arrays out); both less one and
-    clipped to the pieces. No range check."""
+    """(c0, c1, c2, c3, t) arrays of the piece of ``table`` holding each of
+    ``lam``, found by a search of the knots: ``searchsorted(side="right")``
+    less one, clipped to the pieces. No range check."""
     last = table._c.shape[1] - 1
-    if type(lam) is float:
-        knots = table.knots_nm.tolist()
-        i = min(max(bisect_right(knots, lam) - 1, 0), last)
-        return (*table._c[:, i].tolist(), lam - knots[i])
     lam = np.asarray(lam, dtype=float)
     i = np.clip(np.searchsorted(table.knots_nm, lam, side="right") - 1, 0, last)
     return (*table._c[:, i], lam - table.knots_nm[i])
@@ -580,11 +574,14 @@ def solve_pair_through_delta_k(matcher, theta_deg, lambda_p, inter):
     )
 
 
-def _sinc2_masked(x):
+def sinc2_masked_divide(x):
+    """sinc^2 by a masked divide, 1 where x == 0: an array for an array, a
+    float for a scalar or a 0-d array."""
+    x = np.asarray(x, dtype=float)
     out = np.ones_like(x)
-    nz = x != 0
-    out[nz] = (np.sin(x[nz]) / x[nz]) ** 2
-    return out
+    np.divide(np.sin(x), x, out=out, where=x != 0)
+    out *= out
+    return out if out.ndim else float(out)
 
 
 class GaussianKernel:
@@ -648,7 +645,7 @@ def fluorescence_spectrum_per_branch(
                 - n_s * 2.0 * math.pi / lam_s
                 + n_i * 2.0 * math.pi / lam_i
             )
-            branch = _sinc2_masked(dk * length_nm / 2.0)
+            branch = sinc2_masked_divide(dk * length_nm / 2.0)
             if branch_peak > 2.0 * lambda_p:
                 branch = branch * long_peak_attenuation
             total += branch

@@ -241,6 +241,15 @@ def test_enhancement_names_the_missing_region(tmp_path, capsys):
     assert "stack.regions" in (err := capsys.readouterr().err) and "'top_dbr'" in err
 
 
+def test_above_gap_error_names_the_energy_bound(tmp_path, capsys):
+    # 560 nm is ~20% above the Al(x=0.35) gap: the model refuses any photon
+    # energy past 99.5% of the gap, however far past
+    argv = ("stack", "--lambda-min", "560", "--lambda-max", "600", "--out", tmp_path, "--quiet")
+    assert run(*argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "at or above 99.5% of the Al(x=0.35) gap energy" in err and "within" not in err
+
+
 def test_stack_warns_of_the_missing_region(tmp_path):
     argv = ("stack", "--set", _RENAMED_REGIONS, *_NARROW_SWEEP, "--out", tmp_path, "--quiet")
     assert run(*argv) == EXIT_OK

@@ -39,26 +39,28 @@ def test_brent_matches_scipy_on_the_mode_residual(paper_stack, pol):
 @pytest.mark.dispatch
 @pytest.mark.parametrize("pol", [TE, TM])
 def test_spline_piece_is_the_searched_piece(tables, pol, rng):
-    """Dispatch: the lattice read is a floor, a subtraction and a clip in numpy, on either SIMD path."""
+    """Dispatch: the lattice read is a floor and a subtraction in numpy, on either SIMD path."""
     # lambda / TABLE_STEP_NM is exact only for a power-of-two step
     assert math.frexp(modes.TABLE_STEP_NM)[0] == 0.5
     tab = tables[pol]
     knots = tab.knots_nm
-    lams = np.concatenate((
+    edges = np.concatenate((
         knots,
         np.nextafter(knots, -math.inf),
         np.nextafter(knots, math.inf),
         [tab.lambda_min - 1e-9, tab.lambda_max + 1e-9],
-        rng.uniform(tab.lambda_min - 1e-9, tab.lambda_max + 1e-9, 10**5),
     ))
+    lams = np.concatenate((edges, rng.uniform(tab.lambda_min - 1e-9, tab.lambda_max + 1e-9, 10**5)))
     got, want = tab._at(lams), spline_piece_search(tab, lams)
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    for lam in lams.tolist():
-        assert tab._at(lam) == spline_piece_search(tab, lam)
+    # the float read inline in n_eff and n_group takes the array pass's piece
+    for lookup in (tab.n_eff, tab.n_group):
+        assert [lookup(lam) for lam in edges.tolist()] == lookup(edges).tolist()
     for outside in (np.nextafter(tab._lo, -math.inf), np.nextafter(tab._hi, math.inf), math.nan):
         for query in (float(outside), np.array([tab.lambda_min, outside])):
-            with pytest.raises(ValueError):
-                tab._at(query)
+            for lookup in (tab._at, tab.n_eff, tab.n_group):
+                with pytest.raises(ValueError):
+                    lookup(query)
 
 
 @pytest.mark.parametrize("inter", [INTERACTION_1, INTERACTION_2], ids=["inter1", "inter2"])

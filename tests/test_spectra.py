@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.signal import find_peaks
 
-from _oracles import fluorescence_spectrum_per_branch
+from _oracles import fluorescence_spectrum_per_branch, sinc2_masked_divide
 from twinsource.errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
 from twinsource.phasematch import INTERACTION_1, INTERACTION_2, PhaseMatcher
 from twinsource.spectra import (
@@ -19,21 +20,62 @@ from twinsource.spectra import (
     phase_matching_spectrum,
     sinc2,
 )
+from twinsource.stack import TE, TM
 
 PIN_SINC_FWHM_NM = 0.3157  # L = 1 mm at the interaction-1 degeneracy, frozen
 
 
 def test_sinc2_basics():
-    assert sinc2(0.0) == 1.0
-    assert type(sinc2(0.0)) is float and type(sinc2(np.array(0.5))) is float
-    assert sinc2(np.array(0.0)) == 1.0
-    assert sinc2(np.array([0.0]))[0] == 1.0
+    with warnings.catch_warnings():  # any warning fails here, not only a RuntimeWarning
+        warnings.simplefilter("error")
+        assert sinc2(0.0) == sinc2(-0.0) == sinc2(np.array(-0.0)) == 1.0
+        y = sinc2(np.array([-1.0, 0.0, -0.0, 1.0]))
+        assert y[1] == y[2] == 1.0 and y[0] == y[3] < 1.0
+    for x in (0.0, -0.0, 0.5, np.float64(0.5), np.array(0.0), np.array(-2.0)):
+        assert type(sinc2(x)) is float
     assert sinc2(math.pi) == pytest.approx(0.0, abs=1e-30)
     x = np.linspace(-8, 8, 40001)
     y = sinc2(x)
     half = y >= 0.5
     width = x[half].max() - x[half].min()
     assert width == pytest.approx(2 * SINC2_HALF_MAX_ARG, abs=2 * (x[1] - x[0]))
+
+
+@pytest.mark.dispatch
+def test_sinc2_is_the_masked_divide(box_matcher):
+    """Dispatch: sin follows numpy's SIMD loop; both sides take the same sin."""
+    # the mismatch arguments of a real spectrum grid, and the grid's exact zeros
+    for inter in (INTERACTION_1, INTERACTION_2):
+        lam_s = box_matcher.solve_pair(3.1, 759.5, inter).lambda_s_nm
+        grid = lam_s - 5.0 + 0.005 * np.arange(2001)
+        x = box_matcher.delta_k(grid, 3.1, 759.5, inter) * 1e6 / 2.0
+        x = np.concatenate((x, [0.0, -0.0]))
+        assert sinc2(x).tobytes() == sinc2_masked_divide(x).tobytes()
+        assert [sinc2(v) for v in x[::97].tolist()] == sinc2_masked_divide(x[::97]).tolist()
+
+
+def _table_bytes(tab):
+    return [a.tobytes() for a in (tab._c, tab._cols, tab.knots_nm, tab.knot_n_eff)]
+
+
+def test_lookups_write_into_no_shared_array(box_matcher, paper_stack):
+    # an array lookup evaluates in the arrays it takes: the caller's query and
+    # the table's arrays come out of lookups and whole spectra as they went in
+    fluorescence_spectrum(3.1, 759.5, 1.0, paper_stack, matcher=box_matcher)
+    tables = [box_matcher._tables[pol] for pol in (TE, TM)]
+    held = [_table_bytes(tab) for tab in tables]
+    lams = np.linspace(1500.0, 1540.0, 101)
+    queries = [lams, lams[::3], np.array(1520.3), lams.reshape(1, -1)]
+    before = [q.tobytes() for q in queries]
+    for tab in tables:
+        for query in queries:
+            assert tab.n_eff(query).shape == tab.n_group(query).shape == query.shape
+        assert type(tab.n_eff(1520.3)) is type(tab.n_group(1520.3)) is float
+    sp = fluorescence_spectrum(3.1, 759.5, 1.0, paper_stack, matcher=box_matcher)
+    again = fluorescence_spectrum(3.1, 759.5, 1.0, paper_stack, matcher=box_matcher)
+    assert [q.tobytes() for q in queries] == before
+    assert [_table_bytes(tab) for tab in tables] == held
+    assert sp.intensity.tobytes() == again.intensity.tobytes()
 
 
 def test_peak_intensity_is_unity_at_phase_matching(matcher, paper_stack):
