@@ -591,8 +591,10 @@ class EffectiveIndexTable:
             i -= self._j_lo
             *c, t = (col.take(i) for col in self._cols)
             return (*c, np.subtract(q, t, out=t))
+        outside = q[~((self._lo <= q) & (q <= self._hi))]  # NaN included
         raise ValueError(
-            f"wavelength {lam} outside table range [{self.lambda_min}, {self.lambda_max}] nm"
+            f"{outside.size} of {q.size} wavelengths outside table range "
+            f"[{self.lambda_min}, {self.lambda_max}] nm, the first {outside[0]} nm"
         )
 
     def n_eff(self, wavelength):

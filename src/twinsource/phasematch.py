@@ -26,6 +26,8 @@ polished by ``roots.brentq`` (Brent's method, the floats of scipy's
 ``brentq``). ``solve_pair`` reserves its whole bracket in both tables before
 the search, so its Brent function evaluates the mismatch on those two tables
 directly, at Python floats, which the tables look up without building arrays.
+Brent evaluates each end of the bracket once; when they have one sign it
+raises ``roots.NotBracketed``, and ``solve_pair`` widens the window once.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from .errors import NoSolutionInWindow, TwinSourceError
 from .modes import EffectiveIndexTable
-from .roots import brentq
+from .roots import NotBracketed, brentq
 from .stack import TE, TM, LayerStack
 
 MOMENTUM_RTOL = 1e-9  # residual bound, relative to k_p
@@ -201,7 +203,8 @@ class PhaseMatcher:
         """Solve momentum conservation for the signal wavelength at one angle.
 
         Brackets the (monotone) mismatch over +/- ``SEARCH_HALF_WINDOW_NM``
-        around the degeneracy wavelength 2 lambda_p, widening once on failure.
+        around the degeneracy wavelength 2 lambda_p, and widens the window
+        once when Brent finds no sign change across it (``NotBracketed``).
         The whole bracket is reserved in both tables first, so every
         evaluation reads those two tables and none grows them. Raises
         ValueError for a pump wavelength that is not finite and > 0.
@@ -229,11 +232,11 @@ class PhaseMatcher:
                 lam_i = conjugate_wavelength(lambda_p, x)
                 return _mismatch(kp_sin, x, tab_s.n_eff(x), lam_i, tab_i.n_eff(lam_i))
 
-            f_lo, f_hi = dk(lo), dk(hi)
-            if f_lo <= 0.0 <= f_hi or f_hi <= 0.0 <= f_lo:  # brentq returns a zero end itself
+            try:
                 lam_s = brentq(dk, lo, hi, xtol=1e-10, rtol=8.9e-16)
                 break
-            half *= 2.0
+            except NotBracketed:
+                half *= 2.0
         else:
             raise NoSolutionInWindow(
                 f"no phase-matched signal within +/-{half / 2:.0f} nm of "

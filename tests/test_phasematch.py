@@ -10,6 +10,7 @@ from twinsource.phasematch import (
     INTERACTION_1,
     INTERACTION_2,
     Interaction,
+    SEARCH_HALF_WINDOW_NM,
     PhaseMatcher,
     conjugate_wavelength,
     interaction,
@@ -197,6 +198,27 @@ def test_search_window_widens_once(matcher):
     p = matcher.solve_pair(25.0, 760.0, INTERACTION_1)
     assert abs(p.lambda_s_nm - 1520.0) > 150.0
     assert abs(p.momentum_residual) < 1e-9 * (2 * math.pi / 760.0)
+
+
+@pytest.mark.parametrize("theta", [3.1, 25.0], ids=["first_window", "widened"])
+def test_solve_pair_evaluates_each_bracket_end_once(matcher, monkeypatch, theta):
+    lambda_p, inter = 760.0, INTERACTION_1
+    matcher.solve_pair(theta, lambda_p, inter)  # tables grown before the count
+    lookups = []
+    n_eff = EffectiveIndexTable.n_eff
+
+    def counted(tab, lam):
+        lookups.append((tab.polarization, lam))
+        return n_eff(tab, lam)
+
+    monkeypatch.setattr(EffectiveIndexTable, "n_eff", counted)
+    matcher.solve_pair(theta, lambda_p, inter)
+    halves = [SEARCH_HALF_WINDOW_NM] + [2 * SEARCH_HALF_WINDOW_NM] * (theta == 25.0)
+    for half in halves:
+        for lam in (2 * lambda_p - half, 2 * lambda_p + half):
+            lam_i = conjugate_wavelength(lambda_p, lam)
+            assert lookups.count((inter.copropagating_pol, lam)) == 1
+            assert lookups.count((inter.counterpropagating_pol, lam_i)) == 1
 
 
 def test_no_solution_for_extreme_angle(matcher):

@@ -74,24 +74,30 @@ def test_brent_matches_scipy_on_the_momentum_mismatch(matcher, inter):
             assert mine == brentq(mismatch, lo, hi, xtol=1e-10, rtol=8.9e-16)
 
 
+# values so small that Brent's interpolation divides by an underflowed 0,
+# where C gets inf or NaN and bisects
+_SCALES = [1.0, 1e-120, 1e-300]
+
+
 def test_brent_steps_are_scipys(rng):
     # the same points evaluated in the same order, on smooth, steep and flat
-    # roots with loose and tight tolerances
+    # roots with loose and tight tolerances, at every value scale
     for _ in range(300):
         a, b, p = rng.uniform(0.5, 8.0), rng.uniform(-0.9, 0.9), int(rng.integers(1, 6))
         xtol = 10.0 ** rng.uniform(-14, -3)
         lo, hi = sorted(rng.uniform(-3.0, 3.0, 2))
-        calls = {"scipy": [], "port": []}
+        for scale in _SCALES:
+            calls = {"scipy": [], "port": []}
 
-        def f(x, log):
-            log.append(x)
-            return math.sin(a * x) ** p + b * x - 0.1
+            def f(x, log, scale=scale):
+                log.append(x)
+                return scale * (math.sin(a * x) ** p + b * x - 0.1)
 
-        if (f(lo, []) < 0) == (f(hi, []) < 0):
-            continue
-        want = brentq(f, lo, hi, args=(calls["scipy"],), xtol=xtol)
-        assert roots.brentq(lambda x: f(x, calls["port"]), lo, hi, xtol) == want
-        assert calls["port"] == calls["scipy"]
+            if (f(lo, []) < 0) == (f(hi, []) < 0):
+                break
+            want = brentq(f, lo, hi, args=(calls["scipy"],), xtol=xtol)
+            assert roots.brentq(lambda x: f(x, calls["port"]), lo, hi, xtol) == want
+            assert calls["port"] == calls["scipy"]
 
 
 def _lane_cases(rng):
@@ -126,19 +132,55 @@ def _lane_function(cases, log):
 @pytest.mark.parametrize("xtol", [1e-3, 1e-8, 2e-12, 1e-14])
 def test_brent_lanes_are_scipys(rng, xtol):
     # every lane takes scipy's steps: the same points in the same order and
-    # the same root, whichever iteration the other lanes stop at
+    # the same root, whichever iteration the other lanes stop at, at every
+    # value scale
+    unscaled = _lane_cases(rng)
+    lo, hi = np.array([c[1:] for c in unscaled]).T
+    for scale in _SCALES:
+        cases = [(lambda x, f=f: scale * f(x), a, b) for f, a, b in unscaled]
+        log = [[] for _ in cases]
+        got = roots.brentq_lanes(_lane_function(cases, log), lo, hi, xtol)
+        counts = set()
+        for (f, a, b), root, seen in zip(cases, got.tolist(), log):
+            calls = []
+            want = brentq(lambda x: calls.append(x) or f(x), a, b, xtol=xtol)
+            assert root == want
+            assert seen == calls
+            counts.add(len(calls))
+        assert len(cases) > 100 and len(counts) > 5
+
+
+def test_brent_lanes_call_shape(rng):
+    # the first call holds both ends of every lane; each later call the lanes
+    # still running, in lane order, a subset of the lanes of the call before
     cases = _lane_cases(rng)
     lo, hi = np.array([c[1:] for c in cases]).T
-    log = [[] for _ in cases]
-    got = roots.brentq_lanes(_lane_function(cases, log), lo, hi, xtol)
-    counts = set()
-    for (f, a, b), root, seen in zip(cases, got.tolist(), log):
-        calls = []
-        want = brentq(lambda x: calls.append(x) or f(x), a, b, xtol=xtol)
-        assert root == want
-        assert seen == calls
-        counts.add(len(calls))
-    assert len(cases) > 100 and len(counts) > 5
+    calls = []
+
+    def f(x, lanes):
+        calls.append((x.tolist(), lanes.tolist()))
+        return np.array([cases[lane][0](xi) for lane, xi in zip(lanes.tolist(), x.tolist())])
+
+    roots.brentq_lanes(f, lo, hi, 2e-12)
+    (ends, lanes), *steps = calls
+    n = len(cases)
+    assert ends == [*lo.tolist(), *hi.tolist()] and lanes == [*range(n), *range(n)]
+    # a lane with a zero end stops there, before any step
+    before = [i for i, (g, a, b) in enumerate(cases) if g(a) != 0 and g(b) != 0]
+    assert len(before) == n - 2
+    for points, lanes in steps:
+        assert len(points) == len(lanes) > 0
+        assert lanes == sorted(set(lanes)) and set(lanes) <= set(before)
+        before = lanes
+    assert len(steps) > 5 and len(steps[0][1]) == n - 2
+
+
+def test_ends_of_one_sign_are_not_bracketed():
+    assert issubclass(roots.NotBracketed, ValueError)
+    with pytest.raises(roots.NotBracketed):
+        roots.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 2e-12)
+    with pytest.raises(roots.NotBracketed):  # the second lane has no sign change
+        roots.brentq_lanes(lambda x, _: x * x - 0.25, [0.0, 1.0], [1.0, 2.0], 2e-12)
 
 
 def test_brent_lanes_raise_what_scipy_raises(rng):
@@ -237,3 +279,18 @@ def test_scalar_and_array_range_checks_agree(tables, method):
         want = "value" if lo <= lam <= hi else "raised"  # NaN included
         for query in (lam, np.float64(lam), np.array(lam), np.array([lam])):
             assert _outcome(lookup, query) == want, (lam, type(query))
+
+
+def test_range_error_names_what_is_outside(tables):
+    # the count outside (NaN among them) and the first of them, not the query
+    tab = tables[TE]
+    query = np.concatenate(([1500.0, math.nan], np.linspace(1400.0, 3000.0, 10000)))
+    with pytest.raises(ValueError) as err:
+        tab.n_eff(query)
+    outside = int(np.sum(~((query >= tab.lambda_min - 1e-9) & (query <= tab.lambda_max + 1e-9))))
+    assert str(err.value) == (
+        f"{outside} of 10002 wavelengths outside table range "
+        f"[{tab.lambda_min}, {tab.lambda_max}] nm, the first nan nm"
+    )
+    with pytest.raises(ValueError, match=r"^1 of 1 wavelengths .*, the first 3000\.0 nm$"):
+        tab.n_group(3000.0)

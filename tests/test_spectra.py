@@ -270,6 +270,47 @@ def test_spectrum_grid_validation():
         Spectrum(np.array([1.0, 2.0, 3.0]), np.array([1.0, -0.1, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_spectrum_refuses_intensities_that_are_not_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Spectrum(np.array([1.0, 2.0, 3.0]), np.array([1.0, bad, 0.0]))
+
+
+_LENGTH_USERS = {
+    "phase_matching_intensity": lambda m, s, length: phase_matching_intensity(
+        1500.0, 1.0, 760.0, INTERACTION_1, length, s, matcher=m
+    ),
+    "phase_matching_spectrum": lambda m, s, length: phase_matching_spectrum(
+        1.0, 760.0, INTERACTION_1, length, s, matcher=m
+    ),
+    "fluorescence_spectrum": lambda m, s, length: fluorescence_spectrum(
+        1.0, 760.0, length, s, matcher=m
+    ),
+    "bandwidth_estimates": lambda m, s, length: bandwidth_estimates(
+        1.0, 760.0, INTERACTION_1, length, s, matcher=m
+    ),
+}
+
+
+@pytest.mark.parametrize("user", sorted(_LENGTH_USERS))
+def test_sample_length_must_be_finite_and_positive(matcher, paper_stack, user):
+    for length in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="sample length"):
+            _LENGTH_USERS[user](matcher, paper_stack, length)
+
+
+def test_kernel_width_must_be_finite_and_not_negative(matcher, paper_stack):
+    for kernel in ("pump_fwhm_nm", "mono_fwhm_nm"):
+        for width in (-0.3, math.nan, math.inf):
+            with pytest.raises(ValueError, match="kernel FWHM"):
+                fluorescence_spectrum(
+                    1.0, 760.0, 1.0, paper_stack, matcher=matcher, **{kernel: width}
+                )
+    # a zero width still means no kernel
+    sp = fluorescence_spectrum(1.0, 760.0, 1.0, paper_stack, pump_fwhm_nm=0.0, matcher=matcher)
+    assert sp.metadata["kernels"] == [{"shape": "gaussian", "fwhm_nm": 0.1}]
+
+
 # --- width extraction ---------------------------------------------------------
 
 
