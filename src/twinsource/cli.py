@@ -24,18 +24,21 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import config as cfgmod
 from . import efficiency, errors
-from .config import ANGLE, MAX_SWEEP_POINTS, POSITIVE, WINDOW, require
-from .errors import ConfigError, NoResonanceInWindow, OutOfValidityWindow, TwinSourceError
+from .config import MAX_SWEEP_POINTS
+from .errors import ANGLE, POSITIVE, WINDOW, ConfigError, NoResonanceInWindow, OutOfValidityWindow
+from .errors import TwinSourceError, require
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+_flag = partial(require, error=ConfigError)  # a flag outside its rule is an input error
 
 
 @dataclass
@@ -168,10 +171,10 @@ def cmd_stack(args) -> int:
     if args.lambda_min is None and args.lambda_max is None:
         lam_lo, lam_hi = cfg["resonance"]["window_nm"]
     else:  # both flags, or the one given fails the rule
-        lam_lo, lam_hi = require([args.lambda_min, args.lambda_max], WINDOW, "--lambda-min/max")
-    theta = require(0.0 if args.theta is None else args.theta, ANGLE, "--theta")
+        lam_lo, lam_hi = _flag([args.lambda_min, args.lambda_max], WINDOW, "--lambda-min/max")
+    theta = _flag(0.0 if args.theta is None else args.theta, ANGLE, "--theta")
     pol = args.pol
-    lams = _grid(lam_lo, lam_hi, require(args.step, POSITIVE, "--step"), "wavelength (nm)")
+    lams = _grid(lam_lo, lam_hi, _flag(args.step, POSITIVE, "--step"), "wavelength (nm)")
     resp = stack.stack_response(device, lams, theta, pol, model)
 
     resonance_nm = None
@@ -230,9 +233,9 @@ def cmd_tuning(args) -> int:
     device = cfgmod.build_stack(cfg)
     tcfg = cfg["tuning"]
     lo, hi, step = tcfg["theta_min_deg"], tcfg["theta_max_deg"], tcfg["theta_step_deg"]
-    lo = lo if args.theta_min is None else require(args.theta_min, ANGLE, "--theta-min")
-    hi = hi if args.theta_max is None else require(args.theta_max, ANGLE, "--theta-max")
-    step = step if args.theta_step is None else require(args.theta_step, POSITIVE, "--theta-step")
+    lo = lo if args.theta_min is None else _flag(args.theta_min, ANGLE, "--theta-min")
+    hi = hi if args.theta_max is None else _flag(args.theta_max, ANGLE, "--theta-max")
+    step = step if args.theta_step is None else _flag(args.theta_step, POSITIVE, "--theta-step")
     thetas = _grid(lo, hi, step, "pump angle (deg)")
     lam_p = float(cfg["pump"]["wavelength_nm"])  # sidecars record floats
     points, failures = phasematch.PhaseMatcher(device, run.model).tuning_curve(thetas, lam_p)
@@ -274,7 +277,7 @@ def cmd_spectrum(args) -> int:
     run = _Run(args, "spectrum")
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
-    theta = require(cfg["pump"]["angle_deg"] if args.theta is None else args.theta, ANGLE, "--theta")
+    theta = _flag(cfg["pump"]["angle_deg"] if args.theta is None else args.theta, ANGLE, "--theta")
     lam_p = float(cfg["pump"]["wavelength_nm"])  # sidecars record floats, whole numbers too
     length_mm = float(cfg["sample"]["length_mm"])
     scfg = cfg["spectrum"]

@@ -14,11 +14,11 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import sys
 
 from . import materials
 from .efficiency import DetectionChain
-from .errors import AboveBandgap, ConfigError, NonPhysicalInput, OutOfValidityWindow
+from .errors import ANGLE, BELOW_ONE, FRACTION, NON_NEGATIVE, NUMBER, POSITIVE, WINDOW, number
+from .errors import AboveBandgap, ConfigError, NonPhysicalInput, OutOfValidityWindow, require
 from .materials import Composition
 
 
@@ -103,25 +103,12 @@ MAX_SWEEP_POINTS = 10**6  # longest sweep, grid or HOM scan, held in memory whol
 MAX_PERIODS = 1000  # most periods of one stack region, each built as layer objects
 
 
-def _number(v) -> bool:
-    """A finite int or float, not a bool."""
-    return type(v) is not bool and isinstance(v, (int, float)) and abs(v) <= sys.float_info.max
-
-
-# A rule is (test, what it asks for). A key's rule is its range rule in
-# _RULES, which checks the type too, or else the type of its default value.
+# A key's rule (``errors``) is its range rule in _RULES, which checks the
+# type too, or else the type of its default value.
 _TYPES = {
     dict: (lambda v: isinstance(v, dict), "an object"),
     str: (lambda v: isinstance(v, str), "a string"),
 }
-_NUMBER = (_number, "a finite number")
-POSITIVE = (lambda v: _number(v) and v > 0, "a finite number > 0")
-NON_NEGATIVE = (lambda v: _number(v) and v >= 0, "a finite number >= 0")
-ANGLE = (lambda v: _number(v) and abs(v) < 90.0, "an angle strictly between -90 and 90 degrees")
-WINDOW = (
-    lambda v: isinstance(v, list) and len(v) == 2 and all(map(_number, v)) and v[0] < v[1],
-    "two finite wavelengths lo < hi in nm",
-)
 _RULES = {
     **dict.fromkeys(
         (
@@ -138,21 +125,21 @@ _RULES = {
     ),
     **dict.fromkeys(("pump.angle_deg", "tuning.theta_min_deg", "tuning.theta_max_deg"), ANGLE),
     "resonance.window_nm": WINDOW,
-    "sample.facet_reflectance": (lambda v: _number(v) and 0 <= v < 1, "a number in [0, 1)"),
-    "hom.visibility": (lambda v: v is None or _number(v) and 0 <= v <= 1, "null or in [0, 1]"),
+    "sample.facet_reflectance": BELOW_ONE,
+    "hom.visibility": (lambda v: v is None or FRACTION[0](v), "null or in [0, 1]"),
     "hom.scan_points": (
-        lambda v: _number(v) and v == int(v) and 2 <= v <= MAX_SWEEP_POINTS,
+        lambda v: number(v) and v == int(v) and 2 <= v <= MAX_SWEEP_POINTS,
         f"a whole number from 2 to {MAX_SWEEP_POINTS}",
     ),
-    "seed": (lambda v: _number(v) and isinstance(v, int) and v >= 0, "a non-negative integer"),
-    "stack.substrate_x": (lambda v: v is None or _number(v), "null (no substrate) or a number"),
+    "seed": (lambda v: number(v) and isinstance(v, int) and v >= 0, "a non-negative integer"),
+    "stack.substrate_x": (lambda v: v is None or number(v), "null (no substrate) or a number"),
     "stack.regions": (
         lambda v: isinstance(v, list) and len(v) > 0
         and all(isinstance(r, dict) and {"name", "periods", "cell"} <= r.keys() for r in v),
         "a non-empty list of objects with a name, periods and a cell",
     ),
     "stack.regions.periods": (
-        lambda v: _number(v) and 0 < v <= MAX_PERIODS and round(2 * v) == 2 * v,
+        lambda v: number(v) and 0 < v <= MAX_PERIODS and round(2 * v) == 2 * v,
         f"a half-integer from 0.5 to {MAX_PERIODS}",
     ),
     "stack.regions.cell": (
@@ -165,13 +152,6 @@ _RULES = {
         '"quarter-wave", "qpm" or a finite number > 0',
     ),
 }
-
-
-def require(value, rule, name: str):
-    """``value``, or ConfigError naming ``name`` unless it passes ``rule``."""
-    if not rule[0](value):
-        raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
-    return value
 
 
 def _item_shape(items: list) -> dict:
@@ -194,8 +174,8 @@ def _walk(doc: dict, shape: dict, required: dict, path: str, rule_path: str):
         if key not in shape:
             raise ConfigError(f"unknown config key '{where}'")
         default = shape[key]
-        rule = _RULES.get(rule_key) or _TYPES.get(type(default), _NUMBER)
-        require(val, rule, f"config key '{where}'")
+        rule = _RULES.get(rule_key) or _TYPES.get(type(default), NUMBER)
+        require(val, rule, f"config key '{where}'", ConfigError)
         if isinstance(default, dict):
             _walk(val, default, required.get(key, {}), f"{where}.", f"{rule_key}.")
         elif isinstance(default, list) and isinstance(default[0], dict):

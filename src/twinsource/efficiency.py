@@ -21,8 +21,15 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, astuple, dataclass
 
+from .errors import BELOW_ONE, FRACTION, NON_NEGATIVE, NUMBER, POSITIVE, number, require
 from .errors import DivisionDomain, NonPhysicalInput
 from .materials import LIGHT_SPEED_M_S, PLANCK_J_S
+
+
+def _check(obj, rules: dict) -> None:
+    """NonPhysicalInput unless each field of ``obj`` named in ``rules`` passes its rule."""
+    for name, rule in rules.items():
+        require(getattr(obj, name), rule, name, NonPhysicalInput)
 
 
 @dataclass(frozen=True)
@@ -35,13 +42,8 @@ class CavityParams:
     t_down: float
 
     def __post_init__(self):
-        if self.n_mean <= 1.0:
-            raise NonPhysicalInput(f"mean effective index must exceed 1, got {self.n_mean}")
-        if self.finesse <= 0:
-            raise NonPhysicalInput(f"finesse must be positive, got {self.finesse}")
-        for name, t in (("t_up", self.t_up), ("t_down", self.t_down)):
-            if not (0.0 <= t <= 1.0):
-                raise NonPhysicalInput(f"{name} must lie in [0, 1], got {t}")
+        n_mean = (lambda v: number(v) and v > 1.0, "a finite number > 1")
+        _check(self, {"n_mean": n_mean, "finesse": POSITIVE, "t_up": FRACTION, "t_down": FRACTION})
 
 
 def enhancement_factor(p: CavityParams) -> float:
@@ -68,8 +70,7 @@ class PumpPulse:
     wavelength_nm: float = 760.0
 
     def __post_init__(self):
-        if self.peak_power_w < 0 or self.duration_s <= 0 or self.wavelength_nm <= 0:
-            raise NonPhysicalInput("pulse power/duration/wavelength out of range")
+        _check(self, dict(peak_power_w=NON_NEGATIVE, duration_s=POSITIVE, wavelength_nm=POSITIVE))
 
     @property
     def energy_j(self) -> float:
@@ -88,9 +89,19 @@ def brightness(pulse: PumpPulse, eta: float) -> float:
     cylindrical-lens focus actually illuminates, so the two numbers are kept
     as independent inputs.
     """
-    if not (0.0 <= eta < 1.0):
-        raise NonPhysicalInput(f"conversion efficiency must be in [0, 1), got {eta}")
+    require(eta, BELOW_ONE, "conversion efficiency", NonPhysicalInput)
     return eta * pulse.photons_per_pulse
+
+
+_CHAIN_RULES = {  # a rule for each DetectionChain field, in order
+    "pairs_per_pulse": NON_NEGATIVE, "selected_fraction": FRACTION,
+    "pulse_rate_hz": POSITIVE, "pulse_duration_s": POSITIVE,
+    "facet_transmission": FRACTION, "objective_transmission": FRACTION,
+    "filter_transmission": FRACTION, "splitter_transmission": FRACTION,
+    "detector_efficiency": FRACTION, "dark_rate_hz": NON_NEGATIVE,
+    "coincidence_window_s": POSITIVE, "luminescence_per_nm_pulse": NON_NEGATIVE,
+    "filter_bandwidth_nm": NON_NEGATIVE, "filter_center_nm": NUMBER,
+}
 
 
 @dataclass(frozen=True)
@@ -113,32 +124,7 @@ class DetectionChain:
     filter_center_nm: float = 1520.0
 
     def __post_init__(self):
-        if not all(math.isfinite(v) for v in astuple(self)):
-            raise NonPhysicalInput("bench parameters must be finite numbers")
-        probs = (
-            self.selected_fraction,
-            self.facet_transmission,
-            self.objective_transmission,
-            self.filter_transmission,
-            self.splitter_transmission,
-            self.detector_efficiency,
-        )
-        if any(not (0.0 <= p <= 1.0) for p in probs):
-            raise NonPhysicalInput("transmissions/efficiencies must lie in [0, 1]")
-        rates = (
-            self.pairs_per_pulse,
-            self.dark_rate_hz,
-            self.luminescence_per_nm_pulse,
-            self.filter_bandwidth_nm,
-        )
-        if any(r < 0 for r in rates):
-            raise NonPhysicalInput("rates and counts must be non-negative")
-        if not (
-            self.pulse_rate_hz > 0 and self.pulse_duration_s > 0 and self.coincidence_window_s > 0
-        ):
-            raise NonPhysicalInput(
-                "pulse rate, pulse duration and coincidence window must be positive"
-            )
+        _check(self, _CHAIN_RULES)
         if self.coincidence_window_s > self.pulse_duration_s:
             raise NonPhysicalInput("coincidence window wider than the pulse gate")
 

@@ -1,4 +1,42 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one set of argument rules.
+
+A rule is (test, what it asks for); ``require`` raises "<name> must be <what>,
+got <value>" for a value that fails it. The config and CLI flags raise
+ConfigError, ``efficiency`` NonPhysicalInput, every other module ValueError.
+"""
+
+import numbers
+import sys
+
+_MAX = sys.float_info.max
+
+
+def number(v) -> bool:
+    """A finite real number, not a bool: a float or an int compared as it is (no
+    OverflowError), another real (numpy's float32) as a float (no cast warning)."""
+    if type(v) is float or type(v) is int:
+        return -_MAX <= v <= _MAX
+    return type(v) is not bool and isinstance(v, numbers.Real) and -_MAX <= float(v) <= _MAX
+
+
+NUMBER = (number, "a finite number")
+POSITIVE = (lambda v: number(v) and v > 0, "a finite number > 0")
+NON_NEGATIVE = (lambda v: number(v) and v >= 0, "a finite number >= 0")
+FRACTION = (lambda v: number(v) and 0 <= v <= 1, "a number in [0, 1]")
+BELOW_ONE = (lambda v: number(v) and 0 <= v < 1, "a number in [0, 1)")
+ANGLE = (lambda v: number(v) and abs(v) < 90.0, "an angle strictly between -90 and 90 degrees")
+WINDOW = (
+    lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(number, v)) and v[0] < v[1],
+    "two finite wavelengths lo < hi in nm",
+)
+POLARIZATION = (lambda v: isinstance(v, str) and v in ("TE", "TM"), '"TE" or "TM"')
+
+
+def require(value, rule, name: str, error=ValueError):
+    """``value``, or ``error`` naming ``name`` unless it passes ``rule``."""
+    if not rule[0](value):
+        raise error(f"{name} must be {rule[1]}, got {value!r}")
+    return value
 
 
 class TwinSourceError(Exception):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .efficiency import DetectionChain, expected_counts
-from .errors import DegenerateScan, NoConvergence
+from .errors import BELOW_ONE, FRACTION, POSITIVE, DegenerateScan, NoConvergence, require
 from .roots import brentq
 
 _LN2 = math.log(2.0)
@@ -50,10 +50,9 @@ class DipModel:
     delta_lambda_nm: float
 
     def __post_init__(self):
-        if not (0.0 <= self.visibility <= 1.0):
-            raise ValueError(f"visibility must lie in [0, 1], got {self.visibility}")
-        if self.delta_lambda_nm <= 0 or self.wavelength_nm <= 0:
-            raise ValueError("wavelength and spectral width must be positive")
+        require(self.visibility, FRACTION, "visibility")
+        require(self.wavelength_nm, POSITIVE, "wavelength")
+        require(self.delta_lambda_nm, POSITIVE, "spectral width")
 
 
 def _dip_shape(dz_nm, delta_lambda, wavelength):
@@ -79,8 +78,7 @@ def dip_fwhm_mm(wavelength_nm: float, delta_lambda_nm: float) -> float:
 
 def visibility_from_reflectivity(reflectance: float) -> float:
     """V = 1 / (1 + 2 R^2) for facet intensity reflectance R in [0, 1)."""
-    if not (0.0 <= reflectance < 1.0):
-        raise ValueError(f"facet reflectance must lie in [0, 1), got {reflectance}")
+    require(reflectance, BELOW_ONE, "facet reflectance")
     return 1.0 / (1.0 + 2.0 * reflectance**2)
 
 
@@ -107,12 +105,11 @@ class HomScan:
         if not (dz.ndim == 1 and tot.shape == dz.shape and acc.shape == dz.shape):
             raise ValueError("scan arrays must be matching 1D arrays")
         if not _finite_and_increasing(dz):
-            raise ValueError("delta_z positions must be finite and strictly increasing")
+            raise ValueError("delta_z positions must all be finite and strictly increasing")
         for name, arr in (("total", tot), ("accidental", acc)):
             if np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer):
-                raise ValueError(f"{name} counts must be non-negative integers")
-        if self.dwell_s <= 0:
-            raise ValueError("dwell time must be positive")
+                raise ValueError(f"{name} counts must all be non-negative integers")
+        require(self.dwell_s, POSITIVE, "dwell time")
         self.delta_z_mm = dz
         self.total_counts = tot.astype(np.int64)
         self.accidental_counts = acc.astype(np.int64)
@@ -137,9 +134,8 @@ def simulate_scan(
     """
     positions = np.asarray(positions_mm, dtype=float)
     if positions.ndim != 1 or not _finite_and_increasing(positions):
-        raise ValueError("positions must be finite and strictly increasing")
-    if dwell_s <= 0:
-        raise ValueError("dwell time must be positive")
+        raise ValueError("positions must all be finite and strictly increasing")
+    require(dwell_s, POSITIVE, "dwell time")
     budget = expected_counts(chain)
     rng = np.random.default_rng(seed)
     mean_total = dwell_s * (
@@ -213,6 +209,7 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
     baseline that moved by at most ``_BASELINE_RTOL`` relative. A width
     leaving < 3 baseline points ends the passes with the previous pass's fit.
     """
+    require(wavelength_nm, POSITIVE, "wavelength")
     if len(scan.delta_z_mm) < 8:
         raise DegenerateScan("need at least 8 scan points")
     dz_nm = scan.delta_z_mm * NM_PER_MM

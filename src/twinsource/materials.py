@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AboveBandgap, OutOfValidityWindow
+from .errors import FRACTION, AboveBandgap, OutOfValidityWindow, require
 
 # exact in the 2019 SI
 PLANCK_J_S = 6.62607015e-34
@@ -53,8 +53,7 @@ class Composition:
     x: float
 
     def __post_init__(self):
-        if not (0.0 <= self.x <= 1.0):
-            raise ValueError(f"aluminum fraction must be in [0, 1], got {self.x}")
+        require(self.x, FRACTION, "aluminum fraction")
 
 
 GAAS = Composition(0.0)
@@ -87,11 +86,11 @@ class DispersionModel:
         return c0 + c1 * x + c2 * x * x
 
     def _checked(self, x: float, wavelength_nm):
-        """(scalar, lam): the wavelength as a float or a float array, checked."""
+        """(scalar, lam): the wavelength as a float or a float array, checked (NaN is outside)."""
         scalar = isinstance(wavelength_nm, float) or np.isscalar(wavelength_nm)
         lam = float(wavelength_nm) if scalar else np.asarray(wavelength_nm, dtype=float)
         lo, hi = self.wavelength_window_nm
-        if (lam < lo or lam > hi) if scalar else (np.any(lam < lo) or np.any(lam > hi)):
+        if not ((lo <= lam <= hi) if scalar else (np.all(lo <= lam) and np.all(lam <= hi))):
             shown = f"{lam.min()}..{lam.max()}" if np.ndim(wavelength_nm) else f"{wavelength_nm}"
             raise OutOfValidityWindow(
                 f"wavelength {shown} nm outside model '{self.name}' "

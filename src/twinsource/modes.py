@@ -69,7 +69,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import materials
-from .errors import NoGuidedMode, NonGuidingStack
+from .errors import POLARIZATION, POSITIVE, WINDOW, NoGuidedMode, NonGuidingStack, require
 from .materials import DispersionModel
 from .roots import brentq_lanes
 from .stack import TE, TM, LayerStack, layer_indices
@@ -167,6 +167,7 @@ class _MatchedResidual:
     """
 
     def __init__(self, n_top, layers, n_bot, wavelength, pol):
+        self.pol = require(pol, POLARIZATION, "polarization")
         lams = np.atleast_1d(np.asarray(wavelength, dtype=float))
         size = lams.size
         n = np.array([n_ for n_, _ in layers], dtype=float).reshape(len(layers), -1)
@@ -190,7 +191,6 @@ class _MatchedResidual:
             bool(np.all(np.argmax(n, axis=0) == meet))
             and not any(np.any(rows[i] == rows[j]) for i in range(len(rows)) for j in range(i))
         )
-        self.pol = pol
         self.k0 = 2.0 * math.pi / lams
         # squares and TM weights of the outer media in plain floats, per knot
         tops = np.broadcast_to(np.asarray(n_top, dtype=float), size).tolist()
@@ -264,6 +264,7 @@ def solve_planar(
     bracketed on the multiples of ``_GRID_STEP`` (1e-4; 1e-5 when that finds
     none) and polished by Brent's method to ``_XTOL`` (1e-12).
     """
+    require(wavelength, POSITIVE, "wavelength")
     layers = [(float(n), float(t)) for n, t in layers]
     n_max_layer = max((n for n, _ in layers), default=0.0)
     lo = max(n_top, n_bottom) + 1e-6
@@ -484,8 +485,7 @@ class EffectiveIndexTable:
         Knots already held are kept as they are: the grown table holds exactly
         the knots, and so the spline, of a fresh table over its new range.
         """
-        if lambda_max <= lambda_min:
-            raise ValueError("empty wavelength range")
+        require((lambda_min, lambda_max), WINDOW, "wavelength range")
         step = TABLE_STEP_NM
         j_lo = math.floor(lambda_min / step + 1e-9)
         j_hi = max(math.ceil(lambda_max / step - 1e-9), j_lo + 3)

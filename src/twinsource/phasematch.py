@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoSolutionInWindow, TwinSourceError
+from .errors import ANGLE, POSITIVE, NoSolutionInWindow, TwinSourceError, require
 from .modes import EffectiveIndexTable
 from .roots import NotBracketed, brentq
 from .stack import TE, TM, LayerStack
@@ -110,12 +110,6 @@ def _mismatch(kp_sin, lam_s, n_s, lam_i, n_i):
     return kp_sin - n_s * 2.0 * math.pi / lam_s + n_i * 2.0 * math.pi / lam_i
 
 
-def _check_pump(lambda_p) -> None:
-    """Refuse a pump wavelength that is not finite and > 0 (NaN included)."""
-    if not (math.isfinite(lambda_p) and lambda_p > 0):
-        raise ValueError(f"pump wavelength {lambda_p} nm must be finite and > 0")
-
-
 def conjugate_wavelength(lambda_p: float, lambda_s):
     """Idler wavelength paired with lambda_s by energy conservation.
 
@@ -183,6 +177,8 @@ class PhaseMatcher:
 
         Vanishes at the phase-matched signal wavelength; accepts arrays.
         """
+        require(lambda_p, POSITIVE, "pump wavelength")
+        require(theta_deg, ANGLE, "pump angle")
         lam_s = lambda_s if type(lambda_s) is float else np.asarray(lambda_s, dtype=float)
         lam_i = conjugate_wavelength(lambda_p, lam_s)
         dk = _mismatch(
@@ -207,11 +203,11 @@ class PhaseMatcher:
         once when Brent finds no sign change across it (``NotBracketed``).
         The whole bracket is reserved in both tables first, so every
         evaluation reads those two tables and none grows them. Raises
-        ValueError for a pump wavelength that is not finite and > 0.
+        ValueError for a pump wavelength that is not finite and > 0, or an
+        angle that is not strictly between -90 and 90 degrees.
         """
-        _check_pump(lambda_p)
-        if not abs(theta_deg) < 90.0:
-            raise ValueError("pump incidence angle must satisfy |theta| < 90 deg")
+        require(lambda_p, POSITIVE, "pump wavelength")
+        require(theta_deg, ANGLE, "pump angle")
         k_p = 2.0 * math.pi / lambda_p
         kp_sin = _kp_sin(theta_deg, lambda_p)
         center = 2.0 * lambda_p
@@ -265,7 +261,7 @@ class PhaseMatcher:
         directly from the momentum equation (no iteration). Raises
         ValueError for a pump wavelength that is not finite and > 0.
         """
-        _check_pump(lambda_p)
+        require(lambda_p, POSITIVE, "pump wavelength")
         lam_deg = 2.0 * lambda_p
         n_s = self.n_eff(inter.copropagating_pol, lam_deg)
         n_i = self.n_eff(inter.counterpropagating_pol, lam_deg)

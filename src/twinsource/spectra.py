@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import FRACTION, NON_NEGATIVE, POSITIVE, require
 from .errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
 from .phasematch import PhaseMatcher, _kp_sin, _mismatch, conjugate_wavelength, interaction
 from .stack import LayerStack
@@ -44,19 +45,13 @@ class Spectrum:
         if np.any(steps <= 0) or (steps.max() - steps.min()) > 1e-9 * steps.mean():
             raise ValueError("wavelength grid must be uniform and strictly increasing")
         if not (np.isfinite(inten).all() and (inten >= 0).all()):
-            raise ValueError("intensities must be finite and non-negative")
+            raise ValueError("intensities must all be finite and non-negative")
         self.wavelength_nm = lam
         self.intensity = inten
 
     @property
     def step_nm(self) -> float:
         return float(self.wavelength_nm[1] - self.wavelength_nm[0])
-
-
-def _check_length(length_mm) -> None:
-    """Refuse a sample length that is not finite and > 0 (NaN included)."""
-    if not (math.isfinite(length_mm) and length_mm > 0):
-        raise ValueError(f"sample length {length_mm} mm must be finite and > 0")
 
 
 def sinc2(x):
@@ -74,7 +69,7 @@ def phase_matching_intensity(
     lambda_s, theta_deg, lambda_p, inter, length_mm, s: LayerStack, matcher=None
 ):
     """sinc^2(dk L/2) at arbitrary signal wavelengths (peak value exactly 1)."""
-    _check_length(length_mm)
+    require(length_mm, POSITIVE, "sample length")
     m: PhaseMatcher = matcher or PhaseMatcher(s)
     length_nm = length_mm * 1e6
     dk = m.delta_k(lambda_s, theta_deg, lambda_p, inter)
@@ -92,7 +87,9 @@ def phase_matching_spectrum(
     matcher=None,
 ) -> Spectrum:
     """Single-interaction sinc^2 spectrum around its phase-matched wavelength."""
-    _check_length(length_mm)
+    require(length_mm, POSITIVE, "sample length")
+    require(half_span_nm, POSITIVE, "half span")
+    require(step_nm, POSITIVE, "grid step")
     m: PhaseMatcher = matcher or PhaseMatcher(s)
     point = m.solve_pair(theta_deg, lambda_p, inter)
     lam_s = point.lambda_s_nm
@@ -166,16 +163,17 @@ def fluorescence_spectrum(
     Each branch's mismatch is ``delta_k``'s, at the signal grid or at its
     energy conjugate, on tables reserved over every wavelength looked up;
     the lookups at the conjugate, which both interactions make, are made
-    once. A kernel width must be finite and >= 0; 0 means no kernel. NoPeak
-    if nothing is left to normalize.
+    once. A kernel width of 0 means no kernel. NoPeak if nothing is left to
+    normalize.
     """
     m: PhaseMatcher = matcher or PhaseMatcher(s)
-    _check_length(length_mm)
-    if noise_floor < 0:
-        raise ValueError("noise floor must be non-negative")
-    for fwhm in (pump_fwhm_nm, mono_fwhm_nm):
-        if not (math.isfinite(fwhm) and fwhm >= 0):
-            raise ValueError(f"kernel FWHM {fwhm} nm must be finite and >= 0")
+    require(length_mm, POSITIVE, "sample length")
+    require(noise_floor, NON_NEGATIVE, "noise floor")
+    require(pump_fwhm_nm, NON_NEGATIVE, "pump kernel FWHM")
+    require(mono_fwhm_nm, NON_NEGATIVE, "monochromator kernel FWHM")
+    require(long_peak_attenuation, FRACTION, "long-peak attenuation")
+    require(half_span_nm, POSITIVE, "half span")
+    require(step_nm, POSITIVE, "grid step")
     inters = [interaction(i) for i in interactions]
     if not inters:
         raise ValueError("at least one interaction required")
@@ -285,7 +283,7 @@ def bandwidth_estimates(
     2 pi |n_gs - n_gi| / lambda^2 for two copropagating guided photons on the
     same stack. Returns (counterprop_fwhm_nm, coprop_fwhm_nm).
     """
-    _check_length(length_mm)
+    require(length_mm, POSITIVE, "sample length")
     m: PhaseMatcher = matcher or PhaseMatcher(s)
     p = m.solve_pair(theta_deg, lambda_p, inter)
     ngs = m.n_group(inter.copropagating_pol, p.lambda_s_nm)

@@ -56,12 +56,14 @@ from typing import NamedTuple
 import numpy as np
 
 from . import materials
-from .errors import MissingRegion, MultipleResonances, NoResonanceInWindow, TwinSourceError
+from .errors import ANGLE, POLARIZATION, POSITIVE, WINDOW, MissingRegion, MultipleResonances
+from .errors import NoResonanceInWindow, TwinSourceError, number, require
 from .materials import Composition, DispersionModel
 from .roots import brentq_lanes
 
 TE = "TE"
 TM = "TM"
+_AMBIENT = (lambda v: number(v) and v >= 1.0, "a finite number >= 1")  # no index below vacuum
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,7 @@ class Layer:
     nonlinear_sign: int = 0
 
     def __post_init__(self):
-        if self.thickness_nm <= 0:
-            raise ValueError(f"layer thickness must be > 0, got {self.thickness_nm}")
+        require(self.thickness_nm, POSITIVE, "layer thickness")
         if self.nonlinear_sign not in (-1, 0, 1):
             raise ValueError(f"nonlinear_sign must be -1, 0 or +1, got {self.nonlinear_sign}")
 
@@ -119,15 +120,15 @@ class LayerStack:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
         object.__setattr__(self, "regions", tuple(self.regions))
-        if self.ambient_index < 1.0:
-            raise ValueError("ambient index below vacuum")
+        require(self.ambient_index, _AMBIENT, "ambient index")
         if self.regions:
             pos = 0
             for reg in self.regions:
                 if reg.start != pos or reg.stop <= reg.start:
                     raise ValueError("regions must partition the layer list in order")
                 pos = reg.stop
-                if reg.periods <= 0 or round(2 * reg.periods) != 2 * reg.periods:
+                require(reg.periods, POSITIVE, f"region '{reg.name}' periods")
+                if round(2 * reg.periods) != 2 * reg.periods:
                     raise ValueError(f"region '{reg.name}' has invalid period count {reg.periods}")
                 n_layers = reg.stop - reg.start
                 if n_layers != round(2 * reg.periods):
@@ -434,6 +435,7 @@ def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol, tree=Non
     angle), when the ambient admittance is not real, or when the response's
     denominator is zero.
     """
+    require(pol, POLARIZATION, "polarization")
     lam = np.asarray(wavelength, dtype=float)
     n0_sin = n0 * np.sin(np.radians(theta_deg))
     eta0 = _admittance(n0, _cos_theta(n0, n0_sin), pol)
@@ -499,6 +501,7 @@ def stack_response(
 ) -> StackResponse:
     """Plane-wave response at one wavelength (scalar fields) or over a 1-D
     wavelength array (array fields)."""
+    require(theta_deg, ANGLE, "incidence angle")
     lam = np.asarray(wavelength, dtype=float)
     plan = s._plan
     tree = s._tree(plan.leaf)
@@ -539,6 +542,7 @@ def _waves(s, lams, theta_deg, pol, model, layers):
     waves are then walked up through the slice, the way a stop-band field
     below the core grows, so rounding stays small next to the field.
     """
+    require(theta_deg, ANGLE, "incidence angle")
     k0 = 2.0 * math.pi / lams
     plan = s._plan
     n_x = _composition_indices(s, lams, model)  # (X, W)
@@ -735,9 +739,7 @@ def find_resonance(
     T_up and T_down are the transmittances of the two DBR sub-stacks seen
     from the core at the resonance wavelength.
     """
-    lo, hi = lambda_window
-    if not (hi > lo):
-        raise ValueError("empty wavelength window")
+    lo, hi = require(lambda_window, WINDOW, "wavelength window")
     for name in _CAVITY_REGIONS:  # a missing region fails before any work
         _region_slice(s, name)
     lams = np.arange(lo, hi + RESONANCE_SCAN_STEP_NM / 2, RESONANCE_SCAN_STEP_NM)

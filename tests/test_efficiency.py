@@ -163,3 +163,51 @@ def test_chain_validation():
         DetectionChain(pulse_rate_hz=0.0)  # dark clicks per pulse divide by it
     with pytest.raises(NonPhysicalInput):
         DetectionChain(coincidence_window_s=1e-6)  # wider than the pulse
+
+
+# --- argument rules (errors.require) -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pairs_per_pulse", -1.0),
+        ("selected_fraction", 1.5),
+        ("pulse_rate_hz", 0.0),
+        ("facet_transmission", math.nan),
+        ("dark_rate_hz", math.inf),
+        ("coincidence_window_s", -2e-9),
+        ("filter_center_nm", math.nan),
+        ("filter_bandwidth_nm", 10**400),
+    ],
+    ids=[
+        "pairs_negative", "fraction_above_one", "rate_zero", "transmission_nan", "dark_rate_inf",
+        "window_negative", "center_nan", "bandwidth_beyond_doubles",
+    ],
+)
+def test_detection_chain_names_the_field_out_of_its_rule(field, value):
+    with pytest.raises(NonPhysicalInput, match=f"^{field} must be .*, got {value}$"):
+        DetectionChain(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "kwargs, field",
+    [
+        ({"n_mean": math.nan}, "n_mean"),
+        ({"n_mean": 1.0}, "n_mean"),
+        ({"finesse": math.nan}, "finesse"),
+        ({"t_down": math.inf}, "t_down"),
+    ],
+    ids=["n_mean_nan", "n_mean_one", "finesse_nan", "t_down_inf"],
+)
+def test_cavity_params_name_the_field_out_of_its_rule(kwargs, field):
+    # a NaN finesse used to pass the "<= 0" test
+    with pytest.raises(NonPhysicalInput, match=f"^{field} must be "):
+        CavityParams(**{"n_mean": 3.2, "finesse": 100.0, "t_up": 0.01, "t_down": 0.001, **kwargs})
+
+
+def test_pump_pulse_and_brightness_name_their_argument():
+    with pytest.raises(NonPhysicalInput, match="^duration_s must be "):
+        PumpPulse(duration_s=math.nan)
+    with pytest.raises(NonPhysicalInput, match="^conversion efficiency must be "):
+        brightness(PumpPulse(), math.nan)

@@ -296,3 +296,48 @@ def test_narrow_span_rejected():
     scan = _noiseless_scan(PAPER_MODEL, DetectionChain(), positions, 1e6)
     with pytest.raises(DegenerateScan):
         fit_dip(scan, 1520.0)
+
+
+# --- argument rules (errors.require) -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "kwargs, name",
+    [
+        ({"delta_lambda_nm": math.nan}, "spectral width"),
+        ({"delta_lambda_nm": math.inf}, "spectral width"),
+        ({"wavelength_nm": math.nan}, "wavelength"),
+        ({"visibility": math.nan}, "visibility"),
+    ],
+    ids=["nan_width", "inf_width", "nan_wavelength", "nan_visibility"],
+)
+def test_dip_model_refuses_values_that_are_not_finite(kwargs, name):
+    # a NaN width or wavelength used to pass the "<= 0" test
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got (nan|inf)$"):
+        DipModel(**{"visibility": 0.84, "wavelength_nm": 1520.0, "delta_lambda_nm": 0.5} | kwargs)
+
+
+@pytest.mark.parametrize("dwell", [math.nan, math.inf, 0.0])
+def test_dwell_time_must_be_finite_and_positive(dwell):
+    # a NaN dwell used to reach numpy's Poisson sampler: "lam value too large"
+    with pytest.raises(ValueError, match=f"^dwell time must be .*, got {dwell}$"):
+        simulate_scan(DipModel(0.84, 1520.0, 0.5), DetectionChain(), [0.0, 1.0], dwell, 0)
+    with pytest.raises(ValueError, match=f"^dwell time must be .*, got {dwell}$"):
+        HomScan(np.array([0.0, 1.0]), np.array([1, 1]), np.array([0, 0]), dwell)
+
+
+def test_facet_reflectance_must_lie_in_the_unit_interval():
+    for r in (math.nan, 1.0, -0.1):
+        with pytest.raises(ValueError, match=f"^facet reflectance must be .*, got {r}$"):
+            visibility_from_reflectivity(r)
+
+
+@pytest.mark.parametrize("wavelength", [math.nan, -1520.0, 0.0])
+def test_fit_dip_refuses_a_wavelength_that_is_not_finite_and_positive(wavelength):
+    # -1520 nm used to give a converged fit (the model squares the wavelength),
+    # NaN a DegenerateScan and 0 a NoConvergence after division warnings
+    positions = np.linspace(-5.0, 5.0, 25)
+    scan = simulate_scan(DipModel(0.84, 1520.0, 0.5), DetectionChain(), positions, 60.0, 7)
+    rule = "a finite number > 0"
+    with pytest.raises(ValueError, match=f"^wavelength must be {rule}, got {wavelength}$"):
+        fit_dip(scan, wavelength)

@@ -185,3 +185,13 @@ def test_default_model_provenance():
     assert model.name == "adachi1985"
     assert isinstance(model, DispersionModel)
     assert model.coefficients["a"] == (6.3, 19.0)
+
+
+def test_a_nan_wavelength_is_outside_the_window():
+    # NaN fails every comparison, so a window written as "lam < lo or lam > hi" passed it
+    model = get_model()
+    for lam in (float("nan"), np.float32("nan"), np.array([1520.0, float("nan")])):
+        with pytest.raises(OutOfValidityWindow, match="^wavelength "):
+            model.evaluate(0.3, lam)
+        with pytest.raises(OutOfValidityWindow, match="^wavelength "):
+            model.evaluate_complex(0.0, lam)

@@ -5,7 +5,7 @@ import pytest
 
 from _oracles import carry_loop, planar_modes_topdown, slab_modes
 from twinsource import modes
-from twinsource.errors import NoGuidedMode, NonGuidingStack
+from twinsource.errors import NoGuidedMode, NonGuidingStack, OutOfValidityWindow
 from twinsource.materials import refractive_index
 from twinsource.modes import (
     EffectiveIndexTable,
@@ -301,3 +301,38 @@ def test_knots_without_a_shared_run_structure_are_flagged():
     assert not uniform(np.array([3.2, 3.3]), np.array([3.2, 3.1]))  # equal at one knot
     assert not uniform(np.array([3.2, 3.1]), np.array([3.1, 3.3]))  # the top layer moves
     assert modes._MatchedResidual(1.0, [(3.2, 100.0), (3.2, 50.0)], 1.0, 1500.0, TE).uniform
+
+
+# --- argument rules (errors.require) -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: guided_modes(s, 1520.0, "x"),
+        lambda s: guided_modes(s, 1520.0, "te"),
+        lambda s: EffectiveIndexTable(s, "te", 1500.0, 1520.0),
+        lambda s: solve_planar(3.16, [(3.30, 900.0)], 3.16, 1520.0, pol="x"),
+    ],
+    ids=["guided_modes", "guided_modes_lower_case", "table", "solve_planar"],
+)
+def test_a_polarization_other_than_te_or_tm_is_refused(paper_stack, call):
+    # any string but "TE" used to solve the TM modes, labelled with that string
+    with pytest.raises(ValueError, match=r'^polarization must be "TE" or "TM", got '):
+        call(paper_stack)
+
+
+@pytest.mark.parametrize("wavelength", [math.nan, math.inf, 0.0, -1520.0])
+def test_solve_planar_names_a_wavelength_that_is_not_finite_and_positive(wavelength):
+    # each used to answer NoGuidedMode "no TE guided mode in n_eff window ..."
+    with pytest.raises(ValueError, match=f"^wavelength must be .*, got {wavelength}$"):
+        solve_planar(3.16, [(3.30, 900.0)], 3.16, wavelength)
+
+
+def test_a_nan_wavelength_is_named(paper_stack):
+    # both used to fail with "cannot convert float NaN to integer"
+    with pytest.raises(OutOfValidityWindow, match=r"^wavelength (nan\.\.)?nan nm outside"):
+        guided_modes(paper_stack, math.nan)
+    for lo, hi in ((math.nan, 1600.0), (1500.0, math.inf), (1600.0, 1500.0)):
+        with pytest.raises(ValueError, match=r"^wavelength range must be .*, got \("):
+            EffectiveIndexTable(paper_stack, TE, lo, hi)

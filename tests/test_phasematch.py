@@ -247,7 +247,8 @@ def test_tuning_curve_records_a_pump_that_is_not_finite_and_positive(paper_stack
     assert points == [] and [(theta, i) for theta, i, _ in failures] == [
         (1.0, 1), (2.0, 1), (1.0, 2), (2.0, 2)
     ]
-    assert all(msg.startswith(f"pump wavelength {lambda_p} nm") for *_, msg in failures)
+    prefix = f"pump wavelength must be a finite number > 0, got {lambda_p}"
+    assert all(msg.startswith(prefix) for *_, msg in failures)
     assert m._tables == {}
 
 
@@ -258,3 +259,19 @@ def test_degeneracy_angle_refuses_a_pump_that_is_not_finite_and_positive(paper_s
         with pytest.raises(ValueError, match="pump wavelength"):
             m.degeneracy_angle(inter, lambda_p)
     assert m._tables == {}
+
+
+@pytest.mark.parametrize("theta", [90.0, -95.0, math.nan])
+def test_solve_pair_and_delta_k_name_an_angle_at_or_beyond_grazing(matcher, theta):
+    # delta_k used to return the mismatch at 95 deg
+    with pytest.raises(ValueError, match=f"^pump angle must be .*, got {theta}$"):
+        matcher.solve_pair(theta, 760.0, INTERACTION_1)
+    with pytest.raises(ValueError, match=f"^pump angle must be .*, got {theta}$"):
+        matcher.delta_k(1500.0, theta, 760.0, INTERACTION_1)
+
+
+def test_delta_k_names_a_pump_that_is_not_finite_and_positive(matcher):
+    # a NaN pump used to say "signal 1500.0 nm carries more energy than the pump"
+    for lambda_p in (math.nan, 0.0, -760.0):
+        with pytest.raises(ValueError, match=f"^pump wavelength must be .*, got {lambda_p}$"):
+            matcher.delta_k(1500.0, 1.0, lambda_p, INTERACTION_1)

@@ -331,3 +331,42 @@ def test_fwhm_requires_bracketing():
     truncated = np.exp(-(((lam - 1503.0) / 2.0) ** 2))  # peak at the right edge
     with pytest.raises(HalfMaxNotBracketed):
         fwhm(Spectrum(lam, truncated))
+
+
+# --- argument rules (errors.require) -----------------------------------------------
+
+
+_INSTRUMENT = [
+    ("noise_floor", math.nan, "noise floor"),
+    ("noise_floor", math.inf, "noise floor"),
+    ("noise_floor", -0.1, "noise floor"),
+    ("long_peak_attenuation", 5.0, "long-peak attenuation"),
+    ("long_peak_attenuation", -0.3, "long-peak attenuation"),
+    ("long_peak_attenuation", math.nan, "long-peak attenuation"),
+    ("half_span_nm", -1.0, "half span"),
+    ("half_span_nm", math.nan, "half span"),
+    ("step_nm", 0.0, "grid step"),
+    ("step_nm", -0.005, "grid step"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value, name", _INSTRUMENT, ids=[f"{k}={v}" for k, v, _ in _INSTRUMENT]
+)
+def test_fluorescence_spectrum_names_an_instrument_argument_out_of_its_rule(
+    matcher, paper_stack, key, value, name
+):
+    # NaN and inf noise floors were refused only by Spectrum's final check,
+    # an attenuation of 5 or -0.3 was taken, and a half span of -1 gave a
+    # grid that stops 1 nm inside the outer peaks
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {value}$"):
+        fluorescence_spectrum(1.0, 760.0, 1.0, paper_stack, matcher=matcher, **{key: value})
+
+
+@pytest.mark.parametrize("key, name", [("half_span_nm", "half span"), ("step_nm", "grid step")])
+def test_phase_matching_spectrum_names_its_grid_argument(matcher, paper_stack, key, name):
+    # a half span of -1 used to fail in numpy: "zero-size array to reduction operation"
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got -1.0$"):
+        phase_matching_spectrum(
+            1.0, 760.0, INTERACTION_1, 1.0, paper_stack, matcher=matcher, **{key: -1.0}
+        )

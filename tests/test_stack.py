@@ -781,3 +781,71 @@ def test_core_intensity_over_an_array_is_one_wavelength_at_a_time(paper_stack):
     assert all(type(x) is float for x in one)
     want = [core_intensity_scalar(paper_stack, lam, 3.0, TM) for lam in lams.tolist()]
     assert np.allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+# --- argument rules (errors.require) -----------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: stack_response(s, 760.0, 0.0, "te"),
+        lambda s: stack_response(s, np.array([750.0, 760.0]), 0.0, "x"),
+        lambda s: field_profile(s, 760.0, pol="te"),
+        lambda s: core_intensity(s, 760.0, pol="tm"),
+        lambda s: find_resonance(s, (740.0, 780.0), pol="te"),
+    ],
+    ids=["response", "response_array", "field_profile", "core_intensity", "resonance"],
+)
+def test_a_polarization_other_than_te_or_tm_is_refused(paper_stack, call):
+    # any string but "TE" used to select the TM admittance
+    with pytest.raises(ValueError, match=r'^polarization must be "TE" or "TM", got '):
+        call(paper_stack)
+
+
+@pytest.mark.parametrize("theta", [90.0, -90.0, 95.0, math.nan, math.inf])
+@pytest.mark.parametrize("call", [stack_response, field_profile, core_intensity])
+def test_an_angle_at_or_beyond_grazing_is_refused(paper_stack, call, theta):
+    # 95 deg used to give R = 0.993 and 90 deg R = 1 - 2e-16
+    with pytest.raises(ValueError, match=f"^incidence angle must be .*, got {theta}$"):
+        call(paper_stack, 760.0, theta)
+
+
+def test_a_nan_wavelength_is_outside_the_dispersion_window(paper_stack):
+    # NaN used to pass the window and give R = T = nan
+    for lam in (math.nan, np.array([760.0, math.nan])):
+        with pytest.raises(OutOfValidityWindow, match="wavelength"):
+            stack_response(paper_stack, lam)
+
+
+@pytest.mark.parametrize("thickness", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_layer_thickness_must_be_finite_and_positive(thickness):
+    rule = "a finite number > 0"
+    with pytest.raises(ValueError, match=f"^layer thickness must be {rule}, got {thickness}$"):
+        Layer(Composition(0.3), thickness)
+
+
+@pytest.mark.parametrize("index", [math.nan, math.inf, 0.5])
+def test_ambient_index_must_be_finite_and_at_least_one(index):
+    with pytest.raises(ValueError, match=f"^ambient index must be .*, got {index}$"):
+        LayerStack(layers=(), substrate=None, ambient_index=index)
+
+
+@pytest.mark.parametrize(
+    "window",
+    [(740.0, math.inf), (740.0, math.nan), (780.0, 740.0), (760.0, 760.0), (740.0,)],
+    ids=["inf", "nan", "reversed", "empty", "one_end"],
+)
+def test_resonance_window_must_be_two_finite_wavelengths(paper_stack, window):
+    # (740, inf) used to fail in numpy's arange: "Maximum allowed size exceeded"
+    with pytest.raises(ValueError, match=r"^wavelength window must be two finite wavelengths"):
+        find_resonance(paper_stack, window)
+
+
+@pytest.mark.parametrize("periods", [math.nan, math.inf, 0.0])
+def test_region_periods_must_be_finite_and_positive(periods):
+    # a NaN period count used to fail in round(): "cannot convert float NaN to integer"
+    layers = (Layer(Composition(0.3), 100.0), Layer(Composition(0.7), 100.0))
+    regions = (stack_mod.Region("dbr", 0, 2, periods),)
+    with pytest.raises(ValueError, match=f"^region 'dbr' periods must be .*, got {periods}$"):
+        LayerStack(layers, regions=regions)
