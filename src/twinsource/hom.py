@@ -17,7 +17,9 @@ on accidental-subtracted, baseline-normalized counts with Poisson error bars.
 The model is linear in V for a fixed width, so V is eliminated in closed form
 (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413, 1973)
 and the width is one Brent root of the chi^2 slope (``roots.brentq``), inside
-a few baseline passes whose point set is frozen before it can cycle.
+a few baseline passes whose point set is frozen before it can cycle. The 25
+start widths are scored in one (widths, points) array pass, whose baseline
+sums add the integer counts in int64: exact while |counts| sum below 2**53.
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ class HomScan:
         if not _finite_and_increasing(dz):
             raise ValueError("delta_z positions must all be finite and strictly increasing")
         for name, arr in (("total", tot), ("accidental", acc)):
-            if np.any(arr < 0) or not np.issubdtype(arr.dtype, np.integer):
+            if not np.issubdtype(arr.dtype, np.integer) or np.any(arr < 0):
                 raise ValueError(f"{name} counts must all be non-negative integers")
         require(self.dwell_s, POSITIVE, "dwell time")
         self.delta_z_mm = dz
@@ -185,12 +187,39 @@ def _jacobian(v, dl, g, dz_nm, wavelength, sy):
     return jac
 
 
-def _best_visibility(y, w, g) -> float:
-    """V minimizing sum w (y - 1 + V g)^2 for a fixed shape g:
-    sum w g (1 - y) / sum w g^2 (0 when g vanishes on every point)."""
-    wg = w * g
-    denom = float(wg @ g)
-    return float(wg @ (1.0 - y)) / denom if denom > 0 else 0.0
+def _best_visibility(wg, g, r):
+    """V minimizing sum w (V g - r)^2 over the last axis, from wg = w g and
+    r = 1 - y: sum wg r / sum wg g, and 0 where g vanishes on every point.
+    Each row's two sums are numpy's vector dot, as ``wg @ g`` takes them, and
+    a 1-D row's come out as numpy scalars (``[()]``), whose truth is cheap."""
+    wg = wg[..., None, :]
+    numer = (wg @ r[..., None])[..., 0, 0][()]
+    denom = (wg @ g[..., None])[..., 0, 0][()]
+    ok = denom > 0
+    if not (ok.all() if ok.ndim else ok):
+        numer, denom = np.where(ok, numer, 0.0), np.where(ok, denom, 1.0)
+    return numer / denom
+
+
+def _score_start_widths(scan, wavelength_nm, dz_nm, net, sigma):
+    """Every ``_INIT_DELTA_LAMBDA_NM`` width in one (widths, points) pass: per
+    width, whether it leaves >= 3 baseline points of positive mean (the rest
+    carry stand-in values), its baseline, V clipped to [0, 1], and the chi^2 of
+    that dip and of no dip. The baseline sums add the integer counts in int64,
+    so they equal a float sum while the counts' absolute sum stays below 2**53;
+    each chi^2 is a pairwise sum over one contiguous row."""
+    threshold = 3.0 * dip_half_width_mm(wavelength_nm, _INIT_DELTA_LAMBDA_NM)
+    outside = np.abs(scan.delta_z_mm) > threshold[:, None]
+    count = outside.sum(axis=-1)
+    baseline = np.where(outside, scan.net_counts, 0).sum(axis=-1) / np.maximum(count, 1)
+    ok = (count >= 3) & (baseline > 0)
+    baseline = np.where(ok, baseline, 1.0)
+    y, sy = net / baseline[:, None], sigma / baseline[:, None]
+    g = _dip_shape(dz_nm, _INIT_DELTA_LAMBDA_NM[:, None], wavelength_nm)
+    w = 1.0 / sy**2
+    v = np.minimum(np.maximum(_best_visibility(w * g, g, 1.0 - y), 0.0), 1.0)
+    chi2 = np.sum(w * (y - (1.0 - v[:, None] * g)) ** 2, axis=-1)
+    return ok, baseline, v, chi2, np.sum(w * (y - 1.0) ** 2, axis=-1)
 
 
 def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
@@ -199,7 +228,11 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
     Accidentals are subtracted and, from the best width of
     ``_INIT_DELTA_LAMBDA_NM``, the net counts are normalized by the mean of the
     points farther than three dip half-widths from zero (at least three
-    required). Poisson weights: sigma^2(net) = total + accidental. Each of up
+    required). All the start widths are scored in one array pass
+    (``_score_start_widths``, whose baseline sums are exact while the counts'
+    absolute sum stays below 2**53), and the first chi^2 minimum among the
+    widths leaving >= 3 baseline points of positive mean is kept.
+    Poisson weights: sigma^2(net) = total + accidental. Each of up
     to ``_BASELINE_PASSES`` passes corrects the baseline with the fitted model,
     then takes V in closed form (``_best_visibility``) and the width from
     ``roots.brentq`` on the chi^2 slope, to ``_WIDTH_XTOL_NM`` within a factor
@@ -216,30 +249,14 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
     net = scan.net_counts.astype(float)
     sigma = np.sqrt(np.maximum(scan.total_counts + scan.accidental_counts, 1.0))
 
-    # coarse initialization over a spectral-width grid
-    best = None
-    for dl in _INIT_DELTA_LAMBDA_NM:
-        outside = np.abs(scan.delta_z_mm) > 3.0 * dip_half_width_mm(wavelength_nm, dl)
-        if outside.sum() < 3:
-            continue
-        baseline = float(net[outside].mean())
-        if baseline <= 0:
-            continue
-        y = net / baseline
-        sy = sigma / baseline
-        g = _dip_shape(dz_nm, dl, wavelength_nm)
-        w = 1.0 / sy**2
-        v = min(max(_best_visibility(y, w, g), 0.0), 1.0)
-        chi2 = float(np.sum(w * (y - (1.0 - v * g)) ** 2))
-        if best is None or chi2 < best[0]:
-            chi2_flat = float(np.sum(w * (y - 1.0) ** 2))
-            best = (chi2, v, dl, baseline, chi2_flat)
-    if best is None:
+    ok, baselines, vs, chi2, chi2_flat = _score_start_widths(scan, wavelength_nm, dz_nm, net, sigma)
+    if not ok.any():
         raise DegenerateScan(
             "no spectral-width candidate leaves >= 3 baseline points outside the dip"
         )
-    chi2_0, v, dl, baseline, chi2_flat = best
-    if chi2_flat - chi2_0 < 9.0:
+    k = int(np.argmin(np.where(ok, chi2, np.inf)))  # the first of equal minima
+    v, dl, baseline = float(vs[k]), _INIT_DELTA_LAMBDA_NM[k], float(baselines[k])
+    if chi2_flat[k] - chi2[k] < 9.0:
         raise DegenerateScan("no dip resolvable above the noise (< 3 sigma)")
     span = scan.delta_z_mm[-1] - scan.delta_z_mm[0]
     if span < dip_fwhm_mm(wavelength_nm, dl):
@@ -252,8 +269,9 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
         nonlocal iterations
         iterations += 1
         g = _dip_shape(dz_nm, width, wavelength_nm)
-        v = _best_visibility(y, w, g)
-        return -v * width * float((w * g * (y - 1.0 + v * g)) @ u2)
+        wg = w * g
+        v = float(_best_visibility(wg, g, r))
+        return -v * width * float((wg * (y_minus_1 + v * g)) @ u2)
 
     # the baseline points still sit ~0.1% inside the dip, so correct the
     # normalization with the fitted model and re-run until it is a fixed point;
@@ -273,12 +291,13 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
         baseline = new_baseline
         y, sy = net / baseline, sigma / baseline
         w = 1.0 / sy**2
+        r, y_minus_1 = 1.0 - y, y - 1.0  # shared by every slope of the pass
         try:
             dl = brentq(slope, dl / _WIDTH_BRACKET, dl * _WIDTH_BRACKET, _WIDTH_XTOL_NM)
         except (ValueError, RuntimeError) as exc:
             raise NoConvergence(f"no chi^2 minimum in the width: {exc}") from exc
         g = _dip_shape(dz_nm, dl, wavelength_nm)
-        v = _best_visibility(y, w, g)
+        v = float(_best_visibility(w * g, g, r))
         if converged:
             break
 

@@ -245,6 +245,12 @@ def _carry(runs, c, msk, k2sk, f, g):
     return f, g
 
 
+def _refuse_layer(i, n, t):
+    """Raise the rule's ValueError for layer i, one of whose values fails it."""
+    require(n, POSITIVE, f"index of layer {i}")
+    require(t, POSITIVE, f"thickness of layer {i}")
+
+
 def solve_planar(
     n_top: float,
     layers,
@@ -262,10 +268,17 @@ def solve_planar(
     top of the window. ``window`` overrides the default guided-index search
     window (max outer index + 1e-6, max layer index - 1e-6). Roots are
     bracketed on the multiples of ``_GRID_STEP`` (1e-4; 1e-5 when that finds
-    none) and polished by Brent's method to ``_XTOL`` (1e-12).
+    none) and polished by Brent's method to ``_XTOL`` (1e-12). Every index
+    and thickness must be a finite number > 0; layer 0 is the top layer.
     """
     require(wavelength, POSITIVE, "wavelength")
-    layers = [(float(n), float(t)) for n, t in layers]
+    require(n_top, POSITIVE, "top index")
+    require(n_bottom, POSITIVE, "bottom index")
+    positive = POSITIVE[0]
+    layers = [  # one pass: a pair is converted once both values pass the rule
+        (float(n), float(t)) if positive(n) and positive(t) else _refuse_layer(i, n, t)
+        for i, (n, t) in enumerate(layers)
+    ]
     n_max_layer = max((n for n, _ in layers), default=0.0)
     lo = max(n_top, n_bottom) + 1e-6
     hi = n_max_layer - 1e-6

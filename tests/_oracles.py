@@ -14,7 +14,9 @@ field walked up from the substrate's as the package walks it. The
 field-profile oracle walks the layer waves down from the surface field
 (1 + r, eta0 (1 - r)), where the package walks them up from the substrate. The
 dip-fit oracle is the damped Gauss-Newton fit that ``hom.fit_dip`` ran before
-it solved for the width alone.
+it solved for the width alone. The start-width oracle is ``fit_dip``'s coarse
+initialization as it ran before it became one array pass: one width at a time,
+each baseline a float mean of the net counts outside the dip.
 
 The one-wavelength response oracle is the exception: it runs the package's
 transfer-matrix kernel on a one-element wavelength array and takes the r/t
@@ -525,6 +527,33 @@ def fit_dip_gauss_newton(scan, wavelength_nm):
         iterations=iterations,
         baseline_counts=baseline,
     )
+
+
+def start_widths_loop(scan, wavelength_nm):
+    """Per ``_INIT_DELTA_LAMBDA_NM`` width, None where ``fit_dip`` skips it
+    (< 3 baseline points, or a baseline <= 0), else its (baseline, V clipped
+    to [0, 1], chi^2, chi^2 of no dip), one width at a time."""
+    dz_nm = scan.delta_z_mm * NM_PER_MM
+    net = scan.net_counts.astype(float)
+    sigma = np.sqrt(np.maximum(scan.total_counts + scan.accidental_counts, 1.0))
+    rows = []
+    for dl in _INIT_DELTA_LAMBDA_NM:
+        outside = np.abs(scan.delta_z_mm) > 3.0 * dip_half_width_mm(wavelength_nm, dl)
+        baseline = float(net[outside].mean()) if outside.sum() >= 3 else 0.0
+        if baseline <= 0:
+            rows.append(None)
+            continue
+        y = net / baseline
+        sy = sigma / baseline
+        g = _dip_shape(dz_nm, dl, wavelength_nm)
+        w = 1.0 / sy**2
+        wg = w * g
+        denom = float(wg @ g)
+        v = float(wg @ (1.0 - y)) / denom if denom > 0 else 0.0
+        v = min(max(v, 0.0), 1.0)
+        chi2 = float(np.sum(w * (y - (1.0 - v * g)) ** 2))
+        rows.append((baseline, v, chi2, float(np.sum(w * (y - 1.0) ** 2))))
+    return rows
 
 
 def spline_piece_search(table, lam):

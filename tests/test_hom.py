@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import _oracles
 import numpy as np
@@ -139,6 +140,18 @@ def test_sample_mean_tracks_model_chi2():
     assert 0.5 < np.mean(chi2) < 2.0
 
 
+@pytest.mark.parametrize(
+    "counts", [np.array(["1", "2"]), np.array([None, None])], ids=["str", "object_none"]
+)
+def test_scan_refuses_counts_that_are_not_integers_before_comparing_them(counts):
+    # a str array used to raise numpy's UFuncTypeError from "counts < 0", and
+    # an object array of None a bare TypeError
+    with pytest.raises(ValueError, match="^total counts must all be non-negative integers$"):
+        HomScan(np.array([0.0, 1.0]), counts, np.array([0, 0]), 1.0)
+    with pytest.raises(ValueError, match="^accidental counts must all be non-negative integers$"):
+        HomScan(np.array([0.0, 1.0]), np.array([1, 1]), counts, 1.0)
+
+
 def test_scan_validation():
     with pytest.raises(ValueError):
         HomScan(np.array([0.0, -1.0]), np.array([1, 1]), np.array([0, 0]), 1.0)
@@ -245,6 +258,95 @@ def test_reference_fits_match_the_gauss_newton_oracle(monkeypatch, seed):
     want, cycles = _oracle_fit(scan, monkeypatch)
     assert not cycles and want.converged
     _assert_fits_agree(fit_dip(scan, 1520.0), want)
+
+
+# the two reference scans' fits, recorded before the start widths were scored
+# in one array pass; any moved bit in ``hom_fit.json`` shows here
+PIN_REFERENCE_FITS = {
+    20090401: hom.FitResult(
+        visibility=0.841900968868997,
+        delta_lambda_nm=0.5510647521354819,
+        visibility_err=0.022498949518106298,
+        delta_lambda_err=0.021270421765301445,
+        residual_norm=5.1229436232614445,
+        converged=True,
+        iterations=60,
+        baseline_counts=532.2526915914051,
+    ),
+    7: hom.FitResult(
+        visibility=0.8303242942603832,
+        delta_lambda_nm=0.5388902750402034,
+        visibility_err=0.022301924971846698,
+        delta_lambda_err=0.02116508988372846,
+        residual_norm=4.334833908606589,
+        converged=True,
+        iterations=77,
+        baseline_counts=533.0302088639212,
+    ),
+}
+
+
+@pytest.mark.dispatch
+@pytest.mark.parametrize("seed", PIN_REFERENCE_FITS, ids=["config_seed", "readme_seed"])
+def test_reference_fits_are_pinned(seed):
+    assert fit_dip(_calibration_scan(0.53, seed), 1520.0) == PIN_REFERENCE_FITS[seed]
+
+
+def _assert_start_widths_match_the_loop(scan):
+    dz_nm = scan.delta_z_mm * hom.NM_PER_MM
+    net = scan.net_counts.astype(float)
+    sigma = np.sqrt(np.maximum(scan.total_counts + scan.accidental_counts, 1.0))
+    ok, *columns = hom._score_start_widths(scan, 1520.0, dz_nm, net, sigma)
+    want = _oracles.start_widths_loop(scan, 1520.0)
+    assert ok.tolist() == [row is not None for row in want]
+    for k, row in enumerate(want):
+        if row is not None:
+            assert tuple(float(col[k]) for col in columns) == row, k
+
+
+@pytest.mark.dispatch
+def test_start_widths_score_as_the_scalar_loop_scores_them():
+    # the one array pass gives every width the loop's skip decision, baseline,
+    # V and both chi^2, to the bit
+    rng = np.random.default_rng(2323)
+    for _ in range(500):
+        scan = _calibration_scan(float(rng.uniform(0.4, 0.7)), int(rng.integers(0, 2**31)))
+        _assert_start_widths_match_the_loop(scan)
+
+
+def _dip_counts_scan(positions, no_counts_beyond_mm=math.inf, accidentals_there=0):
+    """A noiseless 60 s scan of PAPER_MODEL whose counts are zero beyond
+    ``no_counts_beyond_mm`` but for ``accidentals_there`` accidentals."""
+    scan = _noiseless_scan(PAPER_MODEL, DetectionChain(), positions, dwell=60.0)
+    beyond = np.abs(scan.delta_z_mm) > no_counts_beyond_mm
+    scan.total_counts[beyond] = 0
+    scan.accidental_counts[beyond] = accidentals_there
+    return scan
+
+
+_NO_BASELINE = "no spectral-width candidate leaves >= 3 baseline points outside the dip"
+_NO_DIP = "no dip resolvable above the noise"
+_FEW_BASELINES = {
+    "all_inside": (_dip_counts_scan(np.linspace(-0.5, 0.5, 25)), DegenerateScan, _NO_BASELINE),
+    "few_outside": (_dip_counts_scan(np.linspace(-1.0, 1.0, 25)), NoConvergence, "no chi"),
+    "no_counts_outside": (_dip_counts_scan(POSITIONS, 0.7), DegenerateScan, _NO_BASELINE),
+    "negative_outside": (_dip_counts_scan(POSITIONS, 0.7, 3), DegenerateScan, _NO_BASELINE),
+    # g underflows to 0 on every point of every width, or of the widest five
+    "dip_vanishes": (_dip_counts_scan(np.linspace(200.0, 400.0, 25)), DegenerateScan, _NO_DIP),
+    "dip_vanishes_for_some": (_dip_counts_scan(np.linspace(10.0, 130.0, 25)), DegenerateScan, _NO_DIP),
+}
+
+
+@pytest.mark.dispatch
+@pytest.mark.parametrize("scan, error, message", _FEW_BASELINES.values(), ids=_FEW_BASELINES)
+def test_start_widths_without_baseline_points_match_the_loop(scan, error, message):
+    # most or all widths are skipped, or have no dip to fit; the fit fails as
+    # the loop made it fail, without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_start_widths_match_the_loop(scan)
+        with pytest.raises(error, match=f"^{message}"):
+            fit_dip(scan, 1520.0)
 
 
 def test_fit_settles_a_baseline_set_that_would_cycle(monkeypatch):

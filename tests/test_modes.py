@@ -329,6 +329,32 @@ def test_solve_planar_names_a_wavelength_that_is_not_finite_and_positive(wavelen
         solve_planar(3.16, [(3.30, 900.0)], 3.16, wavelength)
 
 
+@pytest.mark.parametrize(
+    "layers, name, value",
+    [
+        ([(3.30, math.nan)], "thickness of layer 0", "nan"),
+        ([(3.30, -900.0)], "thickness of layer 0", "-900.0"),
+        ([(3.30, math.inf)], "thickness of layer 0", "inf"),
+        ([(3.30, 900.0), (math.nan, 900.0)], "index of layer 1", "nan"),
+    ],
+    ids=["nan_thickness", "negative_thickness", "inf_thickness", "nan_index"],
+)
+def test_solve_planar_names_a_layer_that_is_not_finite_and_positive(layers, name, value):
+    # the thicknesses used to answer NoGuidedMode "no TE guided mode in n_eff
+    # window (3.160001, 3.299999)", inf after a RuntimeWarning, and a NaN index
+    # "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got {value}$"):
+        solve_planar(3.16, layers, 3.16, 1520.0)
+
+
+@pytest.mark.parametrize("side", ["top", "bottom"])
+def test_solve_planar_names_an_outer_index_that_is_not_finite_and_positive(side):
+    for bad in (math.nan, -3.16):
+        outer = {"n_top": 3.16, "n_bottom": 3.16} | {f"n_{side}": bad}
+        with pytest.raises(ValueError, match=f"^{side} index must be .*, got {bad}$"):
+            solve_planar(layers=[(3.30, 900.0)], wavelength=1520.0, **outer)
+
+
 def test_a_nan_wavelength_is_named(paper_stack):
     # both used to fail with "cannot convert float NaN to integer"
     with pytest.raises(OutOfValidityWindow, match=r"^wavelength (nan\.\.)?nan nm outside"):
