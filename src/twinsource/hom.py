@@ -31,7 +31,7 @@ import numpy as np
 
 from .efficiency import DetectionChain, expected_counts
 from .errors import BELOW_ONE, FRACTION, POSITIVE, DegenerateScan, NoConvergence, require
-from .roots import brentq
+from .roots import NotBracketed, brentq
 
 _LN2 = math.log(2.0)
 _SHAPE = math.pi**2 / _LN2  # exponent prefactor of the dip model
@@ -294,6 +294,10 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
         r, y_minus_1 = 1.0 - y, y - 1.0  # shared by every slope of the pass
         try:
             dl = brentq(slope, dl / _WIDTH_BRACKET, dl * _WIDTH_BRACKET, _WIDTH_XTOL_NM)
+        except NotBracketed as exc:  # dl is still the pass's start width
+            bracket = f"[{dl / _WIDTH_BRACKET:.6g}, {dl * _WIDTH_BRACKET:.6g}] nm"
+            why = f"keeps one sign over {bracket}, so the baseline points do not bound the width"
+            raise NoConvergence(f"no chi^2 minimum in the width: the chi^2 slope {why}") from exc
         except (ValueError, RuntimeError) as exc:
             raise NoConvergence(f"no chi^2 minimum in the width: {exc}") from exc
         g = _dip_shape(dz_nm, dl, wavelength_nm)

@@ -19,8 +19,9 @@ wavelength); there sqrt(1-chi) continues to +i*sqrt(chi-1) so that Im(n) >= 0
 with the exp(-i w t) time convention.
 
 A scalar wavelength is evaluated in plain ``math`` floats and an array in
-numpy, through one n^2 formula that takes its square root as an argument; the
-two paths give the same floats (``==``) and raise the same errors.
+numpy, through one n^2 formula taking its square root as an argument (the same
+floats, ``==``, and the same errors); both read an Al fraction's E0, E0so,
+(E0/E0so)^1.5, A and B, computed once per model from read-only coefficients.
 
 ``get_model`` looks a model up by name (the ``dispersion.model`` config key);
 a ``DispersionModel`` with other coefficients can be passed to any function
@@ -32,6 +33,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
@@ -63,9 +66,9 @@ GAAS = Composition(0.0)
 class DispersionModel:
     """A published index formula plus its coefficient table and validity window.
 
-    ``coefficients`` holds the quadratic-in-x expansions keyed by symbol name.
-    ``near_gap_margin`` caps chi = E/E0: beyond it the model is considered
-    above-gap (complex index regime) and the real-index API raises.
+    ``coefficients`` holds the quadratic-in-x expansions keyed by symbol name,
+    stored read-only. ``near_gap_margin`` caps chi = E/E0: beyond it the model
+    is considered above-gap (complex index regime) and the real-index API raises.
     """
 
     name: str
@@ -81,9 +84,24 @@ class DispersionModel:
     x_window: tuple = (0.0, 1.0)
     near_gap_margin: float = 0.995
 
+    def __post_init__(self):
+        coefficients = MappingProxyType({k: tuple(v) for k, v in self.coefficients.items()})
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "_constants", lru_cache(maxsize=64, typed=True)(self._alloy))
+
+    def __reduce__(self):  # rebuilt from its fields: the mapping and the cache do not pickle
+        fields = self.wavelength_window_nm, self.x_window, self.near_gap_margin
+        return type(self), (self.name, dict(self.coefficients), *fields)
+
     def gap_energy_ev(self, x: float) -> float:
-        c0, c1, c2 = self.coefficients["e0"]
-        return c0 + c1 * x + c2 * x * x
+        return self._constants(x)[0]
+
+    def _alloy(self, x: float):
+        """(E0, E0so, (E0/E0so)^1.5, A, B) at Al fraction x, kept per x and its type."""
+        (c0, c1, c2), (s0, s1, s2) = self.coefficients["e0"], self.coefficients["e0_so"]
+        (a0, a1), (b0, b1) = self.coefficients["a"], self.coefficients["b"]
+        e0, e0_so = c0 + c1 * x + c2 * x * x, s0 + s1 * x + s2 * x * x
+        return e0, e0_so, (e0 / e0_so) ** 1.5, a0 + a1 * x, b0 + b1 * x
 
     def _checked(self, x: float, wavelength_nm):
         """(scalar, lam): the wavelength as a float or a float array, checked (NaN is outside)."""
@@ -104,30 +122,23 @@ class DispersionModel:
         return scalar, lam
 
     def _chi_terms(self, x: float, lam):
-        energy = HC_EV_NM / lam
-        e0 = self.gap_energy_ev(x)
-        s0, s1, s2 = self.coefficients["e0_so"]
-        e0_so = s0 + s1 * x + s2 * x * x
-        return energy / e0, energy / e0_so, e0 / e0_so
+        e0, e0_so, ratio, a, b = self._constants(x)
+        return HC_EV_NM / lam / e0, HC_EV_NM / lam / e0_so, ratio, a, b
 
-    def _n_squared(self, x: float, chi_terms, sqrt, complex_root=None):
+    def _n_squared(self, chi_terms, sqrt, complex_root=None):
         """n^2 from the chi terms of a float (``sqrt`` is ``math.sqrt``) or of
         an array (``np.sqrt``); ``complex_root`` continues f past the gap."""
-        chi, chi_so, ratio = chi_terms
-        a0, a1 = self.coefficients["a"]
-        b0, b1 = self.coefficients["b"]
-        a = a0 + a1 * x
-        b = b0 + b1 * x
+        chi, chi_so, ratio, a, b = chi_terms
         f_main = _oscillator_f(chi, sqrt, complex_root)
         f_so = _oscillator_f(chi_so, sqrt, complex_root)
-        return a * (f_main + 0.5 * f_so * ratio**1.5) + b
+        return a * (f_main + 0.5 * f_so * ratio) + b
 
     def evaluate(self, x: float, wavelength_nm):
         """Real below-gap refractive index. Raises above the gap. A float for
         a scalar wavelength, an array for an array: the same floats (``==``)."""
         scalar, lam = self._checked(x, wavelength_nm)
         terms = self._chi_terms(x, lam)
-        chi, chi_so, _ = terms
+        chi, chi_so = terms[:2]
         margin = self.near_gap_margin
         above = (chi > margin) | (chi_so > margin)
         if (above if scalar else above.any()):
@@ -136,7 +147,7 @@ class DispersionModel:
                 f"Al(x={x}) gap energy: model '{self.name}' index is complex there"
             )
         sqrt = math.sqrt if scalar else np.sqrt
-        return sqrt(self._n_squared(x, terms, sqrt))
+        return sqrt(self._n_squared(terms, sqrt))
 
     def evaluate_complex(self, x: float, wavelength_nm):
         """Complex index n + i*kappa, valid above the gap (kappa >= 0). A
@@ -144,9 +155,9 @@ class DispersionModel:
         scalar, lam = self._checked(x, wavelength_nm)
         terms = self._chi_terms(x, lam)
         if scalar:
-            n = cmath.sqrt(self._n_squared(x, terms, math.sqrt, _complex_root))
+            n = cmath.sqrt(self._n_squared(terms, math.sqrt, _complex_root))
             return n.conjugate() if n.imag < 0 else n
-        n = np.sqrt(self._n_squared(x, terms, np.sqrt, lambda v: np.sqrt(v.astype(complex))))
+        n = np.sqrt(self._n_squared(terms, np.sqrt, lambda v: np.sqrt(v.astype(complex))))
         return np.where(np.imag(n) < 0, np.conj(n), n)
 
 

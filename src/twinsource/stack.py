@@ -18,7 +18,8 @@ Conventions
   slice by their characteristic matrix, then walked up through the slice,
   the way a mirror's stop-band field grows (a downward walk amplifies
   rounding with depth below the core). ``field_profile`` (all layers) and
-  ``core_intensity`` (the core) read the same waves.
+  ``core_intensity`` (the core) read the same waves. Each layer's terms are
+  one (L, W) array pass; only the (F, G) carry loops over the layers.
 * A stack builds its layer plan once (distinct compositions, each layer's
   index into them, thicknesses, and its leaves: the distinct (composition,
   thickness) pairs), so no call loops over the layers; it keeps its layers
@@ -29,19 +30,19 @@ Conventions
   are one product. A periodic mirror so costs a few products per level, and
   every product is the one the positional pairwise product takes, from the
   same operands in the same order, so it is the same float. A stack caches
-  the trees of the sequences it multiplies (``LayerStack._tree``).
-* At one wavelength ``raw_response`` multiplies a tree, and takes its r/t
-  step, in plain floats (``_response_floats``), the floats the kernel gives
-  for a one-element wavelength array, by four rules: (1) a node is four real
-  floats (m00, p01, q10, m11), the matrix [[m00, i p01], [i q10, m11]] of a
-  propagating lossless layer, a form products keep, so every complex product
-  the kernel takes has a zero term and numpy's fused multiply-add gives the
-  unfused product; (2) a division is numpy's, a product with a reciprocal:
-  p01 = -s (1/eta), the TM admittance n (1/cos theta), and Smith's method for
-  r and t (``_quotient``); (3) a square is ``x * x`` and a modulus
-  ``np.abs`` (Python's ``abs`` and ``math.hypot`` round otherwise); (4)
-  n0 sin(theta), eta0 and eta_sub stay the kernel step's numpy scalars,
-  since CPython divides complex numbers otherwise.
+  the trees of the sequences it multiplies (``LayerStack._tree``, ``_whole``).
+* At a float wavelength, with the leaves' indices and thicknesses as floats,
+  ``raw_response`` multiplies a tree, and takes its r/t step, in plain floats
+  (``_response_floats``), the floats the kernel gives for a one-element array,
+  by four rules: (1) a node is four real floats (m00, p01, q10, m11), the
+  matrix [[m00, i p01], [i q10, m11]] of a propagating lossless layer, a form
+  products keep, so every complex product the kernel takes has a zero term and
+  numpy's fused multiply-add gives the unfused product; (2) a division is
+  numpy's, a product with a reciprocal: p01 = -s (1/eta), the TM admittance n
+  (1/cos theta), and Smith's method for r and t (``_quotient``); (3) a square
+  is ``x * x`` and a modulus ``np.abs`` (Python's ``abs`` and ``math.hypot``
+  round otherwise); (4) n0 sin(theta), eta0 and eta_sub stay the kernel step's
+  numpy scalars, since CPython divides complex numbers otherwise.
 
 All lengths in nanometres unless a name says otherwise.
 """
@@ -99,7 +100,7 @@ class _LayerPlan(NamedTuple):
     thickness: np.ndarray  # (L,) read-only layer thicknesses, nm
     leaf: np.ndarray  # (L,) intp: each layer's leaf, its (fraction, thickness) pair
     leaf_index: np.ndarray  # (U,) intp: each leaf's fraction in xs
-    leaf_thickness: np.ndarray  # (U,) read-only leaf thicknesses, nm
+    leaf_thickness: tuple  # (U,) leaf thicknesses as floats, nm
 
 
 @dataclass(frozen=True)
@@ -169,12 +170,15 @@ class LayerStack:
             frozen(thickness, float),
             frozen(leaf, np.intp),
             frozen([i for i, _ in leaves], np.intp),
-            frozen([t for _, t in leaves], float),
+            tuple(float(t) for _, t in leaves),
         )
 
     @cached_property
     def _trees(self) -> dict:
         return {}
+
+    # the whole stack's tree, built on first use (numpy's first np.unique costs ~0.4 MB RSS)
+    _whole = cached_property(lambda self: self._tree(self._plan.leaf))
 
     def _tree(self, leaf: np.ndarray) -> _Tree:
         """Product tree of a sequence of the plan's leaves (top to bottom),
@@ -341,18 +345,15 @@ def _char_matrix_floats(n_list, t_list, n0_sin, wavelength, pol, tree):
     """``_char_matrix`` at one wavelength in plain floats, the same floats.
 
     Returns the root of the product tree as (m00, p01, q10, m11), the matrix
-    [[m00, i p01], [i q10, m11]], or None when a leaf does not propagate (a
-    complex index, or n0 sin(theta) >= n) or its phase d is not finite, since
-    only a propagating lossless leaf, [[cos d, -i sin d / eta], [-i eta sin d,
-    cos d]], has that form.
+    [[m00, i p01], [i q10, m11]], or None when a leaf does not propagate (an
+    index that is not a float, or n0 sin(theta) >= n) or its phase d is not
+    finite, since only a propagating lossless leaf, [[cos d, -i sin d / eta],
+    [-i eta sin d, cos d]], has that form.
     """
-    n_list = np.asarray(n_list)
-    if n_list.dtype != float:
-        return None
     k0, n0_sin = 2.0 * math.pi / wavelength, float(n0_sin)
     nodes = []
-    for n, t in zip(n_list.tolist(), np.asarray(t_list, dtype=float).tolist()):
-        if not n > abs(n0_sin):
+    for n, t in zip(n_list, t_list):
+        if not (isinstance(n, float) and n > abs(n0_sin)):
             return None
         q = n0_sin / n
         cos2 = 1.0 - q * q
@@ -386,6 +387,13 @@ def _quotient(ar, ai, br, bi):
     rat = br / bi
     scl = 1.0 / (bi + br * rat)
     return (ar * rat + ai) * scl, (ai * rat - ar) * scl
+
+
+@lru_cache(maxsize=64, typed=True)  # typed: a float32 angle computes in float32
+def _incidence(n0, theta_deg, pol):
+    """n0 sin(theta) and eta0 as numpy computes them (arrays: ``__wrapped__``)."""
+    n0_sin = n0 * np.sin(np.radians(theta_deg))
+    return n0_sin, _admittance(n0, _cos_theta(n0, n0_sin), pol)
 
 
 def _response_floats(n_list, t_list, n0_sin, eta0, eta_sub, wavelength, pol, tree):
@@ -428,22 +436,22 @@ def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol, tree=Non
     scalars out, an array gives (W,) arrays. With a stack's product ``tree``,
     ``n_list`` and ``t_list`` are per leaf, as in ``_char_matrix``.
 
-    A scalar wavelength with a ``tree`` multiplies the tree in plain floats
+    A float wavelength with a ``tree`` multiplies the tree in plain floats
     (``_char_matrix_floats``), the same floats as the kernel; it falls back
-    to the kernel ``_char_matrix`` when a leaf does not propagate (a complex
-    index, or n0 sin(theta) >= n, as with a large ambient index at a steep
-    angle), when the ambient admittance is not real, or when the response's
-    denominator is zero.
+    to the kernel ``_char_matrix`` when a leaf does not propagate (an index
+    that is not a float, or n0 sin(theta) >= n, as with a large ambient index
+    at a steep angle), when the ambient admittance is not real, or when the
+    response's denominator is zero.
     """
     require(pol, POLARIZATION, "polarization")
-    lam = np.asarray(wavelength, dtype=float)
-    n0_sin = n0 * np.sin(np.radians(theta_deg))
-    eta0 = _admittance(n0, _cos_theta(n0, n0_sin), pol)
+    floats = tree is not None and isinstance(wavelength, float)
+    n0_sin, eta0 = (_incidence if floats else _incidence.__wrapped__)(n0, theta_deg, pol)
     eta_sub = _admittance(n_sub, _cos_theta(n_sub, n0_sin), pol)
-    if lam.ndim == 0 and tree is not None:
-        out = _response_floats(n_list, t_list, n0_sin, eta0, eta_sub, float(lam), pol, tree)
+    if floats:
+        out = _response_floats(n_list, t_list, n0_sin, eta0, eta_sub, float(wavelength), pol, tree)
         if out is not None:
             return out
+    lam = np.asarray(wavelength, dtype=float)
     m00, m01, m10, m11 = _char_matrix(n_list, t_list, n0_sin, lam.reshape(-1), pol, tree)
     b = m00 + m01 * eta_sub
     c = m10 + m11 * eta_sub
@@ -504,23 +512,23 @@ def stack_response(
     require(theta_deg, ANGLE, "incidence angle")
     lam = np.asarray(wavelength, dtype=float)
     plan = s._plan
-    tree = s._tree(plan.leaf)
-    block = max(1, _BLOCK // tree.widest)
+    block = max(1, _BLOCK // s._whole.widest)
     if lam.size > block:
         parts = [
             stack_response(s, lam[i : i + block], theta_deg, pol, model)
             for i in range(0, lam.size, block)
         ]
-        r, t, R, T = (
-            np.concatenate([getattr(p, name) for p in parts])
-            for name in ("r", "t", "reflectance", "transmittance")
-        )
+        fields = ("r", "t", "reflectance", "transmittance")
+        r, t, R, T = (np.concatenate([getattr(p, name) for p in parts]) for name in fields)
+        return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
+    if lam.ndim == 0:
+        lam, m = float(lam), model or materials.DEFAULT_MODEL
+        n_x = [m.evaluate(x, lam) for x in plan.xs]
+        n_leaf = [n_x[i] for i in plan.leaf_index.tolist()]
     else:
-        n_leaf = _composition_indices(s, wavelength, model)[plan.leaf_index].T
-        n_sub = substrate_index(s, wavelength, model)
-        r, t, R, T = raw_response(
-            s.ambient_index, n_leaf, plan.leaf_thickness, n_sub, wavelength, theta_deg, pol, tree
-        )
+        n_leaf = _composition_indices(s, lam, model)[plan.leaf_index].T
+    n_sub, t_leaf, tree = substrate_index(s, lam, model), plan.leaf_thickness, s._whole
+    r, t, R, T = raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lam, theta_deg, pol, tree)
     return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
 
 
@@ -549,23 +557,25 @@ def _waves(s, lams, theta_deg, pol, model, layers):
     n_leaf, t_leaf = n_x[plan.leaf_index].T, plan.leaf_thickness  # (W, U), (U,)
     n_sub = substrate_index(s, lams, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    whole, below = s._tree(plan.leaf), s._tree(plan.leaf[layers.indices(len(plan.leaf))[1] :])
-    r, t, _, _ = raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lams, theta_deg, pol, whole)
+    below = s._tree(plan.leaf[layers.indices(len(plan.leaf))[1] :])
+    r, t, *_ = raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lams, theta_deg, pol, s._whole)
     m00, m01, m10, m11 = _char_matrix(n_leaf, t_leaf, n0_sin, lams, pol, below)
     ct_sub = _cos_theta(n_sub, n0_sin)
     eta_sub = _admittance(n_sub, ct_sub, pol)
     f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
+    n = n_x[plan.index[layers]].reshape(-1, lams.size)  # (L, W); n_x is (0,) without layers
+    ct = _cos_theta(n, n0_sin)
+    eta = _admittance(n, ct, pol)
+    kz = k0 * n * ct
+    down, up = (np.exp(i * kz * plan.thickness[layers][:, None]) for i in (-1j, 1j))
     waves = []
-    for n, t_nm in zip(n_x[plan.index[layers]][::-1], plan.thickness[layers][::-1]):
-        ct = _cos_theta(n, n0_sin)
-        eta = _admittance(n, ct, pol)
-        kz = k0 * n * ct
+    for eta_l, down_l, up_l in zip(eta[::-1], down[::-1], up[::-1]):
         # (F, G) is continuous across the layer's bottom face; carry it to the top
-        a = 0.5 * (f + g / eta) * np.exp(-1j * kz * t_nm)
-        b = 0.5 * (f - g / eta) * np.exp(1j * kz * t_nm)
-        waves.append((a, b, kz))
-        f, g = a + b, eta * (a - b)
-    a, b, kz = np.reshape(waves[::-1], (-1, 3, lams.size)).transpose(1, 0, 2)
+        h = g / eta_l
+        a, b = 0.5 * (f + h) * down_l, 0.5 * (f - h) * up_l
+        waves.append((a, b))
+        f, g = a + b, eta_l * (a - b)
+    a, b = np.reshape(waves[::-1], (-1, 2, lams.size)).transpose(1, 0, 2)
     return a, b, kz, r, t, k0 * n_sub * ct_sub
 
 
@@ -700,7 +710,7 @@ def _cavity(s, wavelength, theta_deg, pol, model):
     opl = sum(n_core * t_core * _cos_theta(n_core, n0_sin).real)
     n_mean = sum(n_core * t_core) / sum(t_core)
     theta_core = math.degrees(math.asin(n0_sin / abs(n_mean)))
-    n_leaf, t_leaf = n_x[plan.leaf_index], plan.leaf_thickness
+    n_leaf, t_leaf = n_x[plan.leaf_index].tolist(), plan.leaf_thickness
     n_sub = substrate_index(s, wavelength, model)
     up_tree, down_tree = s._tree(plan.leaf[top][::-1]), s._tree(plan.leaf[bottom])
     up = raw_response(n_mean, n_leaf, t_leaf, s.ambient_index, wavelength, theta_core, pol, up_tree)

@@ -21,7 +21,9 @@ each baseline a float mean of the net counts outside the dip.
 The one-wavelength response oracle is the exception: it runs the package's
 transfer-matrix kernel on a one-element wavelength array and takes the r/t
 step on arrays, the floats that the plain-float path at one wavelength must
-give.
+give. So is the waves oracle: ``stack._waves`` as it ran before it took every
+layer's terms in one array pass, each layer's cos(theta), eta, kz and phase
+factors computed in the loop that carries (F, G) up the slice.
 
 The spline-piece oracle finds a table's piece by searching the knots, as
 ``EffectiveIndexTable._at`` did before it read the piece off the knot
@@ -316,6 +318,36 @@ def core_intensity_scalar(s, wavelength, theta_deg, pol, model=None):
     a, b, kz = (np.array(col) for col in zip(*layers))  # (L, 1) each
     x = np.linspace(0.0, t_list[core], st._POINTS_PER_LAYER, axis=1)
     return float(np.max(np.abs(st._layer_field(a, b, kz, x)) ** 2))
+
+
+def waves_loop(s, lams, theta_deg, pol, model, layers):
+    """``stack._waves`` with each layer's terms computed in the carry loop,
+    one (W,) row at a time: (A, B, kz, r, t, kz_sub)."""
+    from twinsource import stack as st
+
+    k0 = 2.0 * math.pi / lams
+    plan = s._plan
+    n_x = st._composition_indices(s, lams, model)  # (X, W)
+    n_leaf, t_leaf = n_x[plan.leaf_index].T, plan.leaf_thickness  # (W, U), (U,)
+    n_sub = st.substrate_index(s, lams, model)
+    n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
+    whole, below = s._tree(plan.leaf), s._tree(plan.leaf[layers.indices(len(plan.leaf))[1] :])
+    r, t, _, _ = st.raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lams, theta_deg, pol, whole)
+    m00, m01, m10, m11 = st._char_matrix(n_leaf, t_leaf, n0_sin, lams, pol, below)
+    ct_sub = st._cos_theta(n_sub, n0_sin)
+    eta_sub = st._admittance(n_sub, ct_sub, pol)
+    f, g = t * (m00 + m01 * eta_sub), t * (m10 + m11 * eta_sub)
+    waves = []
+    for n, t_nm in zip(n_x[plan.index[layers]][::-1], plan.thickness[layers][::-1]):
+        ct = st._cos_theta(n, n0_sin)
+        eta = st._admittance(n, ct, pol)
+        kz = k0 * n * ct
+        a = 0.5 * (f + g / eta) * np.exp(-1j * kz * t_nm)
+        b = 0.5 * (f - g / eta) * np.exp(1j * kz * t_nm)
+        waves.append((a, b, kz))
+        f, g = a + b, eta * (a - b)
+    a, b, kz = np.reshape(waves[::-1], (-1, 3, lams.size)).transpose(1, 0, 2)
+    return a, b, kz, r, t, k0 * n_sub * ct_sub
 
 
 def field_profile_top_down(s, wavelength, theta_deg, pol, model=None):

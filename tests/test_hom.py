@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import _oracles
@@ -347,6 +348,19 @@ def test_start_widths_without_baseline_points_match_the_loop(scan, error, messag
         _assert_start_widths_match_the_loop(scan)
         with pytest.raises(error, match=f"^{message}"):
             fit_dip(scan, 1520.0)
+
+
+def test_a_width_the_baseline_points_do_not_bound_names_its_bracket():
+    # the chi^2 slope keeps one sign over [w / 1.5, 1.5 w]: the error says
+    # so, with the bracket in nm, not in Brent's wording for its ends
+    with pytest.raises(NoConvergence, match="^no chi") as err:
+        fit_dip(_FEW_BASELINES["few_outside"][0], 1520.0)
+    message = str(err.value)
+    assert "f(a) and f(b)" not in message
+    bracket = re.search(r"keeps one sign over \[(\S+), (\S+)\] nm", message)
+    lo, hi = map(float, bracket.groups())
+    assert 0.0 < lo < hi and hi / lo == pytest.approx(hom._WIDTH_BRACKET**2, rel=1e-5)
+    assert "baseline points do not bound the width" in message
 
 
 def test_fit_settles_a_baseline_set_that_would_cycle(monkeypatch):

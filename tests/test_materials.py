@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -185,6 +188,63 @@ def test_default_model_provenance():
     assert model.name == "adachi1985"
     assert isinstance(model, DispersionModel)
     assert model.coefficients["a"] == (6.3, 19.0)
+
+
+_TOY_COEFFICIENTS = {
+    "a": [6.3, 19.0],
+    "b": [9.4, -10.2],
+    "e0": [1.5, 1.0, 0.3],
+    "e0_so": [1.8, 1.0, 0.3],
+}
+
+
+def test_model_coefficients_are_read_only_from_construction():
+    # a model keeps each composition's constants, so nothing may change the
+    # coefficients they come from: not the model's mapping, not its entries,
+    # not the dict the model was built from
+    given = {k: list(v) for k, v in _TOY_COEFFICIENTS.items()}
+    model = DispersionModel(name="toy-algaas", coefficients=given)
+    n = model.evaluate(0.3, 1520.0)
+    for target in (model, get_model()):
+        with pytest.raises(TypeError):
+            target.coefficients["a"] = (7.0, 19.0)
+        with pytest.raises(TypeError):
+            target.coefficients["e0"][0] = 1.6
+        with pytest.raises(TypeError):
+            del target.coefficients["b"]
+    given["a"][0] = 7.0
+    given["e0"] = [1.6, 1.0, 0.3]
+    assert model.coefficients["a"] == (6.3, 19.0) and model.coefficients["e0"] == (1.5, 1.0, 0.3)
+    assert model.evaluate(0.3, 1520.0) == n == adachi_index(model, 0.3, 1520.0)
+    # a copy or a pickled model is the same model, with read-only coefficients of its own
+    for twin in (copy.deepcopy(model), pickle.loads(pickle.dumps(model))):
+        assert twin == model and twin.evaluate(0.3, 1520.0) == n
+        with pytest.raises(TypeError):
+            twin.coefficients["a"] = (7.0, 19.0)
+
+
+def test_a_model_with_other_coefficients_gets_its_own_indices():
+    # evaluated after the shipped model at the same fractions, a model with
+    # other coefficients takes none of the shipped model's constants
+    lams = np.linspace(900.0, 2000.0, 23)
+    shipped = get_model()
+    toy = DispersionModel(name="toy-algaas", coefficients=_TOY_COEFFICIENTS)
+    for x in (0.3, 0.9):
+        first = shipped.evaluate(x, 1520.0), shipped.evaluate(x, lams)
+        for model in (toy, shipped):
+            assert model.evaluate(x, 1520.0) == adachi_index(model, x, 1520.0)
+            assert np.array_equal(model.evaluate(x, lams), adachi_index(model, x, lams))
+            c0, c1, c2 = model.coefficients["e0"]
+            assert model.gap_energy_ev(x) == c0 + c1 * x + c2 * x * x
+        assert toy.evaluate(x, 1520.0) != first[0]
+        assert (shipped.evaluate(x, 1520.0), *shipped.evaluate(x, lams)) == (first[0], *first[1])
+    # a float32 fraction equal to a float64 one keeps its own float32
+    # constants: each gives what a model that never saw the other gives
+    fractions = float(np.float32(0.3)), np.float32(0.3)
+    want = [DispersionModel(name=shipped.name).evaluate(x, 1520.0) for x in fractions]
+    assert want[0] != want[1]
+    for _ in range(2):
+        assert [shipped.evaluate(x, 1520.0) for x in fractions] == want
 
 
 def test_a_nan_wavelength_is_outside_the_window():

@@ -143,14 +143,13 @@ def test_batched_response_matches_oracle_and_scalar_calls(paper_stack, window, p
         assert np.max(np.abs(batch.transmittance - other[1])) <= 1e-12
 
 
+_EDGE_STACK_LIST = [
+    LayerStack(layers=(Layer(Composition(0.3), 120.0), Layer(Composition(0.7), 95.0)), substrate=None),
+    LayerStack(layers=(), substrate=Composition(0.0)),
+    LayerStack(layers=(), substrate=None),
+]
 _EDGE_STACKS = pytest.mark.parametrize(
-    "s",
-    [
-        LayerStack(layers=(Layer(Composition(0.3), 120.0), Layer(Composition(0.7), 95.0)), substrate=None),
-        LayerStack(layers=(), substrate=Composition(0.0)),
-        LayerStack(layers=(), substrate=None),
-    ],
-    ids=["free_standing", "bare_substrate", "empty"],
+    "s", _EDGE_STACK_LIST, ids=["free_standing", "bare_substrate", "empty"]
 )
 
 
@@ -446,18 +445,70 @@ def test_response_past_a_non_propagating_leaf_is_numpys(paper_stack, one_wavelen
     _assert_numpy_floats(one_wavelength_calls, 44)
 
 
+@pytest.mark.dispatch
+def test_ambient_terms_are_kept_per_angle_type(paper_stack, one_wavelength_calls):
+    """Dispatch: the plain-float product must be numpy's one-element product whichever loop numpy takes."""
+    # n0 sin(theta) and eta0 are kept per (n0, angle, polarization): a float32
+    # angle equal to a float64 one keeps its own float32 terms, and each call
+    # gives the floats numpy's one-element path gives for its own arguments
+    for theta in (3.0999999046325684, np.float32(3.1), 3.0999999046325684, np.float32(3.1)):
+        stack_response(paper_stack, 761.3, theta, TM)
+    _assert_numpy_floats(one_wavelength_calls, 4)
+    assert one_wavelength_calls[0][1] != one_wavelength_calls[1][1]
+
+
 def test_one_wavelength_stack_calls_take_the_float_path(paper_stack, monkeypatch):
-    # a propagating stack never reaches the array kernel at one wavelength;
-    # a leaf that does not propagate does
+    # a propagating stack never reaches the array kernel at one wavelength,
+    # given as a Python float, a numpy float or a 0-d array, and all three
+    # give the same floats; a leaf that does not propagate does
     def kernel(*args):
         raise AssertionError("kernel taken")
 
+    def fields(resp):
+        return resp.r, resp.t, resp.reflectance, resp.transmittance
+
     monkeypatch.setattr(stack_mod, "_char_matrix", kernel)
     for pol in (TE, TM):
-        stack_response(paper_stack, 760.0, 3.0, pol)
+        want = fields(stack_response(paper_stack, 760.0, 3.0, pol))
+        assert tuple(map(type, want)) == (complex, complex, float, float)
+        for lam in (np.float64(760.0), np.array(760.0)):
+            got = fields(stack_response(paper_stack, lam, 3.0, pol))
+            assert got == want and tuple(map(type, got)) == tuple(map(type, want))
         stack_mod._cavity(paper_stack, 760.0, 3.0, pol, None)
     with pytest.raises(AssertionError, match="kernel taken"):
         stack_response(_steep(paper_stack), 1520.0, 60.0, TE)
+
+
+def _waves_cases(s, lam0, theta, layers):
+    """(stack, wavelengths, angle, slice) of the waves test: one wavelength
+    and 16 across +/- 2 nm, for each slice."""
+    for lams in (np.array([lam0]), np.linspace(lam0 - 2.0, lam0 + 2.0, 16)):
+        for part in layers:
+            yield s, lams, theta, part
+
+
+@pytest.mark.dispatch
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_waves_are_the_per_layer_loops(pol):
+    """Dispatch: a layer's terms move from a (W,) row to an (L, W) array, so into another SIMD loop."""
+    # every layer's cos(theta), eta, kz and phase factors in one array pass
+    # give the floats of the loop that took them layer by layer: on the 20
+    # drawn cavities (whole stack and core) and the edge stacks, the empty one
+    # included (whole stack and all but the first layer)
+    rng = np.random.default_rng(24)
+    cases = []
+    for s, lam0 in _draw_stacks():
+        core = stack_mod._region_slice(s, "core")
+        cases += _waves_cases(s, lam0, float(rng.uniform(0.0, 4.0)), (slice(0, None), core))
+    for s in _EDGE_STACK_LIST:
+        cases += _waves_cases(s, 1210.0, 17.0, (slice(0, None), slice(1, None)))
+    assert len(cases) == 20 * 4 + 3 * 4
+    for s, lams, theta, layers in cases:
+        got = _waves(s, lams, theta, pol, None, layers)
+        want = _oracles.waves_loop(s, lams, theta, pol, None, layers)
+        assert got[0].shape == (len(s._plan.thickness[layers]), lams.size)
+        for name, g, w in zip(("A", "B", "kz", "r", "t", "kz_sub"), got, want):
+            assert g.shape == w.shape and np.array_equal(g, w), (name, lams.size, layers)
 
 
 def test_characteristic_matrix_cascades(paper_stack):
