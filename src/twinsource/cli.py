@@ -7,12 +7,15 @@
     twinsource enhancement  cavity efficiency-enhancement report
     twinsource counts       detection-chain count budget report
 
-Every command is deterministic given (config, seed). Data files are CSV
-(header row, '.' decimal separator, LF endings) or JSON via --format; each
-output gets a ``<name>.meta.json`` sidecar carrying the config hash, and the
-command writes a run report listing every file it produced and the time it
-spent reading the config, computing and writing. Each command imports only
-the layers it runs: ``counts`` loads no stack, mode, spectrum or HOM code.
+Every command is deterministic given (config, seed). ``main`` runs every
+command one way: it reads and checks the config into a ``_Run``, calls the
+command, which only computes and emits its outputs, and then writes the run
+report ``<command>.report.json`` listing every file produced, the warnings
+and the time spent reading the config, computing and writing. A failed run
+writes no report. Data files are CSV (header row, '.' decimal separator, LF
+endings) or JSON via --format; each output gets a ``<name>.meta.json``
+sidecar carrying the config hash. Each command imports only the layers it
+runs: ``counts`` loads no stack, mode, spectrum or HOM code.
 
 Exit status: 0 success, 2 input/config error, 3 numerical failure.
 """
@@ -23,7 +26,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -39,16 +41,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 _flag = partial(require, error=ConfigError)  # a flag outside its rule is an input error
-
-
-@dataclass
-class RunReport:
-    command: str
-    config_hash: str
-    outputs: list = field(default_factory=list)
-    elapsed_s: float = 0.0
-    stages: dict = field(default_factory=dict)  # config_s, compute_s, write_s: elapsed_s split
-    warnings: list = field(default_factory=list)
 
 
 # a CSV cell by its column's dtype kind: floats by repr, bools as 1/0
@@ -86,11 +78,11 @@ def _sidecar(path: Path, cfg_hash: str, extra: dict):
 
 
 class _Run:
-    """Shared bookkeeping for one command invocation."""
+    """One command invocation: its checked config, the files it emits, its warnings."""
 
     def __init__(self, args, command):
         self.t0 = time.monotonic()
-        self.args = args
+        self.command, self.quiet = command, args.quiet
         cfg = cfgmod.apply_overrides(cfgmod.load_config(args.config), args.set or [])
         if args.seed is not None:
             cfg["seed"] = args.seed
@@ -101,7 +93,7 @@ class _Run:
             self.out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:  # --out names a file, or a path through one
             raise ConfigError(f"cannot use output directory: {exc}") from exc
-        self.report = RunReport(command=command, config_hash=self.hash)
+        self.outputs, self.warnings = [], []
         self.fmt = args.format
         self.model = model = cfgmod.dispersion_model(cfg)
         self.provenance = {
@@ -124,23 +116,29 @@ class _Run:
         t = time.monotonic()
         write(path, *data)
         _sidecar(path, self.hash, {**self.provenance, **meta})
-        self.report.outputs.append(str(path))
+        self.outputs.append(str(path))
         self.write_s += time.monotonic() - t
         return path
 
-    def finish(self) -> RunReport:
+    def finish(self):
+        """Write the run report; list the warnings and outputs unless quiet."""
         elapsed = time.monotonic() - self.t0
         compute_s = elapsed - self.config_s - self.write_s
         stages = {"config_s": self.config_s, "compute_s": compute_s, "write_s": self.write_s}
-        self.report.elapsed_s = round(elapsed, 6)
-        self.report.stages = {k: round(v, 6) for k, v in stages.items()}
-        _write_json(self.out_dir / f"{self.report.command}.report.json", asdict(self.report))
-        if not self.args.quiet:
-            for line in self.report.warnings:
+        report = {
+            "command": self.command,
+            "config_hash": self.hash,
+            "outputs": self.outputs,
+            "elapsed_s": round(elapsed, 6),
+            "stages": {k: round(v, 6) for k, v in stages.items()},  # elapsed_s split
+            "warnings": self.warnings,
+        }
+        _write_json(self.out_dir / f"{self.command}.report.json", report)
+        if not self.quiet:
+            for line in self.warnings:
                 print(f"warning: {line}", file=sys.stderr)
-            for out in self.report.outputs:
+            for out in self.outputs:
                 print(out)
-        return self.report
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +160,8 @@ def _grid(lo, hi, step, name: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def cmd_stack(args) -> int:
+def cmd_stack(run: _Run, args):
     from . import stack
-    run = _Run(args, "stack")
     cfg = run.cfg
     model = run.model
     device = cfgmod.build_stack(cfg)
@@ -182,7 +179,7 @@ def cmd_stack(args) -> int:
         res = stack.find_resonance(device, (lam_lo, lam_hi), theta, pol, model)
         resonance_nm = res.wavelength_nm
     except (NoResonanceInWindow, errors.MultipleResonances, errors.MissingRegion) as exc:
-        run.report.warnings.append(f"resonance not flagged: {exc}")
+        run.warnings.append(f"resonance not flagged: {exc}")
     flag = np.zeros(len(lams), dtype=bool)
     if resonance_nm is not None:
         flag[int(np.argmin(np.abs(lams - resonance_nm)))] = True
@@ -222,13 +219,10 @@ def cmd_stack(args) -> int:
             "polarization": pol,
         },
     )
-    run.finish()
-    return EXIT_OK
 
 
-def cmd_tuning(args) -> int:
+def cmd_tuning(run: _Run, args):
     from . import phasematch
-    run = _Run(args, "tuning")
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
     tcfg = cfg["tuning"]
@@ -240,10 +234,9 @@ def cmd_tuning(args) -> int:
     lam_p = float(cfg["pump"]["wavelength_nm"])  # sidecars record floats
     points, failures = phasematch.PhaseMatcher(device, run.model).tuning_curve(thetas, lam_p)
     for theta, inter_id, msg in failures:
-        run.report.warnings.append(f"theta={theta} interaction={inter_id}: {msg}")
+        run.warnings.append(f"theta={theta} interaction={inter_id}: {msg}")
     if not points:
-        print("error: every tuning point failed", file=sys.stderr)
-        return EXIT_NUMERIC
+        raise errors.NoSolutionInWindow("every tuning point failed")
     # flag the rows bracketing each branch crossing: the signed signal-idler
     # separation changes sign exactly at the degeneracy angle
     flags = [False] * len(points)
@@ -268,13 +261,10 @@ def cmd_tuning(args) -> int:
             "lambda_p_nm": lam_p,
         },
     )
-    run.finish()
-    return EXIT_OK
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(run: _Run, args):
     from . import phasematch, spectra
-    run = _Run(args, "spectrum")
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
     theta = _flag(cfg["pump"]["angle_deg"] if args.theta is None else args.theta, ANGLE, "--theta")
@@ -309,13 +299,10 @@ def cmd_spectrum(args) -> int:
         {"lambda_nm": sp.wavelength_nm, "intensity": sp.intensity},
         {"columns": "intensity normalized to unit tallest peak", **sp.metadata},
     )
-    run.finish()
-    return EXIT_OK
 
 
-def cmd_hom_simulate(args) -> int:
+def cmd_hom_simulate(run: _Run, args):
     from . import hom
-    run = _Run(args, "hom-simulate")
     cfg = run.cfg
     hcfg = cfg["hom"]
     model = hom.DipModel(  # sidecars record floats
@@ -345,8 +332,6 @@ def cmd_hom_simulate(args) -> int:
             "model": scan.metadata["model"],
         },
     )
-    run.finish()
-    return EXIT_OK
 
 
 def _read_scan_csv(path: Path, dwell_s: float) -> hom.HomScan:
@@ -383,17 +368,16 @@ def _read_scan_csv(path: Path, dwell_s: float) -> hom.HomScan:
         raise ConfigError(f"scan violates invariants: {exc}") from exc
 
 
-def cmd_hom_fit(args) -> int:
+def cmd_hom_fit(run: _Run, args):
     from . import hom
-    run = _Run(args, "hom-fit")
     cfg = run.cfg
     lam = float(cfg["hom"]["degeneracy_wavelength_nm"])
     scan = _read_scan_csv(Path(args.scan), float(cfg["hom"]["dwell_s"]))
     fit = hom.fit_dip(scan, lam)
     if not fit.converged:
-        run.report.warnings.append("dip fit not converged: its baseline reached no fixed point")
+        run.warnings.append("dip fit not converged: its baseline reached no fixed point")
     if fit.visibility > 1.0:
-        run.report.warnings.append(f"fitted visibility {fit.visibility} exceeds 1: net counts < 0")
+        run.warnings.append(f"fitted visibility {fit.visibility} exceeds 1: net counts < 0")
     residuals = hom.normalized_residuals(scan, fit, lam).tolist()
     run.emit_json(
         "hom_fit",
@@ -411,12 +395,9 @@ def cmd_hom_fit(args) -> int:
         },
         {"scan_file": str(args.scan), "wavelength_nm": lam},
     )
-    run.finish()
-    return EXIT_OK
 
 
-def cmd_counts(args) -> int:
-    run = _Run(args, "counts")
+def cmd_counts(run: _Run, args):
     chain = cfgmod.build_detection_chain(run.cfg)
     budget = efficiency.expected_counts(chain)
     run.emit_json(
@@ -426,13 +407,10 @@ def cmd_counts(args) -> int:
             "pairs_per_pulse", "selected_fraction", "pulse_rate_hz",
             "detector_efficiency", "dark_rate_hz")}},
     )
-    run.finish()
-    return EXIT_OK
 
 
-def cmd_enhancement(args) -> int:
+def cmd_enhancement(run: _Run, args):
     from . import modes, stack
-    run = _Run(args, "enhancement")
     cfg = run.cfg
     overrides = cfg["enhancement_overrides"]
     model = run.model
@@ -463,8 +441,6 @@ def cmd_enhancement(args) -> int:
         raise ConfigError(f"enhancement_overrides: {exc}") if overrides else exc
     payload["enhancement_factor"] = efficiency.enhancement_factor(params)
     run.emit_json("enhancement", payload, {"overrides": sorted(overrides)})
-    run.finish()
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = f"hom-{args.hom_command}" if args.command == "hom" else args.command
     try:
-        return args.func(args)
+        run = _Run(args, command)
+        args.func(run, args)
+        run.finish()
+        return EXIT_OK
     except (ConfigError, OutOfValidityWindow, errors.AboveBandgap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -14,10 +14,12 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+from dataclasses import asdict
 
 from . import materials
 from .efficiency import DetectionChain
-from .errors import ANGLE, BELOW_ONE, FRACTION, NON_NEGATIVE, NUMBER, POSITIVE, WINDOW, number
+from .errors import ANGLE, BELOW_ONE, FRACTION, LENGTH_MM, NON_NEGATIVE, NUMBER, POSITIVE, WINDOW
+from .errors import number
 from .errors import AboveBandgap, ConfigError, NonPhysicalInput, OutOfValidityWindow, require
 from .materials import Composition
 
@@ -69,22 +71,7 @@ DEFAULT_CONFIG = {
         "noise_floor": 0.0,
     },
     "tuning": {"theta_min_deg": -1.0, "theta_max_deg": 4.0, "theta_step_deg": 0.05},
-    "detection": {
-        "pairs_per_pulse": 10.0,
-        "selected_fraction": 0.5,
-        "pulse_rate_hz": 3000.0,
-        "pulse_duration_s": 150e-9,
-        "facet_transmission": 0.70,
-        "objective_transmission": 0.70,
-        "filter_transmission": 0.50,
-        "splitter_transmission": 0.50,
-        "detector_efficiency": 0.20,
-        "dark_rate_hz": 20.0,
-        "coincidence_window_s": 2e-9,
-        "luminescence_per_nm_pulse": 0.05,
-        "filter_bandwidth_nm": 10.0,
-        "filter_center_nm": 1520.0,
-    },
+    "detection": asdict(DetectionChain()),  # the nominal chain, written once
     "hom": {
         "visibility": None,  # None -> 1/(1 + 2 R^2) from the facet reflectance
         "delta_lambda_nm": 0.53,
@@ -112,10 +99,9 @@ _TYPES = {
 _RULES = {
     **dict.fromkeys(
         (
-            "stack.design_wavelength_nm", "pump.wavelength_nm", "sample.length_mm",
-            "spectrum.step_nm", "spectrum.half_span_nm", "tuning.theta_step_deg",
-            "hom.delta_lambda_nm", "hom.degeneracy_wavelength_nm", "hom.scan_half_span_mm",
-            "hom.dwell_s",
+            "stack.design_wavelength_nm", "pump.wavelength_nm", "spectrum.step_nm",
+            "spectrum.half_span_nm", "tuning.theta_step_deg", "hom.delta_lambda_nm",
+            "hom.degeneracy_wavelength_nm", "hom.scan_half_span_mm", "hom.dwell_s",
         ),
         POSITIVE,
     ),
@@ -125,6 +111,7 @@ _RULES = {
     ),
     **dict.fromkeys(("pump.angle_deg", "tuning.theta_min_deg", "tuning.theta_max_deg"), ANGLE),
     "resonance.window_nm": WINDOW,
+    "sample.length_mm": LENGTH_MM,
     "sample.facet_reflectance": BELOW_ONE,
     "hom.visibility": (lambda v: v is None or FRACTION[0](v), "null or in [0, 1]"),
     "hom.scan_points": (

@@ -20,6 +20,7 @@ def number(v) -> bool:
 
 
 NUMBER = (number, "a finite number")
+REAL = (lambda v: type(v) is not bool and isinstance(v, numbers.Real), "a real number")
 POSITIVE = (lambda v: number(v) and v > 0, "a finite number > 0")
 NON_NEGATIVE = (lambda v: number(v) and v >= 0, "a finite number >= 0")
 FRACTION = (lambda v: number(v) and 0 <= v <= 1, "a number in [0, 1]")
@@ -28,6 +29,10 @@ ANGLE = (lambda v: number(v) and abs(v) < 90.0, "an angle strictly between -90 a
 WINDOW = (
     lambda v: isinstance(v, (list, tuple)) and len(v) == 2 and all(map(number, v)) and v[0] < v[1],
     "two finite wavelengths lo < hi in nm",
+)
+LENGTH_MM = (  # a length in mm that nm-scale arithmetic takes as a finite number
+    lambda v: POSITIVE[0](v) and float(v) * 1e6 <= _MAX,
+    "a finite number > 0 that stays finite in nm",
 )
 POLARIZATION = (lambda v: isinstance(v, str) and v in ("TE", "TM"), '"TE" or "TM"')
 

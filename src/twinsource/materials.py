@@ -38,7 +38,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import FRACTION, AboveBandgap, OutOfValidityWindow, require
+from .errors import FRACTION, REAL, AboveBandgap, OutOfValidityWindow, require
 
 # exact in the 2019 SI
 PLANCK_J_S = 6.62607015e-34
@@ -94,7 +94,7 @@ class DispersionModel:
         return type(self), (self.name, dict(self.coefficients), *fields)
 
     def gap_energy_ev(self, x: float) -> float:
-        return self._constants(x)[0]
+        return self._constants(_fraction(x))[0]
 
     def _alloy(self, x: float):
         """(E0, E0so, (E0/E0so)^1.5, A, B) at Al fraction x, kept per x and its type."""
@@ -115,7 +115,7 @@ class DispersionModel:
                 f"window [{lo}, {hi}] nm"
             )
         xlo, xhi = self.x_window
-        if not (xlo <= x <= xhi):
+        if not (xlo <= _fraction(x) <= xhi):
             raise OutOfValidityWindow(
                 f"composition x={x} outside model '{self.name}' window [{xlo}, {xhi}]"
             )
@@ -159,6 +159,12 @@ class DispersionModel:
             return n.conjugate() if n.imag < 0 else n
         n = np.sqrt(self._n_squared(terms, np.sqrt, lambda v: np.sqrt(v.astype(complex))))
         return np.where(np.imag(n) < 0, np.conj(n), n)
+
+
+def _fraction(x):
+    """``x``, unless it is no real scalar (a 0-d array, a list): ValueError.
+    It is not converted, so a float32 fraction keeps its floats."""
+    return x if type(x) is float else require(x, REAL, "aluminum fraction")
 
 
 def _complex_root(v: float) -> complex:

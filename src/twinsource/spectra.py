@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FRACTION, NON_NEGATIVE, POSITIVE, require
+from .errors import FRACTION, LENGTH_MM, NON_NEGATIVE, POSITIVE, require
 from .errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
 from .phasematch import PhaseMatcher, _kp_sin, _mismatch, conjugate_wavelength, interaction
 from .stack import LayerStack
@@ -42,7 +42,10 @@ class Spectrum:
         if lam.ndim != 1 or lam.size < 2 or inten.shape != lam.shape:
             raise ValueError("wavelength and intensity must be matching 1D arrays")
         steps = np.diff(lam)
-        if np.any(steps <= 0) or (steps.max() - steps.min()) > 1e-9 * steps.mean():
+        top = max(abs(lam[0]), abs(lam[-1]))  # the largest |lambda| of an increasing grid
+        if not (np.all(steps > 0) and math.isfinite(top)) or steps.max() - steps.min() > max(
+            1e-9 * steps.mean(), 4 * math.ulp(top)  # lo + step k rounds each point
+        ):
             raise ValueError("wavelength grid must be uniform and strictly increasing")
         if not (np.isfinite(inten).all() and (inten >= 0).all()):
             raise ValueError("intensities must all be finite and non-negative")
@@ -52,6 +55,15 @@ class Spectrum:
     @property
     def step_nm(self) -> float:
         return float(self.wavelength_nm[1] - self.wavelength_nm[0])
+
+
+def _matcher(matcher, s: LayerStack) -> PhaseMatcher:
+    """``matcher``, or a new one for ``s``; ValueError for a matcher of another stack."""
+    if matcher is None:
+        return PhaseMatcher(s)
+    if matcher.stack is not s and matcher.stack != s:
+        raise ValueError("matcher was built for another stack than the one given")
+    return matcher
 
 
 def sinc2(x):
@@ -69,8 +81,8 @@ def phase_matching_intensity(
     lambda_s, theta_deg, lambda_p, inter, length_mm, s: LayerStack, matcher=None
 ):
     """sinc^2(dk L/2) at arbitrary signal wavelengths (peak value exactly 1)."""
-    require(length_mm, POSITIVE, "sample length")
-    m: PhaseMatcher = matcher or PhaseMatcher(s)
+    require(length_mm, LENGTH_MM, "sample length")
+    m = _matcher(matcher, s)
     length_nm = length_mm * 1e6
     dk = m.delta_k(lambda_s, theta_deg, lambda_p, inter)
     return sinc2(np.asarray(dk) * length_nm / 2.0)
@@ -87,10 +99,10 @@ def phase_matching_spectrum(
     matcher=None,
 ) -> Spectrum:
     """Single-interaction sinc^2 spectrum around its phase-matched wavelength."""
-    require(length_mm, POSITIVE, "sample length")
+    require(length_mm, LENGTH_MM, "sample length")
     require(half_span_nm, POSITIVE, "half span")
     require(step_nm, POSITIVE, "grid step")
-    m: PhaseMatcher = matcher or PhaseMatcher(s)
+    m = _matcher(matcher, s)
     point = m.solve_pair(theta_deg, lambda_p, inter)
     lam_s = point.lambda_s_nm
     grid = _make_grid(lam_s - half_span_nm, lam_s + half_span_nm, step_nm)
@@ -166,8 +178,8 @@ def fluorescence_spectrum(
     once. A kernel width of 0 means no kernel. NoPeak if nothing is left to
     normalize.
     """
-    m: PhaseMatcher = matcher or PhaseMatcher(s)
-    require(length_mm, POSITIVE, "sample length")
+    m = _matcher(matcher, s)
+    require(length_mm, LENGTH_MM, "sample length")
     require(noise_floor, NON_NEGATIVE, "noise floor")
     require(pump_fwhm_nm, NON_NEGATIVE, "pump kernel FWHM")
     require(mono_fwhm_nm, NON_NEGATIVE, "monochromator kernel FWHM")
@@ -283,8 +295,8 @@ def bandwidth_estimates(
     2 pi |n_gs - n_gi| / lambda^2 for two copropagating guided photons on the
     same stack. Returns (counterprop_fwhm_nm, coprop_fwhm_nm).
     """
-    require(length_mm, POSITIVE, "sample length")
-    m: PhaseMatcher = matcher or PhaseMatcher(s)
+    require(length_mm, LENGTH_MM, "sample length")
+    m = _matcher(matcher, s)
     p = m.solve_pair(theta_deg, lambda_p, inter)
     ngs = m.n_group(inter.copropagating_pol, p.lambda_s_nm)
     ngi = m.n_group(inter.counterpropagating_pol, p.lambda_i_nm)

@@ -20,7 +20,9 @@ from twinsource.config import (
     MAX_PERIODS,
     OVERRIDE_KEYS,
     apply_overrides,
+    build_detection_chain,
     check_config,
+    config_hash,
     default_config,
 )
 from twinsource.efficiency import DetectionChain
@@ -81,6 +83,39 @@ def test_stack_meta_sidecar_and_report(tmp_path):
     assert sum(stages.values()) == pytest.approx(report["elapsed_s"], abs=1e-5)
     for out in report["outputs"]:
         assert Path(out).exists()
+
+
+# the seven README commands (tools/readme_outputs.py), by the run each names
+_README_RUNS = {
+    "stack": ("stack", "--lambda-min", 740, "--lambda-max", 780),
+    "tuning": ("tuning",),
+    "spectrum": ("spectrum", "--theta", 3.1, "--set", "pump.wavelength_nm=759.5"),
+    "hom-simulate": ("hom", "simulate", "--seed", 7),
+    "hom-fit": ("hom", "fit", "--scan"),  # the scan_dir scan
+    "enhancement": ("enhancement",),
+    "counts": ("counts",),
+}
+_REPORT_KEYS = {"command", "config_hash", "outputs", "elapsed_s", "stages", "warnings"}
+
+
+@pytest.mark.parametrize("name", _README_RUNS)
+def test_every_command_writes_its_report(scan_dir, tmp_path, name):
+    scan = (scan_dir / "hom_scan.csv",) if name == "hom-fit" else ()
+    assert run(*_README_RUNS[name], *scan, "--out", tmp_path, "--quiet") == EXIT_OK
+    report = json.loads((tmp_path / f"{name}.report.json").read_text())
+    assert set(report) == _REPORT_KEYS
+    assert report["command"] == name and report["warnings"] == []
+    assert sum(report["stages"].values()) == pytest.approx(report["elapsed_s"], abs=1e-5)
+    # the directory holds the outputs, a sidecar each and the report
+    outputs = [Path(out).name for out in report["outputs"]]
+    written = {*outputs, *(f"{out}.meta.json" for out in outputs), f"{name}.report.json"}
+    assert {path.name for path in tmp_path.iterdir()} == written
+
+
+def test_the_default_detection_section_is_the_nominal_chain():
+    cfg = default_config()
+    assert build_detection_chain(cfg) == DetectionChain()
+    assert config_hash(cfg) == "97748bb16b0a97b7797e4805d35b41f2993e4f4db02012154b597f6343a2244f"
 
 
 def test_stack_rejects_empty_layer_list(tmp_path):
@@ -151,6 +186,7 @@ _OTHER_OVERRIDES = (
         ("hom", "simulate", "--set", 'hom.visibility="x"'),
         ("hom", "simulate", "--set", "hom.scan_points=-3"),
         ("spectrum", "--set", "sample.length_mm=nan"),
+        ("spectrum", "--set", "sample.length_mm=1e308"),
         ("tuning", "--set", 'pump.wavelength_nm="abc"'),
         ("hom", "simulate", "--set", "hom.dwell_s=0"),
         ("spectrum", "--set", 'spectrum.monochromator_fwhm_nm="x"'),
@@ -191,6 +227,7 @@ _OTHER_OVERRIDES = (
         "negative_design_wavelength", "enhancement_window_strings", "tuning_zero_step",
         "tuning_reversed_range", "spectrum_theta_past_90", "zero_pulse_rate",
         "visibility_not_a_number", "negative_scan_points", "sample_length_nan",
+        "sample_length_infinite_in_nm",
         "pump_wavelength_string", "zero_dwell", "monochromator_fwhm_string",
         "noise_floor_string", "spectrum_step_string", "pump_linewidth_string",
         "facet_reflectance_string", "negative_half_span", "enhancement_pump_string",
@@ -268,6 +305,26 @@ def test_stack_does_not_swallow_a_fault_in_the_resonance_search(tmp_path, monkey
     monkeypatch.setattr(stack, "_cavity", broken)
     with pytest.raises(KeyError, match="fault"):
         run("stack", *_NARROW_SWEEP, "--out", tmp_path, "--quiet")
+
+
+def test_tuning_with_every_point_failed_is_numeric_error(tmp_path, capsys):
+    # an ambient index of 3.5, above every layer's, leaves no guided window:
+    # each point fails, and with no point left the run fails as a whole
+    argv = ("tuning", "--set", "stack.ambient_index=3.5", "--set", "tuning.theta_step_deg=1")
+    assert run(*argv, "--out", tmp_path) == EXIT_NUMERIC
+    assert capsys.readouterr().err == "error: every tuning point failed\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("step", [1e-4, 5e-5])
+def test_spectrum_on_a_fine_grid(tmp_path, step):
+    # kernels off: the steps of lo + step k spread by an ulp of |lambda|, which
+    # the grid check takes as uniform
+    kernels = ("--set", "pump.linewidth_fwhm_nm=0", "--set", "spectrum.monochromator_fwhm_nm=0")
+    argv = ("spectrum", "--set", f"spectrum.step_nm={step}", *kernels, "--out", tmp_path)
+    assert run(*argv, "--quiet") == EXIT_OK
+    header, rows = read_csv(tmp_path / "spectrum.csv")
+    assert len(rows) > 10.0 / step
 
 
 def test_counts_beyond_the_double_range_is_numeric_error(tmp_path, capsys):

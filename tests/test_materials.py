@@ -255,3 +255,21 @@ def test_a_nan_wavelength_is_outside_the_window():
             model.evaluate(0.3, lam)
         with pytest.raises(OutOfValidityWindow, match="^wavelength "):
             model.evaluate_complex(0.0, lam)
+
+
+@pytest.mark.parametrize(
+    "fraction", [np.array(0.3), [0.3], np.array([0.3]), "0.3", None, True],
+    ids=["zero_d_array", "list", "one_element_array", "string", "none", "bool"],
+)
+def test_a_fraction_that_is_no_real_scalar_is_refused(fraction):
+    # a 0-d array reached the per-fraction cache (unhashable) and a list the
+    # window comparison: both raised TypeError
+    model = get_model()
+    for call in (
+        lambda: model.evaluate(fraction, 1520.0),
+        lambda: model.evaluate(fraction, np.array([1500.0, 1520.0])),
+        lambda: model.evaluate_complex(fraction, 760.0),
+        lambda: model.gap_energy_ev(fraction),
+    ):
+        with pytest.raises(ValueError, match="^aluminum fraction must be a real number"):
+            call()

@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 from scipy.signal import find_peaks
 
 from _oracles import fluorescence_spectrum_per_branch, sinc2_masked_divide
+from twinsource import config
 from twinsource.errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
 from twinsource.phasematch import INTERACTION_1, INTERACTION_2, PhaseMatcher
 from twinsource.spectra import (
@@ -266,8 +267,23 @@ def test_fluorescence_merged_at_degeneracy(matcher, paper_stack):
 def test_spectrum_grid_validation():
     with pytest.raises(ValueError):
         Spectrum(np.array([1.0, 2.0, 2.5]), np.ones(3))
+    # a NaN step fails every comparison, and an infinite end makes the step
+    # spread and its bound both infinite: either grid passed
+    nan, inf = math.nan, math.inf
+    bad_grids = ([1.0, nan, 3.0], [nan, 1.0, 2.0], [1.0, inf, 3.0], [1.0, 2.0, inf], [-inf, 1.0, 2.0])
+    for grid in bad_grids:
+        with pytest.raises(ValueError, match="uniform and strictly increasing"):
+            Spectrum(np.array(grid), np.ones(3))
     with pytest.raises(ValueError):
         Spectrum(np.array([1.0, 2.0, 3.0]), np.array([1.0, -0.1, 0.0]))
+
+
+@pytest.mark.parametrize("step", [1e-4, 2e-4, 5e-5])
+def test_a_fine_grid_near_1500_nm_is_uniform(step):
+    # lo + step k rounds each point to the double nearest it: near 1500 nm the
+    # steps spread by an ulp there (2.3e-13 nm), above 1e-9 of a 1e-4 nm step
+    grid = 1495.123 + step * np.arange(int(round(10.0 / step)) + 1)
+    assert Spectrum(grid, np.ones(grid.size)).step_nm == pytest.approx(step)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -294,9 +310,30 @@ _LENGTH_USERS = {
 
 @pytest.mark.parametrize("user", sorted(_LENGTH_USERS))
 def test_sample_length_must_be_finite_and_positive(matcher, paper_stack, user):
-    for length in (0.0, -1.0, math.nan, math.inf, -math.inf):
+    # 1e308 mm overflows to an infinite length in nm
+    for length in (0.0, -1.0, math.nan, math.inf, -math.inf, 1e308):
         with pytest.raises(ValueError, match="sample length"):
             _LENGTH_USERS[user](matcher, paper_stack, length)
+
+
+@pytest.fixture(scope="module")
+def ten_period_stack():
+    """The default device with 10 top-mirror periods instead of 18."""
+    cfg = config.default_config()
+    cfg["stack"]["regions"][0]["periods"] = 10
+    return config.build_stack(cfg)
+
+
+@pytest.mark.parametrize("user", sorted(_LENGTH_USERS))
+def test_a_matcher_of_another_stack_is_refused(matcher, paper_stack, ten_period_stack, user):
+    # the matcher's tables hold its own stack's modes: used for another stack,
+    # they gave the matcher's stack's spectra without a word
+    with pytest.raises(ValueError, match="another stack"):
+        _LENGTH_USERS[user](matcher, ten_period_stack, 1.0)
+    # a stack equal to the matcher's, built anew, is that stack
+    twin = config.build_stack(config.default_config())
+    assert twin is not paper_stack
+    _LENGTH_USERS[user](matcher, twin, 1.0)
 
 
 def test_kernel_width_must_be_finite_and_not_negative(matcher, paper_stack):
