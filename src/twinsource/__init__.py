@@ -4,6 +4,7 @@ counterpropagating telecom photon pairs.
 Submodules
 ----------
 materials   Al(x)Ga(1-x)As refractive-index dispersion models
+layers      the layer structure: layers, regions, the stack and its layer plan
 stack       1D transfer-matrix engine: reflectivity, fields, cavity resonance
 modes       guided TE/TM modes of the multilayer planar waveguide
 roots       Brent's root finder, one bracket or many at once

@@ -11,7 +11,8 @@ Every command is deterministic given (config, seed). ``main`` runs every
 command one way: it reads and checks the config into a ``_Run``, calls the
 command, which only computes and emits its outputs, and then writes the run
 report ``<command>.report.json`` listing every file produced, the warnings
-and the time spent reading the config, computing and writing. A failed run
+and the time spent reading the config, importing the command's layers
+(``_Run.importing``), computing and writing. A failed run
 writes no report. Data files are CSV (header row, '.' decimal separator, LF
 endings) or JSON via --format; each output gets a ``<name>.meta.json``
 sidecar carrying the config hash. Each command imports only the layers it
@@ -26,6 +27,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 
@@ -100,7 +102,14 @@ class _Run:
             "dispersion_model": model.name,
             "dispersion_coefficients": {k: list(v) for k, v in model.coefficients.items()},
         }
-        self.config_s, self.write_s = time.monotonic() - self.t0, 0.0
+        self.config_s, self.import_s, self.write_s = time.monotonic() - self.t0, 0.0, 0.0
+
+    @contextmanager
+    def importing(self):
+        """Time the block, the command's imports of its layers, as the import stage."""
+        t = time.monotonic()
+        yield
+        self.import_s += time.monotonic() - t
 
     def table_path(self, name: str) -> Path:
         ext = ".json" if self.fmt == "json" else ".csv"
@@ -123,8 +132,13 @@ class _Run:
     def finish(self):
         """Write the run report; list the warnings and outputs unless quiet."""
         elapsed = time.monotonic() - self.t0
-        compute_s = elapsed - self.config_s - self.write_s
-        stages = {"config_s": self.config_s, "compute_s": compute_s, "write_s": self.write_s}
+        compute_s = elapsed - self.config_s - self.import_s - self.write_s
+        stages = {
+            "config_s": self.config_s,
+            "import_s": self.import_s,
+            "compute_s": compute_s,
+            "write_s": self.write_s,
+        }
         report = {
             "command": self.command,
             "config_hash": self.hash,
@@ -155,13 +169,28 @@ def _grid(lo, hi, step, name: str) -> np.ndarray:
     return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
 
 
+def _pump_nm(run: _Run) -> float:
+    """``pump.wavelength_nm`` as a float (sidecars record floats, whole numbers
+    too), unless the pair search, which starts at twice it, starts outside the
+    dispersion model's window: ConfigError naming the key."""
+    lam_p = float(run.cfg["pump"]["wavelength_nm"])
+    lo, hi = run.model.wavelength_window_nm
+    if not lo <= 2.0 * lam_p <= hi:
+        raise ConfigError(
+            f"pump.wavelength_nm {lam_p}: the pair search starts at twice it, outside "
+            f"model '{run.model.name}' window [{lo}, {hi}] nm"
+        )
+    return lam_p
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_stack(run: _Run, args):
-    from . import stack
+    with run.importing():
+        from . import stack
     cfg = run.cfg
     model = run.model
     device = cfgmod.build_stack(cfg)
@@ -222,7 +251,8 @@ def cmd_stack(run: _Run, args):
 
 
 def cmd_tuning(run: _Run, args):
-    from . import phasematch
+    with run.importing():
+        from . import phasematch
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
     tcfg = cfg["tuning"]
@@ -231,12 +261,12 @@ def cmd_tuning(run: _Run, args):
     hi = hi if args.theta_max is None else _flag(args.theta_max, ANGLE, "--theta-max")
     step = step if args.theta_step is None else _flag(args.theta_step, POSITIVE, "--theta-step")
     thetas = _grid(lo, hi, step, "pump angle (deg)")
-    lam_p = float(cfg["pump"]["wavelength_nm"])  # sidecars record floats
+    lam_p = _pump_nm(run)
     points, failures = phasematch.PhaseMatcher(device, run.model).tuning_curve(thetas, lam_p)
-    for theta, inter_id, msg in failures:
-        run.warnings.append(f"theta={theta} interaction={inter_id}: {msg}")
+    failed = [f"theta={theta} interaction={inter_id}: {msg}" for theta, inter_id, msg in failures]
+    run.warnings += failed
     if not points:
-        raise errors.NoSolutionInWindow("every tuning point failed")
+        raise errors.NoSolutionInWindow(f"every tuning point failed, the first at {failed[0]}")
     # flag the rows bracketing each branch crossing: the signed signal-idler
     # separation changes sign exactly at the degeneracy angle
     flags = [False] * len(points)
@@ -264,11 +294,12 @@ def cmd_tuning(run: _Run, args):
 
 
 def cmd_spectrum(run: _Run, args):
-    from . import phasematch, spectra
+    with run.importing():
+        from . import phasematch, spectra
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
     theta = _flag(cfg["pump"]["angle_deg"] if args.theta is None else args.theta, ANGLE, "--theta")
-    lam_p = float(cfg["pump"]["wavelength_nm"])  # sidecars record floats, whole numbers too
+    lam_p = _pump_nm(run)
     length_mm = float(cfg["sample"]["length_mm"])
     scfg = cfg["spectrum"]
     half_span, step = scfg["half_span_nm"], scfg["step_nm"]
@@ -302,7 +333,8 @@ def cmd_spectrum(run: _Run, args):
 
 
 def cmd_hom_simulate(run: _Run, args):
-    from . import hom
+    with run.importing():
+        from . import hom
     cfg = run.cfg
     hcfg = cfg["hom"]
     model = hom.DipModel(  # sidecars record floats
@@ -334,8 +366,8 @@ def cmd_hom_simulate(run: _Run, args):
     )
 
 
-def _read_scan_csv(path: Path, dwell_s: float) -> hom.HomScan:
-    from . import hom
+def _read_scan_csv(path: Path) -> tuple:
+    """The delta_z_mm, total_counts and accidental_counts columns of a scan CSV."""
     try:
         raw = path.read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
@@ -360,19 +392,18 @@ def _read_scan_csv(path: Path, dwell_s: float) -> hom.HomScan:
             acc.append(int(parts[2]))
         except ValueError as exc:
             raise ConfigError(f"malformed scan row {ln!r}: {exc}") from exc
-    try:
-        return hom.HomScan(
-            np.array(dz), np.array(tot), np.array(acc), dwell_s=dwell_s
-        )
-    except ValueError as exc:
-        raise ConfigError(f"scan violates invariants: {exc}") from exc
+    return np.array(dz), np.array(tot), np.array(acc)
 
 
 def cmd_hom_fit(run: _Run, args):
-    from . import hom
+    with run.importing():
+        from . import hom
     cfg = run.cfg
     lam = float(cfg["hom"]["degeneracy_wavelength_nm"])
-    scan = _read_scan_csv(Path(args.scan), float(cfg["hom"]["dwell_s"]))
+    try:
+        scan = hom.HomScan(*_read_scan_csv(Path(args.scan)), dwell_s=float(cfg["hom"]["dwell_s"]))
+    except ValueError as exc:
+        raise ConfigError(f"scan violates invariants: {exc}") from exc
     fit = hom.fit_dip(scan, lam)
     if not fit.converged:
         run.warnings.append("dip fit not converged: its baseline reached no fixed point")
@@ -410,21 +441,22 @@ def cmd_counts(run: _Run, args):
 
 
 def cmd_enhancement(run: _Run, args):
-    from . import modes, stack
     cfg = run.cfg
     overrides = cfg["enhancement_overrides"]
     model = run.model
     payload = {}
     if not set(cfgmod.OVERRIDE_KEYS).issubset(overrides):
+        with run.importing():
+            from . import layers, modes, stack
         device = cfgmod.build_stack(cfg)
         window = cfg["resonance"]["window_nm"]
         try:
-            res = stack.find_resonance(device, window, pol=stack.TE, model=model)
+            res = stack.find_resonance(device, window, pol=layers.TE, model=model)
         except errors.MissingRegion as exc:  # the cavity's regions are found by name
             raise ConfigError(f"stack.regions: {exc}") from exc
         lam_deg = 2.0 * cfg["pump"]["wavelength_nm"]
-        te = modes.guided_modes(device, lam_deg, stack.TE, model, max_modes=1)[0]
-        tm = modes.guided_modes(device, lam_deg, stack.TM, model, max_modes=1)[0]
+        te = modes.guided_modes(device, lam_deg, layers.TE, model, max_modes=1)[0]
+        tm = modes.guided_modes(device, lam_deg, layers.TM, model, max_modes=1)[0]
         payload = {
             "resonance_nm": res.wavelength_nm,
             "resonance_fwhm_nm": res.fwhm_nm,
@@ -474,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-max", type=float)
     p.add_argument("--step", type=float, default=0.05)
     p.add_argument("--theta", type=float)
-    p.add_argument("--pol", choices=("TE", "TM"), default="TE")  # stack.TE, stack.TM
+    p.add_argument("--pol", choices=("TE", "TM"), default="TE")  # layers.TE, layers.TM
     _add_common(p)
     p.set_defaults(func=cmd_stack)
 

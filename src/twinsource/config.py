@@ -14,7 +14,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import asdict
 
 from . import materials
 from .efficiency import DetectionChain
@@ -71,7 +70,7 @@ DEFAULT_CONFIG = {
         "noise_floor": 0.0,
     },
     "tuning": {"theta_min_deg": -1.0, "theta_max_deg": 4.0, "theta_step_deg": 0.05},
-    "detection": asdict(DetectionChain()),  # the nominal chain, written once
+    "detection": DetectionChain()._asdict(),  # the nominal chain, written once
     "hom": {
         "visibility": None,  # None -> 1/(1 + 2 R^2) from the facet reflectance
         "delta_lambda_nm": 0.53,
@@ -243,7 +242,7 @@ def dispersion_model(cfg: dict):
 
 def build_stack(cfg: dict) -> LayerStack:
     """LayerStack from the config's stack section (config checked, invariants enforced)."""
-    from .stack import Layer, LayerStack, Region  # here: a command that builds no stack loads none
+    from .layers import Layer, LayerStack, Region  # here: a command that builds no stack loads none
     model = dispersion_model(cfg)
     sc = cfg["stack"]
     lam = sc["design_wavelength_nm"]

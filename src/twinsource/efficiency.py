@@ -19,10 +19,10 @@ clicks are spread over the pulse, so accidentals pick up the extra factor
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, astuple, dataclass
+from typing import NamedTuple
 
 from .errors import BELOW_ONE, FRACTION, NON_NEGATIVE, NUMBER, POSITIVE, number, require
-from .errors import DivisionDomain, NonPhysicalInput
+from .errors import DivisionDomain, NonPhysicalInput, record
 from .materials import LIGHT_SPEED_M_S, PLANCK_J_S
 
 
@@ -32,18 +32,16 @@ def _check(obj, rules: dict) -> None:
         require(getattr(obj, name), rule, name, NonPhysicalInput)
 
 
-@dataclass(frozen=True)
-class CavityParams:
+class CavityParams(record("CavityParams", "n_mean finesse t_up t_down")):
     """Inputs of the enhancement formula."""
 
-    n_mean: float
-    finesse: float
-    t_up: float
-    t_down: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         n_mean = (lambda v: number(v) and v > 1.0, "a finite number > 1")
         _check(self, {"n_mean": n_mean, "finesse": POSITIVE, "t_up": FRACTION, "t_down": FRACTION})
+        return self
 
 
 def enhancement_factor(p: CavityParams) -> float:
@@ -61,16 +59,15 @@ def enhancement_factor(p: CavityParams) -> float:
     return factor
 
 
-@dataclass(frozen=True)
-class PumpPulse:
+class PumpPulse(record("PumpPulse", "peak_power_w duration_s wavelength_nm")):
     """One pump pulse: peak power (W), duration (s), wavelength (nm)."""
 
-    peak_power_w: float = 10.0
-    duration_s: float = 150e-9
-    wavelength_nm: float = 760.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, peak_power_w=10.0, duration_s=150e-9, wavelength_nm=760.0):
+        self = tuple.__new__(cls, (peak_power_w, duration_s, wavelength_nm))
         _check(self, dict(peak_power_w=NON_NEGATIVE, duration_s=POSITIVE, wavelength_nm=POSITIVE))
+        return self
 
     @property
     def energy_j(self) -> float:
@@ -93,40 +90,37 @@ def brightness(pulse: PumpPulse, eta: float) -> float:
     return eta * pulse.photons_per_pulse
 
 
-_CHAIN_RULES = {  # a rule for each DetectionChain field, in order
-    "pairs_per_pulse": NON_NEGATIVE, "selected_fraction": FRACTION,
-    "pulse_rate_hz": POSITIVE, "pulse_duration_s": POSITIVE,
-    "facet_transmission": FRACTION, "objective_transmission": FRACTION,
-    "filter_transmission": FRACTION, "splitter_transmission": FRACTION,
-    "detector_efficiency": FRACTION, "dark_rate_hz": NON_NEGATIVE,
-    "coincidence_window_s": POSITIVE, "luminescence_per_nm_pulse": NON_NEGATIVE,
-    "filter_bandwidth_nm": NON_NEGATIVE, "filter_center_nm": NUMBER,
+_CHAIN = {  # each DetectionChain field, in order: its default and its rule
+    "pairs_per_pulse": (10.0, NON_NEGATIVE),
+    "selected_fraction": (0.5, FRACTION),  # one of the two equal interactions kept
+    "pulse_rate_hz": (3000.0, POSITIVE),
+    "pulse_duration_s": (150e-9, POSITIVE),
+    "facet_transmission": (0.70, FRACTION),
+    "objective_transmission": (0.70, FRACTION),
+    "filter_transmission": (0.50, FRACTION),
+    "splitter_transmission": (0.50, FRACTION),
+    "detector_efficiency": (0.20, FRACTION),
+    "dark_rate_hz": (20.0, NON_NEGATIVE),
+    "coincidence_window_s": (2e-9, POSITIVE),
+    "luminescence_per_nm_pulse": (0.05, NON_NEGATIVE),
+    "filter_bandwidth_nm": (10.0, NON_NEGATIVE),
+    "filter_center_nm": (1520.0, NUMBER),
 }
 
 
-@dataclass(frozen=True)
-class DetectionChain:
-    """Bench parameters of the coincidence measurement."""
+class DetectionChain(
+    record("DetectionChain", _CHAIN, defaults=[default for default, _ in _CHAIN.values()])
+):
+    """Bench parameters of the coincidence measurement (defaults in ``_CHAIN``)."""
 
-    pairs_per_pulse: float = 10.0
-    selected_fraction: float = 0.5  # one of the two equal interactions kept
-    pulse_rate_hz: float = 3000.0
-    pulse_duration_s: float = 150e-9
-    facet_transmission: float = 0.70
-    objective_transmission: float = 0.70
-    filter_transmission: float = 0.50
-    splitter_transmission: float = 0.50
-    detector_efficiency: float = 0.20
-    dark_rate_hz: float = 20.0
-    coincidence_window_s: float = 2e-9
-    luminescence_per_nm_pulse: float = 0.05
-    filter_bandwidth_nm: float = 10.0
-    filter_center_nm: float = 1520.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check(self, _CHAIN_RULES)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        _check(self, {name: rule for name, (_, rule) in _CHAIN.items()})
         if self.coincidence_window_s > self.pulse_duration_s:
             raise NonPhysicalInput("coincidence window wider than the pulse gate")
+        return self
 
     @property
     def arm_transmission(self) -> float:
@@ -139,8 +133,7 @@ class DetectionChain:
         )
 
 
-@dataclass(frozen=True)
-class CountBudget:
+class CountBudget(NamedTuple):
     """Every intermediate factor of the expected-count calculation."""
 
     singles_rate_hz: float
@@ -154,18 +147,15 @@ class CountBudget:
     single_click_prob: float
     coincidence_duty: float
 
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in astuple(self)):
-            raise OverflowError("count budget leaves the double range")
-
     def as_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def expected_counts(chain: DetectionChain) -> CountBudget:
     """Singles rate per detector, true coincidence rate, accidental fraction.
 
     Probabilities are per pump pulse (one detection opportunity per pulse).
+    OverflowError when a factor leaves the double range.
     """
     p_det = chain.arm_transmission * chain.detector_efficiency
     pairs_selected = chain.pairs_per_pulse * chain.selected_fraction
@@ -180,7 +170,7 @@ def expected_counts(chain: DetectionChain) -> CountBudget:
 
     rate = chain.pulse_rate_hz
     total_coinc = p_true + p_acc
-    return CountBudget(
+    budget = CountBudget(
         singles_rate_hz=rate * p_single,
         true_coincidence_rate_hz=rate * p_true,
         accidental_rate_hz=rate * p_acc,
@@ -192,3 +182,6 @@ def expected_counts(chain: DetectionChain) -> CountBudget:
         single_click_prob=p_single,
         coincidence_duty=duty,
     )
+    if not all(map(math.isfinite, budget)):
+        raise OverflowError("count budget leaves the double range")
+    return budget

@@ -7,6 +7,7 @@ ConfigError, ``efficiency`` NonPhysicalInput, every other module ValueError.
 
 import numbers
 import sys
+from collections import namedtuple
 
 _MAX = sys.float_info.max
 
@@ -42,6 +43,13 @@ def require(value, rule, name: str, error=ValueError):
     if not rule[0](value):
         raise error(f"{name} must be {rule[1]}, got {value!r}")
     return value
+
+
+def record(name: str, fields, defaults=None):
+    """A ``namedtuple`` base whose ``_make`` and ``_replace`` build through ``__new__``."""
+    base = namedtuple(name, fields, defaults=defaults)
+    base._make = classmethod(lambda cls, values: cls(*values))
+    return base
 
 
 class TwinSourceError(Exception):

@@ -25,12 +25,12 @@ sums add the integer counts in int64: exact while |counts| sum below 2**53.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .efficiency import DetectionChain, expected_counts
-from .errors import BELOW_ONE, FRACTION, POSITIVE, DegenerateScan, NoConvergence, require
+from .errors import BELOW_ONE, FRACTION, POSITIVE, DegenerateScan, NoConvergence, record, require
 from .roots import NotBracketed, brentq
 
 _LN2 = math.log(2.0)
@@ -45,16 +45,15 @@ _BASELINE_PASSES = 10  # 8000 hom-calibration-like scans: each fixed point by pa
 _BASELINE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class DipModel:
-    visibility: float
-    wavelength_nm: float
-    delta_lambda_nm: float
+class DipModel(record("DipModel", "visibility wavelength_nm delta_lambda_nm")):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         require(self.visibility, FRACTION, "visibility")
         require(self.wavelength_nm, POSITIVE, "wavelength")
         require(self.delta_lambda_nm, POSITIVE, "spectral width")
+        return self
 
 
 def _dip_shape(dz_nm, delta_lambda, wavelength):
@@ -89,21 +88,21 @@ def _finite_and_increasing(positions) -> bool:
     return bool(np.all(np.isfinite(positions)) and np.all(np.diff(positions) > 0))
 
 
-@dataclass
 class HomScan:
     """One coincidence scan: positions, total and accidental counts."""
 
-    delta_z_mm: np.ndarray
-    total_counts: np.ndarray
-    accidental_counts: np.ndarray
-    dwell_s: float
-    seed: int | None = None
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        dz = np.asarray(self.delta_z_mm, dtype=float)
-        tot = np.asarray(self.total_counts)
-        acc = np.asarray(self.accidental_counts)
+    def __init__(
+        self,
+        delta_z_mm,
+        total_counts,
+        accidental_counts,
+        dwell_s: float,
+        seed: int | None = None,
+        metadata: dict | None = None,
+    ):
+        dz = np.asarray(delta_z_mm, dtype=float)
+        tot = np.asarray(total_counts)
+        acc = np.asarray(accidental_counts)
         if not (dz.ndim == 1 and tot.shape == dz.shape and acc.shape == dz.shape):
             raise ValueError("scan arrays must be matching 1D arrays")
         if not _finite_and_increasing(dz):
@@ -111,7 +110,9 @@ class HomScan:
         for name, arr in (("total", tot), ("accidental", acc)):
             if not np.issubdtype(arr.dtype, np.integer) or np.any(arr < 0):
                 raise ValueError(f"{name} counts must all be non-negative integers")
-        require(self.dwell_s, POSITIVE, "dwell time")
+        self.dwell_s = require(dwell_s, POSITIVE, "dwell time")
+        self.seed = seed
+        self.metadata = {} if metadata is None else metadata
         self.delta_z_mm = dz
         self.total_counts = tot.astype(np.int64)
         self.accidental_counts = acc.astype(np.int64)
@@ -165,8 +166,7 @@ def simulate_scan(
     )
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(NamedTuple):
     """A dip fit; ``iterations`` counts the chi^2-slope evaluations of all its passes."""
 
     visibility: float

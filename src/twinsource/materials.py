@@ -32,13 +32,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
 from functools import lru_cache
 from types import MappingProxyType
 
 import numpy as np
 
-from .errors import FRACTION, REAL, AboveBandgap, OutOfValidityWindow, require
+from .errors import FRACTION, REAL, AboveBandgap, OutOfValidityWindow, record, require
 
 # exact in the 2019 SI
 PLANCK_J_S = 6.62607015e-34
@@ -49,49 +48,52 @@ ELEMENTARY_CHARGE_C = 1.602176634e-19
 HC_EV_NM = PLANCK_J_S * LIGHT_SPEED_M_S / ELEMENTARY_CHARGE_C * 1e9
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(record("Composition", "x")):
     """Aluminum mole fraction of Al(x)Ga(1-x)As, dimensionless in [0, 1]."""
 
-    x: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        require(self.x, FRACTION, "aluminum fraction")
+    def __new__(cls, x: float):
+        return tuple.__new__(cls, (require(x, FRACTION, "aluminum fraction"),))
 
 
 GAAS = Composition(0.0)
+_ADACHI_1985 = {
+    "a": (6.3, 19.0),
+    "b": (9.4, -10.2),
+    "e0": (1.425, 1.155, 0.37),
+    "e0_so": (1.765, 1.115, 0.37),
+}
 
 
-@dataclass(frozen=True)
-class DispersionModel:
+class DispersionModel(
+    record("DispersionModel", "name coefficients wavelength_window_nm x_window near_gap_margin")
+):
     """A published index formula plus its coefficient table and validity window.
 
-    ``coefficients`` holds the quadratic-in-x expansions keyed by symbol name,
-    stored read-only. ``near_gap_margin`` caps chi = E/E0: beyond it the model
-    is considered above-gap (complex index regime) and the real-index API raises.
+    ``coefficients`` holds the quadratic-in-x expansions keyed by symbol name
+    (the Adachi 1985 set when not given), stored read-only.
+    ``near_gap_margin`` caps chi = E/E0: beyond it the model is considered
+    above-gap (complex index regime) and the real-index API raises.
     """
 
-    name: str
-    coefficients: dict = field(
-        default_factory=lambda: {
-            "a": (6.3, 19.0),
-            "b": (9.4, -10.2),
-            "e0": (1.425, 1.155, 0.37),
-            "e0_so": (1.765, 1.115, 0.37),
-        }
-    )
-    wavelength_window_nm: tuple = (550.0, 4000.0)
-    x_window: tuple = (0.0, 1.0)
-    near_gap_margin: float = 0.995
-
-    def __post_init__(self):
-        coefficients = MappingProxyType({k: tuple(v) for k, v in self.coefficients.items()})
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "_constants", lru_cache(maxsize=64, typed=True)(self._alloy))
+    def __new__(
+        cls,
+        name: str,
+        coefficients: dict | None = None,
+        wavelength_window_nm: tuple = (550.0, 4000.0),
+        x_window: tuple = (0.0, 1.0),
+        near_gap_margin: float = 0.995,
+    ):
+        given = _ADACHI_1985 if coefficients is None else coefficients
+        coefficients = MappingProxyType({k: tuple(v) for k, v in given.items()})
+        fields = name, coefficients, wavelength_window_nm, x_window, near_gap_margin
+        self = super().__new__(cls, *fields)
+        self._constants = lru_cache(maxsize=64, typed=True)(self._alloy)
+        return self
 
     def __reduce__(self):  # rebuilt from its fields: the mapping and the cache do not pickle
-        fields = self.wavelength_window_nm, self.x_window, self.near_gap_margin
-        return type(self), (self.name, dict(self.coefficients), *fields)
+        return type(self), (self.name, dict(self.coefficients), *self[2:])
 
     def gap_energy_ev(self, x: float) -> float:
         return self._constants(_fraction(x))[0]

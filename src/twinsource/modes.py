@@ -64,15 +64,15 @@ explicit profile still solves the literal structure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import materials
 from .errors import POLARIZATION, POSITIVE, WINDOW, NoGuidedMode, NonGuidingStack, require
+from .layers import TE, TM, LayerStack, layer_indices
 from .materials import DispersionModel
 from .roots import brentq_lanes
-from .stack import TE, TM, LayerStack, layer_indices
 
 _GRID_STEP = 1e-4  # n_eff scan step of the root search
 _XTOL = 1e-12  # Brent tolerance on a root, in n_eff
@@ -83,8 +83,7 @@ _ANCHOR_EVERY = 32  # a table solves every 32nd knot on its own, to predict the 
 _SCAN_HALF = 4  # grid points scanned on each side of a knot's predicted root
 
 
-@dataclass(frozen=True)
-class GuidedMode:
+class GuidedMode(NamedTuple):
     polarization: str
     wavelength_nm: float
     n_eff: float
@@ -265,11 +264,13 @@ def solve_planar(
     ``layers`` is a sequence of (index, thickness_nm) pairs between the two
     semi-infinite outer media. Returns effective indices sorted descending;
     with ``max_modes`` the search stops after that many roots counted from the
-    top of the window. ``window`` overrides the default guided-index search
-    window (max outer index + 1e-6, max layer index - 1e-6). Roots are
-    bracketed on the multiples of ``_GRID_STEP`` (1e-4; 1e-5 when that finds
-    none) and polished by Brent's method to ``_XTOL`` (1e-12). Every index
-    and thickness must be a finite number > 0; layer 0 is the top layer.
+    top of the window (its grid is scanned in blocks from the top down, and
+    no block below the one that holds them is evaluated). ``window``
+    overrides the default guided-index search window (max outer index +
+    1e-6, max layer index - 1e-6). Roots are bracketed on the multiples of
+    ``_GRID_STEP`` (1e-4; 1e-5 when that finds none) and polished by Brent's
+    method to ``_XTOL`` (1e-12). Every index and thickness must be a finite
+    number > 0; layer 0 is the top layer.
     """
     require(wavelength, POSITIVE, "wavelength")
     require(n_top, POSITIVE, "top index")
@@ -294,10 +295,15 @@ def solve_planar(
     def roots_on_grid(step):
         inner = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
         grid = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
-        sign = np.sign(
-            np.concatenate([residual(grid[i : i + _BLOCK]) for i in range(0, grid.size, _BLOCK)])
-        )
-        at = np.nonzero(sign[:-1] * sign[1:] < 0)[0][::-1][:max_modes]  # highest n_eff first
+        # blocks from the top of the window down, until grid[i:] holds max_modes
+        # sign changes: those are the highest cells of the whole grid
+        signs = []
+        for i in reversed(range(0, grid.size, _BLOCK)):
+            signs.insert(0, np.sign(residual(grid[i : i + _BLOCK])))
+            sign = np.concatenate(signs)
+            at = i + np.nonzero(sign[:-1] * sign[1:] < 0)[0][::-1][:max_modes]  # highest first
+            if len(at) == max_modes:
+                break
         return brentq_lanes(lambda x, _: residual(x), grid[at], grid[at + 1], _XTOL).tolist()
 
     roots = roots_on_grid(_GRID_STEP)

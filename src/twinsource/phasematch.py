@@ -33,34 +33,32 @@ raises ``roots.NotBracketed``, and ``solve_pair`` widens the window once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ANGLE, POSITIVE, NoSolutionInWindow, TwinSourceError, require
+from .errors import ANGLE, POSITIVE, NoSolutionInWindow, TwinSourceError, record, require
+from .layers import TE, TM, LayerStack
 from .modes import EffectiveIndexTable
 from .roots import NotBracketed, brentq
-from .stack import TE, TM, LayerStack
 
 MOMENTUM_RTOL = 1e-9  # residual bound, relative to k_p
 SEARCH_HALF_WINDOW_NM = 150.0
 TABLE_PAD_NM = 40.0
 
 
-@dataclass(frozen=True)
-class Interaction:
+class Interaction(record("Interaction", "id copropagating_pol counterpropagating_pol")):
     """One of the two equally probable type-II polarization assignments."""
 
-    id: int
-    copropagating_pol: str
-    counterpropagating_pol: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        valid = {(1, TE, TM), (2, TM, TE)}
-        if (self.id, self.copropagating_pol, self.counterpropagating_pol) not in valid:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if tuple(self) not in {(1, TE, TM), (2, TM, TE)}:
             raise ValueError(
                 "interaction 1 copropagates TE, interaction 2 copropagates TM"
             )
+        return self
 
 
 INTERACTION_1 = Interaction(1, TE, TM)
@@ -75,8 +73,7 @@ def interaction(id_: int) -> Interaction:
     raise ValueError(f"interaction id must be 1 or 2, got {id_}")
 
 
-@dataclass(frozen=True)
-class PhaseMatchPoint:
+class PhaseMatchPoint(NamedTuple):
     """One solved operating point: pump angle/wavelength and the pair it emits."""
 
     theta_deg: float

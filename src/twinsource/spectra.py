@@ -15,30 +15,24 @@ non-negative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FRACTION, LENGTH_MM, NON_NEGATIVE, POSITIVE, require
 from .errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
+from .layers import LayerStack
 from .phasematch import PhaseMatcher, _kp_sin, _mismatch, conjugate_wavelength, interaction
-from .stack import LayerStack
 
 # |x| where sinc^2(x) = 1/2; fixes the sinc^2 full width 2x at half maximum
 SINC2_HALF_MAX_ARG = 1.3915573782515
 
 
-@dataclass
 class Spectrum:
     """Sampled spectrum on a strictly increasing uniform wavelength grid."""
 
-    wavelength_nm: np.ndarray
-    intensity: np.ndarray
-    metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        lam = np.asarray(self.wavelength_nm, dtype=float)
-        inten = np.asarray(self.intensity, dtype=float)
+    def __init__(self, wavelength_nm, intensity, metadata: dict | None = None):
+        lam = np.asarray(wavelength_nm, dtype=float)
+        inten = np.asarray(intensity, dtype=float)
         if lam.ndim != 1 or lam.size < 2 or inten.shape != lam.shape:
             raise ValueError("wavelength and intensity must be matching 1D arrays")
         steps = np.diff(lam)
@@ -51,6 +45,7 @@ class Spectrum:
             raise ValueError("intensities must all be finite and non-negative")
         self.wavelength_nm = lam
         self.intensity = inten
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def step_nm(self) -> float:

@@ -20,17 +20,15 @@ Conventions
   rounding with depth below the core). ``field_profile`` (all layers) and
   ``core_intensity`` (the core) read the same waves. Each layer's terms are
   one (L, W) array pass; only the (F, G) carry loops over the layers.
-* A stack builds its layer plan once (distinct compositions, each layer's
-  index into them, thicknesses, and its leaves: the distinct (composition,
-  thickness) pairs), so no call loops over the layers; it keeps its layers
-  and regions as tuples, so the plan cannot go stale.
+* A stack's layers, regions and layer plan are defined in ``layers``; this
+  module is the optics over them.
 * A characteristic matrix is the product of a layer sequence's matrices,
   taken pairwise, level by level, along a product tree (``_product_tree``):
   each leaf's matrix is built once, and equal (left, right) pairs on a level
   are one product. A periodic mirror so costs a few products per level, and
   every product is the one the positional pairwise product takes, from the
-  same operands in the same order, so it is the same float. A stack caches
-  the trees of the sequences it multiplies (``LayerStack._tree``, ``_whole``).
+  same operands in the same order, so it is the same float. A stack keeps
+  the trees of the sequences it multiplies (``_tree``).
 * At a float wavelength, with the leaves' indices and thicknesses as floats,
   ``raw_response`` multiplies a tree, and takes its r/t step, in plain floats
   (``_response_floats``), the floats the kernel gives for a one-element array,
@@ -50,148 +48,20 @@ All lengths in nanometres unless a name says otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from . import materials
-from .errors import ANGLE, POLARIZATION, POSITIVE, WINDOW, MissingRegion, MultipleResonances
-from .errors import NoResonanceInWindow, TwinSourceError, number, require
-from .materials import Composition, DispersionModel
+from .errors import ANGLE, POLARIZATION, WINDOW, MissingRegion, MultipleResonances
+from .errors import NoResonanceInWindow, TwinSourceError, require
+from .layers import TE, LayerStack, _composition_indices
+from .materials import DispersionModel
 from .roots import brentq_lanes
 
-TE = "TE"
-TM = "TM"
-_AMBIENT = (lambda v: number(v) and v >= 1.0, "a finite number >= 1")  # no index below vacuum
 
-
-@dataclass(frozen=True)
-class Layer:
-    """One epitaxial layer: alloy composition, thickness, and the sign of its
-    effective second-order nonlinearity (bookkeeping for the QPM pattern)."""
-
-    composition: Composition
-    thickness_nm: float
-    nonlinear_sign: int = 0
-
-    def __post_init__(self):
-        require(self.thickness_nm, POSITIVE, "layer thickness")
-        if self.nonlinear_sign not in (-1, 0, 1):
-            raise ValueError(f"nonlinear_sign must be -1, 0 or +1, got {self.nonlinear_sign}")
-
-
-@dataclass(frozen=True)
-class Region:
-    """Named contiguous slice of the layer list (half-open [start, stop))."""
-
-    name: str
-    start: int
-    stop: int
-    periods: float
-
-
-class _LayerPlan(NamedTuple):
-    """The layers of a stack as arrays, built once per stack."""
-
-    xs: tuple  # the distinct aluminium fractions, in order of first appearance
-    index: np.ndarray  # (L,) intp: each layer's fraction in xs
-    thickness: np.ndarray  # (L,) read-only layer thicknesses, nm
-    leaf: np.ndarray  # (L,) intp: each layer's leaf, its (fraction, thickness) pair
-    leaf_index: np.ndarray  # (U,) intp: each leaf's fraction in xs
-    leaf_thickness: tuple  # (U,) leaf thicknesses as floats, nm
-
-
-@dataclass(frozen=True)
-class LayerStack:
-    """Ordered layers (top to bottom) between the ambient and the substrate.
-
-    ``substrate=None`` continues the ambient medium below the layers (useful
-    for free-standing test cases). Regions, when present, must partition the
-    layer list top to bottom; a region named ``core`` must carry a strictly
-    alternating +1/-1 nonlinear-sign pattern.
-    """
-
-    layers: tuple
-    substrate: Composition | None = Composition(0.0)
-    ambient_index: float = 1.0
-    regions: tuple = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        object.__setattr__(self, "regions", tuple(self.regions))
-        require(self.ambient_index, _AMBIENT, "ambient index")
-        if self.regions:
-            pos = 0
-            for reg in self.regions:
-                if reg.start != pos or reg.stop <= reg.start:
-                    raise ValueError("regions must partition the layer list in order")
-                pos = reg.stop
-                require(reg.periods, POSITIVE, f"region '{reg.name}' periods")
-                if round(2 * reg.periods) != 2 * reg.periods:
-                    raise ValueError(f"region '{reg.name}' has invalid period count {reg.periods}")
-                n_layers = reg.stop - reg.start
-                if n_layers != round(2 * reg.periods):
-                    raise ValueError(
-                        f"region '{reg.name}' declares {reg.periods} periods but "
-                        f"holds {n_layers} layers"
-                    )
-            if pos != len(self.layers):
-                raise ValueError("regions do not cover the whole layer list")
-        core = self.region("core")
-        if core is not None:
-            signs = [ly.nonlinear_sign for ly in self.layers[core.start : core.stop]]
-            if any(s == 0 for s in signs) or any(
-                signs[i] == signs[i + 1] for i in range(len(signs) - 1)
-            ):
-                raise ValueError("core region must alternate nonlinear_sign +1/-1")
-
-    def region(self, name: str) -> Region | None:
-        for reg in self.regions:
-            if reg.name == name:
-                return reg
-        return None
-
-    @cached_property
-    def _plan(self) -> _LayerPlan:
-        def frozen(values, dtype):
-            out = np.array(values, dtype=dtype)
-            out.flags.writeable = False
-            return out
-
-        first, leaves = {}, {}
-        index = [first.setdefault(ly.composition.x, len(first)) for ly in self.layers]
-        thickness = [ly.thickness_nm for ly in self.layers]
-        leaf = [leaves.setdefault(key, len(leaves)) for key in zip(index, thickness)]
-        return _LayerPlan(
-            tuple(first),
-            frozen(index, np.intp),
-            frozen(thickness, float),
-            frozen(leaf, np.intp),
-            frozen([i for i, _ in leaves], np.intp),
-            tuple(float(t) for _, t in leaves),
-        )
-
-    @cached_property
-    def _trees(self) -> dict:
-        return {}
-
-    # the whole stack's tree, built on first use (numpy's first np.unique costs ~0.4 MB RSS)
-    _whole = cached_property(lambda self: self._tree(self._plan.leaf))
-
-    def _tree(self, leaf: np.ndarray) -> _Tree:
-        """Product tree of a sequence of the plan's leaves (top to bottom),
-        built once per sequence."""
-        key = leaf.tobytes()
-        tree = self._trees.get(key)
-        if tree is None:
-            tree = self._trees[key] = _product_tree(leaf, len(self._plan.leaf_index))
-        return tree
-
-
-@dataclass(frozen=True)
-class StackResponse:
+class StackResponse(NamedTuple):
     """Plane-wave response at one (wavelength, angle, polarization) point; over
     a wavelength array ``r``, ``t``, ``reflectance`` and ``transmittance`` are
     arrays of the same length."""
@@ -205,8 +75,7 @@ class StackResponse:
     polarization: str
 
 
-@dataclass(frozen=True)
-class FieldProfile:
+class FieldProfile(NamedTuple):
     """Tangential field amplitude vs depth for unit incident amplitude."""
 
     depth_nm: np.ndarray
@@ -216,8 +85,7 @@ class FieldProfile:
     polarization: str
 
 
-@dataclass(frozen=True)
-class ResonanceResult:
+class ResonanceResult(NamedTuple):
     wavelength_nm: float
     finesse: float
     t_up: float
@@ -296,6 +164,18 @@ def _product_tree(leaf, n_leaves) -> _Tree:
     return _Tree(tuple(levels), tuple(level_pairs), int(node[0]), widest)
 
 
+def _tree(s: LayerStack, leaf=None) -> _Tree:
+    """Product tree of a sequence of the stack's plan leaves (top to bottom;
+    the whole stack without ``leaf``), built on first use, once per sequence."""
+    key = None if leaf is None else leaf.tobytes()
+    tree = s._trees.get(key)
+    if tree is None:
+        plan = s._plan
+        leaves = plan.leaf if leaf is None else leaf
+        tree = s._trees[key] = _product_tree(leaves, len(plan.leaf_index))
+    return tree
+
+
 @lru_cache(maxsize=32)
 def _positional_tree(n_layers) -> _Tree:
     """The product tree of L layers that are each their own leaf."""
@@ -311,7 +191,7 @@ def _char_matrix(n_list, t_list, n0_sin, wavelength, pol, tree=None):
     ``wavelength`` is a 1-D array of W values and ``n0_sin`` a scalar or a
     (W,) array. Without a ``tree``, ``n_list`` holds the layer indices, shape
     (L,) or (W, L), and ``t_list`` the L thicknesses, and the product is the
-    positional one; with a stack's product tree (``LayerStack._tree``) they
+    positional one; with a stack's product tree (``_tree``) they
     hold its U leaves' indices, (U,) or (W, U), and thicknesses. Returns the
     entries m00, m01, m10, m11 as a (4, W) array. One matrix is built per
     leaf, then each level of the tree takes its products at once, so the
@@ -477,21 +357,6 @@ def _region_slice(s: LayerStack, name: str) -> slice:
     return slice(reg.start, reg.stop)
 
 
-def layer_indices(s: LayerStack, wavelength, model: DispersionModel | None = None):
-    """Per-layer refractive indices (below-gap real): shape (L,) at one
-    wavelength, (W, L) over a 1-D array of W wavelengths. Each distinct
-    composition of the stack's layer plan is evaluated once, and the plan's
-    layer index spreads the results over the layers."""
-    return _composition_indices(s, wavelength, model)[s._plan.index].T
-
-
-def _composition_indices(s, wavelength, model):
-    """Index of each distinct composition of the stack's layer plan: shape
-    (X,) at one wavelength, (X, W) over a 1-D array of W wavelengths."""
-    m = model or materials.DEFAULT_MODEL
-    return np.array([m.evaluate(x, wavelength) for x in s._plan.xs])
-
-
 def substrate_index(s: LayerStack, wavelength, model: DispersionModel | None = None):
     """Complex substrate index (absorbing above the gap), a scalar or an array
     like ``wavelength``; a scalar whenever the substrate is the ambient."""
@@ -512,7 +377,7 @@ def stack_response(
     require(theta_deg, ANGLE, "incidence angle")
     lam = np.asarray(wavelength, dtype=float)
     plan = s._plan
-    block = max(1, _BLOCK // s._whole.widest)
+    block = max(1, _BLOCK // _tree(s).widest)
     if lam.size > block:
         parts = [
             stack_response(s, lam[i : i + block], theta_deg, pol, model)
@@ -527,7 +392,7 @@ def stack_response(
         n_leaf = [n_x[i] for i in plan.leaf_index.tolist()]
     else:
         n_leaf = _composition_indices(s, lam, model)[plan.leaf_index].T
-    n_sub, t_leaf, tree = substrate_index(s, lam, model), plan.leaf_thickness, s._whole
+    n_sub, t_leaf, tree = substrate_index(s, lam, model), plan.leaf_thickness, _tree(s)
     r, t, R, T = raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lam, theta_deg, pol, tree)
     return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
 
@@ -557,8 +422,8 @@ def _waves(s, lams, theta_deg, pol, model, layers):
     n_leaf, t_leaf = n_x[plan.leaf_index].T, plan.leaf_thickness  # (W, U), (U,)
     n_sub = substrate_index(s, lams, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    below = s._tree(plan.leaf[layers.indices(len(plan.leaf))[1] :])
-    r, t, *_ = raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lams, theta_deg, pol, s._whole)
+    below = _tree(s, plan.leaf[layers.indices(len(plan.leaf))[1] :])
+    r, t, *_ = raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lams, theta_deg, pol, _tree(s))
     m00, m01, m10, m11 = _char_matrix(n_leaf, t_leaf, n0_sin, lams, pol, below)
     ct_sub = _cos_theta(n_sub, n0_sin)
     eta_sub = _admittance(n_sub, ct_sub, pol)
@@ -712,7 +577,7 @@ def _cavity(s, wavelength, theta_deg, pol, model):
     theta_core = math.degrees(math.asin(n0_sin / abs(n_mean)))
     n_leaf, t_leaf = n_x[plan.leaf_index].tolist(), plan.leaf_thickness
     n_sub = substrate_index(s, wavelength, model)
-    up_tree, down_tree = s._tree(plan.leaf[top][::-1]), s._tree(plan.leaf[bottom])
+    up_tree, down_tree = _tree(s, plan.leaf[top][::-1]), _tree(s, plan.leaf[bottom])
     up = raw_response(n_mean, n_leaf, t_leaf, s.ambient_index, wavelength, theta_core, pol, up_tree)
     down = raw_response(n_mean, n_leaf, t_leaf, n_sub, wavelength, theta_core, pol, down_tree)
     return 2.0 * k0 * opl, up, down

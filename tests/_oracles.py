@@ -293,11 +293,12 @@ def core_intensity_scalar(s, wavelength, theta_deg, pol, model=None):
     the layers below the core by their positional characteristic matrix, then
     walked up through the core one layer at a time."""
     from twinsource import stack as st
+    from twinsource.layers import layer_indices
 
     core = st._region_slice(s, "core")
     lam = np.reshape(float(wavelength), -1)
     k0 = 2.0 * math.pi / lam
-    n_list = st.layer_indices(s, lam, model).T  # (L, 1)
+    n_list = layer_indices(s, lam, model).T  # (L, 1)
     t_list = s._plan.thickness
     n_sub = st.substrate_index(s, lam, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
@@ -324,14 +325,15 @@ def waves_loop(s, lams, theta_deg, pol, model, layers):
     """``stack._waves`` with each layer's terms computed in the carry loop,
     one (W,) row at a time: (A, B, kz, r, t, kz_sub)."""
     from twinsource import stack as st
+    from twinsource.layers import _composition_indices
 
     k0 = 2.0 * math.pi / lams
     plan = s._plan
-    n_x = st._composition_indices(s, lams, model)  # (X, W)
+    n_x = _composition_indices(s, lams, model)  # (X, W)
     n_leaf, t_leaf = n_x[plan.leaf_index].T, plan.leaf_thickness  # (W, U), (U,)
     n_sub = st.substrate_index(s, lams, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
-    whole, below = s._tree(plan.leaf), s._tree(plan.leaf[layers.indices(len(plan.leaf))[1] :])
+    whole, below = st._tree(s), st._tree(s, plan.leaf[layers.indices(len(plan.leaf))[1] :])
     r, t, _, _ = st.raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lams, theta_deg, pol, whole)
     m00, m01, m10, m11 = st._char_matrix(n_leaf, t_leaf, n0_sin, lams, pol, below)
     ct_sub = st._cos_theta(n_sub, n0_sin)
@@ -355,9 +357,10 @@ def field_profile_top_down(s, wavelength, theta_deg, pol, model=None):
     down from the surface, where the field is (1 + r, eta0 (1 - r)), layer by
     layer in scalar arithmetic, and each layer sampled in its own loop pass."""
     from twinsource import stack as st
+    from twinsource.layers import layer_indices
 
     k0 = 2.0 * math.pi / wavelength
-    n_list = st.layer_indices(s, wavelength, model)
+    n_list = layer_indices(s, wavelength, model)
     t_list = [ly.thickness_nm for ly in s.layers]
     n_sub = st.substrate_index(s, wavelength, model)
     n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))

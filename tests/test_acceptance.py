@@ -16,11 +16,12 @@ from _oracles import slab_modes
 from twinsource import hom
 from twinsource.cli import EXIT_OK, main as cli_main
 from twinsource.efficiency import CavityParams, DetectionChain, enhancement_factor, expected_counts
+from twinsource.layers import TE
 from twinsource.materials import Composition, refractive_index
 from twinsource.modes import solve_planar
 from twinsource.phasematch import INTERACTION_1, INTERACTION_2, interaction
 from twinsource.spectra import bandwidth_estimates, fwhm, phase_matching_spectrum
-from twinsource.stack import TE, raw_response
+from twinsource.stack import raw_response
 
 
 def _report(num, name, ok, detail):

@@ -78,8 +78,9 @@ def test_stack_meta_sidecar_and_report(tmp_path):
     report = json.loads((tmp_path / "stack.report.json").read_text())
     assert report["command"] == "stack"
     assert report["config_hash"] == meta["config_hash"]
-    stages = report["stages"]  # elapsed_s split into reading the config, computing and writing
-    assert set(stages) == {"config_s", "compute_s", "write_s"} and min(stages.values()) >= 0
+    stages = report["stages"]  # elapsed_s split: reading the config, importing, computing, writing
+    assert set(stages) == {"config_s", "import_s", "compute_s", "write_s"}
+    assert min(stages.values()) >= 0
     assert sum(stages.values()) == pytest.approx(report["elapsed_s"], abs=1e-5)
     for out in report["outputs"]:
         assert Path(out).exists()
@@ -247,6 +248,18 @@ def test_bad_input_is_input_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("command", ["spectrum", "tuning"])
+def test_a_pump_whose_pair_search_leaves_the_model_is_input_error(tmp_path, capsys, command):
+    # the pair search starts at twice the pump wavelength; at 1e300 nm its
+    # window rounds to one wavelength, which spectrum answered with a
+    # ValueError traceback (exit 1) and tuning with "every tuning point failed"
+    argv = (command, "--set", "pump.wavelength_nm=1e300", "--out", tmp_path, "--quiet")
+    assert run(*argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: pump.wavelength_nm 1e+300: ") and err.count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("periods", [1e7, 1e300])
 def test_region_periods_are_bounded(tmp_path, capsys, periods):
     # a region is built as 2 x periods layer objects: past the bound the
@@ -309,10 +322,14 @@ def test_stack_does_not_swallow_a_fault_in_the_resonance_search(tmp_path, monkey
 
 def test_tuning_with_every_point_failed_is_numeric_error(tmp_path, capsys):
     # an ambient index of 3.5, above every layer's, leaves no guided window:
-    # each point fails, and with no point left the run fails as a whole
+    # each point fails, and with no point left the run fails as a whole, with
+    # the first point's reason
     argv = ("tuning", "--set", "stack.ambient_index=3.5", "--set", "tuning.theta_step_deg=1")
     assert run(*argv, "--out", tmp_path) == EXIT_NUMERIC
-    assert capsys.readouterr().err == "error: every tuning point failed\n"
+    assert capsys.readouterr().err == (
+        "error: every tuning point failed, the first at theta=-1.0 interaction=1: "
+        "no guided window: outer indices (3.5000, 2.9780) vs max layer index 3.3238\n"
+    )
     assert not list(tmp_path.iterdir())
 
 
@@ -418,6 +435,9 @@ def test_cli_import_loads_no_scipy():
         (["counts"], {"stack", "modes", "phasematch", "spectra", "hom", "roots"}),
         (["hom", "simulate"], {"stack", "modes", "phasematch", "spectra"}),
         (["stack"], {"modes", "phasematch", "spectra", "hom"}),
+        (["tuning"], {"stack", "spectra", "hom"}),
+        (["spectrum"], {"stack", "hom"}),
+        (["enhancement"], {"phasematch", "spectra", "hom"}),
     ],
 )
 def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, absent):
@@ -432,6 +452,9 @@ def test_a_command_loads_only_the_layers_it_runs(tmp_path, command, absent):
     assert proc.returncode == EXIT_OK, proc.stderr
     loaded = {m.removeprefix("twinsource.") for m in proc.stdout.split()}
     assert {"cli", "config"} <= loaded and not loaded & absent
+    # the layers a command imports are timed as their own stage
+    stages = json.loads((tmp_path / f"{'-'.join(command)}.report.json").read_text())["stages"]
+    assert (stages["import_s"] > 0) == (command != ["counts"])
 
 
 def _mixed_columns():

@@ -1,5 +1,5 @@
-"""The argument rules of ``errors``: the number test, and that no other module
-words a rule of its own."""
+"""The argument rules of ``errors``: the number test, that no other module
+words a rule of its own, and that a checked record checks every way it is built."""
 
 import math
 import re
@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 import twinsource
-from twinsource.errors import POSITIVE, WINDOW, ConfigError, number, require
+from twinsource.efficiency import CavityParams, DetectionChain, PumpPulse
+from twinsource.errors import POSITIVE, WINDOW, ConfigError, TwinSourceError, number, require
+from twinsource.hom import DipModel
+from twinsource.layers import Layer, LayerStack
+from twinsource.materials import Composition
+from twinsource.phasematch import INTERACTION_1
 
 _SRC = Path(twinsource.__file__).parent
 
@@ -65,3 +70,23 @@ def test_only_errors_words_a_rule():
         if phrases.search(line)
     ]
     assert found == []
+
+
+_CHECKED = {  # a checked record, and a replacement its check refuses
+    "composition": (Composition(0.3), {"x": 1.5}),
+    "layer": (Layer(Composition(0.3), 100.0), {"thickness_nm": -5.0}),
+    "layer_stack": (LayerStack([]), {"ambient_index": 0.5}),
+    "cavity_params": (CavityParams(3.1, 17.0, 0.2, 4e-4), {"finesse": 0.0}),
+    "pump_pulse": (PumpPulse(), {"duration_s": -1.0}),
+    "detection_chain": (DetectionChain(), {"pulse_rate_hz": 0.0}),
+    "dip_model": (DipModel(0.85, 1520.0, 0.53), {"visibility": 1.5}),
+    "interaction": (INTERACTION_1, {"id": 2}),
+}
+
+
+@pytest.mark.parametrize("good, bad", _CHECKED.values(), ids=_CHECKED.keys())
+def test_a_checked_record_checks_its_replacements(good, bad):
+    # a plain namedtuple's _replace and _make build the tuple without __new__
+    assert good._replace() == good == type(good)._make(good)
+    with pytest.raises((ValueError, TwinSourceError)):
+        good._replace(**bad)

@@ -6,6 +6,7 @@ import pytest
 from _oracles import carry_loop, planar_modes_topdown, slab_modes
 from twinsource import modes
 from twinsource.errors import NoGuidedMode, NonGuidingStack, OutOfValidityWindow
+from twinsource.layers import TE, TM
 from twinsource.materials import refractive_index
 from twinsource.modes import (
     EffectiveIndexTable,
@@ -13,7 +14,7 @@ from twinsource.modes import (
     guided_modes,
     solve_planar,
 )
-from twinsource.stack import TE, TM, _region_slice
+from twinsource.stack import _region_slice
 
 # regression pins from the nominal structure (engine-derived, frozen)
 PIN_NEFF_TE_1520 = 3.131277

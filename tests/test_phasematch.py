@@ -5,6 +5,7 @@ import pytest
 
 from _oracles import solve_pair_through_delta_k
 from twinsource.errors import NoSolutionInWindow
+from twinsource.layers import TE, TM
 from twinsource.modes import EffectiveIndexTable
 from twinsource.phasematch import (
     INTERACTION_1,
@@ -15,7 +16,6 @@ from twinsource.phasematch import (
     conjugate_wavelength,
     interaction,
 )
-from twinsource.stack import TE, TM
 
 # frozen peak positions for theta = 3.1 deg, lambda_p = 759.5 nm (engine run)
 PIN_FOUR_PEAKS = (1490.824, 1497.339, 1541.297, 1548.261)

@@ -10,9 +10,9 @@ from scipy.optimize import brentq
 
 from _oracles import spline_piece_search
 from twinsource import modes, roots
+from twinsource.layers import TE, TM
 from twinsource.modes import EffectiveIndexTable
 from twinsource.phasematch import INTERACTION_1, INTERACTION_2
-from twinsource.stack import TE, TM
 
 
 @pytest.fixture(scope="module")

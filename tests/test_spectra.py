@@ -9,6 +9,7 @@ from scipy.signal import find_peaks
 from _oracles import fluorescence_spectrum_per_branch, sinc2_masked_divide
 from twinsource import config
 from twinsource.errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
+from twinsource.layers import TE, TM
 from twinsource.phasematch import INTERACTION_1, INTERACTION_2, PhaseMatcher
 from twinsource.spectra import (
     SINC2_HALF_MAX_ARG,
@@ -21,7 +22,6 @@ from twinsource.spectra import (
     phase_matching_spectrum,
     sinc2,
 )
-from twinsource.stack import TE, TM
 
 PIN_SINC_FWHM_NM = 0.3157  # L = 1 mm at the interaction-1 degeneracy, frozen
 

@@ -23,19 +23,15 @@ from twinsource.errors import (
     OutOfValidityWindow,
 )
 from twinsource.materials import Composition, refractive_index
+from twinsource.layers import TE, TM, Layer, LayerStack, Region, layer_indices
 from twinsource.stack import (
-    TE,
-    TM,
     _BLOCK,
-    Layer,
-    LayerStack,
     _char_matrix,
     _prominent_minima,
     _waves,
     core_intensity,
     field_profile,
     find_resonance,
-    layer_indices,
     raw_response,
     stack_response,
 )
@@ -202,7 +198,7 @@ def test_an_empty_stack_has_an_empty_layer_plan(substrate):
 def test_batched_response_past_one_kernel_block(paper_stack):
     """Dispatch: a kernel block boundary is where a SIMD remainder loop starts."""
     # a block holds _BLOCK nodes x wavelengths at the tree's widest level
-    block = _BLOCK // paper_stack._tree(paper_stack._plan.leaf).widest
+    block = _BLOCK // stack_mod._tree(paper_stack).widest
     lams = np.linspace(1500.0, 1540.0, 2 * block + 100)
     batch = stack_response(paper_stack, lams, 5.0, TM)
     for i in (0, block - 1, block, 2 * block, len(lams) - 1):
@@ -316,7 +312,7 @@ def test_tree_product_is_the_positional_product(tree_stacks, name):
             for pol in (TE, TM):
                 for theta in (0.0, 3.0):
                     n0_sin = math.sin(math.radians(theta))
-                    tree = _char_matrix(n_leaf, t_leaf, n0_sin, lams, pol, s._tree(leaf))
+                    tree = _char_matrix(n_leaf, t_leaf, n0_sin, lams, pol, stack_mod._tree(s, leaf))
                     # the positional product in blocks of 25 wavelengths keeps
                     # its arrays small for the 6000-layer stack
                     blocks = [slice(k, k + 25) for k in range(0, lams.size, 25)]
@@ -333,7 +329,7 @@ def test_nominal_tree_shape(paper_stack):
     # distinct sub-products, where the positional product takes 127; a level
     # gathers 8 rows per product
     plan = paper_stack._plan
-    whole, positional = paper_stack._tree(plan.leaf), stack_mod._positional_tree(127)
+    whole, positional = stack_mod._tree(paper_stack), stack_mod._positional_tree(127)
     assert len(plan.leaf_index) == 4
     assert sum(len(a) for a, _ in whole.levels) == 8 * 26
     assert sum(len(a) for a, _ in positional.levels) == 8 * 127
@@ -897,6 +893,6 @@ def test_resonance_window_must_be_two_finite_wavelengths(paper_stack, window):
 def test_region_periods_must_be_finite_and_positive(periods):
     # a NaN period count used to fail in round(): "cannot convert float NaN to integer"
     layers = (Layer(Composition(0.3), 100.0), Layer(Composition(0.7), 100.0))
-    regions = (stack_mod.Region("dbr", 0, 2, periods),)
+    regions = (Region("dbr", 0, 2, periods),)
     with pytest.raises(ValueError, match=f"^region 'dbr' periods must be .*, got {periods}$"):
         LayerStack(layers, regions=regions)
