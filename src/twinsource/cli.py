@@ -88,7 +88,8 @@ class _Run:
         cfg = cfgmod.apply_overrides(cfgmod.load_config(args.config), args.set or [])
         if args.seed is not None:
             cfg["seed"] = args.seed
-        self.cfg = cfgmod.check_config(cfg)  # commands read the values it checked
+        self.model = model = cfgmod.dispersion_model(cfg)  # checks the whole config first
+        self.cfg = cfg  # commands read the values it checked
         self.hash = cfgmod.config_hash(cfg)
         self.out_dir = Path(args.out)
         try:
@@ -97,7 +98,6 @@ class _Run:
             raise ConfigError(f"cannot use output directory: {exc}") from exc
         self.outputs, self.warnings = [], []
         self.fmt = args.format
-        self.model = model = cfgmod.dispersion_model(cfg)
         self.provenance = {
             "dispersion_model": model.name,
             "dispersion_coefficients": {k: list(v) for k, v in model.coefficients.items()},
@@ -262,10 +262,17 @@ def cmd_tuning(run: _Run, args):
     step = step if args.theta_step is None else _flag(args.theta_step, POSITIVE, "--theta-step")
     thetas = _grid(lo, hi, step, "pump angle (deg)")
     lam_p = _pump_nm(run)
-    points, failures = phasematch.PhaseMatcher(device, run.model).tuning_curve(thetas, lam_p)
+    matcher = phasematch.PhaseMatcher(device, run.model)
+    points, failures = matcher.tuning_curve(thetas, lam_p)
     failed = [f"theta={theta} interaction={inter_id}: {msg}" for theta, inter_id, msg in failures]
     run.warnings += failed
     if not points:
+        try:  # solved again, the first point raises as in spectrum: a pump the model refuses
+            matcher.solve_pair(float(thetas[0]), lam_p, phasematch.INTERACTION_1)
+        except (OutOfValidityWindow, errors.AboveBandgap):
+            raise
+        except (TwinSourceError, ValueError, RuntimeError):  # a failure of the point, as recorded
+            pass
         raise errors.NoSolutionInWindow(f"every tuning point failed, the first at {failed[0]}")
     # flag the rows bracketing each branch crossing: the signed signal-idler
     # separation changes sign exactly at the degeneracy angle

@@ -18,7 +18,7 @@ import json
 from . import materials
 from .efficiency import DetectionChain
 from .errors import ANGLE, BELOW_ONE, FRACTION, LENGTH_MM, NON_NEGATIVE, NUMBER, POSITIVE, WINDOW
-from .errors import number
+from .errors import AMBIENT_INDEX, SQUARABLE, number
 from .errors import AboveBandgap, ConfigError, NonPhysicalInput, OutOfValidityWindow, require
 from .materials import Composition
 
@@ -100,7 +100,7 @@ _RULES = {
         (
             "stack.design_wavelength_nm", "pump.wavelength_nm", "spectrum.step_nm",
             "spectrum.half_span_nm", "tuning.theta_step_deg", "hom.delta_lambda_nm",
-            "hom.degeneracy_wavelength_nm", "hom.scan_half_span_mm", "hom.dwell_s",
+            "hom.dwell_s",
         ),
         POSITIVE,
     ),
@@ -110,7 +110,9 @@ _RULES = {
     ),
     **dict.fromkeys(("pump.angle_deg", "tuning.theta_min_deg", "tuning.theta_max_deg"), ANGLE),
     "resonance.window_nm": WINDOW,
-    "sample.length_mm": LENGTH_MM,
+    "stack.ambient_index": AMBIENT_INDEX,
+    "hom.degeneracy_wavelength_nm": SQUARABLE,
+    **dict.fromkeys(("sample.length_mm", "hom.scan_half_span_mm"), LENGTH_MM),
     "sample.facet_reflectance": BELOW_ONE,
     "hom.visibility": (lambda v: v is None or FRACTION[0](v), "null or in [0, 1]"),
     "hom.scan_points": (
@@ -241,7 +243,11 @@ def dispersion_model(cfg: dict):
 
 
 def build_stack(cfg: dict) -> LayerStack:
-    """LayerStack from the config's stack section (config checked, invariants enforced)."""
+    """LayerStack from the config's stack section (config checked, invariants enforced).
+
+    A region's cell is built once, both its layers, and repeated layer by
+    layer round(2 periods) times: a half period ends on the cell's first layer.
+    """
     from .layers import Layer, LayerStack, Region  # here: a command that builds no stack loads none
     model = dispersion_model(cfg)
     sc = cfg["stack"]
@@ -250,23 +256,22 @@ def build_stack(cfg: dict) -> LayerStack:
         layers: list[Layer] = []
         regions: list[Region] = []
         for reg in sc["regions"]:
-            periods, cell = reg["periods"], reg["cell"]
-            mean_n = sum(
-                materials.refractive_index(Composition(c["x"]), lam, model) for c in cell
-            ) / len(cell)
-            start = len(layers)
-            for i in range(round(2 * periods)):
-                spec = cell[i % 2]
-                comp = Composition(spec["x"])
+            comps = [Composition(spec["x"]) for spec in reg["cell"]]
+            indices = [materials.refractive_index(comp, lam, model) for comp in comps]
+            mean_n = sum(indices) / len(indices)
+            cell = []
+            for spec, comp, n in zip(reg["cell"], comps, indices):
                 rule = spec.get("thickness", "quarter-wave")
                 if rule == "quarter-wave":
-                    t = lam / (4.0 * materials.refractive_index(comp, lam, model))
+                    t = lam / (4.0 * n)
                 elif rule == "qpm":
                     t = lam / (4.0 * mean_n)
                 else:
                     t = float(rule)
-                layers.append(Layer(comp, t, spec.get("sign", 0)))
-            regions.append(Region(reg["name"], start, len(layers), periods))
+                cell.append(Layer(comp, t, spec.get("sign", 0)))
+            start = len(layers)
+            layers += [cell[i % 2] for i in range(round(2 * reg["periods"]))]
+            regions.append(Region(reg["name"], start, len(layers)))
         substrate = Composition(sc["substrate_x"]) if sc["substrate_x"] is not None else None
         return LayerStack(
             layers=tuple(layers),

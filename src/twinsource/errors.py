@@ -36,6 +36,14 @@ LENGTH_MM = (  # a length in mm that nm-scale arithmetic takes as a finite numbe
     "a finite number > 0 that stays finite in nm",
 )
 POLARIZATION = (lambda v: isinstance(v, str) and v in ("TE", "TM"), '"TE" or "TM"')
+AMBIENT_INDEX = (  # no index below vacuum's, and none a transparent medium comes near
+    lambda v: number(v) and 1 <= v <= 10,
+    "a finite number from 1 to 10",
+)
+SQUARABLE = (  # a wavelength the HOM formulas square: its square a normal double, not 0 or inf
+    lambda v: POSITIVE[0](v) and sys.float_info.min <= float(v) * float(v) <= _MAX,
+    "a finite number > 0 whose square is a normal double",
+)
 
 
 def require(value, rule, name: str, error=ValueError):

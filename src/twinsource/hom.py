@@ -30,11 +30,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .efficiency import DetectionChain, expected_counts
-from .errors import BELOW_ONE, FRACTION, POSITIVE, DegenerateScan, NoConvergence, record, require
+from .errors import BELOW_ONE, FRACTION, POSITIVE, SQUARABLE, DegenerateScan, NoConvergence
+from .errors import record, require
 from .roots import NotBracketed, brentq
 
 _LN2 = math.log(2.0)
 _SHAPE = math.pi**2 / _LN2  # exponent prefactor of the dip model
+_U_ZERO = 8.0  # past |u| = 7.24, exp(-_SHAPE u^2) is 0.0 in doubles
 
 NM_PER_MM = 1e6
 
@@ -51,7 +53,7 @@ class DipModel(record("DipModel", "visibility wavelength_nm delta_lambda_nm")):
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         require(self.visibility, FRACTION, "visibility")
-        require(self.wavelength_nm, POSITIVE, "wavelength")
+        require(self.wavelength_nm, SQUARABLE, "wavelength")
         require(self.delta_lambda_nm, POSITIVE, "spectral width")
         return self
 
@@ -64,6 +66,8 @@ def _dip_shape(dz_nm, delta_lambda, wavelength):
 def dip_value(m: DipModel, delta_z_mm):
     """Normalized coincidence rate at path difference delta_z (mm)."""
     dz_nm = np.asarray(delta_z_mm, dtype=float) * NM_PER_MM
+    reach = _U_ZERO * m.wavelength_nm**2 / m.delta_lambda_nm  # |dz| past which the shape is 0.0
+    dz_nm = np.clip(dz_nm, -reach, reach)  # the same shape, and u * u stays finite
     val = 1.0 - m.visibility * _dip_shape(dz_nm, m.delta_lambda_nm, m.wavelength_nm)
     return float(val) if np.isscalar(delta_z_mm) else val
 
@@ -243,6 +247,7 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
     leaving < 3 baseline points ends the passes with the previous pass's fit.
     """
     require(wavelength_nm, POSITIVE, "wavelength")
+    require(wavelength_nm, SQUARABLE, "wavelength")  # the model squares it
     if len(scan.delta_z_mm) < 8:
         raise DegenerateScan("need at least 8 scan points")
     dz_nm = scan.delta_z_mm * NM_PER_MM

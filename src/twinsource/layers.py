@@ -18,12 +18,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import materials
-from .errors import POSITIVE, number, record, require
+from .errors import AMBIENT_INDEX, POSITIVE, record, require
 from .materials import GAAS, Composition, DispersionModel
 
 TE = "TE"
 TM = "TM"
-_AMBIENT = (lambda v: number(v) and v >= 1.0, "a finite number >= 1")  # no index below vacuum
 
 
 class Layer(record("Layer", "composition thickness_nm nonlinear_sign")):
@@ -45,7 +44,6 @@ class Region(NamedTuple):
     name: str
     start: int
     stop: int
-    periods: float
 
 
 class _LayerPlan(NamedTuple):
@@ -70,22 +68,13 @@ class LayerStack(record("LayerStack", "layers substrate ambient_index regions"))
 
     def __new__(cls, layers, substrate: Composition | None = GAAS, ambient_index=1.0, regions=()):
         self = tuple.__new__(cls, (tuple(layers), substrate, ambient_index, tuple(regions)))
-        require(self.ambient_index, _AMBIENT, "ambient index")
+        require(self.ambient_index, AMBIENT_INDEX, "ambient index")
         if self.regions:
             pos = 0
             for reg in self.regions:
                 if reg.start != pos or reg.stop <= reg.start:
                     raise ValueError("regions must partition the layer list in order")
                 pos = reg.stop
-                require(reg.periods, POSITIVE, f"region '{reg.name}' periods")
-                if round(2 * reg.periods) != 2 * reg.periods:
-                    raise ValueError(f"region '{reg.name}' has invalid period count {reg.periods}")
-                n_layers = reg.stop - reg.start
-                if n_layers != round(2 * reg.periods):
-                    raise ValueError(
-                        f"region '{reg.name}' declares {reg.periods} periods but "
-                        f"holds {n_layers} layers"
-                    )
             if pos != len(self.layers):
                 raise ValueError("regions do not cover the whole layer list")
         core = self.region("core")

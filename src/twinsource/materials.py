@@ -66,15 +66,16 @@ _ADACHI_1985 = {
 }
 
 
-class DispersionModel(
-    record("DispersionModel", "name coefficients wavelength_window_nm x_window near_gap_margin")
-):
+X_WINDOW = (0.0, 1.0)  # the Al fractions every model covers
+NEAR_GAP_MARGIN = 0.995  # cap on chi = E/E0: past it the index is complex and the real API raises
+
+
+class DispersionModel(record("DispersionModel", "name coefficients wavelength_window_nm")):
     """A published index formula plus its coefficient table and validity window.
 
     ``coefficients`` holds the quadratic-in-x expansions keyed by symbol name
-    (the Adachi 1985 set when not given), stored read-only.
-    ``near_gap_margin`` caps chi = E/E0: beyond it the model is considered
-    above-gap (complex index regime) and the real-index API raises.
+    (the Adachi 1985 set when not given), stored read-only. Every model covers
+    the fractions ``X_WINDOW`` and refuses a real index past ``NEAR_GAP_MARGIN``.
     """
 
     def __new__(
@@ -82,13 +83,10 @@ class DispersionModel(
         name: str,
         coefficients: dict | None = None,
         wavelength_window_nm: tuple = (550.0, 4000.0),
-        x_window: tuple = (0.0, 1.0),
-        near_gap_margin: float = 0.995,
     ):
         given = _ADACHI_1985 if coefficients is None else coefficients
         coefficients = MappingProxyType({k: tuple(v) for k, v in given.items()})
-        fields = name, coefficients, wavelength_window_nm, x_window, near_gap_margin
-        self = super().__new__(cls, *fields)
+        self = super().__new__(cls, name, coefficients, wavelength_window_nm)
         self._constants = lru_cache(maxsize=64, typed=True)(self._alloy)
         return self
 
@@ -116,7 +114,7 @@ class DispersionModel(
                 f"wavelength {shown} nm outside model '{self.name}' "
                 f"window [{lo}, {hi}] nm"
             )
-        xlo, xhi = self.x_window
+        xlo, xhi = X_WINDOW
         if not (xlo <= _fraction(x) <= xhi):
             raise OutOfValidityWindow(
                 f"composition x={x} outside model '{self.name}' window [{xlo}, {xhi}]"
@@ -141,11 +139,10 @@ class DispersionModel(
         scalar, lam = self._checked(x, wavelength_nm)
         terms = self._chi_terms(x, lam)
         chi, chi_so = terms[:2]
-        margin = self.near_gap_margin
-        above = (chi > margin) | (chi_so > margin)
+        above = (chi > NEAR_GAP_MARGIN) | (chi_so > NEAR_GAP_MARGIN)
         if (above if scalar else above.any()):
             raise AboveBandgap(
-                f"photon energy at or above {100 * margin:.1f}% of the "
+                f"photon energy at or above {100 * NEAR_GAP_MARGIN:.1f}% of the "
                 f"Al(x={x}) gap energy: model '{self.name}' index is complex there"
             )
         sqrt = math.sqrt if scalar else np.sqrt

@@ -260,6 +260,80 @@ def test_a_pump_whose_pair_search_leaves_the_model_is_input_error(tmp_path, caps
     assert not list(tmp_path.iterdir())
 
 
+_EXTREMES = {  # argv ("SCAN" is the default scan file), and the exit code
+    # every tuning point failed, so tuning exited 3 where spectrum exits 2
+    "tuning_pump_outside_the_model": (("tuning", "--set", "pump.wavelength_nm=300"), EXIT_INPUT),
+    "tuning_pump_above_the_gap": (("tuning", "--set", "pump.wavelength_nm=400"), EXIT_INPUT),
+    # |denominator|^2 overflowed: stack exited 0 with T read as 0, enhancement 3
+    "stack_ambient_1e300": (("stack", "--set", "stack.ambient_index=1e300"), EXIT_INPUT),
+    "enhancement_ambient_1e300": (("enhancement", "--set", "stack.ambient_index=1e300"), EXIT_INPUT),
+    # u * u overflowed in the dip shape, whose value there is 0.0 all the same
+    "hom_width_1e300": (("hom", "simulate", "--set", "hom.delta_lambda_nm=1e300"), EXIT_OK),
+    "hom_span_1e300": (("hom", "simulate", "--set", "hom.scan_half_span_mm=1e300"), EXIT_OK),
+    # the positions overflowed once taken to nm
+    "hom_span_1e305": (("hom", "simulate", "--set", "hom.scan_half_span_mm=1e305"), EXIT_INPUT),
+    # the squared wavelength underflowed to 0: divide-by-zero and invalid values
+    "hom_simulate_wavelength_1e-300": (
+        ("hom", "simulate", "--set", "hom.degeneracy_wavelength_nm=1e-300"), EXIT_INPUT
+    ),
+    "hom_simulate_wavelength_5e-324": (
+        ("hom", "simulate", "--set", "hom.degeneracy_wavelength_nm=5e-324"), EXIT_INPUT
+    ),
+    "hom_fit_wavelength_1e-300": (
+        ("hom", "fit", "--scan", "SCAN", "--set", "hom.degeneracy_wavelength_nm=1e-300"), EXIT_INPUT
+    ),
+    "hom_fit_wavelength_5e-324": (
+        ("hom", "fit", "--scan", "SCAN", "--set", "hom.degeneracy_wavelength_nm=5e-324"), EXIT_INPUT
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code", _EXTREMES.values(), ids=_EXTREMES.keys())
+def test_extreme_inputs_keep_the_exit_contract(tmp_path, capsys, scan_dir, argv, code):
+    argv = [scan_dir / "hom_scan.csv" if a == "SCAN" else a for a in argv]
+    assert run(*argv, "--out", tmp_path, "--quiet") == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err == "" if code == EXIT_OK else err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pump", [300, 400])
+def test_tuning_and_spectrum_refuse_a_pump_the_model_refuses_alike(tmp_path, capsys, pump):
+    # 300 nm puts the pair search outside the model's window, 400 nm above
+    # the Al(x=0.35) gap: every angle fails alike, so no point is to blame
+    errs = []
+    for command in ("tuning", "spectrum"):
+        argv = (command, "--set", f"pump.wavelength_nm={pump}", "--out", tmp_path, "--quiet")
+        assert run(*argv) == EXIT_INPUT
+        errs.append(capsys.readouterr().err)
+    assert errs[0] == errs[1] and errs[0].count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_run_checks_its_config_once_before_the_commands_rechecks(monkeypatch, tmp_path):
+    # the run resolves the dispersion model, which checks the whole config;
+    # build_stack, build_detection_chain and hom_visibility each check it again
+    from twinsource import config
+
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return check_config(cfg)
+
+    monkeypatch.setattr(config, "check_config", counted)
+    runs = {
+        ("counts",): 2,
+        ("hom", "simulate"): 3,
+        ("stack", *_NARROW_SWEEP): 2,
+        ("enhancement",): 2,
+    }
+    for argv, checks in runs.items():
+        calls.clear()
+        assert run(*argv, "--out", tmp_path, "--quiet") == EXIT_OK
+        assert len(calls) == checks, argv
+
+
 @pytest.mark.parametrize("periods", [1e7, 1e300])
 def test_region_periods_are_bounded(tmp_path, capsys, periods):
     # a region is built as 2 x periods layer objects: past the bound the

@@ -457,3 +457,32 @@ def test_fit_dip_refuses_a_wavelength_that_is_not_finite_and_positive(wavelength
     rule = "a finite number > 0"
     with pytest.raises(ValueError, match=f"^wavelength must be {rule}, got {wavelength}$"):
         fit_dip(scan, wavelength)
+
+
+@pytest.mark.parametrize("wavelength", [1e-300, 5e-324, 1e200])
+def test_the_dip_model_refuses_a_wavelength_whose_square_is_no_normal_double(wavelength):
+    # lambda^2 underflowed to 0 (divide-by-zero, then NaN) or overflowed
+    positions = np.linspace(-5.0, 5.0, 25)
+    scan = simulate_scan(DipModel(0.84, 1520.0, 0.5), DetectionChain(), positions, 60.0, 7)
+    rule = "a finite number > 0 whose square is a normal double"
+    message = re.escape(f"wavelength must be {rule}, got {wavelength}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        DipModel(0.84, wavelength, 0.5)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_dip(scan, wavelength)
+
+
+@pytest.mark.parametrize("width, half_span", [(1e300, 5.0), (0.53, 1e300)])
+def test_dip_value_at_extreme_widths_and_spans(width, half_span):
+    # u * u overflowed there; |dz| is now held where the shape is already 0.0
+    positions = np.linspace(-half_span, half_span, 25)
+    got = dip_value(DipModel(0.84, 1520.0, width), positions)
+    assert got[12] == 1.0 - 0.84 and np.all(np.delete(got, 12) == 1.0)
+
+
+def test_dip_value_holds_only_where_the_shape_is_zero():
+    # |u| runs to 17 here: the held positions past 8 give the same 0.0 shape
+    positions = np.linspace(-20.0, 20.0, 401)
+    unheld = 1.0 - 0.84 * hom._dip_shape(positions * hom.NM_PER_MM, 2.0, 1520.0)
+    assert np.array_equal(dip_value(DipModel(0.84, 1520.0, 2.0), positions), unheld)
+    assert np.count_nonzero(unheld == 1.0) > 100

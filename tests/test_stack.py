@@ -115,7 +115,7 @@ _WINDOWS = {
     "pump": np.linspace(740.0, 780.0, 41),
     "across_gap": np.linspace(850.0, 880.0, 31),
     "near_gap_margin": np.linspace(
-        _GAAS_GAP_NM + 0.1, _GAAS_GAP_NM / materials.DEFAULT_MODEL.near_gap_margin - 0.1, 9
+        _GAAS_GAP_NM + 0.1, _GAAS_GAP_NM / materials.NEAR_GAP_MARGIN - 0.1, 9
     ),
 }
 
@@ -555,6 +555,54 @@ def _nominal_config(periods=()):
     return cfg
 
 
+def _assert_built_by_the_rules(s, cells, lam):
+    """Each region repeats its cell's entries in turn, each layer of the
+    thickness its rule gives: lam/(4 n), lam/(4 mean n) or the number."""
+    for reg, cell in zip(s.regions, cells):
+        n = [refractive_index(Composition(spec["x"]), lam) for spec in cell]
+        mean = (n[0] + n[1]) / 2
+        for i, layer in enumerate(s.layers[reg.start : reg.stop]):
+            spec = cell[i % 2]
+            rule = spec.get("thickness", "quarter-wave")
+            want = {"quarter-wave": lam / (4.0 * n[i % 2]), "qpm": lam / (4.0 * mean)}
+            assert layer.composition == Composition(spec["x"])
+            assert layer.thickness_nm == want.get(rule, rule)
+            assert layer.nonlinear_sign == spec.get("sign", 0)
+
+
+def test_build_stack_repeats_each_cell_by_its_rules(monkeypatch):
+    cfg = config.default_config()
+    cells = [reg["cell"] for reg in cfg["stack"]["regions"]]
+    calls = []
+    evaluate = materials.DispersionModel.evaluate
+    monkeypatch.setattr(
+        materials.DispersionModel, "evaluate", lambda m, *a: calls.append(a) or evaluate(m, *a)
+    )
+    s = config.build_stack(cfg)
+    monkeypatch.undo()
+    assert len(calls) == 6  # each cell entry once at the design wavelength, not each layer
+    regions = (Region("top_dbr", 0, 36), Region("core", 36, 45), Region("bottom_dbr", 45, 127))
+    assert s.regions == regions
+    _assert_built_by_the_rules(s, cells, 760.0)
+    for drawn, lam0 in _draw_stacks():
+        _assert_built_by_the_rules(drawn, cells, lam0)
+    # a number rule, and a half period ending on the cell's first entry
+    top = cfg["stack"]["regions"][0]
+    top.update(periods=2.5, cell=[{"x": 0.9, "thickness": 123.25}, {"x": 0.35}])
+    s = config.build_stack(cfg)
+    assert s.regions[0] == Region("top_dbr", 0, 5) and s.layers[4].thickness_nm == 123.25
+    _assert_built_by_the_rules(s, [reg["cell"] for reg in cfg["stack"]["regions"]], 760.0)
+
+
+def test_a_half_period_region_checks_both_cell_entries():
+    # each cell entry is built once, so the entry a 0.5-period region does not
+    # repeat is checked too (a sign of 2 used to pass unread)
+    cfg = _nominal_config(periods=(18, 0.5, 41))
+    cfg["stack"]["regions"][1]["cell"][1]["sign"] = 2
+    with pytest.raises(ConfigError, match="nonlinear_sign must be -1, 0 or \\+1, got 2"):
+        config.build_stack(cfg)
+
+
 def test_invalid_design_params():
     cases = {
         "zero_periods": _nominal_config(periods=(0, 4.5, 41)),
@@ -878,6 +926,13 @@ def test_ambient_index_must_be_finite_and_at_least_one(index):
         LayerStack(layers=(), substrate=None, ambient_index=index)
 
 
+def test_ambient_index_is_at_most_ten():
+    # at 1e300 the response's |denominator|^2 overflowed and T read 0
+    assert LayerStack(layers=(), substrate=None, ambient_index=10).ambient_index == 10
+    with pytest.raises(ValueError, match="^ambient index must be a finite number from 1 to 10"):
+        LayerStack(layers=(), substrate=None, ambient_index=1e300)
+
+
 @pytest.mark.parametrize(
     "window",
     [(740.0, math.inf), (740.0, math.nan), (780.0, 740.0), (760.0, 760.0), (740.0,)],
@@ -887,12 +942,3 @@ def test_resonance_window_must_be_two_finite_wavelengths(paper_stack, window):
     # (740, inf) used to fail in numpy's arange: "Maximum allowed size exceeded"
     with pytest.raises(ValueError, match=r"^wavelength window must be two finite wavelengths"):
         find_resonance(paper_stack, window)
-
-
-@pytest.mark.parametrize("periods", [math.nan, math.inf, 0.0])
-def test_region_periods_must_be_finite_and_positive(periods):
-    # a NaN period count used to fail in round(): "cannot convert float NaN to integer"
-    layers = (Layer(Composition(0.3), 100.0), Layer(Composition(0.7), 100.0))
-    regions = (Region("dbr", 0, 2, periods),)
-    with pytest.raises(ValueError, match=f"^region 'dbr' periods must be .*, got {periods}$"):
-        LayerStack(layers, regions=regions)
