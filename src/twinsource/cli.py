@@ -35,9 +35,8 @@ import numpy as np
 
 from . import config as cfgmod
 from . import efficiency, errors
-from .config import MAX_SWEEP_POINTS
 from .errors import ANGLE, POSITIVE, WINDOW, ConfigError, NoResonanceInWindow, OutOfValidityWindow
-from .errors import TwinSourceError, require
+from .errors import SweepSizeError, TwinSourceError, require, sweep
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -160,15 +159,6 @@ class _Run:
 # ---------------------------------------------------------------------------
 
 
-def _grid(lo, hi, step, name: str) -> np.ndarray:
-    """Sweep lo, lo + step, ... up to hi (inclusive, to rounding), for a step > 0."""
-    if not (lo <= hi and (hi - lo) / step + 1 <= MAX_SWEEP_POINTS):
-        raise ConfigError(
-            f"{name} sweep [{lo}, {hi}] at step {step} is empty or over {MAX_SWEEP_POINTS} points"
-        )
-    return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
-
-
 def _pump_nm(run: _Run) -> float:
     """``pump.wavelength_nm`` as a float (sidecars record floats, whole numbers
     too), unless the pair search, which starts at twice it, starts outside the
@@ -200,7 +190,7 @@ def cmd_stack(run: _Run, args):
         lam_lo, lam_hi = _flag([args.lambda_min, args.lambda_max], WINDOW, "--lambda-min/max")
     theta = _flag(0.0 if args.theta is None else args.theta, ANGLE, "--theta")
     pol = args.pol
-    lams = _grid(lam_lo, lam_hi, _flag(args.step, POSITIVE, "--step"), "wavelength (nm)")
+    lams = sweep(lam_lo, lam_hi, _flag(args.step, POSITIVE, "--step"), "wavelength (nm)")
     resp = stack.stack_response(device, lams, theta, pol, model)
 
     resonance_nm = None
@@ -260,7 +250,7 @@ def cmd_tuning(run: _Run, args):
     lo = lo if args.theta_min is None else _flag(args.theta_min, ANGLE, "--theta-min")
     hi = hi if args.theta_max is None else _flag(args.theta_max, ANGLE, "--theta-max")
     step = step if args.theta_step is None else _flag(args.theta_step, POSITIVE, "--theta-step")
-    thetas = _grid(lo, hi, step, "pump angle (deg)")
+    thetas = sweep(lo, hi, step, "pump angle (deg)")
     lam_p = _pump_nm(run)
     matcher = phasematch.PhaseMatcher(device, run.model)
     points, failures = matcher.tuning_curve(thetas, lam_p)
@@ -316,17 +306,10 @@ def cmd_spectrum(run: _Run, args):
         "mono_fwhm_nm": float(scfg["monochromator_fwhm_nm"]),
         "long_peak_attenuation": float(cfg["sample"]["facet_reflectance"]),
     }
-    matcher = phasematch.PhaseMatcher(device, run.model)
-    # size the grid (every emission peak, +/- the half span) before it is allocated
-    pairs = [matcher.solve_pair(theta, lam_p, phasematch.interaction(i)) for i in (1, 2)]
-    peaks = [w for p in pairs for w in (p.lambda_s_nm, p.lambda_i_nm)]
-    grid = _grid(min(peaks) - half_span, max(peaks) + half_span, step, "spectrum wavelength (nm)")
-    if len(grid) < 2:
-        raise ConfigError(f"spectrum.step_nm {step} leaves a single grid point")
     try:
         sp = spectra.fluorescence_spectrum(
-            theta, lam_p, length_mm, device, half_span_nm=half_span, step_nm=step, matcher=matcher,
-            **instrument,
+            theta, lam_p, length_mm, device, half_span_nm=half_span, step_nm=step,
+            matcher=phasematch.PhaseMatcher(device, run.model), **instrument,
         )
     except errors.KernelUnderResolved as exc:  # the config chose both the kernel and the step
         pump = exc.fwhm_nm == instrument["pump_fwhm_nm"]
@@ -558,7 +541,7 @@ def main(argv=None) -> int:
         args.func(run, args)
         run.finish()
         return EXIT_OK
-    except (ConfigError, OutOfValidityWindow, errors.AboveBandgap) as exc:
+    except (ConfigError, SweepSizeError, OutOfValidityWindow, errors.AboveBandgap) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (TwinSourceError, OverflowError) as exc:  # OverflowError: beyond the double range

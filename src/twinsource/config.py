@@ -18,7 +18,7 @@ import json
 from . import materials
 from .efficiency import DetectionChain
 from .errors import ANGLE, BELOW_ONE, FRACTION, LENGTH_MM, NON_NEGATIVE, NUMBER, POSITIVE, WINDOW
-from .errors import AMBIENT_INDEX, SQUARABLE, number
+from .errors import AMBIENT_INDEX, MAX_SWEEP_POINTS, SQUARABLE, number
 from .errors import AboveBandgap, ConfigError, NonPhysicalInput, OutOfValidityWindow, require
 from .materials import Composition
 
@@ -85,7 +85,6 @@ DEFAULT_CONFIG = {
 
 OVERRIDE_KEYS = ("n_mean", "finesse", "t_up", "t_down")  # CavityParams fields, in order
 _SHAPE = {**DEFAULT_CONFIG, "enhancement_overrides": dict.fromkeys(OVERRIDE_KEYS, 0.0)}
-MAX_SWEEP_POINTS = 10**6  # longest sweep, grid or HOM scan, held in memory whole
 MAX_PERIODS = 1000  # most periods of one stack region, each built as layer objects
 
 

@@ -3,13 +3,17 @@
 A rule is (test, what it asks for); ``require`` raises "<name> must be <what>,
 got <value>" for a value that fails it. The config and CLI flags raise
 ConfigError, ``efficiency`` NonPhysicalInput, every other module ValueError.
+Every wavelength and angle sweep is built by ``sweep``, at most ``MAX_SWEEP_POINTS`` long.
 """
 
 import numbers
 import sys
 from collections import namedtuple
 
+import numpy as np
+
 _MAX = sys.float_info.max
+MAX_SWEEP_POINTS = 10**6  # longest sweep, grid or HOM scan, held in memory whole
 
 
 def number(v) -> bool:
@@ -53,6 +57,16 @@ def require(value, rule, name: str, error=ValueError):
     return value
 
 
+def sweep(lo, hi, step, name: str) -> np.ndarray:
+    """lo, lo + step, ... up to hi (inclusive, to rounding), for a step > 0;
+    SweepSizeError, before any allocation, if that is empty or over ``MAX_SWEEP_POINTS``."""
+    if not (lo <= hi and (float(hi) - float(lo)) / float(step) + 1 <= MAX_SWEEP_POINTS):
+        raise SweepSizeError(
+            f"{name} sweep [{lo}, {hi}] at step {step} is empty or over {MAX_SWEEP_POINTS} points"
+        )
+    return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+
+
 def record(name: str, fields, defaults=None):
     """A ``namedtuple`` base whose ``_make`` and ``_replace`` build through ``__new__``."""
     base = namedtuple(name, fields, defaults=defaults)
@@ -62,6 +76,11 @@ def record(name: str, fields, defaults=None):
 
 class TwinSourceError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+# sweep
+class SweepSizeError(TwinSourceError, ValueError):
+    """A sweep (``sweep``) with no point, or more than ``MAX_SWEEP_POINTS``."""
 
 
 # materials

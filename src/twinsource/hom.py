@@ -45,6 +45,8 @@ _WIDTH_BRACKET = 1.5  # each pass finds its width in [w / 1.5, 1.5 w], w the pas
 _WIDTH_XTOL_NM = 1e-12  # Brent's absolute tolerance on the width
 _BASELINE_PASSES = 10  # 8000 hom-calibration-like scans: each fixed point by pass 8
 _BASELINE_RTOL = 1e-12
+# the narrowest width any pass of fit_dip tries: a pass's bracket is its start / 1.5 at least
+_MIN_WIDTH_NM = float(_INIT_DELTA_LAMBDA_NM[0]) / _WIDTH_BRACKET**_BASELINE_PASSES
 
 
 class DipModel(record("DipModel", "visibility wavelength_nm delta_lambda_nm")):
@@ -63,11 +65,16 @@ def _dip_shape(dz_nm, delta_lambda, wavelength):
     return np.exp(-_SHAPE * u * u)
 
 
+def _dz_nm(delta_z_mm, wavelength, delta_lambda):
+    """delta_z in nm, held at |dz| = _U_ZERO lambda^2 / dl: past that the shape at every
+    width from dl up is 0.0, so the shapes are the same and every square of dz is finite."""
+    reach = _U_ZERO * wavelength**2 / delta_lambda
+    return np.clip(np.asarray(delta_z_mm, dtype=float) * NM_PER_MM, -reach, reach)
+
+
 def dip_value(m: DipModel, delta_z_mm):
     """Normalized coincidence rate at path difference delta_z (mm)."""
-    dz_nm = np.asarray(delta_z_mm, dtype=float) * NM_PER_MM
-    reach = _U_ZERO * m.wavelength_nm**2 / m.delta_lambda_nm  # |dz| past which the shape is 0.0
-    dz_nm = np.clip(dz_nm, -reach, reach)  # the same shape, and u * u stays finite
+    dz_nm = _dz_nm(delta_z_mm, m.wavelength_nm, m.delta_lambda_nm)
     val = 1.0 - m.visibility * _dip_shape(dz_nm, m.delta_lambda_nm, m.wavelength_nm)
     return float(val) if np.isscalar(delta_z_mm) else val
 
@@ -250,7 +257,7 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
     require(wavelength_nm, SQUARABLE, "wavelength")  # the model squares it
     if len(scan.delta_z_mm) < 8:
         raise DegenerateScan("need at least 8 scan points")
-    dz_nm = scan.delta_z_mm * NM_PER_MM
+    dz_nm = _dz_nm(scan.delta_z_mm, wavelength_nm, _MIN_WIDTH_NM)  # held once per fit
     net = scan.net_counts.astype(float)
     sigma = np.sqrt(np.maximum(scan.total_counts + scan.accidental_counts, 1.0))
 
@@ -331,5 +338,6 @@ def fit_dip(scan: HomScan, wavelength_nm: float) -> FitResult:
 def normalized_residuals(scan: HomScan, fit: FitResult, wavelength_nm: float) -> np.ndarray:
     """Baseline-normalized net counts minus the fitted dip, point by point,
     for any fitted V (a V above 1, which ``DipModel`` refuses, too)."""
-    g = _dip_shape(scan.delta_z_mm * NM_PER_MM, fit.delta_lambda_nm, wavelength_nm)
+    dz_nm = _dz_nm(scan.delta_z_mm, wavelength_nm, fit.delta_lambda_nm)
+    g = _dip_shape(dz_nm, fit.delta_lambda_nm, wavelength_nm)
     return scan.net_counts / fit.baseline_counts - (1.0 - fit.visibility * g)

@@ -8,7 +8,8 @@ bandwidth far below the copropagating case. Measured spectra are modeled by
 convolving with unit-area Gaussians, each given by its FWHM, for the pump
 linewidth and the monochromator resolution (``_smooth``).
 
-Wavelength grids are uniform, in nm; intensities are dimensionless and
+Wavelength grids are uniform, in nm, built by ``errors.sweep`` and refused
+(SweepSizeError) at a single point; intensities are dimensionless and
 non-negative.
 """
 
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import FRACTION, LENGTH_MM, NON_NEGATIVE, POSITIVE, require
-from .errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
+from .errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak, SweepSizeError, sweep
 from .layers import LayerStack
 from .phasematch import PhaseMatcher, _kp_sin, _mismatch, conjugate_wavelength, interaction
 
@@ -100,7 +101,7 @@ def phase_matching_spectrum(
     m = _matcher(matcher, s)
     point = m.solve_pair(theta_deg, lambda_p, inter)
     lam_s = point.lambda_s_nm
-    grid = _make_grid(lam_s - half_span_nm, lam_s + half_span_nm, step_nm)
+    grid = _grid(lam_s - half_span_nm, lam_s + half_span_nm, step_nm)
     inten = phase_matching_intensity(
         grid, theta_deg, lambda_p, inter, length_mm, s, matcher=m
     )
@@ -115,9 +116,12 @@ def phase_matching_spectrum(
     return Spectrum(grid, inten, meta)
 
 
-def _make_grid(lo, hi, step):
-    n = int(round((hi - lo) / step)) + 1
-    return lo + step * np.arange(n)
+def _grid(lo, hi, step):
+    """The wavelength sweep [lo, hi] at ``step``, of at least two points."""
+    grid = sweep(lo, hi, step, "spectrum wavelength (nm)")
+    if len(grid) < 2:
+        raise SweepSizeError(f"grid step {step} nm leaves one point in [{lo}, {hi}] nm")
+    return grid
 
 
 def _smooth(intensity: np.ndarray, step: float, fwhm_nm: float) -> np.ndarray:
@@ -186,7 +190,7 @@ def fluorescence_spectrum(
         raise ValueError("at least one interaction required")
     points = [m.solve_pair(theta_deg, lambda_p, it) for it in inters]
     peaks = [w for p in points for w in (p.lambda_s_nm, p.lambda_i_nm)]
-    grid = _make_grid(min(peaks) - half_span_nm, max(peaks) + half_span_nm, step_nm)
+    grid = _grid(min(peaks) - half_span_nm, max(peaks) + half_span_nm, step_nm)
 
     length_nm = length_mm * 1e6
     lam_deg = 2.0 * lambda_p
@@ -218,30 +222,26 @@ def fluorescence_spectrum(
                 branch = branch * long_peak_attenuation
             total += branch
 
-    sp = Spectrum(  # checks the grid and the intensities once
-        grid,
-        total,
-        {
-            "theta_deg": theta_deg,
-            "lambda_p_nm": lambda_p,
-            "length_mm": length_mm,
-            "interactions": list(interactions),
-            "peaks_nm": sorted(peaks),
-            "long_peak_attenuation": long_peak_attenuation,
-            "noise_floor": noise_floor,
-            "kernels": [],
-        },
-    )
-    inten, step = sp.intensity, sp.step_nm
+    inten, step, kernels = total, float(grid[1] - grid[0]), []
     for fwhm in (pump_fwhm_nm, mono_fwhm_nm):
         if fwhm > 0:
             inten = _smooth(inten, step, fwhm)
-            sp.metadata["kernels"].append({"shape": "gaussian", "fwhm_nm": fwhm})
+            kernels.append({"shape": "gaussian", "fwhm_nm": fwhm})
     peak = float(inten.max())
     if peak <= 0:
         raise NoPeak("cannot normalize an all-zero spectrum")
-    sp.metadata["normalized"] = True
-    return Spectrum(grid, inten / peak + noise_floor, sp.metadata)
+    meta = {
+        "theta_deg": theta_deg,
+        "lambda_p_nm": lambda_p,
+        "length_mm": length_mm,
+        "interactions": list(interactions),
+        "peaks_nm": sorted(peaks),
+        "long_peak_attenuation": long_peak_attenuation,
+        "noise_floor": noise_floor,
+        "kernels": kernels,
+        "normalized": True,
+    }
+    return Spectrum(grid, inten / peak + noise_floor, meta)  # checks the grid and intensities
 
 
 def fwhm(sp: Spectrum) -> float:

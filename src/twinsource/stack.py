@@ -54,8 +54,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import materials
-from .errors import ANGLE, POLARIZATION, WINDOW, MissingRegion, MultipleResonances
-from .errors import NoResonanceInWindow, TwinSourceError, require
+from .errors import ANGLE, POLARIZATION, WINDOW, MissingRegion, MultipleResonances, require
+from .errors import MAX_SWEEP_POINTS, NoResonanceInWindow, SweepSizeError, TwinSourceError
 from .layers import TE, LayerStack, _composition_indices
 from .materials import DispersionModel
 from .roots import brentq_lanes
@@ -594,8 +594,9 @@ def find_resonance(
 
     Numerics, all fixed:
 
-    * the window is scanned at ``RESONANCE_SCAN_STEP_NM`` (0.05 nm) and must hold
-      exactly one reflectance minimum of prominence >= ``RESONANCE_PROMINENCE``;
+    * the window is scanned at ``RESONANCE_SCAN_STEP_NM`` (0.05 nm), at most
+      ``MAX_SWEEP_POINTS`` points (SweepSizeError before the scan is allocated), and
+      must hold exactly one reflectance minimum of prominence >= ``RESONANCE_PROMINENCE``;
     * the resonance wavelength is the reflectance minimum, golden-section
       refined from the neighbouring scan points to xtol = 1e-3 nm;
     * the FWHM is read off the core field-intensity resonance curve: each
@@ -617,6 +618,8 @@ def find_resonance(
     lo, hi = require(lambda_window, WINDOW, "wavelength window")
     for name in _CAVITY_REGIONS:  # a missing region fails before any work
         _region_slice(s, name)
+    if not (float(hi) - float(lo)) / RESONANCE_SCAN_STEP_NM + 1 <= MAX_SWEEP_POINTS:
+        raise SweepSizeError(f"wavelength window [{lo}, {hi}] nm: over {MAX_SWEEP_POINTS} points")
     lams = np.arange(lo, hi + RESONANCE_SCAN_STEP_NM / 2, RESONANCE_SCAN_STEP_NM)
     refl = stack_response(s, lams, theta_deg, pol, model).reflectance
     idx = _prominent_minima(refl, RESONANCE_PROMINENCE)

@@ -1,11 +1,14 @@
 import contextlib
+import copy
 import io
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import twinsource
 from _oracles import write_table_rows
-from twinsource.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, MAX_SWEEP_POINTS, _write_table, main
+from twinsource.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, _write_table, main
 from twinsource.config import (
     DEFAULT_CONFIG,
     MAX_PERIODS,
@@ -26,8 +29,11 @@ from twinsource.config import (
     default_config,
 )
 from twinsource.efficiency import DetectionChain
-from twinsource.errors import ConfigError
+from twinsource.errors import MAX_SWEEP_POINTS, ConfigError
 from twinsource.hom import DipModel, simulate_scan
+
+
+_ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -86,15 +92,11 @@ def test_stack_meta_sidecar_and_report(tmp_path):
         assert Path(out).exists()
 
 
-# the seven README commands (tools/readme_outputs.py), by the run each names
+# the seven README commands (tools/readme_outputs.py), by the run each names;
+# hom fit's --scan is left for the test to give (the scan_dir scan)
 _README_RUNS = {
-    "stack": ("stack", "--lambda-min", 740, "--lambda-max", 780),
-    "tuning": ("tuning",),
-    "spectrum": ("spectrum", "--theta", 3.1, "--set", "pump.wavelength_nm=759.5"),
-    "hom-simulate": ("hom", "simulate", "--seed", 7),
-    "hom-fit": ("hom", "fit", "--scan"),  # the scan_dir scan
-    "enhancement": ("enhancement",),
-    "counts": ("counts",),
+    ("hom-" + c[1] if c[0] == "hom" else c[0]): c[:-1] if "--scan" in c else c
+    for c in runpy.run_path(str(_ROOT / "tools" / "readme_outputs.py"))["COMMANDS"]
 }
 _REPORT_KEYS = {"command", "config_hash", "outputs", "elapsed_s", "stages", "warnings"}
 
@@ -460,6 +462,51 @@ def test_spectrum_grid_is_capped(tmp_path, capsys):
     ) == EXIT_INPUT
     assert str(MAX_SWEEP_POINTS) in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("hi", ["1e9", "1e15", "1e300"])
+def test_a_resonance_window_past_the_sweep_bound_is_input_error(tmp_path, capsys, hi):
+    # a MemoryError (1e9, 1e15) or numpy's "Maximum allowed size exceeded" (1e300),
+    # with a traceback and exit 1
+    argv = ("enhancement", "--set", f"resonance.window_nm=[740,{hi}]", "--out", tmp_path)
+    assert run(*argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: wavelength window [740, ") and err.count("\n") == 1
+    assert f"over {MAX_SWEEP_POINTS} points" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_spectrum_solves_each_pair_once(monkeypatch, tmp_path):
+    # the command solved both pairs to size the grid, and the spectrum solved them again
+    from twinsource.phasematch import PhaseMatcher
+
+    calls = []
+    solve_pair = PhaseMatcher.solve_pair
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return solve_pair(self, *args, **kwargs)
+
+    monkeypatch.setattr(PhaseMatcher, "solve_pair", counted)
+    assert run("spectrum", "--out", tmp_path, "--quiet") == EXIT_OK
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "span, message",
+    [
+        ("1e300", "the scan does not constrain both parameters: Singular matrix"),
+        ("1e155", "no dip resolvable above the noise (< 3 sigma)"),
+    ],
+)
+def test_hom_fit_of_a_scan_far_past_the_dip(tmp_path, capsys, span, message):
+    # the dip shape and the width slope overflowed (RuntimeWarnings), and at 1e300
+    # Brent's method then met a NaN slope
+    setting = ("--set", f"hom.scan_half_span_mm={span}")
+    assert run("hom", "simulate", *setting, "--out", tmp_path, "--quiet") == EXIT_OK
+    scan = tmp_path / "hom_scan.csv"
+    assert run("hom", "fit", "--scan", scan, *setting, "--out", tmp_path / "fit") == EXIT_NUMERIC
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -906,6 +953,82 @@ def test_arbitrary_config_values_keep_the_exit_contract(scan_dir, assignments):
             code = main([*argv, "--out", str(scan_dir / "out"), "--quiet"])
         assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+# --- every numeric config leaf at each edge value through the commands -------------
+
+_EDGE_VALUES = (0, -1, 5e-324, 1e-300, 1e-12, 1e-9, 1e9, 1e15, 1e300, math.nan, math.inf)
+# the commands that read a section; "hom simulate" is followed by "hom fit" on its scan
+_EDGE_COMMANDS = {
+    "stack": ("stack", "tuning", "spectrum", "enhancement"),
+    "pump": ("tuning", "spectrum", "enhancement"),
+    "sample": ("spectrum", "hom simulate"),
+    "resonance": ("stack", "enhancement"),
+    "spectrum": ("spectrum",),
+    "tuning": ("tuning",),
+    "detection": ("counts", "hom simulate"),
+    "hom": ("hom simulate",),
+    "enhancement_overrides": ("enhancement",),
+    "seed": ("hom simulate",),
+}
+
+
+def _numeric_leaves(tree, path=()):
+    """The path of every numeric leaf under ``tree``, list entries by index, and of
+    ``hom.visibility``, whose default is null."""
+    for key, val in tree.items() if isinstance(tree, dict) else enumerate(tree):
+        if isinstance(val, (dict, list)):
+            yield from _numeric_leaves(val, (*path, key))
+        elif val is None or type(val) in (int, float):
+            yield (*path, key)
+
+
+_EDGE_LEAVES = [
+    *_numeric_leaves(DEFAULT_CONFIG),
+    *(("enhancement_overrides", key) for key in OVERRIDE_KEYS),
+]
+
+
+def _edge_run(argv, out):
+    """The exit code of one in-process run, which must keep the exit contract with
+    every RuntimeWarning an error."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            code = main([*argv, "--out", str(out), "--quiet"])
+        except Exception as exc:  # a traceback, not an exit code
+            pytest.fail(f"{argv} raised {exc!r}")
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NUMERIC), (argv, err.getvalue())
+    return code
+
+
+def test_the_edge_sweep_covers_every_numeric_leaf():
+    assert len(_EDGE_LEAVES) == 53
+
+
+@pytest.mark.parametrize(
+    "path", _EDGE_LEAVES, ids=[".".join(map(str, path)) for path in _EDGE_LEAVES]
+)
+def test_every_numeric_leaf_at_each_edge_value_keeps_the_exit_contract(tmp_path, path):
+    section = path[0]
+    for value in _EDGE_VALUES:
+        doc = copy.deepcopy(DEFAULT_CONFIG)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        assignment = f"{section}={json.dumps(doc[section])}"
+        commands = _EDGE_COMMANDS[section]
+        try:  # a refused config fails every command the same way, before it runs
+            check_config(apply_overrides(default_config(), [assignment]))
+        except ConfigError:
+            commands = commands[:1]
+        for command in commands:
+            code = _edge_run([*command.split(), "--set", assignment], tmp_path)
+            if command == "hom simulate" and code == EXIT_OK:
+                scan = str(tmp_path / "hom_scan.csv")
+                _edge_run(["hom", "fit", "--scan", scan, "--set", assignment], tmp_path)
 
 
 # --- arbitrary values through the config check itself ------------------------------

@@ -1,5 +1,6 @@
 """The argument rules of ``errors``: the number test, that no other module
-words a rule of its own, and that a checked record checks every way it is built."""
+words a rule of its own, that a checked record checks every way it is built,
+and the one sweep rule."""
 
 import math
 import re
@@ -11,7 +12,8 @@ import pytest
 
 import twinsource
 from twinsource.efficiency import CavityParams, DetectionChain, PumpPulse
-from twinsource.errors import POSITIVE, WINDOW, ConfigError, TwinSourceError, number, require
+from twinsource.errors import MAX_SWEEP_POINTS, POSITIVE, WINDOW, ConfigError, SweepSizeError
+from twinsource.errors import TwinSourceError, number, require, sweep
 from twinsource.hom import DipModel
 from twinsource.layers import Layer, LayerStack
 from twinsource.materials import Composition
@@ -90,3 +92,29 @@ def test_a_checked_record_checks_its_replacements(good, bad):
     assert good._replace() == good == type(good)._make(good)
     with pytest.raises((ValueError, TwinSourceError)):
         good._replace(**bad)
+
+
+def test_a_sweep_is_lo_plus_step_k_up_to_its_bound():
+    lams = sweep(740.0, 780.0, 0.05, "wavelength (nm)")
+    assert np.array_equal(lams, 740.0 + 0.05 * np.arange(801))
+    assert sweep(1.0, 1.0, 0.5, "x").tolist() == [1.0]
+    assert len(sweep(0.0, MAX_SWEEP_POINTS - 1.0, 1.0, "x")) == MAX_SWEEP_POINTS
+    assert issubclass(SweepSizeError, ValueError) and issubclass(SweepSizeError, TwinSourceError)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, step",
+    [
+        (0.0, float(MAX_SWEEP_POINTS), 1.0),
+        (2.0, 1.0, 0.1),
+        (0.0, math.nan, 1.0),
+        (0.0, 1.0, 5e-324),
+        (-1e308, 1e308, 1.0),
+    ],
+    ids=["one_past_the_bound", "reversed", "nan", "subnormal_step", "span_beyond_doubles"],
+)
+def test_an_empty_or_over_long_sweep_is_refused(lo, hi, step):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SweepSizeError, match=f"^x sweep .* empty or over {MAX_SWEEP_POINTS}"):
+            sweep(np.float64(lo), np.float64(hi), np.float64(step), "x")

@@ -1,7 +1,10 @@
 import re
+import runpy
+import shlex
 from pathlib import Path
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def test_readme_imports_exist():
@@ -19,3 +22,17 @@ def test_readme_config_example_passes_the_check(tmp_path):
     path = tmp_path / "device.json"
     path.write_text(block, encoding="utf-8")
     config.check_config(config.load_config(path))
+
+
+def test_readme_commands_are_the_ones_the_listing_tool_runs():
+    # CI hashes the outputs of tools/readme_outputs.COMMANDS: they are the
+    # README's commands, in order, with the same arguments but --out
+    commands = runpy.run_path(str(ROOT / "tools" / "readme_outputs.py"))["COMMANDS"]
+    shown = []
+    for block in re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S):
+        for line in block.splitlines():
+            if line.startswith("twinsource "):
+                argv = shlex.split(line)[1:]
+                at = argv.index("--out")
+                shown.append(tuple(argv[:at] + argv[at + 2 :]))
+    assert shown == list(commands)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ from scipy.signal import find_peaks
 
 from _oracles import fluorescence_spectrum_per_branch, sinc2_masked_divide
 from twinsource import config
-from twinsource.errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak
+from twinsource.errors import HalfMaxNotBracketed, KernelUnderResolved, NoPeak, SweepSizeError
 from twinsource.layers import TE, TM
 from twinsource.phasematch import INTERACTION_1, INTERACTION_2, PhaseMatcher
 from twinsource.spectra import (
@@ -407,3 +408,40 @@ def test_phase_matching_spectrum_names_its_grid_argument(matcher, paper_stack, k
         phase_matching_spectrum(
             1.0, 760.0, INTERACTION_1, 1.0, paper_stack, matcher=matcher, **{key: -1.0}
         )
+
+
+_OVER_THE_BOUND = {  # a grid argument, and the error it met in numpy at the grid
+    "fluorescence_step_1e-9": ("fluorescence", {"step_nm": 1e-9}),  # MemoryError, 502 GiB
+    "fluorescence_step_1e-300": ("fluorescence", {"step_nm": 1e-300}),  # maximum size
+    "fluorescence_step_5e-324": ("fluorescence", {"step_nm": 5e-324}),  # OverflowError
+    "single_step_1e-9": ("single", {"step_nm": 1e-9}),  # MemoryError, 74.5 GiB
+    "single_step_1e-300": ("single", {"step_nm": 1e-300}),
+    "single_step_5e-324": ("single", {"step_nm": 5e-324}),
+    "single_half_span_1e300": ("single", {"half_span_nm": 1e300}),
+}
+
+
+def _spectrum(kind, s, m, **grid):
+    if kind == "fluorescence":
+        return fluorescence_spectrum(3.1, 759.5, 1.0, s, matcher=m, **grid)
+    return phase_matching_spectrum(3.1, 759.5, INTERACTION_1, 1.0, s, matcher=m, **grid)
+
+
+@pytest.mark.parametrize("kind, grid", _OVER_THE_BOUND.values(), ids=_OVER_THE_BOUND.keys())
+def test_a_grid_past_the_sweep_bound_is_refused_before_it_is_allocated(
+    box_matcher, paper_stack, kind, grid
+):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SweepSizeError, match=r"sweep .* is empty or over 1000000 points$"):
+            _spectrum(kind, paper_stack, box_matcher, **grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # the smallest grid past the bound holds 8 MB
+
+
+@pytest.mark.parametrize("kind", ["fluorescence", "single"])
+def test_a_single_point_grid_is_refused(box_matcher, paper_stack, kind):
+    with pytest.raises(SweepSizeError, match=r"^grid step 1000.0 nm leaves one point in \["):
+        _spectrum(kind, paper_stack, box_matcher, step_nm=1000.0)

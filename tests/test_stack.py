@@ -21,6 +21,7 @@ from twinsource.errors import (
     MultipleResonances,
     NoResonanceInWindow,
     OutOfValidityWindow,
+    SweepSizeError,
 )
 from twinsource.materials import Composition, refractive_index
 from twinsource.layers import TE, TM, Layer, LayerStack, Region, layer_indices
@@ -942,3 +943,17 @@ def test_resonance_window_must_be_two_finite_wavelengths(paper_stack, window):
     # (740, inf) used to fail in numpy's arange: "Maximum allowed size exceeded"
     with pytest.raises(ValueError, match=r"^wavelength window must be two finite wavelengths"):
         find_resonance(paper_stack, window)
+
+
+@pytest.mark.parametrize("hi", [1e9, 1e15, 1e300])
+def test_a_resonance_window_past_the_sweep_bound_is_refused_before_the_scan(paper_stack, hi):
+    # 1e9 and 1e15 failed in numpy's arange with a MemoryError (149 GiB, 142 PiB),
+    # 1e300 with "Maximum allowed size exceeded"
+    tracemalloc.start()
+    try:
+        with pytest.raises(SweepSizeError, match=r"^wavelength window \[740.0, .*: over 1000000 "):
+            find_resonance(paper_stack, (740.0, hi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
