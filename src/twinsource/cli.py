@@ -155,25 +155,6 @@ class _Run:
 
 
 # ---------------------------------------------------------------------------
-# input checks
-# ---------------------------------------------------------------------------
-
-
-def _pump_nm(run: _Run) -> float:
-    """``pump.wavelength_nm`` as a float (sidecars record floats, whole numbers
-    too), unless the pair search, which starts at twice it, starts outside the
-    dispersion model's window: ConfigError naming the key."""
-    lam_p = float(run.cfg["pump"]["wavelength_nm"])
-    lo, hi = run.model.wavelength_window_nm
-    if not lo <= 2.0 * lam_p <= hi:
-        raise ConfigError(
-            f"pump.wavelength_nm {lam_p}: the pair search starts at twice it, outside "
-            f"model '{run.model.name}' window [{lo}, {hi}] nm"
-        )
-    return lam_p
-
-
-# ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
@@ -251,18 +232,13 @@ def cmd_tuning(run: _Run, args):
     hi = hi if args.theta_max is None else _flag(args.theta_max, ANGLE, "--theta-max")
     step = step if args.theta_step is None else _flag(args.theta_step, POSITIVE, "--theta-step")
     thetas = sweep(lo, hi, step, "pump angle (deg)")
-    lam_p = _pump_nm(run)
-    matcher = phasematch.PhaseMatcher(device, run.model)
-    points, failures = matcher.tuning_curve(thetas, lam_p)
-    failed = [f"theta={theta} interaction={inter_id}: {msg}" for theta, inter_id, msg in failures]
+    lam_p = float(cfg["pump"]["wavelength_nm"])  # sidecars record floats
+    points, failures = phasematch.PhaseMatcher(device, run.model).tuning_curve(thetas, lam_p)
+    failed = [f"theta={theta} interaction={inter_id}: {exc}" for theta, inter_id, exc in failures]
     run.warnings += failed
     if not points:
-        try:  # solved again, the first point raises as in spectrum: a pump the model refuses
-            matcher.solve_pair(float(thetas[0]), lam_p, phasematch.INTERACTION_1)
-        except (OutOfValidityWindow, errors.AboveBandgap):
-            raise
-        except (TwinSourceError, ValueError, RuntimeError):  # a failure of the point, as recorded
-            pass
+        if isinstance(failures[0][2], (OutOfValidityWindow, errors.AboveBandgap)):
+            raise failures[0][2]  # the model refuses the pump, as in spectrum
         raise errors.NoSolutionInWindow(f"every tuning point failed, the first at {failed[0]}")
     # flag the rows bracketing each branch crossing: the signed signal-idler
     # separation changes sign exactly at the degeneracy angle
@@ -296,7 +272,7 @@ def cmd_spectrum(run: _Run, args):
     cfg = run.cfg
     device = cfgmod.build_stack(cfg)
     theta = _flag(cfg["pump"]["angle_deg"] if args.theta is None else args.theta, ANGLE, "--theta")
-    lam_p = _pump_nm(run)
+    lam_p = float(cfg["pump"]["wavelength_nm"])  # sidecars record floats
     length_mm = float(cfg["sample"]["length_mm"])
     scfg = cfg["spectrum"]
     half_span, step = scfg["half_span_nm"], scfg["step_nm"]
@@ -356,33 +332,36 @@ def cmd_hom_simulate(run: _Run, args):
     )
 
 
-def _read_scan_csv(path: Path) -> tuple:
-    """The delta_z_mm, total_counts and accidental_counts columns of a scan CSV."""
+def _read_scan(path: Path) -> tuple:
+    """The delta_z_mm, total_counts and accidental_counts columns of a scan CSV, or of
+    the records ``_write_table`` writes at a ``.json`` path, each value read as its CSV cell."""
+    columns = ["delta_z_mm", "total_counts", "accidental_counts"]
     try:
         raw = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        records = json.loads(raw) if path.suffix == ".json" else None
+    except (OSError, ValueError, RecursionError) as exc:  # not UTF-8, not JSON, nested too deep
         raise ConfigError(f"cannot read scan file: {exc}") from exc
-    lines = [ln for ln in raw.splitlines() if ln.strip()]
+    if records is None:
+        lines = [[c.strip() for c in ln.split(",")] for ln in raw.splitlines() if ln.strip()]
+    elif isinstance(records, list) and all(isinstance(r, dict) for r in records):
+        keys = next((list(r) for r in records if set(r) != set(columns)), columns)  # as a header
+        lines = [keys, *([str(r.get(c)) for c in columns] for r in records)]
+    else:
+        raise ConfigError("a JSON scan file must hold a list of records")
     if not lines:
         raise ConfigError("scan file is empty")
-    header = [h.strip() for h in lines[0].split(",")]
-    expected = ["delta_z_mm", "total_counts", "accidental_counts"]
-    if header != expected:
-        raise ConfigError(f"scan header must be {expected}, got {header}")
+    if lines[0] != columns:
+        raise ConfigError(f"scan header must be {columns}, got {lines[0]}")
     if len(lines) == 1:
         raise ConfigError("scan file has a header and no data rows")
-    dz, tot, acc = [], [], []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 3:
-            raise ConfigError(f"malformed scan row: {ln!r}")
+    rows = []
+    for cells in lines[1:]:
         try:
-            dz.append(float(parts[0]))
-            tot.append(int(parts[1]))
-            acc.append(int(parts[2]))
-        except ValueError as exc:
-            raise ConfigError(f"malformed scan row {ln!r}: {exc}") from exc
-    return np.array(dz), np.array(tot), np.array(acc)
+            z, total, accidental = cells
+            rows.append((float(z), int(total), int(accidental)))
+        except ValueError as exc:  # a row of another length, or a cell that is no number
+            raise ConfigError(f"malformed scan row {','.join(cells)!r}: {exc}") from exc
+    return tuple(map(np.array, zip(*rows)))
 
 
 def cmd_hom_fit(run: _Run, args):
@@ -391,7 +370,7 @@ def cmd_hom_fit(run: _Run, args):
     cfg = run.cfg
     lam = float(cfg["hom"]["degeneracy_wavelength_nm"])
     try:
-        scan = hom.HomScan(*_read_scan_csv(Path(args.scan)), dwell_s=float(cfg["hom"]["dwell_s"]))
+        scan = hom.HomScan(*_read_scan(Path(args.scan)), dwell_s=float(cfg["hom"]["dwell_s"]))
     except ValueError as exc:
         raise ConfigError(f"scan violates invariants: {exc}") from exc
     fit = hom.fit_dip(scan, lam)
@@ -517,8 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps = hom_sub.add_parser("simulate", help="Poisson-sampled coincidence scan")
     _add_common(ps)
     ps.set_defaults(func=cmd_hom_simulate)
-    pf = hom_sub.add_parser("fit", help="fit the dip model to a scan CSV")
-    pf.add_argument("--scan", required=True, metavar="CSV", help="input scan file")
+    pf = hom_sub.add_parser("fit", help="fit the dip model to a scan table")
+    pf.add_argument("--scan", required=True, metavar="PATH", help="scan CSV, or JSON at .json")
     _add_common(pf)
     pf.set_defaults(func=cmd_hom_fit)
 

@@ -58,13 +58,16 @@ def require(value, rule, name: str, error=ValueError):
 
 
 def sweep(lo, hi, step, name: str) -> np.ndarray:
-    """lo, lo + step, ... up to hi (inclusive, to rounding), for a step > 0;
-    SweepSizeError, before any allocation, if that is empty or over ``MAX_SWEEP_POINTS``."""
+    """lo, lo + step, ... up to hi (inclusive, to rounding), for a step > 0; SweepSizeError,
+    before any allocation, if that is empty, over ``MAX_SWEEP_POINTS`` or ends past the doubles."""
     if not (lo <= hi and (float(hi) - float(lo)) / float(step) + 1 <= MAX_SWEEP_POINTS):
         raise SweepSizeError(
             f"{name} sweep [{lo}, {hi}] at step {step} is empty or over {MAX_SWEEP_POINTS} points"
         )
-    return lo + step * np.arange(int(round((hi - lo) / step)) + 1)
+    n = int(round((hi - lo) / step))
+    if not number(float(lo) + float(step) * n):  # in Python floats: no overflow warning
+        raise SweepSizeError(f"{name} sweep [{lo}, {hi}] at step {step} ends past the double range")
+    return lo + step * np.arange(n + 1)
 
 
 def record(name: str, fields, defaults=None):

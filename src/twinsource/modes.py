@@ -81,6 +81,8 @@ _MAX_CELL = 8  # longest repeated cell, in layers, that a periodic run may have
 _BLOCK = 512  # scan points per residual call, so a full-window scan stays small
 _ANCHOR_EVERY = 32  # a table solves every 32nd knot on its own, to predict the others
 _SCAN_HALF = 4  # grid points scanned on each side of a knot's predicted root
+_WINDOW_MARGIN = 1e-6  # the guided window's distance inside the outer and highest layer index
+_CHAIN_HALF = 0.02  # half-width, in n_eff, of a knot's window around the root below it
 
 
 class GuidedMode(NamedTuple):
@@ -266,11 +268,11 @@ def solve_planar(
     with ``max_modes`` the search stops after that many roots counted from the
     top of the window (its grid is scanned in blocks from the top down, and
     no block below the one that holds them is evaluated). ``window``
-    overrides the default guided-index search window (max outer index +
-    1e-6, max layer index - 1e-6). Roots are bracketed on the multiples of
-    ``_GRID_STEP`` (1e-4; 1e-5 when that finds none) and polished by Brent's
-    method to ``_XTOL`` (1e-12). Every index and thickness must be a finite
-    number > 0; layer 0 is the top layer.
+    overrides the default guided-index search window, ``_WINDOW_MARGIN``
+    inside max outer index and max layer index. Roots are bracketed on the
+    multiples of ``_GRID_STEP`` (1e-4; 1e-5 when that finds none) and
+    polished by Brent's method to ``_XTOL`` (1e-12). Every index and
+    thickness must be a finite number > 0; layer 0 is the top layer.
     """
     require(wavelength, POSITIVE, "wavelength")
     require(n_top, POSITIVE, "top index")
@@ -281,8 +283,8 @@ def solve_planar(
         for i, (n, t) in enumerate(layers)
     ]
     n_max_layer = max((n for n, _ in layers), default=0.0)
-    lo = max(n_top, n_bottom) + 1e-6
-    hi = n_max_layer - 1e-6
+    lo = max(n_top, n_bottom) + _WINDOW_MARGIN
+    hi = n_max_layer - _WINDOW_MARGIN
     if window is not None:
         lo, hi = max(lo, window[0]), min(hi, window[1])
     if hi <= lo:
@@ -455,10 +457,10 @@ class EffectiveIndexTable:
     root finding at every knot); between knots the spline reproduces direct
     solves to well below 1e-9 for any smooth guided branch, which keeps
     momentum residuals negligible while making sweeps cheap. Each knot's
-    root is the one the scan finds in the window +-0.02 around the previous
-    knot's root (the full window when that finds none); the scan grid is
-    anchored to absolute n_eff values, so the narrowed and the full window
-    give the same root. The knots are solved together (``_solve``).
+    root is the one the scan finds in the window +-``_CHAIN_HALF`` around the
+    previous knot's root (the full window when that finds none); the scan
+    grid is anchored to absolute n_eff values, so the narrowed and the full
+    window give the same root. The knots are solved together (``_solve``).
     ``extend`` grows the table by solving only the knots it lacks.
 
     The spline is the not-a-knot cubic through the knots (``_not_a_knot``).
@@ -537,11 +539,11 @@ class EffectiveIndexTable:
         prediction, and the highest sign change of each knot is polished by
         one lane-wise Brent. That bracket is the one the chained scan finds
         when both of its ends lie inside the chained window (the root below
-        +-0.02) and W has the same sign at its top end as at the top of that
-        window, which one more residual call checks. A knot that fails a
-        check, or whose scan shows no sign change, is solved by the chained
-        scan itself, as is every knot of a stack without one shared run
-        structure.
+        +-``_CHAIN_HALF``) and W has the same sign at its top end as at the
+        top of that window, which one more residual call checks. A knot that
+        fails a check, or whose scan shows no sign change, is solved by the
+        chained scan itself, as is every knot of a stack without one shared
+        run structure.
         """
         neffs = np.empty(len(lams))
         if not len(lams):
@@ -553,7 +555,7 @@ class EffectiveIndexTable:
         def chained(i, prev):
             layers = list(zip(n_layers[:, i].tolist(), thickness))
             lam, nb = float(lams[i]), float(n_bot[i])
-            window = (prev - 0.02, prev + 0.02) if prev is not None else None
+            window = (prev - _CHAIN_HALF, prev + _CHAIN_HALF) if prev is not None else None
             try:
                 return solve_planar(n_top, layers, nb, lam, pol, max_modes=1, window=window)[0]
             except (NoGuidedMode, NonGuidingStack):
@@ -587,10 +589,10 @@ class EffectiveIndexTable:
         )
         # the chained window of each knot, from the batch root below it
         below = np.concatenate(([np.nan if prev is None else prev], root[:-1]))
-        w_lo = np.maximum(n_top, n_bot) + 1e-6
-        w_hi = n_layers.max(axis=0) - 1e-6
-        w_lo = np.where(np.isnan(below), w_lo, np.maximum(w_lo, below - 0.02))
-        w_hi = np.where(np.isnan(below), w_hi, np.minimum(w_hi, below + 0.02))
+        w_lo = np.maximum(n_top, n_bot) + _WINDOW_MARGIN
+        w_hi = n_layers.max(axis=0) - _WINDOW_MARGIN
+        w_lo = np.where(np.isnan(below), w_lo, np.maximum(w_lo, below - _CHAIN_HALF))
+        w_hi = np.where(np.isnan(below), w_hi, np.minimum(w_hi, below + _CHAIN_HALF))
         same_parity = np.sign(residual(w_hi, knots)) == sign[knots, top + 1]
         ok = found & (w_lo < lo) & (hi < w_hi) & same_parity
         for i in range(len(lams)):

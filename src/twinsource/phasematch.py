@@ -37,8 +37,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ANGLE, POSITIVE, NoSolutionInWindow, TwinSourceError, record, require
+from .errors import ANGLE, POSITIVE, NoSolutionInWindow, OutOfValidityWindow, TwinSourceError
+from .errors import record, require
 from .layers import TE, TM, LayerStack
+from .materials import DEFAULT_MODEL
 from .modes import EffectiveIndexTable
 from .roots import NotBracketed, brentq
 
@@ -167,6 +169,19 @@ class PhaseMatcher:
     def n_group(self, pol: str, wavelength):
         return self._table(pol, wavelength).n_group(wavelength)
 
+    def _search_center(self, lambda_p) -> float:
+        """2 lambda_p, where the pair search starts: ValueError for a pump that is not
+        finite and > 0, OutOfValidityWindow for a start outside the model's window."""
+        require(lambda_p, POSITIVE, "pump wavelength")
+        center, model = 2.0 * lambda_p, self.model or DEFAULT_MODEL
+        lo, hi = model.wavelength_window_nm
+        if not lo <= center <= hi:
+            raise OutOfValidityWindow(
+                f"pump wavelength {lambda_p} nm: the pair search starts at {center} nm, "
+                f"outside model '{model.name}' window [{lo}, {hi}] nm"
+            )
+        return center
+
     # -- momentum mismatch ---------------------------------------------------
 
     def delta_k(self, lambda_s, theta_deg: float, lambda_p: float, inter: Interaction):
@@ -200,14 +215,13 @@ class PhaseMatcher:
         once when Brent finds no sign change across it (``NotBracketed``).
         The whole bracket is reserved in both tables first, so every
         evaluation reads those two tables and none grows them. Raises
-        ValueError for a pump wavelength that is not finite and > 0, or an
-        angle that is not strictly between -90 and 90 degrees.
+        ValueError for an angle that is not strictly between -90 and 90
+        degrees; a pump is refused as ``_search_center`` refuses it.
         """
-        require(lambda_p, POSITIVE, "pump wavelength")
+        center = self._search_center(lambda_p)
         require(theta_deg, ANGLE, "pump angle")
         k_p = 2.0 * math.pi / lambda_p
         kp_sin = _kp_sin(theta_deg, lambda_p)
-        center = 2.0 * lambda_p
         half = SEARCH_HALF_WINDOW_NM
         for attempt in range(2):
             lo = max(center - half, 1.05 * lambda_p)
@@ -255,11 +269,10 @@ class PhaseMatcher:
         """Angle at which the pair degenerates to 2 lambda_p, in degrees.
 
         At degeneracy k_s = k_i = k_p/2, so sin(theta) = (n_s - n_i)/2
-        directly from the momentum equation (no iteration). Raises
-        ValueError for a pump wavelength that is not finite and > 0.
+        directly from the momentum equation (no iteration). Refuses the pumps
+        ``_search_center`` refuses.
         """
-        require(lambda_p, POSITIVE, "pump wavelength")
-        lam_deg = 2.0 * lambda_p
+        lam_deg = self._search_center(lambda_p)
         n_s = self.n_eff(inter.copropagating_pol, lam_deg)
         n_i = self.n_eff(inter.counterpropagating_pol, lam_deg)
         return math.degrees(math.asin((n_s - n_i) / 2.0))
@@ -271,7 +284,7 @@ class PhaseMatcher:
         errors, ``ValueError`` (angle, energy and bracket checks) and
         ``RuntimeError`` (Brent's non-convergence); any other exception is a
         fault and propagates. Returns (points, failures) where failures is a
-        list of (theta_deg, interaction_id, message).
+        list of (theta_deg, interaction_id, exception).
         """
         points, failures = [], []
         for inter in (INTERACTION_1, INTERACTION_2):
@@ -279,5 +292,5 @@ class PhaseMatcher:
                 try:
                     points.append(self.solve_pair(float(theta), lambda_p, inter))
                 except (TwinSourceError, ValueError, RuntimeError) as exc:
-                    failures.append((float(theta), inter.id, str(exc)))
+                    failures.append((float(theta), inter.id, exc))
         return points, failures

@@ -29,7 +29,7 @@ from twinsource.config import (
     default_config,
 )
 from twinsource.efficiency import DetectionChain
-from twinsource.errors import MAX_SWEEP_POINTS, ConfigError
+from twinsource.errors import MAX_SWEEP_POINTS, ConfigError, TwinSourceError
 from twinsource.hom import DipModel, simulate_scan
 
 
@@ -254,11 +254,12 @@ def test_bad_input_is_input_error(tmp_path, capsys, argv):
 def test_a_pump_whose_pair_search_leaves_the_model_is_input_error(tmp_path, capsys, command):
     # the pair search starts at twice the pump wavelength; at 1e300 nm its
     # window rounds to one wavelength, which spectrum answered with a
-    # ValueError traceback (exit 1) and tuning with "every tuning point failed"
+    # ValueError traceback (exit 1) and tuning with "every tuning point failed";
+    # the pair search refuses that start as outside the model's window
     argv = (command, "--set", "pump.wavelength_nm=1e300", "--out", tmp_path, "--quiet")
     assert run(*argv) == EXIT_INPUT
     err = capsys.readouterr().err
-    assert err.startswith("error: pump.wavelength_nm 1e+300: ") and err.count("\n") == 1
+    assert err.startswith("error: pump wavelength 1e+300 nm: ") and err.count("\n") == 1
     assert not list(tmp_path.iterdir())
 
 
@@ -309,6 +310,33 @@ def test_tuning_and_spectrum_refuse_a_pump_the_model_refuses_alike(tmp_path, cap
         assert run(*argv) == EXIT_INPUT
         errs.append(capsys.readouterr().err)
     assert errs[0] == errs[1] and errs[0].count("\n") == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("pump", [1e300, 300, 400])
+def test_a_refused_pump_exits_with_the_line_the_pair_search_raises(
+    monkeypatch, tmp_path, capsys, paper_stack, pump
+):
+    # the pair search refuses the pump, and both commands print its error;
+    # tuning learns it from its sweep's records, not by solving a point again
+    from twinsource.phasematch import INTERACTION_1, PhaseMatcher
+
+    with pytest.raises(TwinSourceError) as refused:
+        PhaseMatcher(paper_stack).solve_pair(3.1, float(pump), INTERACTION_1)
+    calls = []
+    solve_pair = PhaseMatcher.solve_pair
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return solve_pair(self, *args, **kwargs)
+
+    monkeypatch.setattr(PhaseMatcher, "solve_pair", counted)
+    for command in ("tuning", "spectrum"):
+        calls.clear()
+        argv = (command, "--set", f"pump.wavelength_nm={pump}", "--set", "tuning.theta_step_deg=1")
+        assert run(*argv, "--out", tmp_path, "--quiet") == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        assert len(calls) == (12 if command == "tuning" else 1)  # 6 angles x 2 interactions
     assert not list(tmp_path.iterdir())
 
 
@@ -473,6 +501,16 @@ def test_a_resonance_window_past_the_sweep_bound_is_input_error(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith("error: wavelength window [740, ") and err.count("\n") == 1
     assert f"over {MAX_SWEEP_POINTS} points" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_a_stack_sweep_past_the_double_range_is_input_error(tmp_path, capsys):
+    # lo + step * k overflowed in numpy: a RuntimeWarning, then exit 2 on the model window
+    argv = ("stack", "--lambda-min", 0, "--lambda-max", 1.7e308, "--step", 1.13e308)
+    assert run(*argv, "--out", tmp_path, "--quiet") == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "error: wavelength (nm) sweep [0.0, 1.7e+308] at step 1.13e+308 ends past the double range\n"
+    )
     assert not list(tmp_path.iterdir())
 
 
@@ -754,6 +792,87 @@ def test_hom_fit_names_a_scan_without_rows(tmp_path, capsys):
     empty.write_text("delta_z_mm,total_counts,accidental_counts\n", encoding="utf-8")
     assert run("hom", "fit", "--scan", empty, "--out", tmp_path / "out", "--quiet") == EXIT_INPUT
     assert capsys.readouterr().err == "error: scan file has a header and no data rows\n"
+
+
+def test_hom_fit_reads_the_json_scan_hom_simulate_writes(tmp_path):
+    # the JSON scan was refused as a CSV ("scan header must be ..., got ['[']")
+    for fmt in ("csv", "json"):
+        argv = ("hom", "simulate", "--format", fmt, "--out", tmp_path / fmt, "--quiet")
+        assert run(*argv) == EXIT_OK
+        scan = tmp_path / fmt / f"hom_scan.{fmt}"
+        assert run("hom", "fit", "--scan", scan, "--out", tmp_path / f"fit-{fmt}", "--quiet") == EXIT_OK
+    fits = [(tmp_path / f"fit-{fmt}" / "hom_fit.json").read_bytes() for fmt in ("csv", "json")]
+    assert fits[0] == fits[1]
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["nope", "{}", "[1]", "[" * 10**5 + "]" * 10**5],
+    ids=["not_json", "object", "list_of_numbers", "nested_too_deep"],
+)
+def test_hom_fit_refuses_a_json_scan_that_is_no_record_list(tmp_path, capsys, text):
+    path = tmp_path / "scan.json"
+    path.write_text(text, encoding="utf-8")
+    assert run("hom", "fit", "--scan", path, "--out", tmp_path / "out", "--quiet") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("count", ["651.5", "true", "null"])
+def test_hom_fit_reads_a_json_value_as_its_csv_cell(tmp_path, capsys, count):
+    # str(value), then the CSV cell's parse: a count of 651.5 or true is refused alike
+    path = tmp_path / "scan.json"
+    record = f'{{"accidental_counts": 3, "delta_z_mm": 0.0, "total_counts": {count}}}'
+    path.write_text(f"[{record}]", encoding="utf-8")
+    assert run("hom", "fit", "--scan", path, "--out", tmp_path / "out", "--quiet") == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("error: malformed scan row ")
+
+
+@pytest.mark.parametrize(
+    "text", ["", "delta_z_mm,total_counts,accidental_counts\n0.0,5\n"], ids=["empty", "short_row"]
+)
+def test_hom_fit_refuses_an_empty_scan_or_a_short_row(tmp_path, capsys, text):
+    path = tmp_path / "scan.csv"
+    path.write_text(text, encoding="utf-8")
+    assert run("hom", "fit", "--scan", path, "--out", tmp_path / "out", "--quiet") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--config", "LIST"), ("--set", "pump")],
+    ids=["config_not_an_object", "override_without_value"],
+)
+def test_a_config_that_is_no_object_or_an_override_without_value_is_input_error(
+    tmp_path, capsys, argv
+):
+    listed = tmp_path / "list.json"
+    listed.write_text("[1,2]", encoding="utf-8")
+    argv = [listed if a == "LIST" else a for a in argv]
+    assert run("counts", *argv, "--out", tmp_path / "out", "--quiet") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_stack_with_tm_polarization(tmp_path):
+    argv = ("stack", "--pol", "TM", "--lambda-min", 755, "--lambda-max", 765, "--quiet")
+    assert run(*argv, "--out", tmp_path) == EXIT_OK
+    header, rows = read_csv(tmp_path / "reflectance.csv")
+    r, t = header.index("reflectance"), header.index("transmittance")
+    assert all(float(row[r]) + float(row[t]) <= 1.0 + 1e-12 for row in rows)
+    for name in ("reflectance.csv", "field_profile.csv"):
+        meta = json.loads((tmp_path / f"{name}.meta.json").read_text())
+        assert meta["polarization"] == "TM"
+
+
+def test_a_run_without_quiet_lists_its_outputs_and_warnings(tmp_path, capsys):
+    argv = ("stack", "--set", _RENAMED_REGIONS, *_NARROW_SWEEP, "--out", tmp_path)
+    assert run(*argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [str(tmp_path / "reflectance.csv"), str(tmp_path / "field_profile.csv")]
+    assert err == "warning: resonance not flagged: stack has no region named 'top_dbr'\n"
 
 
 def test_hom_fit_degenerate_scan_is_numeric_failure(tmp_path):

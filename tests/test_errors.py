@@ -118,3 +118,13 @@ def test_an_empty_or_over_long_sweep_is_refused(lo, hi, step):
         warnings.simplefilter("error")
         with pytest.raises(SweepSizeError, match=f"^x sweep .* empty or over {MAX_SWEEP_POINTS}"):
             sweep(np.float64(lo), np.float64(hi), np.float64(step), "x")
+
+
+@pytest.mark.parametrize("lo, hi, step", [(0.0, 1.7e308, 1.13e308), (1e308, 1.7e308, 0.4e308)])
+def test_a_sweep_that_ends_past_the_double_range_is_refused(lo, hi, step):
+    # its last point, lo + step * round((hi - lo) / step), overflowed in numpy
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SweepSizeError, match="^x sweep .* ends past the double range$"):
+            sweep(np.float64(lo), np.float64(hi), np.float64(step), "x")
+    assert sweep(0.0, 1.7e308, 0.85e308, "x").tolist() == [0.0, 0.85e308, 1.7e308]

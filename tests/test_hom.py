@@ -486,3 +486,8 @@ def test_dip_value_holds_only_where_the_shape_is_zero():
     unheld = 1.0 - 0.84 * hom._dip_shape(positions * hom.NM_PER_MM, 2.0, 1520.0)
     assert np.array_equal(dip_value(DipModel(0.84, 1520.0, 2.0), positions), unheld)
     assert np.count_nonzero(unheld == 1.0) > 100
+
+
+def test_scan_arrays_of_unequal_length_are_refused():
+    with pytest.raises(ValueError, match="^scan arrays must be matching 1D arrays$"):
+        HomScan(np.array([0.0, 1.0]), np.array([1, 2, 3]), np.array([0, 0]), 1.0)

@@ -273,3 +273,10 @@ def test_a_fraction_that_is_no_real_scalar_is_refused(fraction):
     ):
         with pytest.raises(ValueError, match="^aluminum fraction must be a real number"):
             call()
+
+
+def test_a_fraction_outside_the_composition_window_is_refused():
+    from twinsource.materials import DEFAULT_MODEL
+
+    with pytest.raises(OutOfValidityWindow, match=r"^composition x=1.5 outside model 'adachi1985'"):
+        DEFAULT_MODEL.evaluate(1.5, 800.0)

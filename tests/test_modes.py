@@ -6,8 +6,8 @@ import pytest
 from _oracles import carry_loop, planar_modes_topdown, slab_modes
 from twinsource import modes
 from twinsource.errors import NoGuidedMode, NonGuidingStack, OutOfValidityWindow
-from twinsource.layers import TE, TM
-from twinsource.materials import refractive_index
+from twinsource.layers import TE, TM, Layer, LayerStack
+from twinsource.materials import Composition, refractive_index
 from twinsource.modes import (
     EffectiveIndexTable,
     birefringence,
@@ -363,3 +363,20 @@ def test_a_nan_wavelength_is_named(paper_stack):
     for lo, hi in ((math.nan, 1600.0), (1500.0, math.inf), (1600.0, 1500.0)):
         with pytest.raises(ValueError, match=r"^wavelength range must be .*, got \("):
             EffectiveIndexTable(paper_stack, TE, lo, hi)
+
+
+def test_a_stack_without_layers_guides_nothing():
+    with pytest.raises(NonGuidingStack, match="^stack has no layers$"):
+        guided_modes(LayerStack([]), 1520.0)
+
+
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_a_free_standing_slab_is_the_analytic_slab(pol):
+    # substrate=None continues the ambient medium below the layers
+    core, t, lam = Composition(0.3), 600.0, 1520.0
+    s = LayerStack([Layer(core, t, 0)], substrate=None)
+    oracle = slab_modes(1.0, refractive_index(core, lam), 1.0, t, lam, pol)
+    mine = [m.n_eff for m in guided_modes(s, lam, pol)]
+    assert len(mine) == len(oracle) > 1
+    for a, b in zip(mine, oracle):
+        assert a == pytest.approx(b, abs=1e-8)

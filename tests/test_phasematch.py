@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import solve_pair_through_delta_k
-from twinsource.errors import NoSolutionInWindow
+from twinsource.errors import NoSolutionInWindow, OutOfValidityWindow
 from twinsource.layers import TE, TM
 from twinsource.modes import EffectiveIndexTable
 from twinsource.phasematch import (
@@ -248,8 +248,36 @@ def test_tuning_curve_records_a_pump_that_is_not_finite_and_positive(paper_stack
         (1.0, 1), (2.0, 1), (1.0, 2), (2.0, 2)
     ]
     prefix = f"pump wavelength must be a finite number > 0, got {lambda_p}"
-    assert all(msg.startswith(prefix) for *_, msg in failures)
+    assert all(str(exc).startswith(prefix) for *_, exc in failures)
     assert m._tables == {}
+
+
+def test_a_pump_whose_search_starts_outside_the_model_is_refused_before_any_table(paper_stack):
+    # 2 lambda_p = 2e300 nm: the padded table window rounded to one wavelength,
+    # which solve_pair, degeneracy_angle and fluorescence_spectrum answered
+    # with a ValueError about a wavelength range
+    from twinsource.spectra import fluorescence_spectrum
+
+    m = PhaseMatcher(paper_stack)
+    message = (
+        "^pump wavelength 1e\\+300 nm: the pair search starts at 2e\\+300 nm, "
+        "outside model 'adachi1985' window \\[550.0, 4000.0\\] nm$"
+    )
+    with pytest.raises(OutOfValidityWindow, match=message):
+        m.solve_pair(1.0, 1e300, INTERACTION_1)
+    with pytest.raises(OutOfValidityWindow, match=message):
+        m.degeneracy_angle(INTERACTION_2, 1e300)
+    with pytest.raises(OutOfValidityWindow, match=message):
+        fluorescence_spectrum(3.1, 1e300, 1.0, paper_stack, matcher=m)
+    assert m._tables == {}
+
+
+def test_tuning_curve_records_the_models_refusal_itself(paper_stack):
+    # 300 nm: the search starts inside the window at 600 nm, but its bracket
+    # reaches down to 450 nm, outside it; each record holds the exception
+    points, failures = PhaseMatcher(paper_stack).tuning_curve([1.0, 2.0], 300.0)
+    assert points == [] and len(failures) == 4
+    assert all(type(exc) is OutOfValidityWindow for *_, exc in failures)
 
 
 @_BAD_PUMPS
@@ -275,3 +303,8 @@ def test_delta_k_names_a_pump_that_is_not_finite_and_positive(matcher):
     for lambda_p in (math.nan, 0.0, -760.0):
         with pytest.raises(ValueError, match=f"^pump wavelength must be .*, got {lambda_p}$"):
             matcher.delta_k(1500.0, 1.0, lambda_p, INTERACTION_1)
+
+
+def test_conjugate_wavelength_refuses_an_array_signal_above_the_pump_energy():
+    with pytest.raises(ValueError, match="carries more energy than the pump"):
+        conjugate_wavelength(760.0, np.array([1500.0, 700.0]))

@@ -445,3 +445,18 @@ def test_a_grid_past_the_sweep_bound_is_refused_before_it_is_allocated(
 def test_a_single_point_grid_is_refused(box_matcher, paper_stack, kind):
     with pytest.raises(SweepSizeError, match=r"^grid step 1000.0 nm leaves one point in \["):
         _spectrum(kind, paper_stack, box_matcher, step_nm=1000.0)
+
+
+def test_a_spectrum_of_unequal_arrays_is_refused():
+    with pytest.raises(ValueError, match="^wavelength and intensity must be matching 1D arrays$"):
+        Spectrum([1.0, 2.0, 3.0], [1.0, 2.0])
+
+
+def test_a_spectrum_of_no_interaction_is_refused(paper_stack):
+    with pytest.raises(ValueError, match="^at least one interaction required$"):
+        fluorescence_spectrum(3.1, 759.5, 1.0, paper_stack, interactions=())
+
+
+def test_the_width_of_an_all_zero_spectrum_is_no_peak():
+    with pytest.raises(NoPeak, match="^spectrum has no positive peak$"):
+        fwhm(Spectrum([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]))

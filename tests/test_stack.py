@@ -957,3 +957,9 @@ def test_a_resonance_window_past_the_sweep_bound_is_refused_before_the_scan(pape
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def test_regions_out_of_order_are_refused():
+    layers = [Layer(Composition(0.9), 60.0, 0), Layer(Composition(0.3), 60.0, 0)]
+    with pytest.raises(ValueError, match="^regions must partition the layer list in order$"):
+        LayerStack(layers, regions=[Region("b", 1, 2), Region("a", 0, 1)])
