@@ -180,6 +180,28 @@ def check_config(cfg: dict) -> dict:
     return cfg
 
 
+_DEPTH = 6  # the config's own nesting: the config, stack, regions, a region, its cell, a layer
+
+
+def _too_deep(source: str) -> ConfigError:
+    return ConfigError(f"{source} nests objects and lists more than {_DEPTH} deep, as no key does")
+
+
+def _nested(doc, source: str):
+    """``doc``, unless it nests objects and lists deeper than the config does
+    (``_too_deep``), found without looking deeper, so before any deep copy."""
+
+    def within(node, depth):
+        if not isinstance(node, (dict, list)):
+            return True
+        items = node.values() if isinstance(node, dict) else node
+        return depth > 0 and all(within(v, depth - 1) for v in items)
+
+    if not within(doc, _DEPTH):
+        raise _too_deep(source)
+    return doc
+
+
 def _deep_merge(base: dict, update: dict) -> dict:
     out = copy.deepcopy(base)
     for key, val in update.items():
@@ -205,9 +227,11 @@ def load_config(path=None) -> dict:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        except RecursionError:  # nested past the decoder's depth
+            raise _too_deep("config document") from None
         if not isinstance(user, dict):
             raise ConfigError("config document must be a JSON object")
-        cfg = _deep_merge(cfg, user)
+        cfg = _deep_merge(cfg, _nested(user, "config document"))
     return cfg
 
 
@@ -222,9 +246,11 @@ def apply_overrides(cfg: dict, assignments) -> dict:
             doc = json.loads(raw)
         except json.JSONDecodeError:
             doc = raw
+        except RecursionError:  # nested past the decoder's depth
+            raise _too_deep(f"override of '{key}'") from None
         for part in reversed(key.split(".")):
             doc = {part: doc}
-        out = _deep_merge(out, doc)
+        out = _deep_merge(out, _nested(doc, f"override of '{key}'"))
     return out
 
 

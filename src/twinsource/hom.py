@@ -47,6 +47,7 @@ _BASELINE_PASSES = 10  # 8000 hom-calibration-like scans: each fixed point by pa
 _BASELINE_RTOL = 1e-12
 # the narrowest width any pass of fit_dip tries: a pass's bracket is its start / 1.5 at least
 _MIN_WIDTH_NM = float(_INIT_DELTA_LAMBDA_NM[0]) / _WIDTH_BRACKET**_BASELINE_PASSES
+_POISSON_MEAN_MAX = 2**63 - 1 - 10.0 * math.sqrt(2**63 - 1)  # Generator.poisson's largest mean
 
 
 class DipModel(record("DipModel", "visibility wavelength_nm delta_lambda_nm")):
@@ -151,6 +152,16 @@ def simulate_scan(
         raise ValueError("positions must all be finite and strictly increasing")
     require(dwell_s, POSITIVE, "dwell time")
     budget = expected_counts(chain)
+    # the dip is at most 1, so no mean exceeds this one; Python floats overflow
+    # to inf without numpy's warning
+    most = float(dwell_s) * (
+        float(budget.true_coincidence_rate_hz) + float(budget.accidental_rate_hz)
+    )
+    if not most <= _POISSON_MEAN_MAX:
+        raise ValueError(
+            f"expected counts per position {most:g} (dwell time x coincidence rates) "
+            f"exceed the {_POISSON_MEAN_MAX:g} a Poisson draw takes"
+        )
     rng = np.random.default_rng(seed)
     mean_total = dwell_s * (
         budget.true_coincidence_rate_hz * dip_value(m, positions)

@@ -22,6 +22,8 @@ A scalar wavelength is evaluated in plain ``math`` floats and an array in
 numpy, through one n^2 formula taking its square root as an argument (the same
 floats, ``==``, and the same errors); both read an Al fraction's E0, E0so,
 (E0/E0so)^1.5, A and B, computed once per model from read-only coefficients.
+A float fraction at a float wavelength, both inside their windows, takes no
+array-generic check (``_terms``); any other argument takes them all.
 
 ``get_model`` looks a model up by name (the ``dispersion.model`` config key);
 a ``DispersionModel`` with other coefficients can be passed to any function
@@ -103,41 +105,51 @@ class DispersionModel(record("DispersionModel", "name coefficients wavelength_wi
         e0, e0_so = c0 + c1 * x + c2 * x * x, s0 + s1 * x + s2 * x * x
         return e0, e0_so, (e0 / e0_so) ** 1.5, a0 + a1 * x, b0 + b1 * x
 
-    def _checked(self, x: float, wavelength_nm):
-        """(scalar, lam): the wavelength as a float or a float array, checked (NaN is outside)."""
-        scalar = isinstance(wavelength_nm, float) or np.isscalar(wavelength_nm)
-        lam = float(wavelength_nm) if scalar else np.asarray(wavelength_nm, dtype=float)
-        lo, hi = self.wavelength_window_nm
-        if not ((lo <= lam <= hi) if scalar else (np.all(lo <= lam) and np.all(lam <= hi))):
-            shown = f"{lam.min()}..{lam.max()}" if np.ndim(wavelength_nm) else f"{wavelength_nm}"
-            raise OutOfValidityWindow(
-                f"wavelength {shown} nm outside model '{self.name}' "
-                f"window [{lo}, {hi}] nm"
-            )
-        xlo, xhi = X_WINDOW
-        if not (xlo <= _fraction(x) <= xhi):
-            raise OutOfValidityWindow(
-                f"composition x={x} outside model '{self.name}' window [{xlo}, {xhi}]"
-            )
-        return scalar, lam
-
-    def _chi_terms(self, x: float, lam):
+    def _terms(self, x: float, wavelength_nm):
+        """(scalar, chi terms): the wavelength checked (NaN is outside) as a
+        float or a float array, and the fraction checked. A float fraction at
+        a float wavelength, both inside their windows, takes no other check."""
+        (lo, hi), (xlo, xhi) = self.wavelength_window_nm, X_WINDOW
+        scalar, lam = True, wavelength_nm
+        if not (type(lam) is float and type(x) is float and lo <= lam <= hi and xlo <= x <= xhi):
+            scalar = isinstance(wavelength_nm, float) or np.isscalar(wavelength_nm)
+            lam = float(wavelength_nm) if scalar else np.asarray(wavelength_nm, dtype=float)
+            if not ((lo <= lam <= hi) if scalar else (np.all(lo <= lam) and np.all(lam <= hi))):
+                shown = f"{lam.min()}..{lam.max()}" if np.ndim(lam) else f"{wavelength_nm}"
+                raise OutOfValidityWindow(
+                    f"wavelength {shown} nm outside model '{self.name}' "
+                    f"window [{lo}, {hi}] nm"
+                )
+            if not (xlo <= _fraction(x) <= xhi):
+                raise OutOfValidityWindow(
+                    f"composition x={x} outside model '{self.name}' window [{xlo}, {xhi}]"
+                )
         e0, e0_so, ratio, a, b = self._constants(x)
-        return HC_EV_NM / lam / e0, HC_EV_NM / lam / e0_so, ratio, a, b
+        return scalar, (HC_EV_NM / lam / e0, HC_EV_NM / lam / e0_so, ratio, a, b)
 
     def _n_squared(self, chi_terms, sqrt, complex_root=None):
         """n^2 from the chi terms of a float (``sqrt`` is ``math.sqrt``) or of
-        an array (``np.sqrt``); ``complex_root`` continues f past the gap."""
+        an array (``np.sqrt``), f(chi) = (2 - sqrt(1+chi) - sqrt(1-chi)) / chi^2
+        at chi and chi_so; ``complex_root`` continues sqrt(1-chi) past the gap.
+
+        chi * chi is numpy's square (Python's chi**2 calls ``pow``), and numpy
+        divides a complex by a real as a product with the reciprocal, so a
+        float and an array give the same floats.
+        """
         chi, chi_so, ratio, a, b = chi_terms
-        f_main = _oscillator_f(chi, sqrt, complex_root)
-        f_so = _oscillator_f(chi_so, sqrt, complex_root)
+        root = complex_root or sqrt
+        top = 2.0 - sqrt(1.0 + chi) - root(1.0 - chi)
+        top_so = 2.0 - sqrt(1.0 + chi_so) - root(1.0 - chi_so)
+        if complex_root is None:
+            f_main, f_so = top / (chi * chi), top_so / (chi_so * chi_so)
+        else:
+            f_main, f_so = top * (1.0 / (chi * chi)), top_so * (1.0 / (chi_so * chi_so))
         return a * (f_main + 0.5 * f_so * ratio) + b
 
     def evaluate(self, x: float, wavelength_nm):
         """Real below-gap refractive index. Raises above the gap. A float for
         a scalar wavelength, an array for an array: the same floats (``==``)."""
-        scalar, lam = self._checked(x, wavelength_nm)
-        terms = self._chi_terms(x, lam)
+        scalar, terms = self._terms(x, wavelength_nm)
         chi, chi_so = terms[:2]
         above = (chi > NEAR_GAP_MARGIN) | (chi_so > NEAR_GAP_MARGIN)
         if (above if scalar else above.any()):
@@ -151,8 +163,7 @@ class DispersionModel(record("DispersionModel", "name coefficients wavelength_wi
     def evaluate_complex(self, x: float, wavelength_nm):
         """Complex index n + i*kappa, valid above the gap (kappa >= 0). A
         complex for a scalar wavelength, an array for an array (``==``)."""
-        scalar, lam = self._checked(x, wavelength_nm)
-        terms = self._chi_terms(x, lam)
+        scalar, terms = self._terms(x, wavelength_nm)
         if scalar:
             n = cmath.sqrt(self._n_squared(terms, math.sqrt, _complex_root))
             return n.conjugate() if n.imag < 0 else n
@@ -169,17 +180,6 @@ def _fraction(x):
 def _complex_root(v: float) -> complex:
     """sqrt(v) of a float as a complex, +i sqrt(-v) below zero, as numpy's."""
     return complex(math.sqrt(v), 0.0) if v >= 0 else complex(0.0, math.sqrt(-v))
-
-
-def _oscillator_f(chi, sqrt, complex_root=None):
-    """f(chi) = (2 - sqrt(1+chi) - sqrt(1-chi)) / chi^2 of the oscillator model.
-
-    chi * chi is numpy's square (Python's chi**2 calls ``pow``), and numpy
-    divides a complex by a real as a product with the reciprocal, so a float
-    and an array give the same floats.
-    """
-    top = 2.0 - sqrt(1.0 + chi) - (complex_root or sqrt)(1.0 - chi)
-    return top / (chi * chi) if complex_root is None else top * (1.0 / (chi * chi))
 
 
 DEFAULT_MODEL = DispersionModel(name="adachi1985")

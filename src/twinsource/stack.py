@@ -27,20 +27,25 @@ Conventions
   each leaf's matrix is built once, and equal (left, right) pairs on a level
   are one product. A periodic mirror so costs a few products per level, and
   every product is the one the positional pairwise product takes, from the
-  same operands in the same order, so it is the same float. A stack keeps
-  the trees of the sequences it multiplies (``_tree``).
+  same operands in the same order, so it is the same float. A stack's tree
+  also holds these products as one compiled straight-line float function
+  (``_program``). Both are a pure function of the leaf sequence and leaf
+  count, so one tree serves every stack with that layer pattern
+  (``_shared_tree``), and a stack keeps the trees it multiplies (``_tree``).
 * At a float wavelength, with the leaves' indices and thicknesses as floats,
-  ``raw_response`` multiplies a tree, and takes its r/t step, in plain floats
-  (``_response_floats``), the floats the kernel gives for a one-element array,
-  by four rules: (1) a node is four real floats (m00, p01, q10, m11), the
-  matrix [[m00, i p01], [i q10, m11]] of a propagating lossless layer, a form
-  products keep, so every complex product the kernel takes has a zero term and
-  numpy's fused multiply-add gives the unfused product; (2) a division is
-  numpy's, a product with a reciprocal: p01 = -s (1/eta), the TM admittance n
-  (1/cos theta), and Smith's method for r and t (``_quotient``); (3) a square
-  is ``x * x`` and a modulus ``np.abs`` (Python's ``abs`` and ``math.hypot``
-  round otherwise); (4) n0 sin(theta), eta0 and eta_sub stay the kernel step's
-  numpy scalars, since CPython divides complex numbers otherwise.
+  ``raw_response`` multiplies a tree through its program, and takes its r/t
+  step, in plain floats (``_response_floats``), the floats the kernel gives
+  for a one-element array (a tree past ``_PROGRAM_PRODUCTS`` takes the
+  kernel), by four rules: (1) a node is four real floats (m00, p01, q10, m11),
+  the matrix [[m00, i p01], [i q10, m11]] of a propagating lossless layer, a
+  form products keep, so every complex product the kernel takes has a zero
+  term and numpy's fused multiply-add gives the unfused product; (2) a
+  division is numpy's, a product with a reciprocal: p01 = -s (1/eta), the TM
+  admittance n (1/cos theta), and Smith's method for r and t (``_quotient``);
+  (3) a square is ``x * x`` and a modulus ``np.abs`` (Python's ``abs`` and
+  ``math.hypot`` round otherwise); (4) n0 sin(theta), eta0 and eta_sub stay
+  the kernel step's numpy scalars, since CPython divides complex numbers
+  otherwise.
 
 All lengths in nanometres unless a name says otherwise.
 """
@@ -133,6 +138,35 @@ class _Tree(NamedTuple):
     pairs: tuple  # per level, the (left, right) nodes of its products
     root: int  # the node of the last level (or leaf) that is the product
     widest: int  # the most nodes on one level, the leaves included
+    program: object  # a stack tree's products in floats (``_program``), or None
+
+
+# compiling a program takes ~40 us and keeps ~0.35 KB per product; past this
+# bound (the paper's cavities take at most ~60) the kernel takes a float call
+_PROGRAM_PRODUCTS = 256
+
+# node o = l r of four-float nodes (m00, p01, q10, m11), as the kernel takes it
+_PRODUCT = """
+    a{o} = a{l} * a{r} - p{l} * q{r}
+    p{o} = a{l} * p{r} + p{l} * d{r}
+    q{o} = q{l} * a{r} + d{l} * q{r}
+    d{o} = d{l} * d{r} - q{l} * p{r}"""
+
+
+def _program(level_pairs, root, n_leaves):
+    """The tree's products as one straight-line function from its U + 1 leaf
+    nodes (the last the identity) to the root; the source holds node indices."""
+    leaves = "".join(f"(a0_{k}, p0_{k}, q0_{k}, d0_{k}), " for k in range(n_leaves + 1))
+    body = [f"def program(leaves):\n    {leaves}= leaves"]
+    for level, pairs in enumerate(level_pairs):
+        body += (
+            _PRODUCT.format(o=f"{level + 1}_{k}", l=f"{level}_{left}", r=f"{level}_{right}")
+            for k, (left, right) in enumerate(pairs)
+        )
+    z = f"{len(level_pairs)}_{root}"
+    scope = {}
+    exec("".join(body) + f"\n    return a{z}, p{z}, q{z}, d{z}\n", scope)
+    return scope["program"]
 
 
 def _product_tree(leaf, n_leaves) -> _Tree:
@@ -161,18 +195,28 @@ def _product_tree(leaf, n_leaves) -> _Tree:
         level_pairs.append(tuple(zip(left.tolist(), right.tolist())))
         width = len(pairs)
         widest = max(widest, width)
-    return _Tree(tuple(levels), tuple(level_pairs), int(node[0]), widest)
+    return _Tree(tuple(levels), tuple(level_pairs), int(node[0]), widest, None)
+
+
+@lru_cache(maxsize=64)  # a design box of the paper's cavities takes ~40, ~10-20 KB each
+def _shared_tree(leaf_bytes, n_leaves) -> _Tree:
+    """The tree of a leaf sequence (intp bytes) with its float ``_program``, a
+    pure function of its key: one tree serves every stack with that layer pattern."""
+    tree = _product_tree(np.frombuffer(leaf_bytes, dtype=np.intp), n_leaves)
+    if sum(map(len, tree.pairs)) > _PROGRAM_PRODUCTS:
+        return tree
+    return tree._replace(program=_program(tree.pairs, tree.root, n_leaves))
 
 
 def _tree(s: LayerStack, leaf=None) -> _Tree:
     """Product tree of a sequence of the stack's plan leaves (top to bottom;
-    the whole stack without ``leaf``), built on first use, once per sequence."""
+    the whole stack without ``leaf``), kept by the stack once per sequence."""
     key = None if leaf is None else leaf.tobytes()
     tree = s._trees.get(key)
     if tree is None:
         plan = s._plan
         leaves = plan.leaf if leaf is None else leaf
-        tree = s._trees[key] = _product_tree(leaves, len(plan.leaf_index))
+        tree = s._trees[key] = _shared_tree(leaves.tobytes(), len(plan.leaf_index))
     return tree
 
 
@@ -225,36 +269,32 @@ def _char_matrix_floats(n_list, t_list, n0_sin, wavelength, pol, tree):
     """``_char_matrix`` at one wavelength in plain floats, the same floats.
 
     Returns the root of the product tree as (m00, p01, q10, m11), the matrix
-    [[m00, i p01], [i q10, m11]], or None when a leaf does not propagate (an
-    index that is not a float, or n0 sin(theta) >= n) or its phase d is not
-    finite, since only a propagating lossless leaf, [[cos d, -i sin d / eta],
+    [[m00, i p01], [i q10, m11]], from the tree's compiled ``_program``, or
+    None when the tree has no program or a leaf does not propagate (an index
+    that is not a float, or n0 sin(theta) >= n) or its phase d is not finite,
+    since only a propagating lossless leaf, [[cos d, -i sin d / eta],
     [-i eta sin d, cos d]], has that form.
     """
+    if tree.program is None:
+        return None
     k0, n0_sin = 2.0 * math.pi / wavelength, float(n0_sin)
-    nodes = []
+    least, te, nodes = abs(n0_sin), pol == TE, []
     for n, t in zip(n_list, t_list):
-        if not (isinstance(n, float) and n > abs(n0_sin)):
+        if not (isinstance(n, float) and n > least):
             return None
         q = n0_sin / n
         cos2 = 1.0 - q * q
         if not cos2 > 0.0:
             return None
         ct = math.sqrt(cos2)
-        eta = n * ct if pol == TE else n * (1.0 / ct)
+        eta = n * ct if te else n * (1.0 / ct)
         d = k0 * n * ct * t
         if not math.isfinite(d):
             return None
         c, s = math.cos(d), math.sin(d)
         nodes.append((c, -(s * (1.0 / eta)), -(eta * s), c))
     nodes.append((1.0, 0.0, 0.0, 1.0))
-    for pairs in tree.pairs:
-        level = []
-        for left, right in pairs:
-            a, p, q, d = nodes[left]
-            a2, p2, q2, d2 = nodes[right]
-            level.append((a * a2 - p * q2, a * p2 + p * d2, q * a2 + d * q2, d * d2 - q * p2))
-        nodes = level
-    return nodes[tree.root]
+    return tree.program(nodes)
 
 
 def _quotient(ar, ai, br, bi):
@@ -300,11 +340,10 @@ def _response_floats(n_list, t_list, n0_sin, eta0, eta_sub, wavelength, pol, tre
     dr, di = e0 * br + cr, e0 * bi + ci
     if dr == 0.0 and di == 0.0:
         return None
-    r = _quotient(e0 * br - cr, e0 * bi - ci, dr, di)
-    t = _quotient(2.0 * e0, 0.0, dr, di)
-    abs_r = float(np.abs(complex(*r)))
-    abs_denom = float(np.abs(complex(dr, di)))
-    return complex(*r), complex(*t), abs_r * abs_r, 4.0 * e0 * er / (abs_denom * abs_denom)
+    r = complex(*_quotient(e0 * br - cr, e0 * bi - ci, dr, di))
+    t = complex(*_quotient(2.0 * e0, 0.0, dr, di))
+    abs_r, abs_denom = np.abs([r, complex(dr, di)]).tolist()
+    return r, t, abs_r * abs_r, 4.0 * e0 * er / (abs_denom * abs_denom)
 
 
 def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol, tree=None):
@@ -318,9 +357,10 @@ def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol, tree=Non
 
     A float wavelength with a ``tree`` multiplies the tree in plain floats
     (``_char_matrix_floats``), the same floats as the kernel; it falls back
-    to the kernel ``_char_matrix`` when a leaf does not propagate (an index
-    that is not a float, or n0 sin(theta) >= n, as with a large ambient index
-    at a steep angle), when the ambient admittance is not real, or when the
+    to the kernel ``_char_matrix`` when the tree has no float program (past
+    ``_PROGRAM_PRODUCTS``), when a leaf does not propagate (an index that is
+    not a float, or n0 sin(theta) >= n, as with a large ambient index at a
+    steep angle), when the ambient admittance is not real, or when the
     response's denominator is zero.
     """
     require(pol, POLARIZATION, "polarization")
@@ -375,24 +415,24 @@ def stack_response(
     """Plane-wave response at one wavelength (scalar fields) or over a 1-D
     wavelength array (array fields)."""
     require(theta_deg, ANGLE, "incidence angle")
-    lam = np.asarray(wavelength, dtype=float)
-    plan = s._plan
-    block = max(1, _BLOCK // _tree(s).widest)
-    if lam.size > block:
-        parts = [
-            stack_response(s, lam[i : i + block], theta_deg, pol, model)
-            for i in range(0, lam.size, block)
-        ]
-        fields = ("r", "t", "reflectance", "transmittance")
-        r, t, R, T = (np.concatenate([getattr(p, name) for p in parts]) for name in fields)
-        return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
-    if lam.ndim == 0:
+    plan, tree = s._plan, _tree(s)
+    lam = wavelength if isinstance(wavelength, float) else np.asarray(wavelength, dtype=float)
+    if isinstance(lam, float) or lam.ndim == 0:
         lam, m = float(lam), model or materials.DEFAULT_MODEL
         n_x = [m.evaluate(x, lam) for x in plan.xs]
         n_leaf = [n_x[i] for i in plan.leaf_index.tolist()]
     else:
+        block = max(1, _BLOCK // tree.widest)
+        if lam.size > block:
+            parts = [
+                stack_response(s, lam[i : i + block], theta_deg, pol, model)
+                for i in range(0, lam.size, block)
+            ]
+            fields = ("r", "t", "reflectance", "transmittance")
+            r, t, R, T = (np.concatenate([getattr(p, name) for p in parts]) for name in fields)
+            return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
         n_leaf = _composition_indices(s, lam, model)[plan.leaf_index].T
-    n_sub, t_leaf, tree = substrate_index(s, lam, model), plan.leaf_thickness, _tree(s)
+    n_sub, t_leaf = substrate_index(s, lam, model), plan.leaf_thickness
     r, t, R, T = raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lam, theta_deg, pol, tree)
     return StackResponse(r, t, R, T, wavelength, theta_deg, pol)
 

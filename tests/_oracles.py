@@ -128,6 +128,20 @@ def char_matrix_loop(n_list, t_list, n0_sin, wavelength, pol):
     return m00, m01, m10, m11
 
 
+def tree_product_loop(tree, nodes):
+    """The root node of a stack product tree (``stack._Tree``) from its leaf
+    nodes (four floats (m00, p01, q10, m11) each, the identity last), multiplied
+    level by level, pair by pair: the loop ``stack._program`` is compiled from."""
+    for pairs in tree.pairs:
+        level = []
+        for left, right in pairs:
+            a, p, q, d = nodes[left]
+            a2, p2, q2, d2 = nodes[right]
+            level.append((a * a2 - p * q2, a * p2 + p * d2, q * a2 + d * q2, d * d2 - q * p2))
+        nodes = level
+    return nodes[tree.root]
+
+
 def response_loop(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol):
     """(R, T) of a layer list at one wavelength from ``char_matrix_loop``."""
     n0_sin = n0 * math.sin(math.radians(theta_deg))

@@ -27,6 +27,7 @@ from twinsource.config import (
     check_config,
     config_hash,
     default_config,
+    load_config,
 )
 from twinsource.efficiency import DetectionChain
 from twinsource.errors import MAX_SWEEP_POINTS, ConfigError, TwinSourceError
@@ -288,6 +289,11 @@ _EXTREMES = {  # argv ("SCAN" is the default scan file), and the exit code
     "hom_fit_wavelength_5e-324": (
         ("hom", "fit", "--scan", "SCAN", "--set", "hom.degeneracy_wavelength_nm=5e-324"), EXIT_INPUT
     ),
+    # two legal values whose product overflowed in the scan's mean counts
+    "hom_simulate_mean_counts_overflow": (
+        ("hom", "simulate", "--set", "detection.pulse_rate_hz=1e15", "--set", "hom.dwell_s=1e300"),
+        EXIT_INPUT,
+    ),
 }
 
 
@@ -298,6 +304,42 @@ def test_extreme_inputs_keep_the_exit_contract(tmp_path, capsys, scan_dir, argv,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err == "" if code == EXIT_OK else err.startswith("error: ") and err.count("\n") == 1
+
+
+_TOO_DEEP = {  # argv ("DEEP" is a file of 10^5 "["): each recursed past Python's limit
+    "config_file_unclosed": ("--config", "DEEP"),
+    "override_unclosed": ("--set", "seed=" + "[" * 10**5),
+    "override_well_formed": ("--set", "seed=" + "[" * 600 + "]" * 600),
+    "override_key_path": ("--set", ".".join(["x"] * 2000) + "=1"),
+}
+
+
+@pytest.mark.parametrize("args", _TOO_DEEP.values(), ids=_TOO_DEEP.keys())
+def test_a_document_nested_deeper_than_the_config_is_input_error(tmp_path, capsys, args):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5, encoding="utf-8")
+    argv = [deep if a == "DEEP" else a for a in args]
+    assert run("counts", *argv, "--out", tmp_path / "out", "--quiet") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "nests objects and lists more than 6 deep" in err
+
+
+def test_the_depth_rule_is_the_configs_own_nesting(tmp_path):
+    # the default config nests 6 deep (config, stack, regions, a region, its
+    # cell, a layer), and a file or an override that deep is accepted
+    regions = json.dumps(DEFAULT_CONFIG["stack"]["regions"])
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(DEFAULT_CONFIG), encoding="utf-8")
+    assert load_config(path) == DEFAULT_CONFIG
+    assert apply_overrides(DEFAULT_CONFIG, [f"stack.regions={regions}"]) == DEFAULT_CONFIG
+    deeper = copy.deepcopy(DEFAULT_CONFIG)
+    deeper["stack"]["regions"][0]["cell"][0]["x"] = [0.9]
+    with pytest.raises(ConfigError, match="more than 6 deep"):
+        apply_overrides(DEFAULT_CONFIG, [f"stack={json.dumps(deeper['stack'])}"])
+    path.write_text(json.dumps(deeper), encoding="utf-8")
+    with pytest.raises(ConfigError, match="^config document nests"):
+        load_config(path)
 
 
 @pytest.mark.parametrize("pump", [300, 400])
@@ -1213,7 +1255,10 @@ def test_config_check_raises_only_config_errors(assignments, regions, dropped):
     sets = [f"{key}={json.dumps(value)}" for key, value in assignments]
     if regions is not None:
         sets.append(f"stack.regions={json.dumps(regions)}")
-    cfg = apply_overrides(default_config(), sets)
+    try:  # a value nested deeper than the config (a list as a thickness) is refused here
+        cfg = apply_overrides(default_config(), sets)
+    except ConfigError:
+        return
     for key in dropped:
         *parents, leaf = key.split(".")
         node = cfg

@@ -280,3 +280,34 @@ def test_a_fraction_outside_the_composition_window_is_refused():
 
     with pytest.raises(OutOfValidityWindow, match=r"^composition x=1.5 outside model 'adachi1985'"):
         DEFAULT_MODEL.evaluate(1.5, 800.0)
+
+
+def _outcome(call, x, lam):
+    """(type, value) of a call's result, or (class, message) of what it raised."""
+    try:
+        value = call(x, lam)
+    except Exception as exc:  # every refusal is compared, whatever its class
+        return type(exc), str(exc)
+    return type(value), value
+
+
+def test_a_float_fraction_at_a_float_wavelength_answers_as_the_generic_route():
+    # a float fraction at a float wavelength skips the array-generic checks;
+    # the same arguments through that route (the wavelength as a numpy float)
+    # give the same value, or the same error class and message: at the window
+    # edges and just past them, at NaN, above the gap, outside the fraction
+    # window, and for a float32 or numpy float64 fraction
+    model = get_model()
+    lo, hi = model.wavelength_window_nm
+    wavelengths = (
+        lo, hi, np.nextafter(lo, 0.0), np.nextafter(hi, np.inf), float("nan"), 760.0, 1520.0,
+    )
+    fractions = (0.0, 1.0, 0.35, -0.1, 1.5, float("nan"), np.float32(0.35), np.float64(0.35))
+    seen = set()
+    for call in (model.evaluate, model.evaluate_complex):
+        for x in fractions:
+            for lam in map(float, wavelengths):
+                got = _outcome(call, x, lam)
+                assert got == _outcome(call, x, np.float64(lam)), (x, lam)
+                seen.add(got[0])
+    assert seen == {float, complex, OutOfValidityWindow, AboveBandgap}

@@ -351,6 +351,105 @@ def test_stack_calls_take_no_positional_product(paper_stack, monkeypatch):
     stack_mod._cavity(paper_stack, 760.0, 3.0, TM, None)
 
 
+def _tree_sequences(s):
+    """The leaf sequences whose trees a stack's calls multiply: the whole
+    stack, the top mirror seen from the core, the layers below the core and
+    below the stack (none); for a stack without regions the whole stack,
+    reversed, and all but its first layer."""
+    leaf = s._plan.leaf
+    if not s.regions:
+        return leaf, leaf[::-1], leaf[1:]
+    top, core = (stack_mod._region_slice(s, name) for name in ("top_dbr", "core"))
+    return leaf, leaf[top][::-1], leaf[core.stop :], leaf[len(leaf) :]
+
+
+def _random_nodes(rng, n_leaves):
+    """Four-float leaf nodes with some signed zeros, then the identity."""
+    values = rng.normal(size=(n_leaves, 4))
+    values[rng.random((n_leaves, 4)) < 0.1] = 0.0
+    values[rng.random((n_leaves, 4)) < 0.1] = -0.0
+    return [tuple(v) for v in values.tolist()] + [(1.0, 0.0, 0.0, 1.0)]
+
+
+def _hex(node):
+    return [float(v).hex() for v in node]
+
+
+def test_the_compiled_program_is_the_level_loop(tree_stacks):
+    # every tree shape: positional trees of 0 to 70 layers, the nominal, tall,
+    # drawn and hand stacks' trees, and the edge stacks'; the same floats,
+    # signed zeros included, as the loop over the tree's pairs
+    rng = np.random.default_rng(32)
+    positional = (np.arange(n, dtype=np.intp).tobytes() for n in range(71))
+    trees = [(stack_mod._shared_tree(leaf, n), n) for n, leaf in enumerate(positional)]
+    for s in [*tree_stacks.values(), *_EDGE_STACK_LIST]:
+        n_leaves = len(s._plan.leaf_index)
+        trees += [(stack_mod._tree(s, leaf), n_leaves) for leaf in _tree_sequences(s)]
+    assert len(trees) == 71 + 4 * 22 + 3 * (len(_HAND_STACKS) + len(_EDGE_STACK_LIST))
+    for tree, n_leaves in trees:
+        for _ in range(3):
+            nodes = _random_nodes(rng, n_leaves)
+            assert _hex(tree.program(nodes)) == _hex(_oracles.tree_product_loop(tree, nodes))
+
+
+def test_a_tree_past_the_program_bound_takes_the_kernel(monkeypatch, one_wavelength_calls):
+    # 300 distinct layers make a 300-product tree, past _PROGRAM_PRODUCTS:
+    # it gets no program, and a one-wavelength call takes numpy's kernel
+    layers = [Layer(_AL30 if k % 2 else _AL70, 100.0 + 0.25 * k) for k in range(300)]
+    s = LayerStack(layers, _GAAS)
+    tree = stack_mod._tree(s)
+    assert sum(map(len, tree.pairs)) > stack_mod._PROGRAM_PRODUCTS and tree.program is None
+    kernel, real = [], stack_mod._char_matrix
+    monkeypatch.setattr(stack_mod, "_char_matrix", lambda *a: kernel.append(a) or real(*a))
+    stack_response(s, 1210.0, 3.0, TE)
+    assert len(kernel) == 1
+    _assert_numpy_floats(one_wavelength_calls, 1)
+
+
+def _design(design_nm, mirror_x=0.9):
+    cfg = config.default_config()
+    cfg["stack"]["design_wavelength_nm"] = design_nm
+    for region in (0, 2):
+        cfg["stack"]["regions"][region]["cell"][0]["x"] = mirror_x
+    return config.build_stack(cfg)
+
+
+def test_a_stack_with_a_layer_pattern_already_seen_builds_and_compiles_nothing(monkeypatch):
+    # trees are kept by (leaf sequence, leaf count): a second design with the
+    # same periods, at another wavelength, reuses every tree of the first
+    built, compiled = [], []
+    product_tree, program = stack_mod._product_tree, stack_mod._program
+    monkeypatch.setattr(stack_mod, "_product_tree", lambda *a: built.append(a) or product_tree(*a))
+    monkeypatch.setattr(stack_mod, "_program", lambda *a: compiled.append(a) or program(*a))
+    stack_mod._shared_tree.cache_clear()
+    for design_nm in (760.0, 757.3):
+        s = _design(design_nm)
+        stack_response(s, design_nm, 2.0, TM)
+        stack_mod._cavity(s, design_nm, 2.0, TM, None)
+        field_profile(s, design_nm, 2.0, TM)
+        core_intensity(s, design_nm, 2.0, TM)
+        if design_nm == 760.0:
+            assert len(built) == len(compiled) == 4  # whole, top, below the core, none
+    assert len(built) == len(compiled) == 4
+
+
+@pytest.mark.dispatch
+def test_stacks_sharing_a_layer_pattern_keep_their_own_floats(one_wavelength_calls):
+    """Dispatch: the plain-float product must be numpy's one-element product whichever loop numpy takes."""
+    # one tree serves three designs of one pattern, with other thicknesses or
+    # other fractions; each call gives numpy's floats for its own leaves, and
+    # a design asked again after the others gives its first floats
+    stacks = (_design(760.0), _design(763.1), _design(760.0, mirror_x=0.85))
+    assert stack_mod._tree(stacks[0]) is stack_mod._tree(stacks[1]) is stack_mod._tree(stacks[2])
+    rounds = []
+    for _ in range(2):
+        rounds.append([stack_response(s, 761.2, 2.0, TM)[:4] for s in stacks])
+        for s in stacks:
+            stack_mod._cavity(s, 761.2, 2.0, TM, None)
+    assert rounds[0] == rounds[1] and len(set(rounds[0])) == 3
+    _assert_numpy_floats(one_wavelength_calls, 2 * 3 * 3)
+
+
 # --- one wavelength in plain floats ------------------------------------------
 
 
