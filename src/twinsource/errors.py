@@ -24,7 +24,19 @@ def number(v) -> bool:
     return type(v) is not bool and isinstance(v, numbers.Real) and -_MAX <= float(v) <= _MAX
 
 
+def _no_text(v) -> bool:
+    """Neither text (str, bytes) nor an array or sequence holding any: ``float()``
+    and numpy read text as a number."""
+    if isinstance(v, (str, bytes)):
+        return False
+    a = np.asarray(v)
+    if a.dtype.kind == "O":
+        return not any(isinstance(e, (str, bytes)) for e in a.flat)
+    return a.dtype.kind not in "SU"
+
+
 NUMBER = (number, "a finite number")
+NUMERIC = (_no_text, "a number or an array of numbers")
 REAL = (lambda v: type(v) is not bool and isinstance(v, numbers.Real), "a real number")
 POSITIVE = (lambda v: number(v) and v > 0, "a finite number > 0")
 NON_NEGATIVE = (lambda v: number(v) and v >= 0, "a finite number >= 0")

@@ -39,7 +39,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .errors import FRACTION, REAL, AboveBandgap, OutOfValidityWindow, record, require
+from .errors import FRACTION, NUMERIC, REAL, AboveBandgap, OutOfValidityWindow, record, require
 
 # exact in the 2019 SI
 PLANCK_J_S = 6.62607015e-34
@@ -106,12 +106,14 @@ class DispersionModel(record("DispersionModel", "name coefficients wavelength_wi
         return e0, e0_so, (e0 / e0_so) ** 1.5, a0 + a1 * x, b0 + b1 * x
 
     def _terms(self, x: float, wavelength_nm):
-        """(scalar, chi terms): the wavelength checked (NaN is outside) as a
-        float or a float array, and the fraction checked. A float fraction at
-        a float wavelength, both inside their windows, takes no other check."""
+        """(scalar, chi terms): the wavelength checked (NaN is outside, text is
+        refused) as a float or a float array, and the fraction checked. A float
+        fraction at a float wavelength, both inside their windows, takes no
+        other check."""
         (lo, hi), (xlo, xhi) = self.wavelength_window_nm, X_WINDOW
         scalar, lam = True, wavelength_nm
         if not (type(lam) is float and type(x) is float and lo <= lam <= hi and xlo <= x <= xhi):
+            require(wavelength_nm, NUMERIC, "wavelength")
             scalar = isinstance(wavelength_nm, float) or np.isscalar(wavelength_nm)
             lam = float(wavelength_nm) if scalar else np.asarray(wavelength_nm, dtype=float)
             if not ((lo <= lam <= hi) if scalar else (np.all(lo <= lam) and np.all(lam <= hi))):

@@ -31,21 +31,22 @@ matrix, C^N = U_{N-1}(a) C - U_{N-2}(a) I with a = tr(C)/2 (Born & Wolf,
 Principles of Optics, sec. 1.6.5; Yeh, Optical Waves in Layered Media,
 ch. 6), so a 41-period mirror is two layer matrices and a closed-form power.
 
-Roots. The scan grid holds the multiples of ``_GRID_STEP`` (1e-4, refined
-once to 1e-5 when it finds no root) inside the search window plus the two
-window ends, so a root's bracket does not depend on the window it was
-searched in. The brackets are polished together by Brent's method
-(``roots.brentq_lanes``, which gives the floats of scipy's ``brentq``; xtol
-``_XTOL`` = 1e-12, rtol 4 eps); roots are reported sorted by descending n_eff
-(order 0 = fundamental).
+Roots. One scan (``_roots_on_grid``) searches a residual at one knot, for
+``solve_planar`` and for tables alike, inside the window ``_guided_window``
+states. Its grid holds the multiples of ``_GRID_STEP`` (1e-4, refined once
+to 1e-5 when it finds no root) inside the window plus its two ends, so a
+root's bracket does not depend on the window searched. Brent's method
+polishes the brackets together (``roots.brentq_lanes``, the floats of
+scipy's ``brentq``; xtol ``_XTOL`` = 1e-12, rtol 4 eps); roots are sorted by
+descending n_eff (order 0 = fundamental).
 
 Tables. ``EffectiveIndexTable`` puts its knots on the multiples of
 ``TABLE_STEP_NM`` (2 nm), evaluates every distinct composition once over the
-whole knot array, solves its knots together and grows by solving only the
-knots it lacks. A knot's root does not depend on which knots share its
-batch, so a grown table holds exactly the knots of a fresh table over the
-same range. Between knots it is the not-a-knot cubic spline, built and
-evaluated here with the same floating-point operations as
+whole knot array, solves its knots together on one residual and grows by
+solving only the knots it lacks. A knot's root does not depend on which
+knots share its batch, so a grown table holds exactly the knots of a fresh
+table over the same range. Between knots it is the not-a-knot cubic spline,
+built and evaluated here with the same floating-point operations as
 ``scipy.interpolate.CubicSpline``, so the package needs numpy only; on the
 evenly spaced knot lattice its tridiagonal solve interchanges no rows. A
 lookup reads a Python float inline in plain floats, and an array in one pass
@@ -169,6 +170,7 @@ class _MatchedResidual:
 
     def __init__(self, n_top, layers, n_bot, wavelength, pol):
         self.pol = require(pol, POLARIZATION, "polarization")
+        self.wavelength = wavelength  # as given: a NoGuidedMode names it
         lams = np.atleast_1d(np.asarray(wavelength, dtype=float))
         size = lams.size
         n = np.array([n_ for n_, _ in layers], dtype=float).reshape(len(layers), -1)
@@ -252,6 +254,45 @@ def _refuse_layer(i, n, t):
     require(t, POSITIVE, f"thickness of layer {i}")
 
 
+def _guided_window(n_top, n_bot, n_core, window=None):
+    """(lo, hi): ``_WINDOW_MARGIN`` inside the higher outer index and the
+    highest layer index ``n_core``, narrowed by ``window`` (a NaN end narrows
+    nothing). Floats for one profile, arrays over knots; an empty window of
+    one profile is a NonGuidingStack, a batch's is left to its caller."""
+    lo, hi = np.maximum(n_top, n_bot) + _WINDOW_MARGIN, n_core - _WINDOW_MARGIN
+    if window is not None:
+        lo, hi = np.fmax(lo, window[0]), np.fmin(hi, window[1])
+    if np.ndim(hi) == 0 and hi <= lo:
+        raise NonGuidingStack(
+            f"no guided window: outer indices ({n_top:.4f}, {n_bot:.4f}) "
+            f"vs max layer index {n_core:.4f}"
+        )
+    return lo, hi
+
+
+def _roots_on_grid(residual, lo, hi, max_modes, knot=None):
+    """Roots of ``residual`` at knot ``knot`` of its batch (its one knot when
+    None) in (lo, hi), highest first. With ``max_modes`` the grid is scanned
+    in blocks from the top down until its highest cells hold that many sign
+    changes. NoGuidedMode when the refined grid holds none either."""
+    for step in (_GRID_STEP, _GRID_STEP / 10.0):  # near-cutoff modes can hide between grid points
+        inner = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
+        grid = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
+        signs = []
+        for i in reversed(range(0, grid.size, _BLOCK)):
+            signs.insert(0, np.sign(residual(grid[i : i + _BLOCK], knot)))
+            sign = np.concatenate(signs)
+            at = i + np.nonzero(sign[:-1] * sign[1:] < 0)[0][::-1][:max_modes]  # highest first
+            if len(at) == max_modes:
+                break
+        if len(at):
+            roots = brentq_lanes(lambda x, _: residual(x, knot), grid[at], grid[at + 1], _XTOL)
+            return roots.tolist()
+    lam = residual.wavelength if knot is None else residual.wavelength[knot]
+    window = f"n_eff window ({lo:.6f}, {hi:.6f})"
+    raise NoGuidedMode(f"no {residual.pol} guided mode in {window} at {lam} nm")
+
+
 def solve_planar(
     n_top: float,
     layers,
@@ -264,15 +305,11 @@ def solve_planar(
     """Effective indices of the guided modes of an arbitrary planar profile.
 
     ``layers`` is a sequence of (index, thickness_nm) pairs between the two
-    semi-infinite outer media. Returns effective indices sorted descending;
-    with ``max_modes`` the search stops after that many roots counted from the
-    top of the window (its grid is scanned in blocks from the top down, and
-    no block below the one that holds them is evaluated). ``window``
-    overrides the default guided-index search window, ``_WINDOW_MARGIN``
-    inside max outer index and max layer index. Roots are bracketed on the
-    multiples of ``_GRID_STEP`` (1e-4; 1e-5 when that finds none) and
-    polished by Brent's method to ``_XTOL`` (1e-12). Every index and
-    thickness must be a finite number > 0; layer 0 is the top layer.
+    semi-infinite outer media; every index and thickness must be a finite
+    number > 0, and layer 0 is the top layer. Returns effective indices
+    sorted descending (the module's Roots); with ``max_modes`` the search
+    stops after that many roots counted from the top of the window, which
+    ``window`` narrows (``_guided_window``).
     """
     require(wavelength, POSITIVE, "wavelength")
     require(n_top, POSITIVE, "top index")
@@ -282,42 +319,9 @@ def solve_planar(
         (float(n), float(t)) if positive(n) and positive(t) else _refuse_layer(i, n, t)
         for i, (n, t) in enumerate(layers)
     ]
-    n_max_layer = max((n for n, _ in layers), default=0.0)
-    lo = max(n_top, n_bottom) + _WINDOW_MARGIN
-    hi = n_max_layer - _WINDOW_MARGIN
-    if window is not None:
-        lo, hi = max(lo, window[0]), min(hi, window[1])
-    if hi <= lo:
-        raise NonGuidingStack(
-            f"no guided window: outer indices ({n_top:.4f}, {n_bottom:.4f}) "
-            f"vs max layer index {n_max_layer:.4f}"
-        )
+    lo, hi = _guided_window(n_top, n_bottom, max((n for n, _ in layers), default=0.0), window)
     residual = _MatchedResidual(n_top, layers, n_bottom, wavelength, pol)
-
-    def roots_on_grid(step):
-        inner = np.arange(math.floor(lo / step), math.ceil(hi / step) + 1) * step
-        grid = np.concatenate(([lo], inner[(inner > lo) & (inner < hi)], [hi]))
-        # blocks from the top of the window down, until grid[i:] holds max_modes
-        # sign changes: those are the highest cells of the whole grid
-        signs = []
-        for i in reversed(range(0, grid.size, _BLOCK)):
-            signs.insert(0, np.sign(residual(grid[i : i + _BLOCK])))
-            sign = np.concatenate(signs)
-            at = i + np.nonzero(sign[:-1] * sign[1:] < 0)[0][::-1][:max_modes]  # highest first
-            if len(at) == max_modes:
-                break
-        return brentq_lanes(lambda x, _: residual(x), grid[at], grid[at + 1], _XTOL).tolist()
-
-    roots = roots_on_grid(_GRID_STEP)
-    if not roots:
-        # near-cutoff modes can hide between grid points; refine once
-        roots = roots_on_grid(_GRID_STEP / 10.0)
-    if not roots:
-        raise NoGuidedMode(
-            f"no {pol} guided mode in n_eff window ({lo:.6f}, {hi:.6f}) at "
-            f"{wavelength} nm"
-        )
-    return roots
+    return _roots_on_grid(residual, lo, hi, max_modes)
 
 
 # ---------------------------------------------------------------------------
@@ -453,15 +457,14 @@ class EffectiveIndexTable:
     """Cubic-spline table of the fundamental n_eff over a wavelength range.
 
     Knots sit on the multiples of ``TABLE_STEP_NM`` (2 nm) that cover the
-    range (at least four). Dispersion solves are exact at the knots (direct
-    root finding at every knot); between knots the spline reproduces direct
-    solves to well below 1e-9 for any smooth guided branch, which keeps
-    momentum residuals negligible while making sweeps cheap. Each knot's
-    root is the one the scan finds in the window +-``_CHAIN_HALF`` around the
-    previous knot's root (the full window when that finds none); the scan
-    grid is anchored to absolute n_eff values, so the narrowed and the full
-    window give the same root. The knots are solved together (``_solve``).
-    ``extend`` grows the table by solving only the knots it lacks.
+    range (at least four). The knots are exact roots; between them the
+    spline reproduces direct solves to well below 1e-9 for any smooth guided
+    branch. Each knot's root is the one the scan finds in the window
+    +-``_CHAIN_HALF`` around the previous knot's root (the full window when
+    that finds none); the scan grid is anchored to absolute n_eff values, so
+    both windows give the same root. ``_solve`` solves the knots together on
+    one residual, by the scan ``solve_planar`` runs; ``extend`` grows the
+    table by solving only the knots it lacks.
 
     The spline is the not-a-knot cubic through the knots (``_not_a_knot``).
     A wavelength is evaluated on the piece of the last knot at or below it
@@ -475,14 +478,13 @@ class EffectiveIndexTable:
     allocates no temporary and gives the float path's floats.
 
     The piece is found on the knot lattice, not by a search: it is
-    floor(lambda / ``TABLE_STEP_NM``) less the lattice number of the first
-    knot. After its pieces the table holds the last piece and the first once
-    more, for lattice numbers one past either end (within 1e-9 nm of it).
-    The knots are whole multiples of the step and the step is a power of
-    two, so lambda / step is exact and its floor is the number of the last
-    lattice point at or below lambda: the piece a search of the knots
-    (``searchsorted(side="right") - 1``, clipped) finds, at the knots and at
-    both range ends too.
+    floor(lambda / ``TABLE_STEP_NM``) less the first knot's lattice number;
+    after its pieces the table holds the last piece and the first once more,
+    for lattice numbers one past either end (within 1e-9 nm of it). The step
+    is a power of two and the knots whole multiples of it, so lambda / step
+    is exact and its floor numbers the last lattice point at or below lambda:
+    the piece ``searchsorted(side="right") - 1``, clipped, finds, at the
+    knots and at both range ends too.
     """
 
     def __init__(
@@ -512,8 +514,8 @@ class EffectiveIndexTable:
         j_hi = max(math.ceil(lambda_max / step - 1e-9), j_lo + 3)
         # knots held: step * (have_lo .. have_hi), an empty range at first
         have_lo, have_hi = (self._j_lo, self._j_hi) if self.knots_nm.size else (j_lo, j_lo - 1)
-        prev = self.knot_n_eff[-1] if self.knot_n_eff.size else None
-        below = self._solve(np.arange(j_lo, have_lo) * step, None)
+        prev = self.knot_n_eff[-1] if self.knot_n_eff.size else np.nan
+        below = self._solve(np.arange(j_lo, have_lo) * step, np.nan)
         above = self._solve(np.arange(have_hi + 1, j_hi + 1) * step, prev)
         self._j_lo, self._j_hi = min(j_lo, have_lo), max(j_hi, have_hi)
         self.knots_nm = np.arange(self._j_lo, self._j_hi + 1) * step
@@ -530,47 +532,48 @@ class EffectiveIndexTable:
     def _solve(self, lams, prev):
         """Fundamental n_eff at each of ``lams`` (ascending), each root chained
         from the root of the knot below (``prev`` below the first; the full
-        window when it is None), in a few array passes.
+        window when it is NaN), in a few array passes over one residual.
 
-        Anchors, every ``_ANCHOR_EVERY``-th knot and the last, are solved one
-        by one, each chained from the anchor below; linear interpolation
-        between them predicts every knot. One residual call scans the
-        ``2 _SCAN_HALF + 1`` multiples of ``_GRID_STEP`` nearest each
-        prediction, and the highest sign change of each knot is polished by
-        one lane-wise Brent. That bracket is the one the chained scan finds
-        when both of its ends lie inside the chained window (the root below
-        +-``_CHAIN_HALF``) and W has the same sign at its top end as at the
-        top of that window, which one more residual call checks. A knot that
-        fails a check, or whose scan shows no sign change, is solved by the
-        chained scan itself, as is every knot of a stack without one shared
-        run structure.
+        Anchors, every ``_ANCHOR_EVERY``-th knot and the last, take the
+        chained scan (``_roots_on_grid`` at their knot) one by one; linear
+        interpolation between them predicts every knot. One residual call
+        scans the ``2 _SCAN_HALF + 1`` multiples of ``_GRID_STEP`` nearest
+        each prediction, and one lane-wise Brent polishes each knot's highest
+        sign change: the chained scan's bracket when both its ends lie inside
+        the chained window (the root below +-``_CHAIN_HALF``) and W has the
+        same sign at its top end as at the window's top, which one more
+        residual call checks. Any other knot takes the chained scan, as does
+        every knot of a stack without one shared run structure, each on a
+        one-knot residual of its own.
         """
         neffs = np.empty(len(lams))
         if not len(lams):
             return neffs
         n_top, n_layers, n_bot, thickness = _profile_arrays(self.stack, lams, self.model)
+        n_core = n_layers.max(axis=0)
         pol = self.polarization
         residual = _MatchedResidual(n_top, list(zip(n_layers, thickness)), n_bot, lams, pol)
 
         def chained(i, prev):
-            layers = list(zip(n_layers[:, i].tolist(), thickness))
-            lam, nb = float(lams[i]), float(n_bot[i])
-            window = (prev - _CHAIN_HALF, prev + _CHAIN_HALF) if prev is not None else None
+            r, knot, profile = residual, i, (n_top, n_bot[i], n_core[i])
+            if not residual.uniform:  # the knot's own run structure
+                layers = list(zip(n_layers[:, i].tolist(), thickness))
+                r, knot = _MatchedResidual(n_top, layers, n_bot[i], lams[i], pol), None
             try:
-                return solve_planar(n_top, layers, nb, lam, pol, max_modes=1, window=window)[0]
-            except (NoGuidedMode, NonGuidingStack):
-                return solve_planar(n_top, layers, nb, lam, pol, max_modes=1)[0]
+                near = (prev - _CHAIN_HALF, prev + _CHAIN_HALF)
+                return _roots_on_grid(r, *_guided_window(*profile, near), 1, knot)[0]
+            except NoGuidedMode:  # a NonGuidingStack too
+                return _roots_on_grid(r, *_guided_window(*profile), 1, knot)[0]
 
         if not residual.uniform or len(lams) <= 2:  # two knots are both anchors
             for i in range(len(lams)):
                 prev = neffs[i] = chained(i, prev)
             return neffs
         anchors = sorted({*range(0, len(lams), _ANCHOR_EVERY), len(lams) - 1})
-        roots, at = [], prev
+        roots = [prev]
         for i in anchors:
-            at = chained(i, at)
-            roots.append(at)
-        guess = np.interp(lams, lams[anchors], roots)
+            roots.append(chained(i, roots[-1]))
+        guess = np.interp(lams, lams[anchors], roots[1:])
         knots = np.arange(len(lams))
         j = np.rint(guess / _GRID_STEP)[:, None] + np.arange(-_SCAN_HALF, _SCAN_HALF + 1)
         grid = j * _GRID_STEP
@@ -588,17 +591,14 @@ class EffectiveIndexTable:
             lambda x, lanes: residual(x, solved[lanes]), lo[solved], hi[solved], _XTOL
         )
         # the chained window of each knot, from the batch root below it
-        below = np.concatenate(([np.nan if prev is None else prev], root[:-1]))
-        w_lo = np.maximum(n_top, n_bot) + _WINDOW_MARGIN
-        w_hi = n_layers.max(axis=0) - _WINDOW_MARGIN
-        w_lo = np.where(np.isnan(below), w_lo, np.maximum(w_lo, below - _CHAIN_HALF))
-        w_hi = np.where(np.isnan(below), w_hi, np.minimum(w_hi, below + _CHAIN_HALF))
+        below = np.concatenate(([prev], root[:-1]))
+        near = (below - _CHAIN_HALF, below + _CHAIN_HALF)
+        w_lo, w_hi = _guided_window(n_top, n_bot, n_core, near)
         same_parity = np.sign(residual(w_hi, knots)) == sign[knots, top + 1]
         ok = found & (w_lo < lo) & (hi < w_hi) & same_parity
-        for i in range(len(lams)):
-            neighbour = prev if i == 0 else neffs[i - 1]
-            held = i == 0 or neighbour == below[i]
-            prev = neffs[i] = root[i] if ok[i] and held else chained(i, neighbour)
+        for i in range(len(lams)):  # prev: the knot below, as solved
+            held = i == 0 or prev == below[i]
+            prev = neffs[i] = root[i] if ok[i] and held else chained(i, prev)
         return neffs
 
     def _at(self, lam):

@@ -59,8 +59,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import materials
-from .errors import ANGLE, POLARIZATION, WINDOW, MissingRegion, MultipleResonances, require
-from .errors import MAX_SWEEP_POINTS, NoResonanceInWindow, SweepSizeError, TwinSourceError
+from .errors import ANGLE, NUMERIC, POLARIZATION, WINDOW, MissingRegion, MultipleResonances
+from .errors import MAX_SWEEP_POINTS, NoResonanceInWindow, SweepSizeError, TwinSourceError, require
 from .layers import TE, LayerStack, _composition_indices
 from .materials import DispersionModel
 from .roots import brentq_lanes
@@ -416,7 +416,10 @@ def stack_response(
     wavelength array (array fields)."""
     require(theta_deg, ANGLE, "incidence angle")
     plan, tree = s._plan, _tree(s)
-    lam = wavelength if isinstance(wavelength, float) else np.asarray(wavelength, dtype=float)
+    if isinstance(wavelength, float):
+        lam = wavelength
+    else:
+        lam = np.asarray(require(wavelength, NUMERIC, "wavelength"), dtype=float)
     if isinstance(lam, float) or lam.ndim == 0:
         lam, m = float(lam), model or materials.DEFAULT_MODEL
         n_x = [m.evaluate(x, lam) for x in plan.xs]

@@ -13,6 +13,7 @@ from twinsource.materials import (
     get_model,
     refractive_index,
 )
+from twinsource.stack import stack_response
 
 # frozen against a symbolic evaluation of the shipped formula (sympy, 20 digits)
 ORACLE_N = {
@@ -273,6 +274,25 @@ def test_a_fraction_that_is_no_real_scalar_is_refused(fraction):
     ):
         with pytest.raises(ValueError, match="^aluminum fraction must be a real number"):
             call()
+
+
+@pytest.mark.parametrize(
+    "wavelength",
+    ["760.3", b"760.3", np.str_("760.3"), np.array(["760.3", "770"]), ["760.3"], [760.3, "770"]],
+    ids=["str", "bytes", "numpy_str", "string_array", "string_list", "mixed_list"],
+)
+@pytest.mark.parametrize("call", ["evaluate", "evaluate_complex", "stack_response"])
+def test_a_wavelength_given_as_text_is_refused(paper_stack, call, wavelength):
+    # float() and numpy read text as a number: each call used to answer as
+    # if given 760.3 nm, while a fraction given as text was refused
+    model = get_model()
+    run = {
+        "evaluate": lambda: model.evaluate(0.3, wavelength),
+        "evaluate_complex": lambda: model.evaluate_complex(0.3, wavelength),
+        "stack_response": lambda: stack_response(paper_stack, wavelength),
+    }[call]
+    with pytest.raises(ValueError, match=r"^wavelength must be a number or an array of numbers"):
+        run()
 
 
 def test_a_fraction_outside_the_composition_window_is_refused():

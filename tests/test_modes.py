@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import carry_loop, planar_modes_topdown, slab_modes
+from test_stack import _draw_stacks
 from twinsource import modes
 from twinsource.errors import NoGuidedMode, NonGuidingStack, OutOfValidityWindow
 from twinsource.layers import TE, TM, Layer, LayerStack
@@ -261,18 +262,78 @@ def test_knot_roots_do_not_depend_on_their_batch(paper_stack, pol):
 
 def test_table_falls_back_to_per_knot_solves(paper_stack, monkeypatch):
     # a prediction 100 grid steps above every root leaves no sign change in
-    # the narrow scans, so every knot takes the chained per-knot solve and
-    # lands on the same floats
+    # the narrow scans, so every knot takes the chained scan at its knot of
+    # the table's residual and lands on the same floats
     want = EffectiveIndexTable(paper_stack, TE, 1500.0, 1560.0).knot_n_eff
-    real_interp, calls = np.interp, []
+    real_interp, real_scan, knots, residuals = np.interp, modes._roots_on_grid, [], set()
     monkeypatch.setattr(np, "interp", lambda *args: real_interp(*args) + 0.01)
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return solve_planar(*args, **kwargs)
 
-    monkeypatch.setattr(modes, "solve_planar", counted)
+    def counted(residual, lo, hi, max_modes, knot=None):
+        knots.append(knot)
+        residuals.add(id(residual))
+        return real_scan(residual, lo, hi, max_modes, knot)
+
+    monkeypatch.setattr(modes, "_roots_on_grid", counted)
     assert np.array_equal(EffectiveIndexTable(paper_stack, TE, 1500.0, 1560.0).knot_n_eff, want)
-    assert len(calls) == 2 + 31  # two anchors, then every knot on its own
+    assert knots == [0, 30, *range(31)]  # two anchors, then every knot on its own
+    assert len(residuals) == 1  # all on the table's one residual
+
+
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_knots_without_a_shared_run_structure_take_their_own_residuals(
+    paper_stack, pol, monkeypatch
+):
+    # a table whose residual is flagged not uniform searches each knot on a
+    # one-knot residual built from its own column, and lands on the floats
+    # of solve_planar's per-knot solves
+    lams = 2.0 * np.arange(750, 781)
+    want = _chained_knots(paper_stack, pol, lams)
+    sizes = []
+
+    class Split(modes._MatchedResidual):
+        def __init__(self, *args):
+            super().__init__(*args)
+            sizes.append(np.size(args[3]))
+            self.uniform = False
+
+    monkeypatch.setattr(modes, "_MatchedResidual", Split)
+    table = EffectiveIndexTable(paper_stack, pol, 1500.0, 1560.0)
+    assert np.array_equal(table.knots_nm, lams)
+    assert np.array_equal(table.knot_n_eff, want)
+    assert sizes == [31] + [1] * 31  # the batch, then one residual per knot
+
+
+@pytest.mark.dispatch
+def test_drawn_designs_table_knots_are_the_per_knot_solves():
+    """Dispatch: a batch's length decides which knots a SIMD main or remainder loop solves."""
+    # 20 cavity-scan designs (16-20 top, 39-43 bottom periods, 755-765 nm)
+    for s, _ in _draw_stacks():
+        for pol in (TE, TM):
+            table = EffectiveIndexTable(s, pol, 1500.0, 1560.0)
+            assert np.array_equal(table.knot_n_eff, _chained_knots(s, pol, table.knots_nm))
+
+
+@pytest.mark.dispatch
+@pytest.mark.parametrize("lam", [1330.0, 1520.0, 1710.0])
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_max_modes_gives_the_highest_roots_of_the_full_search(paper_stack, pol, lam, monkeypatch):
+    """Dispatch: the early stop scans fewer grid blocks and polishes fewer brackets together."""
+    n_top, layers, n_bot = next(modes._planar_profiles(paper_stack, lam, None))
+    points, real_call = [], modes._MatchedResidual.__call__
+
+    def counted(self, neff, knots=None):
+        points.append(np.size(neff))
+        return real_call(self, neff, knots)
+
+    monkeypatch.setattr(modes._MatchedResidual, "__call__", counted)
+    full = solve_planar(n_top, layers, n_bot, lam, pol)
+    assert len(full) > 4
+    evaluated = sum(points)
+    for k in (1, 2, 4):
+        points.clear()
+        assert solve_planar(n_top, layers, n_bot, lam, pol, max_modes=k) == full[:k]
+        if k == 1:  # no grid block below the fundamental's is scanned
+            assert sum(points) < evaluated
 
 
 def test_a_prediction_on_the_next_mode_is_caught(paper_stack, monkeypatch):
