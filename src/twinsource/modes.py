@@ -70,7 +70,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import materials
-from .errors import POLARIZATION, POSITIVE, WINDOW, NoGuidedMode, NonGuidingStack, require
+from .errors import NUMERIC, POLARIZATION, POSITIVE, WINDOW, NoGuidedMode, NonGuidingStack, require
 from .layers import TE, TM, LayerStack, layer_indices
 from .materials import DispersionModel
 from .roots import brentq_lanes
@@ -605,7 +605,7 @@ class EffectiveIndexTable:
         """(c0, c1, c2, c3, t), fresh arrays (at least 1-d): the coefficients
         of the piece holding each wavelength of ``lam`` and its offset t from
         the piece's knot."""
-        q = np.atleast_1d(np.asarray(lam, dtype=float))
+        q = np.atleast_1d(np.asarray(require(lam, NUMERIC, "wavelength"), dtype=float))
         if np.all((self._lo <= q) & (q <= self._hi)):  # NaN fails this
             x = q / TABLE_STEP_NM
             i = np.floor(x, out=x).astype(np.intp)

@@ -37,8 +37,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ANGLE, POSITIVE, NoSolutionInWindow, OutOfValidityWindow, TwinSourceError
-from .errors import record, require
+from .errors import ANGLE, NUMERIC, POSITIVE, NoSolutionInWindow, OutOfValidityWindow
+from .errors import TwinSourceError, record, require
 from .layers import TE, TM, LayerStack
 from .materials import DEFAULT_MODEL
 from .modes import EffectiveIndexTable
@@ -112,8 +112,8 @@ def _mismatch(kp_sin, lam_s, n_s, lam_i, n_i):
 def conjugate_wavelength(lambda_p: float, lambda_s):
     """Idler wavelength paired with lambda_s by energy conservation.
 
-    Raises ValueError for a signal wavelength that is not positive (NaN
-    included) or that carries more energy than the pump, in either form.
+    Raises ValueError for a signal wavelength given as text, not positive
+    (NaN included) or carrying more energy than the pump, in either form.
     """
     if type(lambda_s) is float:  # in plain floats
         if not lambda_s > 0:  # NaN fails the comparison
@@ -122,7 +122,7 @@ def conjugate_wavelength(lambda_p: float, lambda_s):
         if not inv > 0:
             raise ValueError(f"signal {lambda_s} nm carries more energy than the pump")
         return 1.0 / inv
-    lam = np.asarray(lambda_s, dtype=float)
+    lam = np.asarray(require(lambda_s, NUMERIC, "signal wavelength"), dtype=float)
     if not np.all(lam > 0):
         raise ValueError(f"signal wavelength {lambda_s} nm is not positive")
     inv = 1.0 / lambda_p - 1.0 / lam
@@ -160,7 +160,7 @@ class PhaseMatcher:
         """The ``pol`` table, grown to cover ``wavelength`` (a float or an array)."""
         if type(wavelength) is float:
             return self._ensure(pol, wavelength, wavelength)
-        lam = np.asarray(wavelength, dtype=float)
+        lam = np.asarray(require(wavelength, NUMERIC, "wavelength"), dtype=float)
         return self._ensure(pol, float(lam.min()), float(lam.max()))
 
     def n_eff(self, pol: str, wavelength):
@@ -191,7 +191,9 @@ class PhaseMatcher:
         """
         require(lambda_p, POSITIVE, "pump wavelength")
         require(theta_deg, ANGLE, "pump angle")
-        lam_s = lambda_s if type(lambda_s) is float else np.asarray(lambda_s, dtype=float)
+        lam_s = lambda_s
+        if type(lambda_s) is not float:
+            lam_s = np.asarray(require(lambda_s, NUMERIC, "signal wavelength"), dtype=float)
         lam_i = conjugate_wavelength(lambda_p, lam_s)
         dk = _mismatch(
             _kp_sin(theta_deg, lambda_p),

@@ -265,38 +265,6 @@ def _char_matrix(n_list, t_list, n0_sin, wavelength, pol, tree=None):
     return m.reshape(4, -1, n_lam)[:, tree.root]
 
 
-def _char_matrix_floats(n_list, t_list, n0_sin, wavelength, pol, tree):
-    """``_char_matrix`` at one wavelength in plain floats, the same floats.
-
-    Returns the root of the product tree as (m00, p01, q10, m11), the matrix
-    [[m00, i p01], [i q10, m11]], from the tree's compiled ``_program``, or
-    None when the tree has no program or a leaf does not propagate (an index
-    that is not a float, or n0 sin(theta) >= n) or its phase d is not finite,
-    since only a propagating lossless leaf, [[cos d, -i sin d / eta],
-    [-i eta sin d, cos d]], has that form.
-    """
-    if tree.program is None:
-        return None
-    k0, n0_sin = 2.0 * math.pi / wavelength, float(n0_sin)
-    least, te, nodes = abs(n0_sin), pol == TE, []
-    for n, t in zip(n_list, t_list):
-        if not (isinstance(n, float) and n > least):
-            return None
-        q = n0_sin / n
-        cos2 = 1.0 - q * q
-        if not cos2 > 0.0:
-            return None
-        ct = math.sqrt(cos2)
-        eta = n * ct if te else n * (1.0 / ct)
-        d = k0 * n * ct * t
-        if not math.isfinite(d):
-            return None
-        c, s = math.cos(d), math.sin(d)
-        nodes.append((c, -(s * (1.0 / eta)), -(eta * s), c))
-    nodes.append((1.0, 0.0, 0.0, 1.0))
-    return tree.program(nodes)
-
-
 def _quotient(ar, ai, br, bi):
     """(ar + i ai) / (br + i bi) in floats as numpy divides: Smith's method,
     multiplying by the reciprocal of the scaled denominator."""
@@ -318,22 +286,37 @@ def _incidence(n0, theta_deg, pol):
 
 def _response_floats(n_list, t_list, n0_sin, eta0, eta_sub, wavelength, pol, tree):
     """``raw_response`` at one wavelength in plain floats, the same floats as
-    its array step, or None where that step must run: a leaf that does not
-    propagate, an ambient admittance that is not a real scalar, a zero
-    denominator.
+    its array step, or None where that step must run: no ``_program``, a leaf
+    that does not propagate (an index that is not a float, or n0 sin(theta)
+    >= n) or whose phase d is not finite, ambient terms that are not float and
+    complex scalars or an eta0 that is not real, a zero denominator.
 
+    Only a propagating lossless leaf, [[cos d, -i sin d / eta], [-i eta sin d,
+    cos d]], is a program node (m00, p01, q10, m11), the matrix [[m00, i p01],
+    [i q10, m11]]; its |n0 sin(theta) / n| <= 1 - 2^-53, so cos^2 >= 2^-52.
     Every complex product of the array step has a zero term (the real part of
     m01 and m10, the imaginary part of m00, m11 and eta0), so a fused
     multiply-add in numpy's loops gives the unfused product of these floats.
     """
-    if not (isinstance(n0_sin, float) and isinstance(eta_sub, complex)):
+    if tree.program is None or not (isinstance(n0_sin, float) and isinstance(eta_sub, complex)):
         return None
     if not (isinstance(eta0, complex) and eta0.imag == 0.0):
         return None
-    m = _char_matrix_floats(n_list, t_list, n0_sin, wavelength, pol, tree)
-    if m is None:
-        return None
-    a, p, q, d = m
+    k0, n0_sin = 2.0 * math.pi / wavelength, float(n0_sin)
+    least, te, nodes = abs(n0_sin), pol == TE, []
+    for n, t in zip(n_list, t_list):
+        if not (isinstance(n, float) and n > least):
+            return None
+        sin_t = n0_sin / n
+        ct = math.sqrt(1.0 - sin_t * sin_t)
+        eta = n * ct if te else n * (1.0 / ct)
+        d = k0 * n * ct * t
+        if not math.isfinite(d):
+            return None
+        c, s = math.cos(d), math.sin(d)
+        nodes.append((c, -(s * (1.0 / eta)), -(eta * s), c))
+    nodes.append((1.0, 0.0, 0.0, 1.0))
+    a, p, q, d = tree.program(nodes)
     e0, er, ei = float(eta0.real), float(eta_sub.real), float(eta_sub.imag)
     br, bi = a - p * ei, p * er
     cr, ci = d * er, q + d * ei
@@ -355,8 +338,8 @@ def raw_response(n0, n_list, t_list, n_sub, wavelength, theta_deg, pol, tree=Non
     scalars out, an array gives (W,) arrays. With a stack's product ``tree``,
     ``n_list`` and ``t_list`` are per leaf, as in ``_char_matrix``.
 
-    A float wavelength with a ``tree`` multiplies the tree in plain floats
-    (``_char_matrix_floats``), the same floats as the kernel; it falls back
+    A float wavelength with a ``tree`` takes one step in plain floats
+    (``_response_floats``), the same floats as the kernel; it falls back
     to the kernel ``_char_matrix`` when the tree has no float program (past
     ``_PROGRAM_PRODUCTS``), when a leaf does not propagate (an index that is
     not a float, or n0 sin(theta) >= n, as with a large ambient index at a
@@ -405,6 +388,14 @@ def substrate_index(s: LayerStack, wavelength, model: DispersionModel | None = N
     return materials.complex_refractive_index(s.substrate, wavelength, model)
 
 
+def _wavelength(wavelength):
+    """A float wavelength as it is; anything else, once ``errors.NUMERIC``
+    has refused text, as a float array."""
+    if isinstance(wavelength, float):
+        return wavelength
+    return np.asarray(require(wavelength, NUMERIC, "wavelength"), dtype=float)
+
+
 def stack_response(
     s: LayerStack,
     wavelength,
@@ -415,11 +406,7 @@ def stack_response(
     """Plane-wave response at one wavelength (scalar fields) or over a 1-D
     wavelength array (array fields)."""
     require(theta_deg, ANGLE, "incidence angle")
-    plan, tree = s._plan, _tree(s)
-    if isinstance(wavelength, float):
-        lam = wavelength
-    else:
-        lam = np.asarray(require(wavelength, NUMERIC, "wavelength"), dtype=float)
+    plan, tree, lam = s._plan, _tree(s), _wavelength(wavelength)
     if isinstance(lam, float) or lam.ndim == 0:
         lam, m = float(lam), model or materials.DEFAULT_MODEL
         n_x = [m.evaluate(x, lam) for x in plan.xs]
@@ -464,7 +451,7 @@ def _waves(s, lams, theta_deg, pol, model, layers):
     n_x = _composition_indices(s, lams, model)  # (X, W)
     n_leaf, t_leaf = n_x[plan.leaf_index].T, plan.leaf_thickness  # (W, U), (U,)
     n_sub = substrate_index(s, lams, model)
-    n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
+    n0_sin, _ = _incidence(s.ambient_index, theta_deg, pol)
     below = _tree(s, plan.leaf[layers.indices(len(plan.leaf))[1] :])
     r, t, *_ = raw_response(s.ambient_index, n_leaf, t_leaf, n_sub, lams, theta_deg, pol, _tree(s))
     m00, m01, m10, m11 = _char_matrix(n_leaf, t_leaf, n0_sin, lams, pol, below)
@@ -503,7 +490,7 @@ def field_profile(
     nm), is sampled at ``_POINTS_PER_LAYER`` (12) points including both of
     its boundaries.
     """
-    lam = np.array([wavelength], dtype=float)
+    lam = np.reshape(_wavelength(wavelength), 1)
     a, b, kz, r, t, kz_sub = _waves(s, lam, theta_deg, pol, model, slice(0, None))
     t_list = s._plan.thickness
     tops = np.cumsum(np.r_[0.0, t_list])  # the last is the substrate's
@@ -511,7 +498,7 @@ def field_profile(
     x_amb = np.linspace(-_PAD_NM, 0.0, _POINTS_PER_LAYER)
     x_sub = np.linspace(0.0, _PAD_NM, _POINTS_PER_LAYER)
     n0 = s.ambient_index
-    kz0 = 2.0 * math.pi / wavelength * n0 * _cos_theta(n0, n0 * math.sin(math.radians(theta_deg)))
+    kz0 = 2.0 * math.pi / lam[0] * n0 * _cos_theta(n0, _incidence(n0, theta_deg, pol)[0])
     return FieldProfile(
         depth_nm=np.concatenate([x_amb, (tops[:-1, None] + x).ravel(), tops[-1] + x_sub]),
         amplitude=np.concatenate(
@@ -542,7 +529,7 @@ def core_intensity(
     sampled at ``_POINTS_PER_LAYER`` points per layer.
     """
     core = _region_slice(s, "core")
-    lams = np.reshape(np.asarray(wavelength, dtype=float), -1)
+    lams = np.reshape(_wavelength(wavelength), -1)
     a, b, kz = (w[:, :, None] for w in _waves(s, lams, theta_deg, pol, model, core)[:3])
     x = np.linspace(0.0, s._plan.thickness[core], _POINTS_PER_LAYER, axis=1)[:, None, :]
     peak = np.max(np.abs(_layer_field(a, b, kz, x)) ** 2, axis=(0, 2))
@@ -613,7 +600,7 @@ def _cavity(s, wavelength, theta_deg, pol, model):
     k0 = 2.0 * math.pi / wavelength
     plan = s._plan
     n_x = _composition_indices(s, wavelength, model)
-    n0_sin = s.ambient_index * math.sin(math.radians(theta_deg))
+    n0_sin, _ = _incidence(s.ambient_index, theta_deg, pol)
     n_core, t_core = n_x[plan.index[core]], plan.thickness[core]
     opl = sum(n_core * t_core * _cos_theta(n_core, n0_sin).real)
     n_mean = sum(n_core * t_core) / sum(t_core)

@@ -1164,6 +1164,38 @@ def _edge_run(argv, out):
     return code
 
 
+def _edge_sets(pairs):
+    """One ``section=<json>`` assignment per section: the default config with
+    each (leaf path, value) of ``pairs`` set."""
+    doc = copy.deepcopy(DEFAULT_CONFIG)
+    for path, value in pairs:
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    sections = dict.fromkeys(path[0] for path, _ in pairs)
+    return [f"{section}={json.dumps(doc[section])}" for section in sections]
+
+
+def _accepted(pairs):
+    try:
+        check_config(apply_overrides(default_config(), _edge_sets(pairs)))
+    except ConfigError:
+        return False
+    return True
+
+
+def _edge_check(pairs, out):
+    """Run every command that reads a section of ``pairs`` with them set; a refused
+    config fails every command the same way, before it runs, so it runs one."""
+    flags = [arg for item in _edge_sets(pairs) for arg in ("--set", item)]
+    commands = list(dict.fromkeys(c for path, _ in pairs for c in _EDGE_COMMANDS[path[0]]))
+    for command in commands if _accepted(pairs) else commands[:1]:
+        code = _edge_run([*command.split(), *flags], out)
+        if command == "hom simulate" and code == EXIT_OK:
+            _edge_run(["hom", "fit", "--scan", str(out / "hom_scan.csv"), *flags], out)
+
+
 def test_the_edge_sweep_covers_every_numeric_leaf():
     assert len(_EDGE_LEAVES) == 53
 
@@ -1172,24 +1204,41 @@ def test_the_edge_sweep_covers_every_numeric_leaf():
     "path", _EDGE_LEAVES, ids=[".".join(map(str, path)) for path in _EDGE_LEAVES]
 )
 def test_every_numeric_leaf_at_each_edge_value_keeps_the_exit_contract(tmp_path, path):
-    section = path[0]
     for value in _EDGE_VALUES:
-        doc = copy.deepcopy(DEFAULT_CONFIG)
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        assignment = f"{section}={json.dumps(doc[section])}"
-        commands = _EDGE_COMMANDS[section]
-        try:  # a refused config fails every command the same way, before it runs
-            check_config(apply_overrides(default_config(), [assignment]))
-        except ConfigError:
-            commands = commands[:1]
-        for command in commands:
-            code = _edge_run([*command.split(), "--set", assignment], tmp_path)
-            if command == "hom simulate" and code == EXIT_OK:
-                scan = str(tmp_path / "hom_scan.csv")
-                _edge_run(["hom", "fit", "--scan", scan, "--set", assignment], tmp_path)
+        _edge_check([(path, value)], tmp_path)
+
+
+def _edge_combinations(count, seed=7):
+    """A fixed list of ``count`` combinations of 2 to 4 leaves, each at an edge
+    value the config accepts for it alone, the first two values that overflowed
+    together in ``hom.simulate_scan``."""
+    accepted = {}
+    for path in _EDGE_LEAVES:
+        values = [value for value in _EDGE_VALUES if _accepted([(path, value)])]
+        if values:
+            accepted[path] = values
+    leaves = list(accepted)
+    rng = np.random.default_rng(seed)
+    combinations = [((("detection", "pulse_rate_hz"), 1e15), (("hom", "dwell_s"), 1e300))]
+    while len(combinations) < count:
+        chosen = sorted(rng.choice(len(leaves), int(rng.integers(2, 5)), replace=False))
+        values = (accepted[leaves[i]] for i in chosen)
+        combinations.append(tuple((leaves[i], v[rng.integers(len(v))]) for i, v in zip(chosen, values)))
+    return combinations
+
+
+_EDGE_COMBINATIONS = _edge_combinations(60)
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    _EDGE_COMBINATIONS,
+    ids=["+".join(f"{'.'.join(map(str, p))}={v}" for p, v in pairs) for pairs in _EDGE_COMBINATIONS],
+)
+def test_accepted_edge_values_together_keep_the_exit_contract(tmp_path, pairs):
+    # each value alone passes the one-key sweep; two of them used to overflow
+    # together (a RuntimeWarning, then exit 2 with numpy's wording)
+    _edge_check(pairs, tmp_path)
 
 
 # --- arbitrary values through the config check itself ------------------------------

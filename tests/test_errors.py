@@ -12,7 +12,8 @@ import pytest
 
 import twinsource
 from twinsource.efficiency import CavityParams, DetectionChain, PumpPulse
-from twinsource.errors import MAX_SWEEP_POINTS, POSITIVE, WINDOW, ConfigError, SweepSizeError
+from twinsource.errors import MAX_SWEEP_POINTS, NUMERIC, POSITIVE, WINDOW, ConfigError
+from twinsource.errors import SweepSizeError
 from twinsource.errors import TwinSourceError, number, require, sweep
 from twinsource.hom import DipModel
 from twinsource.layers import Layer, LayerStack
@@ -58,6 +59,22 @@ def test_require_returns_the_value_or_raises_the_callers_error():
         require(-1, POSITIVE, "x")
     with pytest.raises(ConfigError, match=r"^w must be two finite wavelengths lo < hi in nm"):
         require([780.0, 740.0], WINDOW, "w", ConfigError)
+
+
+@pytest.mark.parametrize(
+    "elements, refused",
+    [([760.0, "770"], True), ([760.0, b"770"], True), ([760.0, 770], False)],
+    ids=["str", "bytes", "numbers"],
+)
+def test_numeric_reads_an_object_array_element_by_element(elements, refused):
+    # an object array's dtype says nothing of text: each element is looked at
+    value = np.array(elements, dtype=object)
+    if not refused:
+        assert require(value, NUMERIC, "wavelength") is value
+        return
+    message = r"^wavelength must be a number or an array of numbers, got array\(\[760\.0, b?'770'\]"
+    with pytest.raises(ValueError, match=message):
+        require(value, NUMERIC, "wavelength")
 
 
 def test_only_errors_words_a_rule():

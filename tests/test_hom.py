@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from twinsource import hom
+from twinsource import hom, roots
 from twinsource.efficiency import DetectionChain, expected_counts
 from twinsource.errors import DegenerateScan, NoConvergence
 from twinsource.hom import (
@@ -394,6 +394,25 @@ def test_fit_raises_when_the_width_bracket_holds_no_minimum(monkeypatch):
         fit_dip(_calibration_scan(0.53, 7), 1520.0)
 
 
+@pytest.mark.parametrize(
+    "brent, why",
+    [
+        (lambda f, a, b, xtol: roots.brentq(f, a, b, xtol, maxiter=1), "Failed to converge after 1 "),
+        (
+            lambda f, a, b, xtol: roots.brentq(lambda x: f(x) if x in (a, b) else math.nan, a, b, xtol),
+            "The function value at x=",
+        ),
+    ],
+    ids=["iterations", "nan"],
+)
+def test_a_width_search_brent_gives_up_on_is_no_convergence(monkeypatch, brent, why):
+    # Brent's own RuntimeError (maxiter) and ValueError (a NaN slope) become
+    # NoConvergence, with Brent's reason after the fit's
+    monkeypatch.setattr(hom, "brentq", brent)
+    with pytest.raises(NoConvergence, match=f"^no chi\\^2 minimum in the width: {why}"):
+        fit_dip(_calibration_scan(0.53, 7), 1520.0)
+
+
 def test_flat_scan_raises_degenerate():
     chain = DetectionChain()
     scan = simulate_scan(DipModel(0.0, 1520.0, 0.53), chain, POSITIONS, 60.0, seed=2)
@@ -411,6 +430,14 @@ def test_narrow_span_rejected():
     positions = np.linspace(-0.4, 0.4, 15)  # well inside one dip width
     scan = _noiseless_scan(PAPER_MODEL, DetectionChain(), positions, 1e6)
     with pytest.raises(DegenerateScan):
+        fit_dip(scan, 1520.0)
+
+
+def test_a_scan_of_one_flank_is_narrower_than_the_dip():
+    # 8 points on one flank, 1.4-2.0 mm from the centre: enough baseline
+    # points and a resolved slope, but a span of 0.6 mm under the 1.92 mm FWHM
+    scan = _noiseless_scan(PAPER_MODEL, DetectionChain(), np.linspace(1.4, 2.0, 8), 1e5)
+    with pytest.raises(DegenerateScan, match="^scan span must cover at least one dip width$"):
         fit_dip(scan, 1520.0)
 
 

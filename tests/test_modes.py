@@ -47,6 +47,15 @@ def test_no_confinement_when_cladding_equals_core():
         solve_planar(3.2, [(3.2, 800.0)], 3.2, 1520.0, TE)
 
 
+@pytest.mark.parametrize("pol", [TE, TM])
+def test_a_core_too_thin_to_guide_holds_no_root_on_either_grid(pol):
+    # a 1 nm core of 3.5 over 3.4: the window is guided, but neither the
+    # 1e-4 grid nor its 1e-5 refinement holds a sign change
+    message = rf"^no {pol} guided mode in n_eff window \(3\.400001, 3\.499999\) at 1550\.0 nm$"
+    with pytest.raises(NoGuidedMode, match=message):
+        solve_planar(1.0, [(3.5, 1.0)], 3.4, 1550.0, pol)
+
+
 def test_reported_roots_satisfy_dispersion_relation(paper_stack):
     n_top, layers, n_bot = next(modes._planar_profiles(paper_stack, 1520.0, None))
     for pol in (TE, TM):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _oracles import solve_pair_through_delta_k
+from twinsource import phasematch
 from twinsource.errors import NoSolutionInWindow, OutOfValidityWindow
 from twinsource.layers import TE, TM
 from twinsource.modes import EffectiveIndexTable
@@ -298,6 +299,13 @@ def test_solve_pair_and_delta_k_name_an_angle_at_or_beyond_grazing(matcher, thet
         matcher.delta_k(1500.0, theta, 760.0, INTERACTION_1)
 
 
+def test_a_root_off_the_momentum_bound_is_refused(matcher, monkeypatch):
+    # a root left at the bracket's end misses |residual| <= MOMENTUM_RTOL k_p
+    monkeypatch.setattr(phasematch, "brentq", lambda f, lo, hi, **kwargs: lo)
+    with pytest.raises(NoSolutionInWindow, match=r"^root polish stalled: \|residual\| = \S+ rad/nm$"):
+        matcher.solve_pair(1.0, 760.0, INTERACTION_1)
+
+
 def test_delta_k_names_a_pump_that_is_not_finite_and_positive(matcher):
     # a NaN pump used to say "signal 1500.0 nm carries more energy than the pump"
     for lambda_p in (math.nan, 0.0, -760.0):
@@ -308,3 +316,33 @@ def test_delta_k_names_a_pump_that_is_not_finite_and_positive(matcher):
 def test_conjugate_wavelength_refuses_an_array_signal_above_the_pump_energy():
     with pytest.raises(ValueError, match="carries more energy than the pump"):
         conjugate_wavelength(760.0, np.array([1500.0, 700.0]))
+
+
+@pytest.fixture(scope="module")
+def te_table(paper_stack):
+    return EffectiveIndexTable(paper_stack, TE, 1500.0, 1540.0)
+
+
+@pytest.mark.parametrize(
+    "wavelength",
+    ["1520", b"1520", np.str_("1520"), np.array(["1520", "1530"]), [1520.0, "1530"]],
+    ids=["str", "bytes", "numpy_str", "string_array", "mixed_list"],
+)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda m, tab, lam: m.n_eff(TE, lam), "wavelength"),
+        (lambda m, tab, lam: m.n_group(TE, lam), "wavelength"),
+        (lambda m, tab, lam: tab.n_eff(lam), "wavelength"),
+        (lambda m, tab, lam: tab.n_group(lam), "wavelength"),
+        (lambda m, tab, lam: conjugate_wavelength(760.0, lam), "signal wavelength"),
+        (lambda m, tab, lam: m.delta_k(lam, 0.0, 760.0, INTERACTION_1), "signal wavelength"),
+    ],
+    ids=["matcher_n_eff", "matcher_n_group", "table_n_eff", "table_n_group", "conjugate", "delta_k"],
+)
+def test_a_wavelength_given_as_text_is_refused(matcher, te_table, call, name, wavelength):
+    # numpy reads text as a number: n_eff used to answer 3.1312774 at "1520",
+    # conjugate_wavelength 1520.0 and delta_k 1.27e-05, and n_group raised
+    # numpy's UFuncTypeError
+    with pytest.raises(ValueError, match=f"^{name} must be a number or an array of numbers, got "):
+        call(matcher, te_table, wavelength)

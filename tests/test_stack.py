@@ -855,6 +855,14 @@ def test_no_resonance_in_flat_window():
         find_resonance(mirror, (755.0, 765.0))
 
 
+def test_a_resonance_wider_than_its_window_is_refused():
+    # 6 and 10 mirror periods: the 2 nm window holds the one R dip, but the
+    # core intensity stays above half its peak over a window span either side
+    s = config.build_stack(_nominal_config(periods=(6, 4.5, 10)))
+    with pytest.raises(NoResonanceInWindow, match="^core resonance half-width exceeds the window$"):
+        find_resonance(s, (783.0, 785.0))
+
+
 def _series(rng, n):
     kind = rng.integers(3)
     if kind == 0:  # small alphabet: long plateaus, flat minima at the ends
