@@ -5,7 +5,9 @@ substrate, and builds its layer plan once (distinct compositions, each
 layer's index into them, thicknesses, and its leaves: the distinct
 (composition, thickness) pairs), so no caller loops over the layers; it keeps
 its layers and regions as tuples, so the plan cannot go stale. The optics
-(``stack``) and the mode solver (``modes``) both read the plan.
+(``stack``) and the mode solver (``modes``) both read the plan, and the
+indices of its distinct compositions come from one dispersion pass
+(``DispersionModel.evaluate_many``) per wavelength or wavelength array.
 
 All lengths in nanometres.
 """
@@ -124,7 +126,7 @@ def layer_indices(s: LayerStack, wavelength, model: DispersionModel | None = Non
 
 
 def _composition_indices(s, wavelength, model):
-    """Index of each distinct composition of the stack's layer plan: shape
-    (X,) at one wavelength, (X, W) over a 1-D array of W wavelengths."""
+    """Index of each distinct composition of the stack's layer plan (one pass):
+    shape (X,) at one wavelength, (X, W) over a 1-D array of W wavelengths."""
     m = model or materials.DEFAULT_MODEL
-    return np.array([m.evaluate(x, wavelength) for x in s._plan.xs])
+    return np.asarray(m.evaluate_many(s._plan.xs, wavelength))

@@ -21,9 +21,11 @@ with the exp(-i w t) time convention.
 A scalar wavelength is evaluated in plain ``math`` floats and an array in
 numpy, through one n^2 formula taking its square root as an argument (the same
 floats, ``==``, and the same errors); both read an Al fraction's E0, E0so,
-(E0/E0so)^1.5, A and B, computed once per model from read-only coefficients.
-A float fraction at a float wavelength, both inside their windows, takes no
-array-generic check (``_terms``); any other argument takes them all.
+(E0/E0so)^1.5, A and B, checked and computed once per model from read-only
+coefficients. ``evaluate_many`` evaluates several fractions in one pass: it
+checks the wavelength (a float in the window takes no array-generic check)
+and forms HC_EV_NM / lambda once, the first step of each fraction's chi, so
+each entry is the float ``evaluate``, its one-fraction case, gives.
 
 ``get_model`` looks a model up by name (the ``dispersion.model`` config key);
 a ``DispersionModel`` with other coefficients can be passed to any function
@@ -99,35 +101,40 @@ class DispersionModel(record("DispersionModel", "name coefficients wavelength_wi
         return self._constants(_fraction(x))[0]
 
     def _alloy(self, x: float):
-        """(E0, E0so, (E0/E0so)^1.5, A, B) at Al fraction x, kept per x and its type."""
+        """(E0, E0so, (E0/E0so)^1.5, A, B) at Al fraction x, refused outside
+        ``X_WINDOW``, kept per x and its type (so checked once)."""
+        xlo, xhi = X_WINDOW
+        if not (xlo <= x <= xhi):
+            raise OutOfValidityWindow(
+                f"composition x={x} outside model '{self.name}' window [{xlo}, {xhi}]"
+            )
         (c0, c1, c2), (s0, s1, s2) = self.coefficients["e0"], self.coefficients["e0_so"]
         (a0, a1), (b0, b1) = self.coefficients["a"], self.coefficients["b"]
         e0, e0_so = c0 + c1 * x + c2 * x * x, s0 + s1 * x + s2 * x * x
         return e0, e0_so, (e0 / e0_so) ** 1.5, a0 + a1 * x, b0 + b1 * x
 
-    def _terms(self, x: float, wavelength_nm):
-        """(scalar, chi terms): the wavelength checked (NaN is outside, text is
-        refused) as a float or a float array, and the fraction checked. A float
-        fraction at a float wavelength, both inside their windows, takes no
-        other check."""
-        (lo, hi), (xlo, xhi) = self.wavelength_window_nm, X_WINDOW
-        scalar, lam = True, wavelength_nm
-        if not (type(lam) is float and type(x) is float and lo <= lam <= hi and xlo <= x <= xhi):
-            require(wavelength_nm, NUMERIC, "wavelength")
-            scalar = isinstance(wavelength_nm, float) or np.isscalar(wavelength_nm)
-            lam = float(wavelength_nm) if scalar else np.asarray(wavelength_nm, dtype=float)
-            if not ((lo <= lam <= hi) if scalar else (np.all(lo <= lam) and np.all(lam <= hi))):
-                shown = f"{lam.min()}..{lam.max()}" if np.ndim(lam) else f"{wavelength_nm}"
-                raise OutOfValidityWindow(
-                    f"wavelength {shown} nm outside model '{self.name}' "
-                    f"window [{lo}, {hi}] nm"
-                )
-            if not (xlo <= _fraction(x) <= xhi):
-                raise OutOfValidityWindow(
-                    f"composition x={x} outside model '{self.name}' window [{xlo}, {xhi}]"
-                )
-        e0, e0_so, ratio, a, b = self._constants(x)
-        return scalar, (HC_EV_NM / lam / e0, HC_EV_NM / lam / e0_so, ratio, a, b)
+    def _energy(self, wavelength_nm):
+        """(scalar, HC_EV_NM / lambda): the wavelength checked (NaN is outside,
+        text is refused) as a float or a float array. A float inside the
+        window takes no other check."""
+        lo, hi = self.wavelength_window_nm
+        if type(wavelength_nm) is float and lo <= wavelength_nm <= hi:
+            return True, HC_EV_NM / wavelength_nm
+        require(wavelength_nm, NUMERIC, "wavelength")
+        scalar = isinstance(wavelength_nm, float) or np.isscalar(wavelength_nm)
+        lam = float(wavelength_nm) if scalar else np.asarray(wavelength_nm, dtype=float)
+        if not ((lo <= lam <= hi) if scalar else ((lo <= lam) & (lam <= hi)).all()):
+            shown = f"{lam.min()}..{lam.max()}" if np.ndim(lam) else f"{wavelength_nm}"
+            raise OutOfValidityWindow(
+                f"wavelength {shown} nm outside model '{self.name}' window [{lo}, {hi}] nm"
+            )
+        return scalar, HC_EV_NM / lam
+
+    def _terms(self, x: float, energy):
+        """The chi terms of fraction x at E = HC_EV_NM / lambda (``_energy``):
+        E / E0 is HC_EV_NM / lambda / E0 taken left to right, the same float."""
+        e0, e0_so, ratio, a, b = self._constants(x if type(x) is float else _fraction(x))
+        return energy / e0, energy / e0_so, ratio, a, b
 
     def _n_squared(self, chi_terms, sqrt, complex_root=None):
         """n^2 from the chi terms of a float (``sqrt`` is ``math.sqrt``) or of
@@ -151,21 +158,31 @@ class DispersionModel(record("DispersionModel", "name coefficients wavelength_wi
     def evaluate(self, x: float, wavelength_nm):
         """Real below-gap refractive index. Raises above the gap. A float for
         a scalar wavelength, an array for an array: the same floats (``==``)."""
-        scalar, terms = self._terms(x, wavelength_nm)
-        chi, chi_so = terms[:2]
-        above = (chi > NEAR_GAP_MARGIN) | (chi_so > NEAR_GAP_MARGIN)
-        if (above if scalar else above.any()):
-            raise AboveBandgap(
-                f"photon energy at or above {100 * NEAR_GAP_MARGIN:.1f}% of the "
-                f"Al(x={x}) gap energy: model '{self.name}' index is complex there"
-            )
-        sqrt = math.sqrt if scalar else np.sqrt
-        return sqrt(self._n_squared(terms, sqrt))
+        return self.evaluate_many((x,), wavelength_nm)[0]
+
+    def evaluate_many(self, xs, wavelength_nm):
+        """``evaluate`` at each fraction of ``xs`` in one pass: the wavelength
+        checked and HC_EV_NM / lambda formed once, then the fractions in xs
+        order (a refusal names the first that fails). A list of floats at a
+        scalar wavelength, an (X, W) array over W wavelengths."""
+        scalar, energy = self._energy(wavelength_nm)
+        sqrt, out = math.sqrt if scalar else np.sqrt, []
+        for x in xs:
+            terms = self._terms(x, energy)
+            above = (terms[0] > NEAR_GAP_MARGIN) | (terms[1] > NEAR_GAP_MARGIN)
+            if (above if scalar else above.any()):
+                raise AboveBandgap(
+                    f"photon energy at or above {100 * NEAR_GAP_MARGIN:.1f}% of the "
+                    f"Al(x={x}) gap energy: model '{self.name}' index is complex there"
+                )
+            out.append(sqrt(self._n_squared(terms, sqrt)))
+        return out if scalar else np.array(out)
 
     def evaluate_complex(self, x: float, wavelength_nm):
         """Complex index n + i*kappa, valid above the gap (kappa >= 0). A
         complex for a scalar wavelength, an array for an array (``==``)."""
-        scalar, terms = self._terms(x, wavelength_nm)
+        scalar, energy = self._energy(wavelength_nm)
+        terms = self._terms(x, energy)
         if scalar:
             n = cmath.sqrt(self._n_squared(terms, math.sqrt, _complex_root))
             return n.conjugate() if n.imag < 0 else n

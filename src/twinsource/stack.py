@@ -388,12 +388,18 @@ def substrate_index(s: LayerStack, wavelength, model: DispersionModel | None = N
     return materials.complex_refractive_index(s.substrate, wavelength, model)
 
 
-def _wavelength(wavelength):
+def _wavelength(wavelength, one=False):
     """A float wavelength as it is; anything else, once ``errors.NUMERIC``
-    has refused text, as a float array."""
+    has refused text, as a float array of one number or a non-empty 1-D
+    array, of one element if ``one``. Any other shape is a ValueError naming
+    the wavelength."""
     if isinstance(wavelength, float):
         return wavelength
-    return np.asarray(require(wavelength, NUMERIC, "wavelength"), dtype=float)
+    lam = np.asarray(require(wavelength, NUMERIC, "wavelength"), dtype=float)
+    if lam.ndim > 1 or not (lam.size == 1 if one else lam.size):
+        shape = "a single value" if one else "one number or a non-empty 1-D array of numbers"
+        raise ValueError(f"wavelength must be {shape}, got {wavelength!r}")
+    return lam
 
 
 def stack_response(
@@ -406,10 +412,10 @@ def stack_response(
     """Plane-wave response at one wavelength (scalar fields) or over a 1-D
     wavelength array (array fields)."""
     require(theta_deg, ANGLE, "incidence angle")
-    plan, tree, lam = s._plan, _tree(s), _wavelength(wavelength)
+    plan, lam, tree = s._plan, _wavelength(wavelength), _tree(s)
     if isinstance(lam, float) or lam.ndim == 0:
         lam, m = float(lam), model or materials.DEFAULT_MODEL
-        n_x = [m.evaluate(x, lam) for x in plan.xs]
+        n_x = m.evaluate_many(plan.xs, lam)
         n_leaf = [n_x[i] for i in plan.leaf_index.tolist()]
     else:
         block = max(1, _BLOCK // tree.widest)
@@ -490,7 +496,7 @@ def field_profile(
     nm), is sampled at ``_POINTS_PER_LAYER`` (12) points including both of
     its boundaries.
     """
-    lam = np.reshape(_wavelength(wavelength), 1)
+    lam = np.reshape(_wavelength(wavelength, one=True), 1)
     a, b, kz, r, t, kz_sub = _waves(s, lam, theta_deg, pol, model, slice(0, None))
     t_list = s._plan.thickness
     tops = np.cumsum(np.r_[0.0, t_list])  # the last is the substrate's

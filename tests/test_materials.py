@@ -91,6 +91,87 @@ def test_float_complex_index_equals_the_array_index_on_a_dense_grid(x):
     assert any(v.imag > 0 for v in got)  # the absorbing branch is on the grid
 
 
+# the nominal stack's fractions (its layer plan's xs), then GaAs, AlAs, an int
+# and a float32; GaAs is complex at the pump, so it stands where it is refused
+_PASS_FRACTIONS = (0.9, 0.35, 0.25, 0.8, 0.0, 1.0, 1, np.float32(0.35))
+_PUMP_FRACTIONS = tuple(x for x in _PASS_FRACTIONS if x != 0.0)
+
+
+def _the_loop(model):
+    """The per-fraction loop the pass replaces."""
+    return lambda xs, lam: [model.evaluate(x, lam) for x in xs]
+
+
+@pytest.mark.dispatch
+def test_the_pass_at_a_float_wavelength_equals_evaluate():
+    """Dispatch: each entry is evaluate's float and the formula's, whichever loop numpy dispatches."""
+    model = get_model()
+    refused = 0
+    for lam in np.linspace(740.0, 4000.0, 1000).tolist():
+        for xs in (_PASS_FRACTIONS, _PUMP_FRACTIONS):
+            kind, got = _outcome(model.evaluate_many, xs, lam)
+            assert (kind, got) == _outcome(_the_loop(model), xs, lam), (xs, lam)
+            if kind is AboveBandgap:  # GaAs below its gap wavelength
+                assert "Al(x=0.0)" in got
+                refused += 1
+                continue
+            assert kind is list and all(type(v) is float for v in got)
+            for x, v in zip(xs, got):
+                if type(x) is not np.float32:  # a float32 chi is a float32 at a float wavelength
+                    assert v == adachi_index(model, x, lam), (x, lam)
+    assert 0 < refused < 1000
+
+
+@pytest.mark.dispatch
+@pytest.mark.parametrize("n", [1, 2, 4, 16, 191, 801])
+def test_the_pass_over_an_array_equals_evaluate_and_the_formula(paper_stack, n):
+    """Dispatch: a row of the (X, W) pass is evaluate's array and the formula's, at any length."""
+    assert _PASS_FRACTIONS[:4] == paper_stack._plan.xs
+    model = get_model()
+    for xs, lam in (
+        (_PASS_FRACTIONS, np.linspace(1330.0, 1710.0, n)),
+        (_PUMP_FRACTIONS, np.linspace(740.0, 780.0, n)),
+    ):
+        got = model.evaluate_many(xs, lam)
+        assert isinstance(got, np.ndarray) and got.shape == (len(xs), n) and got.dtype == float
+        for x, row in zip(xs, got):
+            assert np.array_equal(row, model.evaluate(x, lam))
+            assert np.array_equal(row, adachi_index(model, x, lam))
+
+
+@pytest.mark.parametrize(
+    "lam",
+    [
+        5000.0,
+        np.array([760.0, 5000.0]),
+        float("nan"),
+        np.array([760.0, float("nan")]),
+        "760.3",
+        ["760.3"],
+        760.0,
+        np.array([900.0, 760.0]),
+        np.float64(760.0),
+    ],
+    ids=["outside", "outside_array", "nan", "nan_array", "text", "text_list", "above_gap",
+         "above_gap_array", "above_gap_numpy_float"],
+)
+def test_the_pass_refuses_as_the_loop_does(lam):
+    # GaAs, the second fraction, is above its gap at 760 nm: the pass names it,
+    # not the fraction out of the window after it, as the loop did
+    model = get_model()
+    xs = (0.9, 0.0, 1.5)
+    kind, message = _outcome(model.evaluate_many, xs, lam)
+    assert (kind, message) == _outcome(_the_loop(model), xs, lam)
+    if kind is AboveBandgap:
+        assert "Al(x=0.0) gap" in message
+    else:
+        assert kind in (OutOfValidityWindow, ValueError) and message.startswith("wavelength ")
+    # the fraction out of the window, first in xs, is named before any gap
+    assert _outcome(model.evaluate_many, (1.5, 0.0), 760.0) == (
+        OutOfValidityWindow, "composition x=1.5 outside model 'adachi1985' window [0.0, 1.0]"
+    )
+
+
 @pytest.mark.parametrize("key", sorted(ORACLE_N))
 def test_index_matches_symbolic_oracle(key):
     x, lam = key
@@ -313,6 +394,11 @@ def test_a_fraction_outside_the_composition_window_is_refused():
 
     with pytest.raises(OutOfValidityWindow, match=r"^composition x=1.5 outside model 'adachi1985'"):
         DEFAULT_MODEL.evaluate(1.5, 800.0)
+    # the window is checked with the fraction's cached constants, so the gap
+    # energy, read from those, refuses it too
+    for x in (1.5, -0.1, float("nan")):
+        with pytest.raises(OutOfValidityWindow, match=f"^composition x={x} outside"):
+            DEFAULT_MODEL.gap_energy_ev(x)
 
 
 def _outcome(call, x, lam):

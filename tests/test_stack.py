@@ -1021,6 +1021,55 @@ def test_a_nan_wavelength_is_outside_the_dispersion_window(paper_stack):
             stack_response(paper_stack, lam)
 
 
+@pytest.mark.parametrize(
+    "call, wavelength, what",
+    [
+        (field_profile, [760.0, 761.0], "a single value"),
+        (field_profile, np.array([[760.0]]), "a single value"),
+        (stack_response, np.array([]), "one number or a non-empty 1-D array"),
+        (stack_response, np.array([[760.0, 761.0]]), "one number or a non-empty 1-D array"),
+        (core_intensity, [[760.0, 761.0]], "one number or a non-empty 1-D array"),
+        (core_intensity, [], "one number or a non-empty 1-D array"),
+    ],
+    ids=["profile_two", "profile_2d", "response_empty", "response_2d", "core_2d", "core_empty"],
+)
+def test_a_wavelength_of_another_shape_is_refused_before_any_computation(
+    paper_stack, monkeypatch, call, wavelength, what
+):
+    # field_profile raised numpy's reshape error for two wavelengths, an empty
+    # stack_response array a reshape error and a 2-D one a broadcast error,
+    # and core_intensity flattened a 2-D array into one wavelength row
+    def no_dispersion(*args):
+        raise AssertionError("the dispersion model was evaluated")
+
+    monkeypatch.setattr(materials.DispersionModel, "evaluate_many", no_dispersion)
+    with pytest.raises(ValueError, match=f"^wavelength must be {what}.*, got "):
+        call(paper_stack, wavelength)
+
+
+def test_a_one_element_array_is_one_wavelength_of_a_field_profile(paper_stack):
+    one, single = field_profile(paper_stack, np.array([760.3])), field_profile(paper_stack, 760.3)
+    assert np.array_equal(one.amplitude, single.amplitude)
+    assert np.array_equal(one.depth_nm, single.depth_nm)
+
+
+def test_a_one_wavelength_response_evaluates_the_fractions_in_one_pass(paper_stack, monkeypatch):
+    calls = {"evaluate": [], "evaluate_many": []}
+    for name in calls:
+        method = getattr(materials.DispersionModel, name)
+        monkeypatch.setattr(
+            materials.DispersionModel,
+            name,
+            lambda m, *a, _name=name, _method=method: calls[_name].append(a) or _method(m, *a),
+        )
+    stack_response(paper_stack, 760.3, 1.0)
+    assert calls == {"evaluate": [], "evaluate_many": [(paper_stack._plan.xs, 760.3)]}
+    # an array is one pass too: the (X, W) array of every distinct fraction
+    calls["evaluate_many"].clear()
+    stack_response(paper_stack, np.array([760.3, 760.4]))
+    assert calls["evaluate"] == [] and len(calls["evaluate_many"]) == 1
+
+
 @pytest.mark.parametrize("thickness", [math.nan, math.inf, -math.inf, 0.0, -1.0])
 def test_layer_thickness_must_be_finite_and_positive(thickness):
     rule = "a finite number > 0"
